@@ -46,6 +46,7 @@ from .spectral import (
     cc_right_energies,
     cpa_energies_forward,
     cpa_energies_time_reversed,
+    critical_points,
     p_intermediate,
     q_intermediate,
     rprime_left_zeros,

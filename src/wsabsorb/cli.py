@@ -20,7 +20,7 @@ import numpy as np
 from . import spectral
 from .amplitudes import amplitudes, hermitian_amplitudes, potential_profile
 from .oracle import oracle_g_factors
-from .specfun import TAU_INT, SingularValue, log_gamma
+from .specfun import SingularValue, log_gamma
 from .spectral import (
     RangeCriterion,
     Side,
@@ -29,8 +29,10 @@ from .spectral import (
     cc_right_energies,
     cpa_energies_forward,
     cpa_energies_time_reversed,
+    critical_points,
     rprime_left_zeros,
     scan_ranges,
+    snap_tolerance,
     ss_energies,
 )
 from .units import (
@@ -171,53 +173,31 @@ def _display_column(unit: EnergyUnit) -> str:
 # -- flag annotation -----------------------------------------------------------
 
 
+# Scan flags per variant.  The a2 + a3 = M points are bidirectional absorbers
+# of the time-reversed potential and spectral singularities of the forward one.
+_SCAN_FLAGS = {
+    Variant.FORWARD: (
+        (SpectralFamily.CC_LEFT, "CC_L"),
+        (SpectralFamily.CPA_FORWARD_A3, "CPA"),
+        (SpectralFamily.CC_RIGHT, "CC_R"),
+        (SpectralFamily.CPA_FORWARD_A2, "CPA"),
+        (SpectralFamily.CPA_TIME_REVERSED, "SS"),
+    ),
+    Variant.TIME_REVERSED: (
+        (SpectralFamily.SS_LEFT, "SS"),
+        (SpectralFamily.SS_RIGHT, "SS"),
+        (SpectralFamily.CPA_TIME_REVERSED, "CPA"),
+    ),
+}
+
+
 def _flag_points(spec: PotentialSpec, emin: float, emax: float):
-    """(flag, energy, energy_tolerance, degenerate) annotations for a window.
-
-    The tolerance is the snap tolerance on the defining integer condition
-    converted to energy through its derivative.
-    """
-    base = replace(spec, variant=Variant.FORWARD)
-    out = []
-
-    def tol_2a2(e):
-        return TAU_INT * spec.rho * math.sqrt(spec.mass * e) / (2.0 * spec.mass)
-
-    def tol_2a3(e):
-        return TAU_INT * spec.rho * math.sqrt(spec.mass * (e + spec.v0)) / (2.0 * spec.mass)
-
-    def tol_sum(e):
-        k1 = math.sqrt(spec.mass * e)
-        k2 = math.sqrt(spec.mass * (e + spec.v0))
-        return TAU_INT * spec.rho / (spec.mass * (1.0 / k1 + 1.0 / k2))
-
-    left = spectral._ss_in_window(base, (SpectralFamily.SS_LEFT,), emin, emax)
-    right = spectral._ss_in_window(base, (SpectralFamily.SS_RIGHT,), emin, emax)
-    lasing = spectral._interior_points(
-        base, RangeCriterion.CPA_RANGE, max(emin * 0.5, 1e-300), emax * 2.0
-    )
-    if spec.variant is Variant.FORWARD:
-        for p in left:
-            deg = spectral._near_positive_integer(spectral._two_a2(base, p.energy), TAU_INT)
-            out.append(("CC_L", p.energy, tol_2a3(p.energy), deg))
-            out.append(("CPA", p.energy, tol_2a3(p.energy), deg))
-        for p in right:
-            deg = spectral._near_positive_integer(spectral._two_a3(base, p.energy), TAU_INT)
-            out.append(("CC_R", p.energy, tol_2a2(p.energy), deg))
-            if p.index >= 2:
-                out.append(("CPA", p.energy, tol_2a2(p.energy), deg))
-        for p in lasing:
-            out.append(("SS", p.energy, tol_sum(p.energy), False))
-    else:
-        for p in left:
-            deg = spectral._near_positive_integer(spectral._two_a2(base, p.energy), TAU_INT)
-            out.append(("SS", p.energy, tol_2a3(p.energy), deg))
-        for p in right:
-            deg = spectral._near_positive_integer(spectral._two_a3(base, p.energy), TAU_INT)
-            out.append(("SS", p.energy, tol_2a2(p.energy), deg))
-        for p in lasing:
-            out.append(("CPA", p.energy, tol_sum(p.energy), False))
-    return out
+    """(flag, energy, energy_tolerance, degenerate) annotations for a window."""
+    return [
+        (flag, p.energy, snap_tolerance(spec, family, p.energy), p.degenerate)
+        for family, flag in _SCAN_FLAGS[spec.variant]
+        for p in critical_points(spec, family, window=(emin, emax))
+    ]
 
 
 def _flags_for(energy: float, annotations) -> str:
@@ -271,13 +251,13 @@ def cmd_scan(args) -> int:
 
 
 _FAMILY_CHOICES = {
-    "cc-left": "cc_left",
-    "cc-right": "cc_right",
-    "ss-left": "ss_left",
-    "ss-right": "ss_right",
-    "cpa-forward": "cpa_forward",
-    "cpa-time-reversed": "cpa_time_reversed",
-    "rprime-zeros": "rprime_zeros",
+    "cc-left": (SpectralFamily.CC_LEFT,),
+    "cc-right": (SpectralFamily.CC_RIGHT,),
+    "ss-left": (SpectralFamily.SS_LEFT,),
+    "ss-right": (SpectralFamily.SS_RIGHT,),
+    "cpa-forward": (SpectralFamily.CPA_FORWARD_A2, SpectralFamily.CPA_FORWARD_A3),
+    "cpa-time-reversed": (SpectralFamily.CPA_TIME_REVERSED,),
+    "rprime-zeros": (SpectralFamily.RPRIME_LEFT_ZERO,),
 }
 
 
@@ -285,36 +265,20 @@ def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     unit = _energy_unit(args)
     max_count = int(args.max_count if args.max_count is not None else 10)
+    if max_count < 0:
+        raise ValueError("max_count must be non-negative")
     raw = str(args.families or "all")
     if raw == "all":
-        families = list(_FAMILY_CHOICES.values())
+        tokens = list(_FAMILY_CHOICES)
     elif raw == "none":
-        families = []
+        tokens = []
     else:
-        families = []
-        for token in raw.split(","):
-            token = token.strip()
+        tokens = [token.strip() for token in raw.split(",")]
+        for token in tokens:
             if token not in _FAMILY_CHOICES:
                 raise ValueError(f"unknown family {token!r}")
-            families.append(_FAMILY_CHOICES[token])
-
-    points = []
-    base = replace(spec, variant=Variant.FORWARD)
-    for family in families:
-        if family == "cc_left":
-            points += cc_left_energies(base, max_count)
-        elif family == "cc_right":
-            points += cc_right_energies(base, max_count)
-        elif family == "ss_left":
-            points += ss_energies(base, Side.LEFT, max_count)
-        elif family == "ss_right":
-            points += ss_energies(base, Side.RIGHT, max_count)
-        elif family == "cpa_forward":
-            points += cpa_energies_forward(base, max_count)
-        elif family == "cpa_time_reversed":
-            points += cpa_energies_time_reversed(base, max_count)
-        elif family == "rprime_zeros":
-            points += rprime_left_zeros(base)
+    points = [p for token in tokens for family in _FAMILY_CHOICES[token]
+              for p in critical_points(spec, family, count=max_count)]
 
     columns = ["family", "index", "energy_internal", _display_column(unit), "degenerate"]
     rows = [
@@ -325,7 +289,8 @@ def cmd_spectrum(args) -> int:
     _emit(args, columns, rows, {
         "command": "spectrum",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
-                   "families": families, "max_count": max_count, "units": unit.value},
+                   "families": [token.replace("-", "_") for token in tokens],
+                   "max_count": max_count, "units": unit.value},
     })
     return 0
 
@@ -425,6 +390,7 @@ def _table1_ranges():
 
 
 def cmd_table1(args) -> int:
+    grid = int(args.grid if args.grid is not None else 1024)
     columns = ["row", "quantity", "params", "computed", "published", "unit",
                "rel_dev", "status"]
     rows = []
@@ -437,8 +403,7 @@ def cmd_table1(args) -> int:
                      f"v0={spec.v0:g} rho={spec.rho:g} m={spec.mass:g}",
                      computed, float(ref), unit, dev, "PASS" if ok else "FAIL"])
     for label, spec, criterion, window, threshold, plo, phi, unit in _table1_ranges():
-        found = scan_ranges(spec, criterion, window, threshold,
-                            grid_points=int(args.grid or 1024))
+        found = scan_ranges(spec, criterion, window, threshold, grid_points=grid)
         overlap = any(
             convert_energy(r.lo, to_units=unit) < phi
             and convert_energy(r.hi, to_units=unit) > plo
@@ -458,7 +423,7 @@ def cmd_table1(args) -> int:
                      "PASS" if overlap else "FAIL"])
     _emit(args, columns,
           [[v if isinstance(v, str) else v for v in row] for row in rows],
-          {"command": "table1", "params": {"grid": int(args.grid or 1024)}})
+          {"command": "table1", "params": {"grid": grid}})
     return 2 if failed else 0
 
 
@@ -732,10 +697,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = "csv"
     try:
         _overlay_config(args)
+        args.format = args.format or "csv"
+        if args.format not in ("csv", "json"):
+            raise ValueError(f"unknown format {args.format!r}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,12 +1,37 @@
 """Closed-form critical energies and threshold-certified absorption ranges.
 
-Every enumerated energy comes from an exact integer condition on the
-channel parameters: unidirectional absorption and spectral singularities
-from 2*a3 or 2*a2 hitting integers, bidirectional absorption from their
-sum, and reflection zeros of the time-reversed potential from their
-difference.  Range scanning certifies the smallness of the relevant
-coefficients on a grid between consecutive singularities, with bisection
-refinement of the crossing points.
+Every critical feature is one integer condition ``u(E) = c2*a2 + c3*a3 = N``
+on the channel parameters ``a2 = 2 sqrt(m E)/rho``, ``a3 = 2 sqrt(m (E+v0))/rho``,
+with a closed-form inverse energy (``p_N`` is ``p_intermediate``, and ``u(0)``
+is the row's own ``u`` at zero energy).  Four conditions cover all eight
+families:
+
+====================  ===========  ==================================  ==========
+condition             u(E)         inverse energy                      valid N
+====================  ===========  ==================================  ==========
+``2 a3 = N``          rising       ``N^2 rho^2/(16 m) - v0``           N > u(0)
+``2 a2 = N``          rising       ``N^2 rho^2/(16 m)``                N >= 1
+``a2 + a3 = M``       rising       ``q^2/(v0 + 2 q)``, ``q = p_M``     M > u(0)
+``a3 - a2 = n``       falling      ``p^2/(v0 + 2 p)``, ``p = p_n``     1 <= n < u(0)
+====================  ===========  ==================================  ==========
+
+CC_LEFT, SS_LEFT and CPA_FORWARD_A3 sit on the first row; CC_RIGHT, SS_RIGHT
+and CPA_FORWARD_A2 (index ``N - 1``) on the second; CPA_TIME_REVERSED on the
+third; the zeros of the time-reversed left reflection (RPRIME_LEFT_ZERO) on
+the fourth.  ``_TABLE`` holds these rows and ``critical_points`` enumerates
+any of them.  A point is degenerate when the channel parameter its row does
+not fix also puts 2*a2 or 2*a3 within the snap tolerance of a positive
+integer: 2*a2 on the ``2 a3`` row, 2*a3 on the ``2 a2`` row, either one on
+the sum and difference rows (there 2*a2 + 2*a3 or 2*a3 - 2*a2 is an integer,
+so one implies the other).  CPA_TIME_REVERSED excludes such points, because
+a numerator residue cancels the intended zero of det S there, and every
+other family flags them.  An index within the snap tolerance of u(0)
+is the E = 0 threshold and is skipped.  The energy-space snap tolerance of
+a point is the integer tolerance divided by ``|du/dE|``.
+
+Range scanning certifies the smallness of the relevant coefficients on a
+grid between consecutive singularities, with bisection refinement of the
+crossing points.
 """
 
 from __future__ import annotations
@@ -14,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +53,8 @@ __all__ = [
     "RangeCriterion",
     "SpectralPoint",
     "AbsorptionRange",
+    "critical_points",
+    "snap_tolerance",
     "cc_left_energies",
     "cc_right_energies",
     "ss_energies",
@@ -82,15 +110,66 @@ class AbsorptionRange:
     interior_zeros: tuple[SpectralPoint, ...]
 
 
-# -- integer-condition variables --------------------------------------------
+# -- the condition table -------------------------------------------------------
 
 
-def _two_a2(spec: PotentialSpec, energy: float) -> float:
-    return 4.0 * math.sqrt(spec.mass * energy) / spec.rho
+def p_intermediate(spec: PotentialSpec, n: int) -> float:
+    """Intermediate scalar of the conditions a2 + a3 = n and a3 - a2 = n.
+
+    Satisfies v0 + 2 p_n = n^2 rho^2 / (4 m); both conditions then hold at
+    E = p_n^2 / (v0 + 2 p_n), the sum for p_n > 0 and the difference for
+    p_n < 0.
+    """
+    return n * n * spec.rho * spec.rho / (8.0 * spec.mass) - spec.v0 / 2.0
 
 
-def _two_a3(spec: PotentialSpec, energy: float) -> float:
-    return 4.0 * math.sqrt(spec.mass * (energy + spec.v0)) / spec.rho
+q_intermediate = p_intermediate
+
+
+def _well_energy(spec: PotentialSpec, n: int) -> float:
+    return spec.rho * spec.rho / (16.0 * spec.mass) * n * n
+
+
+def _channel_energy(spec: PotentialSpec, n: int) -> float:
+    p = p_intermediate(spec, n)
+    return p * p / (spec.v0 + 2.0 * p)
+
+
+def _a2_a3(spec: PotentialSpec, energy: float) -> tuple[float, float]:
+    return (
+        2.0 * math.sqrt(spec.mass * energy) / spec.rho,
+        2.0 * math.sqrt(spec.mass * (energy + spec.v0)) / spec.rho,
+    )
+
+
+class _Row(NamedTuple):
+    """c2*a2 + c3*a3 = N at energy(spec, N); the family index is N - offset."""
+
+    c2: int
+    c3: int
+    energy: Callable[[PotentialSpec, int], float]
+    offset: int = 0
+    exclude_degenerate: bool = False
+
+    def u(self, spec: PotentialSpec, energy: float) -> float:
+        a2, a3 = _a2_a3(spec, energy)
+        return self.c2 * a2 + self.c3 * a3
+
+
+def _left_energy(spec: PotentialSpec, n: int) -> float:
+    return _well_energy(spec, n) - spec.v0
+
+
+_TABLE = {
+    SpectralFamily.CC_LEFT: _Row(0, 2, _left_energy),
+    SpectralFamily.SS_LEFT: _Row(0, 2, _left_energy),
+    SpectralFamily.CPA_FORWARD_A3: _Row(0, 2, _left_energy),
+    SpectralFamily.CC_RIGHT: _Row(2, 0, _well_energy),
+    SpectralFamily.SS_RIGHT: _Row(2, 0, _well_energy),
+    SpectralFamily.CPA_FORWARD_A2: _Row(2, 0, _well_energy, offset=1),
+    SpectralFamily.CPA_TIME_REVERSED: _Row(1, 1, _channel_energy, exclude_degenerate=True),
+    SpectralFamily.RPRIME_LEFT_ZERO: _Row(-1, 1, _channel_energy),
+}
 
 
 def _near_positive_integer(x: float, tau: float) -> bool:
@@ -98,60 +177,80 @@ def _near_positive_integer(x: float, tau: float) -> bool:
     return n >= 1 and abs(x - n) <= tau
 
 
-def _quarter_rho2_over_m(spec: PotentialSpec) -> float:
-    return spec.rho * spec.rho / (16.0 * spec.mass)
+def critical_points(
+    spec: PotentialSpec,
+    family: SpectralFamily,
+    window: tuple[float, float] | None = None,
+    count: int | None = None,
+    tau: float = TAU_INT,
+) -> list[SpectralPoint]:
+    """Points of one family, in ascending index.
+
+    With a window, the points whose N lies between floor(u) and ceil(u) + 1
+    of the window ends, so the list covers the window with one point at or
+    beyond each end where the family has one.  With a count, at most the
+    first ``count`` points.  With neither, every point, which only the
+    finite RPRIME_LEFT_ZERO family has.
+    """
+    validate(spec)
+    row = _TABLE[family]
+    u0 = row.u(spec, 0.0)
+    first, stop = 1 + row.offset, math.inf
+    # da2/dE > da3/dE because k1 < k2, so u falls only where a2 enters negatively
+    if row.c2 >= 0:
+        first = max(first, math.floor(u0 + tau) + 1)
+    else:
+        stop = math.ceil(u0 - tau)
+    if window is not None:
+        u_lo, u_hi = sorted(row.u(spec, e) for e in window)
+        first = max(first, math.floor(u_lo))
+        stop = min(stop, math.ceil(u_hi) + 2)
+    elif count is None and stop == math.inf:
+        raise ValueError(f"{family.value} has no last point: give a window or a count")
+    points: list[SpectralPoint] = []
+    n = first
+    while n < stop and (count is None or len(points) < count):
+        energy = row.energy(spec, n)
+        if energy > 0.0:
+            # 2*a_i with c_i = 2 is N by construction; only the other one is tested
+            degenerate = any(
+                _near_positive_integer(2.0 * a, tau)
+                for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3))
+                if c != 2
+            )
+            if not (row.exclude_degenerate and degenerate):
+                points.append(SpectralPoint(family, n - row.offset, energy, degenerate))
+        n += 1
+    return points
 
 
-# -- discrete families -------------------------------------------------------
+def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -> float:
+    """Energy distance over which the family's condition moves by TAU_INT:
+    TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2)."""
+    row = _TABLE[family]
+    k1 = math.sqrt(spec.mass * energy)
+    k2 = math.sqrt(spec.mass * (energy + spec.v0))
+    du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
+    return TAU_INT / abs(du_de)
+
+
+# -- public enumerators ----------------------------------------------------------
 
 
 def cc_left_energies(
     spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
 ) -> list[SpectralPoint]:
-    """Energies where left-incident reflection and transmission both vanish.
-
-    2*a3 = n, so E_n = n^2 rho^2 / (16 m) - v0 for n past the positivity
-    bound.  A point is flagged degenerate when 2*a2 is also an integer
-    there (the coincidence changes the amplitude classification).
-    """
-    validate(spec)
-    scale = _quarter_rho2_over_m(spec)
-    n = math.floor(4.0 * math.sqrt(spec.mass * spec.v0) / spec.rho)
-    points = []
-    while len(points) < max_count:
-        energy = scale * n * n - spec.v0
-        if energy > 0.0:
-            points.append(
-                SpectralPoint(
-                    kind=SpectralFamily.CC_LEFT,
-                    index=n,
-                    energy=energy,
-                    degenerate=_near_positive_integer(_two_a2(spec, energy), tau),
-                )
-            )
-        n += 1
-    return points
+    """Energies where left-incident reflection and transmission both vanish:
+    2*a3 = n, flagged degenerate where 2*a2 is also an integer."""
+    return critical_points(spec, SpectralFamily.CC_LEFT, count=max_count, tau=tau)
 
 
 def cc_right_energies(
     spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
 ) -> list[SpectralPoint]:
     """Energies where right-incident reflection and transmission vanish:
-    2*a2 = n', i.e. E = n'^2 rho^2 / (16 m), independent of the depth."""
-    validate(spec)
-    scale = _quarter_rho2_over_m(spec)
-    points = []
-    for n in range(1, max_count + 1):
-        energy = scale * n * n
-        points.append(
-            SpectralPoint(
-                kind=SpectralFamily.CC_RIGHT,
-                index=n,
-                energy=energy,
-                degenerate=_near_positive_integer(_two_a3(spec, energy), tau),
-            )
-        )
-    return points
+    2*a2 = n', independent of the depth."""
+    return critical_points(spec, SpectralFamily.CC_RIGHT, count=max_count, tau=tau)
 
 
 def ss_energies(
@@ -166,27 +265,8 @@ def ss_energies(
     sets: the left family diverges in R'_l where the forward left
     coefficients vanish, and likewise on the right.
     """
-    if side is Side.LEFT:
-        base = cc_left_energies(spec, max_count, tau)
-        kind = SpectralFamily.SS_LEFT
-    else:
-        base = cc_right_energies(spec, max_count, tau)
-        kind = SpectralFamily.SS_RIGHT
-    return [replace(p, kind=kind) for p in base]
-
-
-def p_intermediate(spec: PotentialSpec, n: int) -> float:
-    """Intermediate scalar of the reflection-zero condition a2 - a3 = -n.
-
-    Satisfies v0 + 2 p_n = n^2 rho^2 / (4 m) > 0 for solvable n.
-    """
-    return n * n * spec.rho * spec.rho / (8.0 * spec.mass) - spec.v0 / 2.0
-
-
-def q_intermediate(spec: PotentialSpec, m_index: int) -> float:
-    """Intermediate scalar of the bidirectional-absorption condition
-    a2 + a3 = M; satisfies v0 + 2 q_M = M^2 rho^2 / (4 m)."""
-    return m_index * m_index * spec.rho * spec.rho / (8.0 * spec.mass) - spec.v0 / 2.0
+    family = SpectralFamily.SS_LEFT if side is Side.LEFT else SpectralFamily.SS_RIGHT
+    return critical_points(spec, family, count=max_count, tau=tau)
 
 
 def rprime_left_zeros(spec: PotentialSpec, tau: float = TAU_INT) -> list[SpectralPoint]:
@@ -195,26 +275,7 @@ def rprime_left_zeros(spec: PotentialSpec, tau: float = TAU_INT) -> list[Spectra
     k2 - k1 decreases from sqrt(m v0) to 0, so solvable n satisfy
     1 <= n < (2/rho) sqrt(m v0); the list is complete and may be empty.
     """
-    validate(spec)
-    points = []
-    n_cap = 2.0 * math.sqrt(spec.mass * spec.v0) / spec.rho
-    n = 1
-    while n < n_cap:
-        p = p_intermediate(spec, n)
-        energy = p * p / (spec.v0 + 2.0 * p)
-        points.append(
-            SpectralPoint(
-                kind=SpectralFamily.RPRIME_LEFT_ZERO,
-                index=n,
-                energy=energy,
-                degenerate=(
-                    _near_positive_integer(_two_a2(spec, energy), tau)
-                    or _near_positive_integer(_two_a3(spec, energy), tau)
-                ),
-            )
-        )
-        n += 1
-    return points
+    return critical_points(spec, SpectralFamily.RPRIME_LEFT_ZERO, tau=tau)
 
 
 def cpa_energies_forward(
@@ -227,34 +288,11 @@ def cpa_energies_forward(
     ascending energy.  det S vanishes at each except at flagged degenerate
     coincidences, where the residues cancel.
     """
-    validate(spec)
-    scale = _quarter_rho2_over_m(spec)
-    points = []
-    for n1 in range(1, max_count + 1):
-        energy = scale * (n1 + 1) * (n1 + 1)
-        points.append(
-            SpectralPoint(
-                kind=SpectralFamily.CPA_FORWARD_A2,
-                index=n1,
-                energy=energy,
-                degenerate=_near_positive_integer(_two_a3(spec, energy), tau),
-            )
-        )
-    n2 = math.floor(4.0 * math.sqrt(spec.mass * spec.v0) / spec.rho)
-    kept = 0
-    while kept < max_count:
-        energy = scale * n2 * n2 - spec.v0
-        if energy > 0.0:
-            points.append(
-                SpectralPoint(
-                    kind=SpectralFamily.CPA_FORWARD_A3,
-                    index=n2,
-                    energy=energy,
-                    degenerate=_near_positive_integer(_two_a2(spec, energy), tau),
-                )
-            )
-            kept += 1
-        n2 += 1
+    points = [
+        p
+        for family in (SpectralFamily.CPA_FORWARD_A2, SpectralFamily.CPA_FORWARD_A3)
+        for p in critical_points(spec, family, count=max_count, tau=tau)
+    ]
     return sorted(points, key=lambda p: (p.energy, p.kind.value))
 
 
@@ -262,61 +300,20 @@ def cpa_energies_time_reversed(
     spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
 ) -> list[SpectralPoint]:
     """Bidirectional perfect-absorption energies of the time-reversed
-    potential: a2 + a3 = M.
-
-    Degenerate M, where 2*a2 (and hence 2*a3) is also an integer at the
-    candidate energy, are EXCLUDED: there a numerator residue cancels the
-    intended zero of det S and absorption fails.
-    """
-    validate(spec)
-    points = []
-    m_index = math.floor(2.0 * math.sqrt(spec.mass * spec.v0) / spec.rho)
-    while len(points) < max_count:
-        m_index += 1
-        q = q_intermediate(spec, m_index)
-        if q <= 0.0:
-            continue
-        energy = q * q / (spec.v0 + 2.0 * q)
-        if _near_positive_integer(_two_a2(spec, energy), tau) or _near_positive_integer(
-            _two_a3(spec, energy), tau
-        ):
-            continue
-        points.append(
-            SpectralPoint(
-                kind=SpectralFamily.CPA_TIME_REVERSED,
-                index=m_index,
-                energy=energy,
-                degenerate=False,
-            )
-        )
-    return points
+    potential: a2 + a3 = M, with degenerate M excluded."""
+    return critical_points(spec, SpectralFamily.CPA_TIME_REVERSED, count=max_count, tau=tau)
 
 
 # -- range certification ------------------------------------------------------
 
 
+# _ss_in_window, _interior_points and _bisect_crossing are looked up by name
+# by the benchmark's span tracer (bench/tracer.py).
 def _ss_in_window(
     spec: PotentialSpec, families: tuple[SpectralFamily, ...], emin: float, emax: float
 ) -> list[SpectralPoint]:
     """Enumerated singularities covering [emin, emax], one beyond each side."""
-    scale = _quarter_rho2_over_m(spec)
-    points: list[SpectralPoint] = []
-    for family in families:
-        if family is SpectralFamily.SS_LEFT:
-            shift = spec.v0
-            n_min = math.floor(4.0 * math.sqrt(spec.mass * spec.v0) / spec.rho) + 1
-            while scale * n_min * n_min - spec.v0 <= 0.0:
-                n_min += 1
-        else:
-            shift = 0.0
-            n_min = 1
-        n_lo = max(n_min, math.floor(math.sqrt(max(emin + shift, 0.0) / scale)))
-        n_hi = math.ceil(math.sqrt((emax + shift) / scale)) + 1
-        for n in range(n_lo, n_hi + 1):
-            energy = scale * n * n - shift
-            if energy <= 0.0:
-                continue
-            points.append(SpectralPoint(kind=family, index=n, energy=energy))
+    points = [p for f in families for p in critical_points(spec, f, window=(emin, emax))]
     points.sort(key=lambda p: p.energy)
     return points
 
@@ -427,26 +424,9 @@ def _interior_points(
     spec: PotentialSpec, criterion: RangeCriterion, lo: float, hi: float
 ) -> list[SpectralPoint]:
     """Discrete exact-absorption points inside a certified range."""
-    if criterion is RangeCriterion.CC_LEFT_RANGE:
-        return [p for p in rprime_left_zeros(spec) if lo <= p.energy <= hi]
-    # a2 + a3 is monotone in energy; enumerate M indices overlapping [lo, hi]
-    out = []
-    m_lo = math.floor((_two_a2(spec, lo) + _two_a3(spec, lo)) / 2.0)
-    m_hi = math.ceil((_two_a2(spec, hi) + _two_a3(spec, hi)) / 2.0)
-    for m_index in range(max(m_lo, 1), m_hi + 1):
-        q = q_intermediate(spec, m_index)
-        if q <= 0.0:
-            continue
-        energy = q * q / (spec.v0 + 2.0 * q)
-        if not lo <= energy <= hi:
-            continue
-        if _near_positive_integer(_two_a2(spec, energy), TAU_INT) or _near_positive_integer(
-            _two_a3(spec, energy), TAU_INT
-        ):
-            continue
-        out.append(
-            SpectralPoint(
-                kind=SpectralFamily.CPA_TIME_REVERSED, index=m_index, energy=energy
-            )
-        )
-    return out
+    family = (
+        SpectralFamily.RPRIME_LEFT_ZERO
+        if criterion is RangeCriterion.CC_LEFT_RANGE
+        else SpectralFamily.CPA_TIME_REVERSED
+    )
+    return [p for p in critical_points(spec, family, window=(lo, hi)) if lo <= p.energy <= hi]

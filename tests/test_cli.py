@@ -81,6 +81,30 @@ class TestScan:
             assert row[2] == "inf"  # R'_l diverges at both singular energies
             assert "SS" in row[6]
 
+    def test_flags_at_critical_rows(self, tmp_path):
+        # v0 = 2, rho = 2: E = 0.25 carries 2 a2 = 1 and 2 a3 = 3 at once, so
+        # the a2 + a3 = 2 point there is excluded; M = 4, 5 land on 3.0625, 5.29
+        args = ("scan", "--v0", "2", "--rho", "2", "--emin", "0.05",
+                "--emax", "8", "--points", "3181")
+        expected = {
+            "forward": {
+                "0.25": "CC_L|CC_R|CPA|DEGENERATE", "1": "CC_R|CPA",
+                "2": "CC_L|CPA", "2.25": "CC_R|CPA", "3.0625": "SS",
+                "4": "CC_R|CPA", "4.25": "CC_L|CPA", "5.29": "SS",
+                "6.25": "CC_R|CPA", "7": "CC_L|CPA",
+            },
+            "time-reversed": {
+                "0.25": "DEGENERATE|SS", "1": "SS", "2": "SS", "2.25": "SS",
+                "3.0625": "CPA", "4": "SS", "4.25": "SS", "5.29": "CPA",
+                "6.25": "SS", "7": "SS",
+            },
+        }
+        for variant, flags in expected.items():
+            code, text = run(tmp_path, *args, "--variant", variant)
+            assert code == 0
+            rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+            assert {r[0]: r[6] for r in rows if r[6]} == flags
+
     def test_determinism(self, tmp_path):
         args = ("scan", "--v0", "2", "--rho", "2", "--emin", "0.4",
                 "--emax", "3.1", "--points", "37")
@@ -124,6 +148,20 @@ class TestSpectrum:
             "family,index,energy_internal,energy_ev,degenerate"
         ]
 
+    def test_rprime_zeros_honour_max_count(self, tmp_path):
+        code, text = run(tmp_path, "spectrum", "--v0", "50", "--rho", "1",
+                         "--families", "rprime-zeros", "--max-count", "2")
+        assert code == 0
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        assert [(r[0], int(r[1])) for r in rows] == [
+            ("rprime_left_zero", 1), ("rprime_left_zero", 2)]
+
+    def test_negative_max_count_rejected(self, tmp_path):
+        assert main(["spectrum", "--v0", "2", "--rho", "2", "--max-count", "-3"]) == 1
+        config = tmp_path / "neg.cfg"
+        config.write_text("v0 = 2\nrho = 2\nmax_count = -1\n")
+        assert main(["spectrum", "--config", str(config)]) == 1
+
     def test_degenerate_column(self, tmp_path):
         code, text = run(tmp_path, "spectrum", "--v0", "2", "--rho", "2",
                          "--families", "rprime-zeros")
@@ -161,6 +199,9 @@ class TestTable1AndVerify:
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         assert all(r[-1] == "PASS" for r in rows)
         assert len(rows) == 16
+
+    def test_table1_rejects_small_grid(self, tmp_path):
+        assert main(["table1", "--grid", "0"]) == 1
 
     def test_verify_passes_and_is_seed_stable(self, tmp_path):
         code, text = run(tmp_path, "verify")
@@ -212,3 +253,16 @@ class TestConfig:
         cfg.write_text("velocity = 3\n")
         code = main(["scan", "--config", str(cfg), "--emin", "1", "--emax", "2"])
         assert code == 1
+
+    def test_config_format_applies(self, tmp_path):
+        cfg = tmp_path / "json.cfg"
+        cfg.write_text("v0 = 1.2\nrho = 1.8\nformat = json\n")
+        code, text = run(tmp_path, "scan", "--config", str(cfg),
+                         "--emin", "0.5", "--emax", "1.5", "--points", "3")
+        assert code == 0
+        assert len(json.loads(text)["rows"]) == 3
+        code, text = run(tmp_path, "scan", "--config", str(cfg), "--format", "csv",
+                         "--emin", "0.5", "--emax", "1.5", "--points", "3")
+        assert text.startswith("energy_internal,")
+        cfg.write_text("v0 = 1.2\nrho = 1.8\nformat = xml\n")
+        assert main(["scan", "--config", str(cfg), "--emin", "0.5", "--emax", "1.5"]) == 1

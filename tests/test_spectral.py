@@ -15,6 +15,7 @@ from wsabsorb.spectral import (
     cc_right_energies,
     cpa_energies_forward,
     cpa_energies_time_reversed,
+    critical_points,
     p_intermediate,
     q_intermediate,
     rprime_left_zeros,
@@ -48,6 +49,11 @@ class TestCcLeft:
         points = cc_left_energies(PotentialSpec(v0=1e-12, rho=4.0, mass=1.0), 1)
         assert points[0].index == 1
         assert points[0].energy == pytest.approx(1.0, abs=1e-9)
+
+    def test_threshold_index_skipped(self):
+        # 2 a3 = 10 holds at E = 0 here, which is the threshold, not a point
+        points = cc_left_energies(PotentialSpec(v0=1.0, rho=0.4, mass=1.0), 1)
+        assert points[0].index == 11
 
     def test_back_substitution(self):
         for p in cc_left_energies(SPEC_A, 8):
@@ -211,6 +217,39 @@ class TestCpaTimeReversed:
         for p in cpa_energies_time_reversed(SPEC_B, 3):
             assert det_s(tr, p.energy).is_zero
             assert det_s(SPEC_B, p.energy).is_pole  # lasing partner
+
+
+class TestCriticalPoints:
+    # v0 = 12.5, rho = 1 has 2 a2 = 5 and 2 a3 = 15 together at E = 1.5625
+    @pytest.mark.parametrize("spec", [PotentialSpec(12.5, 1.0, 1.0), PotentialSpec(50.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("family", list(SpectralFamily))
+    def test_window_mode_matches_count_mode(self, spec, family):
+        counted = critical_points(spec, family, count=40)
+        energies = sorted(p.energy for p in counted)
+        for lo, hi in ((energies[0], energies[-1]),
+                       (0.5 * (energies[0] + energies[1]), 0.5 * (energies[-2] + energies[-1])),
+                       (energies[2] * (1 + 1e-9), energies[2] * (1 + 1e-6))):
+            windowed = critical_points(spec, family, window=(lo, hi))
+            inside = [p for p in counted if lo <= p.energy <= hi]
+            assert [p for p in windowed if lo <= p.energy <= hi] == inside
+            if family in (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT):
+                assert windowed[0].energy <= lo and windowed[-1].energy >= hi
+
+    @pytest.mark.parametrize("family", [SpectralFamily.CC_LEFT, SpectralFamily.SS_LEFT,
+                                        SpectralFamily.CPA_FORWARD_A3])
+    def test_degenerate_flag_at_large_2a3(self, family):
+        # 2 a3 = 12970174 and 2 a2 = 10096098; the recomputed 2 a3 rounds
+        # about 2e-9 away from its integer, so only 2 a2 may decide the flag
+        spec = PotentialSpec(v0=276225911.5194667, rho=0.01, mass=1.5)
+        energy = spec.rho ** 2 / (16 * spec.mass) * 12970174 ** 2 - spec.v0
+        points = critical_points(spec, family, window=(energy, energy))
+        flags = {p.index: p.degenerate for p in points}
+        assert flags.pop(12970174) is True
+        assert flags and not any(flags.values())
+
+    def test_infinite_family_needs_window_or_count(self):
+        with pytest.raises(ValueError):
+            critical_points(SPEC_A, SpectralFamily.CC_LEFT)
 
 
 class TestScanRanges:
