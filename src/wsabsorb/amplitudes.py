@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import TAU_INT, SingularValue, _nearest_pole_index, log_gamma
+from .specfun import TAU_INT, SingularValue, gamma_info
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -100,29 +100,22 @@ def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
     )
 
 
-def _gamma_factor(ch: ChannelParams, c2: int, c3: int, c0: int, tau: float) -> SingularValue:
+def _gamma_factor(ch: ChannelParams, c2: int, c3: int, c0: int) -> SingularValue:
     """SingularValue of Gamma(c2*a2 + c3*a3 + c0) in the energy-offset sense.
 
     Near a pole the residue is rescaled by the energy derivative of the
     argument, so that coefficients of different Gamma factors combine in a
     common limit variable (the offset from the critical energy).
     """
-    arg = c2 * ch.a2 + c3 * ch.a3 + c0
-    k = _nearest_pole_index(complex(arg), tau)
-    if k is not None:
+    value = gamma_info(c2 * ch.a2 + c3 * ch.a3 + c0)
+    if value.is_pole:
         deriv = complex(c2 * ch.da2_denergy + c3 * ch.da3_denergy)
         if deriv == 0:
             deriv = 1.0 + 0.0j  # stationary argument; leave the residue unscaled
-        # residue (-1)^k / k!, divided by d(arg)/dE
-        log_res = -log_gamma(float(k + 1)).real
-        res_phase = math.pi if k % 2 else 0.0
-        return SingularValue.pole(
-            1,
-            log_res - math.log(abs(deriv)),
-            res_phase - math.atan2(deriv.imag, deriv.real),
+        value = value / SingularValue.finite(
+            math.log(abs(deriv)), math.atan2(deriv.imag, deriv.real)
         )
-    lg = log_gamma(arg, tau)
-    return SingularValue.finite(lg.real, lg.imag)
+    return value
 
 
 # numerator/denominator Gamma arguments of G1..G4 as (c2, c3, c0) triples
@@ -134,15 +127,15 @@ _G_TABLE = (
 )
 
 
-def g_factors(ch: ChannelParams, tau: float = TAU_INT) -> GFactors:
+def g_factors(ch: ChannelParams) -> GFactors:
     """The four connection coefficients, assembled in log space."""
     out = []
     for numer, denom in _G_TABLE:
         value = SingularValue.finite(0.0, 0.0)
         for c2, c3, c0 in numer:
-            value = value * _gamma_factor(ch, c2, c3, c0, tau)
+            value = value * _gamma_factor(ch, c2, c3, c0)
         for c2, c3, c0 in denom:
-            value = value / _gamma_factor(ch, c2, c3, c0, tau)
+            value = value / _gamma_factor(ch, c2, c3, c0)
         out.append(value)
     return GFactors(*out)
 
@@ -171,7 +164,7 @@ def _det_cross_check(
             # a snapped critical point: the finite cofactors sit up to the
             # snap tolerance away from the exact pole, so the two leading
             # coefficients differ by the subleading Laurent term, bounded
-            # by tau times the digamma scale of the dozen Gamma factors
+            # by TAU_INT times the digamma scale of the dozen Gamma factors
             tol += 300.0 * TAU_INT
         rel = det_sum.relative_difference(det_closed)
         if rel > tol:
@@ -192,16 +185,24 @@ def _det_cross_check(
         )
 
 
-def _assemble(ch: ChannelParams, gf: GFactors) -> AmplitudeSet:
-    sqrt_k_ratio = SingularValue.finite(0.5 * math.log(ch.k1 / ch.k2), 0.0)
-    rl = gf.g4 / gf.g3
-    tl = sqrt_k_ratio / gf.g3
-    rr = -(gf.g1 / gf.g3)
-    det_closed = gf.g2 / gf.g3
-    _det_cross_check(tl * tl, rl * rr, det_closed, ch.energy)
+def _amplitude_set(
+    energy: float,
+    k_ratio: float,
+    g1: SingularValue,
+    g3: SingularValue,
+    g4: SingularValue,
+    det: SingularValue,
+) -> AmplitudeSet:
+    """The one assembly of an AmplitudeSet from the connection coefficients.
 
+    r_l = G4/G3, t_l = t_r = sqrt(k1/k2)/G3 and r_r = -G1/G3, whichever
+    route produced G1, G3 and G4; det S comes from the calling route.
+    """
+    tl = SingularValue.finite(0.5 * math.log(k_ratio), 0.0) / g3
+    rl = g4 / g3
+    rr = -(g1 / g3)
     return AmplitudeSet(
-        energy=ch.energy,
+        energy=float(energy),
         rl=rl,
         rr=rr,
         tl=tl,
@@ -209,26 +210,33 @@ def _assemble(ch: ChannelParams, gf: GFactors) -> AmplitudeSet:
         Rl=rl.abs_squared(),
         Rr=rr.abs_squared(),
         T=tl.abs_squared(),
-        det_s=det_closed,
+        det_s=det,
     )
 
 
-def amplitudes(spec: PotentialSpec, energy: float, tau: float = TAU_INT) -> AmplitudeSet:
+def _closed_form(ch: ChannelParams) -> AmplitudeSet:
+    """Closed-form amplitudes; det S = G2/G3, checked against tl*tr - rl*rr."""
+    gf = g_factors(ch)
+    amps = _amplitude_set(ch.energy, ch.k1 / ch.k2, gf.g1, gf.g3, gf.g4, gf.g2 / gf.g3)
+    _det_cross_check(amps.tl * amps.tl, amps.rl * amps.rr, amps.det_s, ch.energy)
+    return amps
+
+
+def amplitudes(spec: PotentialSpec, energy: float) -> AmplitudeSet:
     """Reflection/transmission amplitudes and coefficients at one energy.
 
     The left/right transmission amplitudes are one and the same
     expression; det S comes out as the closed-form G-ratio and is verified
     against tl*tr - rl*rr on every call.
     """
-    ch = channel_params(spec, energy)
-    return _assemble(ch, g_factors(ch, tau))
+    return _closed_form(channel_params(spec, energy))
 
 
-def det_s(spec: PotentialSpec, energy: float, tau: float = TAU_INT) -> SingularValue:
+def det_s(spec: PotentialSpec, energy: float) -> SingularValue:
     """det S as the closed-form Gamma ratio (G2/G3, or its inverse when
     the stored channel parameters are the time-reversed ones)."""
     ch = channel_params(spec, energy)
-    gf = g_factors(ch, tau)
+    gf = g_factors(ch)
     return gf.g2 / gf.g3
 
 
@@ -251,22 +259,17 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
     return values
 
 
-def hermitian_amplitudes(
-    v0: float, delta: float, m: float, energy: float, tau: float = TAU_INT
-) -> AmplitudeSet:
-    """Amplitudes of the uncomplexified (Hermitian) potential.
-
-    Same G expressions evaluated at purely imaginary channel parameters;
-    reciprocity and unitarity hold here, which the tests use as a limit
-    check on the whole assembly.
-    """
-    if v0 <= 0 or delta <= 0 or m <= 0:
-        raise ValueError("v0, delta and m must be positive")
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
+def _hermitian_channel(v0: float, delta: float, m: float, energy: float) -> ChannelParams:
+    """Channel parameters of the uncomplexified (Hermitian) potential:
+    purely imaginary a2 = 2i k1/delta and a3 = 2i k2/delta."""
+    if not all(math.isfinite(x) and x > 0 for x in (v0, delta, m, energy)):
+        raise ValueError(
+            f"v0, delta, m and energy must be finite and positive, "
+            f"got {v0!r}, {delta!r}, {m!r}, {energy!r}"
+        )
     k1 = math.sqrt(m * energy)
     k2 = math.sqrt(m * (energy + v0))
-    ch = ChannelParams(
+    return ChannelParams(
         energy=float(energy),
         k1=k1,
         k2=k2,
@@ -274,4 +277,13 @@ def hermitian_amplitudes(
         a3=2j * k2 / delta,
         mass=m,
     )
-    return _assemble(ch, g_factors(ch, tau))
+
+
+def hermitian_amplitudes(v0: float, delta: float, m: float, energy: float) -> AmplitudeSet:
+    """Amplitudes of the uncomplexified (Hermitian) potential.
+
+    Same G expressions evaluated at purely imaginary channel parameters;
+    reciprocity and unitarity hold here, which the tests use as a limit
+    check on the whole assembly.
+    """
+    return _closed_form(_hermitian_channel(v0, delta, m, energy))

@@ -421,9 +421,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns,
-          [[v if isinstance(v, str) else v for v in row] for row in rows],
-          {"command": "table1", "params": {"grid": grid}})
+    _emit(args, columns, rows, {"command": "table1", "params": {"grid": grid}})
     return 2 if failed else 0
 
 

@@ -37,8 +37,14 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .amplitudes import AmplitudeSet, channel_params
-from .specfun import SingularValue, hyp2f1, hyp2f1_deriv
+from .amplitudes import (
+    AmplitudeSet,
+    _amplitude_set,
+    _hermitian_channel,
+    channel_params,
+    g_factors,
+)
+from .specfun import SERIES_Z_MAX, SingularValue, hyp2f1, hyp2f1_deriv
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -65,6 +71,12 @@ OVERFLOW_GUARD = 1e120
 CONDITION_LIMIT = 1e8
 CRITICAL_MARGIN = 1e-8
 POLE_PHASE_MARGIN = 0.2
+
+#: oracle_domain_ok bounds: a2 + a3, distance of the integer conditions from
+#: an integer, and the amplitude dynamic range in decades
+DOMAIN_MAX_SUM = 14.0
+DOMAIN_MIN_DISTANCE = 0.05
+DOMAIN_MAX_DECADES = 4.0
 
 
 class Launch(Enum):
@@ -94,7 +106,6 @@ class ContourSolution:
     psi_start: complex
     dpsi_start: complex
     step_count: int
-    tolerance: float
     launch: Launch
     variant: Variant
     phi_eff: float
@@ -173,13 +184,7 @@ def _handoff(a2: complex, a3: complex) -> float:
     return min(1.4, U_BUDGET / growth) if growth > 0 else 1.4
 
 
-def oracle_domain_ok(
-    spec: PotentialSpec,
-    energy: float,
-    max_sum: float = 14.0,
-    min_distance: float = 0.05,
-    max_decades: float = 4.0,
-) -> bool:
+def oracle_domain_ok(spec: PotentialSpec, energy: float) -> bool:
     """Whether (spec, energy) sits in the oracle's full-accuracy domain.
 
     Shooting along the contour cannot resolve a connection coefficient
@@ -190,16 +195,14 @@ def oracle_domain_ok(
     integers, and the amplitude dynamic range in decades; outside it the
     closed forms and spacing laws are the authoritative route.
     """
-    from .amplitudes import g_factors  # local import to avoid cycles at import time
-
     ch = channel_params(spec, energy)
     a2, a3 = abs(ch.a2), abs(ch.a3)
-    if a2 + a3 > max_sum:
+    if a2 + a3 > DOMAIN_MAX_SUM:
         return False
-    if _critical_distance(a2, a3) < min_distance:
+    if _critical_distance(a2, a3) < DOMAIN_MIN_DISTANCE:
         return False
     gf = g_factors(ch)
-    ln_cap = max_decades * math.log(10.0)
+    ln_cap = DOMAIN_MAX_DECADES * math.log(10.0)
     if abs(gf.g4.log_magnitude - gf.g3.log_magnitude) > ln_cap:
         return False
     if abs(gf.g1.log_magnitude - gf.g2.log_magnitude) > ln_cap:
@@ -261,7 +264,6 @@ def integrate_contour(
     launch: Launch,
     x0: float = 0.0,
     Z: float | None = None,
-    tolerance: float = DEFAULT_RTOL,
 ) -> ContourSolution:
     """Integrate the wave equation along the constant-x contour.
 
@@ -282,36 +284,47 @@ def integrate_contour(
             "integer condition; the contour oracle excludes those points"
         )
     phi = _effective_phase(spec.rho, x0)
-    if spec.variant is Variant.TIME_REVERSED:
+    phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
+    return _contour(complex(a2), complex(a3), phi_eff, launch, spec.variant, spec.rho, x0, Z)
+
+
+def _contour(
+    a2: complex,
+    a3: complex,
+    phi_eff: float,
+    launch: Launch,
+    variant: Variant,
+    rho: float,
+    x0: float = 0.0,
+    Z: float | None = None,
+) -> ContourSolution:
+    """One launch from the top handoff point to the bottom one, for real
+    (contour) or imaginary (Hermitian, real-axis) channel parameters."""
+    if variant is Variant.TIME_REVERSED:
         # the conjugated potential on the same contour is the forward core
         # with opposite phase; incoming/outgoing exponential roles swap
-        phi_eff = -phi
         shape = "psi2" if launch is Launch.PSI_ONE else "psi1"
     else:
-        phi_eff = phi
         shape = "psi1" if launch is Launch.PSI_ONE else "psi2"
-    uh = spec.rho * Z if Z is not None else _handoff(complex(a2), complex(a3))
+    uh = rho * Z if Z is not None else _handoff(a2, a3)
     if uh <= 0:
         raise ValueError("contour half-width must be positive")
-    y_start, y_end, nsteps = _integrate_core(
-        complex(a2), complex(a3), phi_eff, shape, uh, -uh, tolerance
-    )
+    y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, shape, uh, -uh, DEFAULT_RTOL)
     return ContourSolution(
         x0=x0,
-        zeta_start=uh / spec.rho,
-        zeta_end=-uh / spec.rho,
+        zeta_start=uh / rho,
+        zeta_end=-uh / rho,
         psi=complex(y_end[0]),
-        dpsi=complex(y_end[1]) * spec.rho,  # d/du -> d/dzeta
+        dpsi=complex(y_end[1]) * rho,  # d/du -> d/dzeta
         psi_start=complex(y_start[0]),
-        dpsi_start=complex(y_start[1]) * spec.rho,
+        dpsi_start=complex(y_start[1]) * rho,
         step_count=int(nsteps),
-        tolerance=tolerance,
         launch=launch,
-        variant=spec.variant,
+        variant=variant,
         phi_eff=phi_eff,
-        a2=complex(a2),
-        a3=complex(a3),
-        rho=spec.rho,
+        a2=a2,
+        a3=a3,
+        rho=rho,
     )
 
 
@@ -340,8 +353,9 @@ def fit_asymptotics(sol: ContourSolution, k2: float) -> FittedCoefficients:
     )
 
 
-def _fit_local(sol: ContourSolution) -> FittedCoefficients:
-    """Series-corrected endpoint fit in the scaled coordinate."""
+def _local_basis(sol: ContourSolution) -> tuple[np.ndarray, float]:
+    """Fit matrix of the local solutions w+ and w- at the contour end, and
+    its condition number."""
     u_bot = sol.rho * sol.zeta_end
     wp, dwp = _local_state("w_plus", sol.a2, sol.a3, u_bot, sol.phi_eff)
     wm, dwm = _local_state("w_minus", sol.a2, sol.a3, u_bot, sol.phi_eff)
@@ -349,6 +363,15 @@ def _fit_local(sol: ContourSolution) -> FittedCoefficients:
     cond = float(np.linalg.cond(M))
     if cond > CONDITION_LIMIT:
         raise ContourError(f"local-basis fit ill-conditioned: cond={cond:.3e}")
+    return M, cond
+
+
+def _fit_local(
+    sol: ContourSolution, basis: tuple[np.ndarray, float] | None = None
+) -> FittedCoefficients:
+    """Series-corrected endpoint fit in the scaled coordinate; ``basis`` is
+    the _local_basis of another launch that ends at the same point."""
+    M, cond = basis if basis is not None else _local_basis(sol)
     rhs = np.array([sol.psi, sol.dpsi / sol.rho], dtype=complex)  # d/dzeta -> d/du
     c = np.linalg.solve(M, rhs)
     if sol.variant is Variant.TIME_REVERSED:
@@ -357,12 +380,34 @@ def _fit_local(sol: ContourSolution) -> FittedCoefficients:
     return FittedCoefficients(complex(c[0]), complex(c[1]), cond)
 
 
+def _fitted_g(solve) -> tuple[complex, complex, complex, complex]:
+    """(G1, G2, G3, G4): local-basis fits of the two launches that
+    ``solve(launch)`` integrates."""
+    two, one = solve(Launch.PSI_TWO), solve(Launch.PSI_ONE)
+    basis = _local_basis(two)  # both launches end at the same contour point
+    two, one = _fit_local(two, basis), _fit_local(one, basis)
+    return one.c_plus, one.c_minus, two.c_plus, two.c_minus
+
+
+def _fitted_amplitudes(
+    energy: float, k_ratio: float, g1: complex, g3: complex, g4: complex
+) -> AmplitudeSet:
+    """Amplitudes from fitted coefficients, with det S on this module's own
+    route: t^2 - r_l r_r = (k1/k2 + G1 G4) / G3^2.  A coefficient the fit
+    rounds to 0 is a finite value of magnitude 0 (log_magnitude -inf)."""
+    det = (k_ratio + g1 * g4) / (g3 * g3)
+    g1, g3, g4, det = (
+        SingularValue.finite(-math.inf, 0.0) if w == 0 else SingularValue.from_complex(w)
+        for w in (g1, g3, g4, det)
+    )
+    return _amplitude_set(energy, k_ratio, g1, g3, g4, det)
+
+
 def oracle_g_factors(
     spec: PotentialSpec,
     energy: float,
     x0: float = 0.0,
     Z: float | None = None,
-    tolerance: float = DEFAULT_RTOL,
 ) -> tuple[complex, complex, complex, complex]:
     """Connection coefficients (G1, G2, G3, G4) from two contour launches.
 
@@ -370,9 +415,7 @@ def oracle_g_factors(
     the same four constants the closed forms produce.
     """
     forward = PotentialSpec(spec.v0, spec.rho, spec.mass, spec.zeta, Variant.FORWARD)
-    run2 = _fit_local(integrate_contour(forward, energy, Launch.PSI_TWO, x0, Z, tolerance))
-    run1 = _fit_local(integrate_contour(forward, energy, Launch.PSI_ONE, x0, Z, tolerance))
-    return run1.c_plus, run1.c_minus, run2.c_plus, run2.c_minus
+    return _fitted_g(lambda launch: integrate_contour(forward, energy, launch, x0, Z))
 
 
 def oracle_amplitudes(
@@ -380,79 +423,31 @@ def oracle_amplitudes(
     energy: float,
     x0: float = 0.0,
     Z: float | None = None,
-    tolerance: float = DEFAULT_RTOL,
 ) -> AmplitudeSet:
     """Scattering amplitudes reconstructed from two contour launches.
 
     r_l = c-(psi2)/c+(psi2), t = sqrt(k1/k2)/c+(psi2),
     r_r = -c+(psi1)/c+(psi2); the time-reversed variant integrates the
-    conjugated potential.  det S comes from t^2 - r_l r_r, which is this
-    module's own route to it.
+    conjugated potential.
     """
     ch = channel_params(spec, energy)
-    two = _fit_local(integrate_contour(spec, energy, Launch.PSI_TWO, x0, Z, tolerance))
-    one = _fit_local(integrate_contour(spec, energy, Launch.PSI_ONE, x0, Z, tolerance))
-    rl = two.c_minus / two.c_plus
-    tl = math.sqrt(ch.k1 / ch.k2) / two.c_plus
-    rr = -one.c_plus / two.c_plus
-    det = tl * tl - rl * rr
-    sv = SingularValue.from_complex
-    return AmplitudeSet(
-        energy=float(energy),
-        rl=sv(rl),
-        rr=sv(rr),
-        tl=sv(tl),
-        tr=sv(tl),
-        Rl=sv(rl).abs_squared(),
-        Rr=sv(rr).abs_squared(),
-        T=sv(tl).abs_squared(),
-        det_s=sv(det),
-    )
+    g1, _, g3, g4 = _fitted_g(lambda launch: integrate_contour(spec, energy, launch, x0, Z))
+    return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 
-def hermitian_oracle_amplitudes(
-    v0: float,
-    delta: float,
-    m: float,
-    energy: float,
-    tolerance: float = DEFAULT_RTOL,
-) -> AmplitudeSet:
+def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float) -> AmplitudeSet:
     """Real-axis integration of the uncomplexified potential.
 
-    Same core machinery with purely imaginary channel parameters; the
-    contour coordinate becomes the real axis and the solutions
-    oscillatory, so flux conservation (R + T = 1) is an end-to-end check.
+    The same two launches and local-basis fits with purely imaginary
+    channel parameters; the contour coordinate becomes the real axis and
+    the solutions oscillatory, so flux conservation (R + T = 1) is an
+    end-to-end check.
     """
-    if min(v0, delta, m) <= 0 or energy <= 0:
-        raise ValueError("v0, delta, m and energy must be positive")
-    k1 = math.sqrt(m * energy)
-    k2 = math.sqrt(m * (energy + v0))
-    a2 = 2j * k1 / delta
-    a3 = 2j * k2 / delta
-    uh = 1.4
-    y2_start, y2, _ = _integrate_core(a2, a3, 0.0, "psi2", uh, -uh, tolerance)
-    y1_start, y1, _ = _integrate_core(a2, a3, 0.0, "psi1", uh, -uh, tolerance)
-    wp, dwp = _local_state("w_plus", a2, a3, -uh, 0.0)
-    wm, dwm = _local_state("w_minus", a2, a3, -uh, 0.0)
-    M = np.array([[wp, wm], [dwp, dwm]], dtype=complex)
-    c2 = np.linalg.solve(M, y2)
-    c1 = np.linalg.solve(M, y1)
-    rl = c2[1] / c2[0]
-    tl = math.sqrt(k1 / k2) / c2[0]
-    rr = -c1[0] / c2[0]
-    det = tl * tl - rl * rr
-    sv = SingularValue.from_complex
-    return AmplitudeSet(
-        energy=float(energy),
-        rl=sv(rl),
-        rr=sv(rr),
-        tl=sv(tl),
-        tr=sv(tl),
-        Rl=sv(rl).abs_squared(),
-        Rr=sv(rr).abs_squared(),
-        T=sv(tl).abs_squared(),
-        det_s=sv(det),
+    ch = _hermitian_channel(v0, delta, m, energy)
+    g1, _, g3, g4 = _fitted_g(
+        lambda launch: _contour(ch.a2, ch.a3, 0.0, launch, Variant.FORWARD, rho=1.0)
     )
+    return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 
 # -- wavefunction residual -----------------------------------------------------
@@ -467,7 +462,7 @@ def local_wavefunction(spec: PotentialSpec, energy: float, x: float, zeta: float
     if abs(1.0 + w) < 1e-3 * (1.0 + abs(w)):
         raise ValueError(f"sample (x={x}, zeta={zeta}) too close to a potential pole")
     z = 1.0 / (1.0 + w)
-    if abs(z) >= 0.95:
+    if abs(z) >= SERIES_Z_MAX:
         raise ValueError(f"series argument |z|={abs(z):.3f} outside domain at x={x}")
     omz = w * z
     log_omz = complex(spec.rho * zeta, sign * spec.rho * x) + cmath.log(z)

@@ -13,10 +13,18 @@ import cmath
 import math
 from dataclasses import dataclass
 
-#: Snap tolerance deciding "is this argument an integer".  The critical-point
+#: The one snap rule deciding "is this argument an integer".  The critical-point
 #: conditions are exact integer conditions; floating input needs an explicit
-#: snap rule.  Absolute, on the argument itself.
+#: snap rule.  Absolute, on the argument itself.  It decides Gamma poles
+#: (:func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c`` guard), the points
+#: and degeneracy flags of ``spectral.critical_points``, the energy-space
+#: ``spectral.snap_tolerance``, and the Laurent-term allowance of the det-S
+#: cross-check in ``amplitudes``.
 TAU_INT = 1e-9
+
+# term cap and |z| bound of the 2F1 series
+_SERIES_MAX_TERMS = 100_000
+SERIES_Z_MAX = 0.95
 
 _LOG_PI = math.log(math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -46,10 +54,10 @@ class SeriesError(RuntimeError):
     """Hypergeometric series failed to converge within the term cap."""
 
 
-def _nearest_pole_index(z: complex, tau: float) -> int | None:
-    """Index k >= 0 if z is within tau of the Gamma pole at -k, else None."""
+def _nearest_pole_index(z: complex) -> int | None:
+    """Index k >= 0 if z is within TAU_INT of the Gamma pole at -k, else None."""
     k = round(z.real)
-    if k <= 0 and abs(z - k) <= tau:
+    if k <= 0 and abs(z - k) <= TAU_INT:
         return -k
     return None
 
@@ -81,21 +89,21 @@ def _stirling(z: complex) -> complex:
     return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + s
 
 
-def log_gamma(z: complex, tau: float = TAU_INT) -> complex:
+def log_gamma(z: complex) -> complex:
     """Principal log of Gamma(z).
 
     Stirling asymptotics with argument shift for small ``|z|`` and the
     reflection formula for ``Re z < 0.5``.  ``exp(log_gamma(z))``
     reproduces Gamma(z); the imaginary part is folded into (-pi, pi].
 
-    Raises :class:`PoleProximityError` within ``tau`` of a non-positive
+    Raises :class:`PoleProximityError` within ``TAU_INT`` of a non-positive
     integer; those cases must go through :func:`gamma_info`.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite argument {z!r}")
-    if _nearest_pole_index(z, tau) is not None:
-        raise PoleProximityError(f"Gamma argument {z} within {tau} of a pole")
+    if _nearest_pole_index(z) is not None:
+        raise PoleProximityError(f"Gamma argument {z} within {TAU_INT} of a pole")
     out = _log_gamma_raw(z)
     return complex(out.real, math.remainder(out.imag, 2.0 * math.pi))
 
@@ -119,10 +127,11 @@ class GammaPoleInfo:
 
     @classmethod
     def at(cls, k: int) -> "GammaPoleInfo":
+        """The residue that :func:`gamma_info` carries at -k, as a number."""
         if k < 0:
             raise ValueError("pole index must be a non-negative integer")
-        # residue of Gamma at -k is (-1)^k / k!
-        coeff = (-1.0) ** k / math.exp(_log_gamma_raw(complex(k + 1)).real)
+        pole = gamma_info(-k)
+        coeff = math.cos(pole.phase) * math.exp(pole.log_magnitude)  # phase is 0 or pi
         return cls(pole_index=k, leading_coefficient=complex(coeff))
 
 
@@ -286,47 +295,34 @@ class SingularValue:
         return abs(r * cmath.exp(1j * (self.phase - other.phase)) - 1.0)
 
 
-def gamma_info(x: float, tau: float = TAU_INT) -> SingularValue:
-    """Classify Gamma(x) on the real axis.
+def gamma_info(z: complex) -> SingularValue:
+    """Classify Gamma(z): the one pole-aware Gamma primitive.
 
-    Returns Pole(1) with the residue coefficient (-1)^k / k! when x is
-    within ``tau`` of a non-positive integer -k, otherwise a Finite value
-    carrying log Gamma(x).
+    Returns Pole(1) with the residue coefficient (-1)^k / k! when z is
+    within ``TAU_INT`` of a non-positive integer -k, otherwise a Finite
+    value carrying log Gamma(z).
     """
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite argument {x!r}")
-    k = _nearest_pole_index(complex(x), tau)
-    if k is not None:
-        info = GammaPoleInfo.at(k)
-        return SingularValue.pole(
-            1,
-            math.log(abs(info.leading_coefficient)),
-            0.0 if info.leading_coefficient.real > 0 else math.pi,
-        )
-    lg = log_gamma(x, tau)
+    try:
+        lg = log_gamma(z)
+    except PoleProximityError:
+        k = _nearest_pole_index(complex(z))
+        return SingularValue.pole(1, -log_gamma(k + 1.0).real, math.pi if k % 2 else 0.0)
     return SingularValue.finite(lg.real, lg.imag)
 
 
-def hyp2f1(
-    a: complex,
-    b: complex,
-    c: complex,
-    z: complex,
-    max_terms: int = 100_000,
-    z_max: float = 0.95,
-) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1 by direct series summation.
 
-    Deliberately series-only and restricted to ``|z| < z_max``: this
+    Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``: this
     evaluator backs the wavefunction cross-checks and must stay independent
     of the Gamma-function connection identities, so no continuation
     formulas.  Neumaier-compensated summation keeps accuracy through the
     coefficient spikes that occur when c sits left of the origin.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if abs(z) >= z_max:
-        raise ValueError(f"|z| = {abs(z):.4f} outside series domain (< {z_max})")
-    if _nearest_pole_index(c, TAU_INT) is not None:
+    if abs(z) >= SERIES_Z_MAX:
+        raise ValueError(f"|z| = {abs(z):.4f} outside series domain (< {SERIES_Z_MAX})")
+    if _nearest_pole_index(c) is not None:
         raise PoleProximityError(f"c = {c} is a non-positive integer")
     if z == 0:
         return 1.0 + 0.0j
@@ -335,7 +331,7 @@ def hyp2f1(
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
     quiet = 0
-    for n in range(max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         t = total + term
         if abs(total) >= abs(term):
@@ -351,7 +347,7 @@ def hyp2f1(
         else:
             quiet = 0
     raise SeriesError(
-        f"2F1({a}, {b}; {c}; {z}) did not converge within {max_terms} terms"
+        f"2F1({a}, {b}; {c}; {z}) did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
 

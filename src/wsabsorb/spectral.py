@@ -172,9 +172,9 @@ _TABLE = {
 }
 
 
-def _near_positive_integer(x: float, tau: float) -> bool:
+def _near_positive_integer(x: float) -> bool:
     n = round(x)
-    return n >= 1 and abs(x - n) <= tau
+    return n >= 1 and abs(x - n) <= TAU_INT
 
 
 def critical_points(
@@ -182,7 +182,6 @@ def critical_points(
     family: SpectralFamily,
     window: tuple[float, float] | None = None,
     count: int | None = None,
-    tau: float = TAU_INT,
 ) -> list[SpectralPoint]:
     """Points of one family, in ascending index.
 
@@ -198,9 +197,9 @@ def critical_points(
     first, stop = 1 + row.offset, math.inf
     # da2/dE > da3/dE because k1 < k2, so u falls only where a2 enters negatively
     if row.c2 >= 0:
-        first = max(first, math.floor(u0 + tau) + 1)
+        first = max(first, math.floor(u0 + TAU_INT) + 1)
     else:
-        stop = math.ceil(u0 - tau)
+        stop = math.ceil(u0 - TAU_INT)
     if window is not None:
         u_lo, u_hi = sorted(row.u(spec, e) for e in window)
         first = max(first, math.floor(u_lo))
@@ -214,7 +213,7 @@ def critical_points(
         if energy > 0.0:
             # 2*a_i with c_i = 2 is N by construction; only the other one is tested
             degenerate = any(
-                _near_positive_integer(2.0 * a, tau)
+                _near_positive_integer(2.0 * a)
                 for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3))
                 if c != 2
             )
@@ -238,26 +237,23 @@ def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -
 
 
 def cc_left_energies(
-    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
+    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT
 ) -> list[SpectralPoint]:
     """Energies where left-incident reflection and transmission both vanish:
     2*a3 = n, flagged degenerate where 2*a2 is also an integer."""
-    return critical_points(spec, SpectralFamily.CC_LEFT, count=max_count, tau=tau)
+    return critical_points(spec, SpectralFamily.CC_LEFT, count=max_count)
 
 
 def cc_right_energies(
-    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
+    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT
 ) -> list[SpectralPoint]:
     """Energies where right-incident reflection and transmission vanish:
     2*a2 = n', independent of the depth."""
-    return critical_points(spec, SpectralFamily.CC_RIGHT, count=max_count, tau=tau)
+    return critical_points(spec, SpectralFamily.CC_RIGHT, count=max_count)
 
 
 def ss_energies(
-    spec: PotentialSpec,
-    side: Side,
-    max_count: int = DEFAULT_MAX_COUNT,
-    tau: float = TAU_INT,
+    spec: PotentialSpec, side: Side, max_count: int = DEFAULT_MAX_COUNT
 ) -> list[SpectralPoint]:
     """Spectral singularities of the time-reversed potential.
 
@@ -266,20 +262,20 @@ def ss_energies(
     coefficients vanish, and likewise on the right.
     """
     family = SpectralFamily.SS_LEFT if side is Side.LEFT else SpectralFamily.SS_RIGHT
-    return critical_points(spec, family, count=max_count, tau=tau)
+    return critical_points(spec, family, count=max_count)
 
 
-def rprime_left_zeros(spec: PotentialSpec, tau: float = TAU_INT) -> list[SpectralPoint]:
+def rprime_left_zeros(spec: PotentialSpec) -> list[SpectralPoint]:
     """Exact zeros of the time-reversed left reflection: a2 - a3 = -n.
 
     k2 - k1 decreases from sqrt(m v0) to 0, so solvable n satisfy
     1 <= n < (2/rho) sqrt(m v0); the list is complete and may be empty.
     """
-    return critical_points(spec, SpectralFamily.RPRIME_LEFT_ZERO, tau=tau)
+    return critical_points(spec, SpectralFamily.RPRIME_LEFT_ZERO)
 
 
 def cpa_energies_forward(
-    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
+    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT
 ) -> list[SpectralPoint]:
     """Bidirectional perfect-absorption energies of the forward potential.
 
@@ -291,17 +287,17 @@ def cpa_energies_forward(
     points = [
         p
         for family in (SpectralFamily.CPA_FORWARD_A2, SpectralFamily.CPA_FORWARD_A3)
-        for p in critical_points(spec, family, count=max_count, tau=tau)
+        for p in critical_points(spec, family, count=max_count)
     ]
     return sorted(points, key=lambda p: (p.energy, p.kind.value))
 
 
 def cpa_energies_time_reversed(
-    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT, tau: float = TAU_INT
+    spec: PotentialSpec, max_count: int = DEFAULT_MAX_COUNT
 ) -> list[SpectralPoint]:
     """Bidirectional perfect-absorption energies of the time-reversed
     potential: a2 + a3 = M, with degenerate M excluded."""
-    return critical_points(spec, SpectralFamily.CPA_TIME_REVERSED, count=max_count, tau=tau)
+    return critical_points(spec, SpectralFamily.CPA_TIME_REVERSED, count=max_count)
 
 
 # -- range certification ------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from wsabsorb.amplitudes import amplitudes, channel_params, g_factors
+from wsabsorb.amplitudes import hermitian_amplitudes
 from wsabsorb.oracle import (
     ContourError,
     Launch,
@@ -234,3 +235,44 @@ class TestDomainGuard:
 
     def test_accepts_reference_point(self):
         assert oracle_domain_ok(SPEC, 1.0)
+
+
+class TestHermitianOracle:
+    def test_reflection_rounded_to_zero(self):
+        # the fit rounds G1 to an exact zero here (closed form |r_r| ~ 1e-17)
+        args = (1.754586456489668, 0.9072518028767036, 1.0, 7.986655717144825)
+        amps = hermitian_oracle_amplitudes(*args)
+        ref = hermitian_amplitudes(*args)
+        assert amps.Rl.magnitude + amps.T.magnitude == pytest.approx(1.0, abs=1e-8)
+        for name in ("rl", "rr"):
+            got = getattr(amps, name)
+            assert got.is_finite
+            assert abs(got.to_complex() - getattr(ref, name).to_complex()) < 1e-7
+
+    def test_agrees_with_closed_form_on_every_amplitude(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            v0 = rng.uniform(0.3, 3.0)
+            delta = rng.uniform(0.6, 2.0)
+            energy = rng.uniform(0.2, 6.0)
+            amps = hermitian_oracle_amplitudes(v0, delta, 1.0, energy)
+            ref = hermitian_amplitudes(v0, delta, 1.0, energy)
+            for name in ("rl", "rr", "tl", "det_s"):
+                a = getattr(ref, name).to_complex()
+                b = getattr(amps, name).to_complex()
+                assert abs(a - b) < 1e-10
+
+    def test_fit_conditioning_guarded(self, monkeypatch):
+        monkeypatch.setattr("wsabsorb.oracle.CONDITION_LIMIT", 1.0)
+        with pytest.raises(ContourError, match="ill-conditioned"):
+            hermitian_oracle_amplitudes(1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("entry", ["oracle", "closed_form"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_non_finite_input(self, entry, value, position):
+        fn = hermitian_oracle_amplitudes if entry == "oracle" else hermitian_amplitudes
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite and positive"):
+            fn(*args)
