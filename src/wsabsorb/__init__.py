@@ -12,6 +12,7 @@ from .amplitudes import (
     det_s,
     g_factors,
     hermitian_amplitudes,
+    log10_coefficients,
     potential_profile,
 )
 from .oracle import (

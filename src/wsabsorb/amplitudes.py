@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 from .specfun import TAU_INT, SingularValue, gamma_info
 from .units import PotentialSpec, Variant, validate
@@ -26,6 +27,7 @@ __all__ = [
     "channel_params",
     "g_factors",
     "amplitudes",
+    "log10_coefficients",
     "det_s",
     "potential_profile",
     "hermitian_amplitudes",
@@ -230,6 +232,73 @@ def amplitudes(spec: PotentialSpec, energy: float) -> AmplitudeSet:
     against tl*tr - rl*rr on every call.
     """
     return _closed_form(channel_params(spec, energy))
+
+
+# the 12 distinct Gamma arguments of _G_TABLE, and the positions in that list
+# of the first and second numerator and denominator arguments of G1..G4
+_G_ARGS = tuple(sorted({arg for numer, denom in _G_TABLE for arg in numer + denom}))
+_G_ROWS = tuple(zip(*(tuple(map(_G_ARGS.index, numer + denom)) for numer, denom in _G_TABLE)))
+_LN10 = math.log(10.0)
+
+
+def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
+    """log10 of |r_l|^2, |r_r|^2, T and |det S| over an energy array.
+
+    The array route of :func:`amplitudes`, returned as a (4, n) array in
+    that row order.  Each distinct Gamma argument is evaluated once over
+    the array by ``scipy.special.loggamma`` (the function behind
+    :func:`~wsabsorb.specfun.log_gamma`), and the log-magnitudes are
+    combined by the same float operations, in the same order, as the
+    SingularValue algebra, so every row equals ``amplitudes(spec, E)``'s
+    ``log10_magnitude`` values bit for bit.  The det-S cross-check runs on
+    the arrays at its unchanged tolerance; because the unfolded phases and
+    numpy's exp/log may differ from the scalar route in the last bits, an
+    energy only passes here with a factor-2 margin.  Energies where a
+    Gamma argument snaps to a pole (the ``TAU_INT`` rule of
+    :func:`gamma_info`), or is not finite, or that miss the margin are
+    recomputed by :func:`amplitudes` in ascending index: they get the exact
+    residue limits (+-inf where the order is non-zero), and raise wherever
+    :func:`amplitudes` raises.
+    """
+    validate(spec)
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or not np.all(np.isfinite(e) & (e > 0.0)):
+        raise ValueError("energies must be a 1-D array of finite positive values")
+    k1 = np.sqrt(spec.mass * e)
+    k2 = np.sqrt(spec.mass * (e + spec.v0))
+    sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
+    a2 = sign * 2.0 * k1 / spec.rho
+    a3 = sign * 2.0 * k2 / spec.rho
+    c2, c3, c0 = np.array(_G_ARGS, dtype=float).T[:, :, None]
+    with np.errstate(all="ignore"):
+        z = c2 * a2 + c3 * a3 + c0  # one row per distinct argument
+        k = np.round(z)
+        recheck = np.any(~np.isfinite(z) | ((k <= 0) & (np.abs(z - k) <= TAU_INT)), axis=0)
+        lg = loggamma(z.astype(complex))
+        n1, n2, d1, d2 = (lg[list(rows)] for rows in _G_ROWS)
+        # G1..G4 summed from 0.0 as in g_factors: real part log|G|,
+        # imaginary part an (unfolded) phase
+        g1, g2, g3, g4 = 0.0 + n1 + n2 - d1 - d2
+        half_log_k = 0.5 * np.array([math.log(r) for r in (k1 / k2).tolist()])
+        log_tl = half_log_k - g3
+        log_rl = g4 - g3
+        log_rr = g1 - g3  # r_r = -G1/G3: the sign is the pi in the check below
+        log_det = g2 - g3
+        # det S = tl^2 - rl rr, both terms scaled by the larger one
+        t2, rlrr = 2.0 * log_tl, log_rl + log_rr + 1j * math.pi
+        big = np.maximum(t2.real, rlrr.real)
+        w = np.exp(t2 - big) - np.exp(rlrr - big)
+        cancel = -np.log(np.abs(w))
+        tol = 1e-8 * np.maximum(1.0, np.exp(np.minimum(200.0, cancel)))
+        rel = np.abs(np.exp(np.log(w) + big - log_det) - 1.0)
+        # the margin covers last-bit differences while w keeps >= 3 digits
+        # (cancel <= 30, i.e. |w| >= 1e-13)
+        recheck |= ~((rel <= 0.5 * tol) & (cancel <= 30.0))
+    out = np.stack([2.0 * log_rl.real, 2.0 * log_rr.real, 2.0 * log_tl.real, log_det.real]) / _LN10
+    for i in np.flatnonzero(recheck):
+        amps = amplitudes(spec, float(e[i]))
+        out[:, i] = [sv.log10_magnitude for sv in (amps.Rl, amps.Rr, amps.T, amps.det_s)]
+    return out
 
 
 def det_s(spec: PotentialSpec, energy: float) -> SingularValue:

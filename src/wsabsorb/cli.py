@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import spectral
-from .amplitudes import amplitudes, hermitian_amplitudes, potential_profile
+from .amplitudes import amplitudes, hermitian_amplitudes, log10_coefficients, potential_profile
 from .oracle import oracle_g_factors
 from .specfun import SingularValue, log_gamma
 from .spectral import (
@@ -229,18 +229,12 @@ def cmd_scan(args) -> int:
     annotations = _flag_points(spec, emin, emax)
     columns = ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
                "log10_T", "log10_absdetS", "flags"]
-    rows = []
-    for energy in grid:
-        amps = amplitudes(spec, float(energy))
-        rows.append([
-            float(energy),
-            convert_energy(float(energy), EnergyUnit.INTERNAL, unit),
-            _log10_token(amps.Rl.log10_magnitude),
-            _log10_token(amps.Rr.log10_magnitude),
-            _log10_token(amps.T.log10_magnitude),
-            _log10_token(amps.det_s.log10_magnitude),
-            _flags_for(float(energy), annotations),
-        ])
+    logs = log10_coefficients(spec, grid).T.tolist()
+    rows = [
+        [energy, convert_energy(energy, EnergyUnit.INTERNAL, unit),
+         *map(_log10_token, values), _flags_for(energy, annotations)]
+        for energy, values in zip(grid.tolist(), logs)
+    ]
     _emit(args, columns, rows, {
         "command": "scan",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,

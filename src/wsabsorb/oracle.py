@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .amplitudes import (
     AmplitudeSet,
@@ -219,6 +218,9 @@ def _integrate_core(
     u_bot: float,
     rtol: float,
 ):
+    # imported here: scipy.integrate costs ~0.3 s, and only the oracle needs it
+    from scipy.integrate import solve_ivp
+
     y0 = np.array(_local_state(shape, a2, a3, u_top, phi), dtype=complex)
     if max(abs(y0[0]), abs(y0[1])) > OVERFLOW_GUARD:
         raise ContourError(
@@ -486,6 +488,8 @@ def wavefunction_residual(
     validate(spec)
     if energy <= 0:
         raise ValueError("energy must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     mu = 4.0 * spec.mass
     sign = -1.0 if spec.variant is Variant.TIME_REVERSED else 1.0
     worst = 0.0

@@ -4,7 +4,11 @@ Everything downstream (connection coefficients, scattering amplitudes,
 critical-energy classification) reduces to products and ratios of Gamma
 functions whose arguments sweep through poles.  Values are therefore kept
 in log-magnitude + phase form, and exact poles/zeros are represented
-explicitly by :class:`SingularValue` instead of overflowing floats.
+explicitly by :class:`SingularValue` instead of overflowing floats.  The
+log-Gamma values themselves come from ``scipy.special.loggamma`` (Hare's
+principal-branch algorithm), the same ufunc the array route in
+``amplitudes`` applies to whole energy grids, so both routes agree bit
+for bit away from the poles.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+from scipy.special import loggamma
 
 #: The one snap rule deciding "is this argument an integer".  The critical-point
 #: conditions are exact integer conditions; floating input needs an explicit
@@ -25,25 +31,6 @@ TAU_INT = 1e-9
 # term cap and |z| bound of the 2F1 series
 _SERIES_MAX_TERMS = 100_000
 SERIES_Z_MAX = 0.95
-
-_LOG_PI = math.log(math.pi)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# B_{2k} / (2k (2k-1)) for the Stirling series, k = 1..11
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-    854513.0 / 63756.0,
-)
-_STIRLING_CUTOFF = 9.0
 
 
 class PoleProximityError(ValueError):
@@ -62,39 +49,11 @@ def _nearest_pole_index(z: complex) -> int | None:
     return None
 
 
-def _log_sin_pi(z: complex) -> complex:
-    # sin(pi z) overflows for large |Im z|; switch to the dominant exponential.
-    if abs(z.imag) > 20.0:
-        if z.imag > 0.0:
-            return -1j * math.pi * z + complex(-math.log(2.0), 0.5 * math.pi)
-        return 1j * math.pi * z + complex(-math.log(2.0), -0.5 * math.pi)
-    # shift the real part into [-1/2, 1/2] before multiplying by pi, so the
-    # angle carries no large-argument rounding (the shift is exact in floats)
-    n = round(z.real)
-    w = complex(z.real - n, z.imag)
-    out = cmath.log(cmath.sin(math.pi * w))
-    if n % 2:
-        out += complex(0.0, math.pi)
-    return out
-
-
-def _stirling(z: complex) -> complex:
-    rz = 1.0 / z
-    rz2 = rz * rz
-    s = 0.0 + 0.0j
-    term = rz
-    for c in _STIRLING_COEFFS:
-        s += c * term
-        term *= rz2
-    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + s
-
-
 def log_gamma(z: complex) -> complex:
-    """Principal log of Gamma(z).
+    """Principal log of Gamma(z), by ``scipy.special.loggamma``.
 
-    Stirling asymptotics with argument shift for small ``|z|`` and the
-    reflection formula for ``Re z < 0.5``.  ``exp(log_gamma(z))``
-    reproduces Gamma(z); the imaginary part is folded into (-pi, pi].
+    ``exp(log_gamma(z))`` reproduces Gamma(z); the imaginary part is
+    folded into (-pi, pi].
 
     Raises :class:`PoleProximityError` within ``TAU_INT`` of a non-positive
     integer; those cases must go through :func:`gamma_info`.
@@ -104,18 +63,8 @@ def log_gamma(z: complex) -> complex:
         raise ValueError(f"non-finite argument {z!r}")
     if _nearest_pole_index(z) is not None:
         raise PoleProximityError(f"Gamma argument {z} within {TAU_INT} of a pole")
-    out = _log_gamma_raw(z)
+    out = complex(loggamma(z))
     return complex(out.real, math.remainder(out.imag, 2.0 * math.pi))
-
-
-def _log_gamma_raw(z: complex) -> complex:
-    if z.real < 0.5:
-        return _LOG_PI - _log_sin_pi(z) - _log_gamma_raw(1.0 - z)
-    shift = 0.0 + 0.0j
-    while abs(z) < _STIRLING_CUTOFF:
-        shift += cmath.log(z)
-        z += 1.0
-    return _stirling(z) - shift
 
 
 @dataclass(frozen=True)
@@ -320,6 +269,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     coefficient spikes that occur when c sits left of the origin.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    if not all(cmath.isfinite(x) for x in (a, b, c, z)):
+        raise ValueError(f"non-finite 2F1 input ({a}, {b}; {c}; {z})")
     if abs(z) >= SERIES_Z_MAX:
         raise ValueError(f"|z| = {abs(z):.4f} outside series domain (< {SERIES_Z_MAX})")
     if _nearest_pole_index(c) is not None:

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import amplitudes
+from .amplitudes import log10_coefficients
 from .specfun import TAU_INT
 from .units import PotentialSpec, Variant, validate
 
@@ -314,12 +314,10 @@ def _ss_in_window(
     return points
 
 
-def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energy: float) -> float:
-    amps = amplitudes(tr_spec, energy)
-    if criterion is RangeCriterion.CC_LEFT_RANGE:
-        return max(amps.Rl.log10_magnitude, amps.T.log10_magnitude)
-    half = amps.det_s.abs_squared().log10_magnitude
-    return 0.5 * half if math.isfinite(half) else half
+def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies) -> np.ndarray:
+    """log10 of the certified quantity, max(R'_l, T') or |det S'|, per energy."""
+    rl, _, t, det = log10_coefficients(tr_spec, energies)
+    return np.maximum(rl, t) if criterion is RangeCriterion.CC_LEFT_RANGE else det
 
 
 def _bisect_crossing(
@@ -334,7 +332,7 @@ def _bisect_crossing(
         mid = 0.5 * (e_fail + e_pass)
         if abs(e_pass - e_fail) <= 1e-10 * mid:
             break
-        if _log10_certified(tr_spec, criterion, mid) < log10_cap:
+        if _log10_certified(tr_spec, criterion, [mid])[0] < log10_cap:
             e_pass = mid
         else:
             e_fail = mid
@@ -362,8 +360,8 @@ def scan_ranges(
     emin, emax = window
     if not (emin > 0.0 and emax > emin):
         raise ValueError(f"invalid window {window!r}")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
 
@@ -383,9 +381,7 @@ def scan_ranges(
         if hi <= lo:
             continue
         grid = np.linspace(lo, hi, grid_points)
-        passing = np.array(
-            [_log10_certified(tr_spec, criterion, e) < log10_cap for e in grid]
-        )
+        passing = _log10_certified(tr_spec, criterion, grid) < log10_cap
         i = 0
         while i < grid_points:
             if not passing[i]:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -266,3 +270,26 @@ class TestConfig:
         assert text.startswith("energy_internal,")
         cfg.write_text("v0 = 1.2\nrho = 1.8\nformat = xml\n")
         assert main(["scan", "--config", str(cfg), "--emin", "0.5", "--emax", "1.5"]) == 1
+
+
+class TestRangesThreshold:
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_1(self, tmp_path, capsys, threshold):
+        code = main(["ranges", "--v0", "1", "--rho", "0.0006", "--criterion", "cc-left",
+                     "--emin", "3.0010", "--emax", "3.0030", "--grid", "128",
+                     "--threshold", threshold, "--out", str(tmp_path / "out.txt")])
+        assert code == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter: scipy.integrate is the oracle's, loaded on first use
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, wsabsorb.cli; "
+             "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["False", "True"]

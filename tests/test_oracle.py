@@ -276,3 +276,10 @@ class TestHermitianOracle:
         args[position] = value
         with pytest.raises(ValueError, match="finite and positive"):
             fn(*args)
+
+
+class TestNonFiniteStep:
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            wavefunction_residual(SPEC, 1.0, [(0.3, 0.4)], step=step)

@@ -229,3 +229,13 @@ class TestHyp2F1:
         h = 1e-6
         fd = (hyp2f1(a, b, c, z + h) - hyp2f1(a, b, c, z - h)) / (2 * h)
         assert abs(hyp2f1_deriv(a, b, c, z) - fd) < 1e-8
+
+
+class TestHyp2f1NonFinite:
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_input_rejected(self, position, bad):
+        args = [0.6, 1.3, 2.2, 0.3 + 0.1j]
+        args[position] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hyp2f1(*args)

@@ -323,3 +323,11 @@ class TestScanRanges:
             scan_ranges(SPEC_A, RangeCriterion.CC_LEFT_RANGE, (1.0, 2.0), 1e-6, 50)
         with pytest.raises(ValueError):
             scan_ranges(SPEC_A, RangeCriterion.CC_LEFT_RANGE, (1.0, 2.0), -1.0, 128)
+
+
+class TestThresholdValidation:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                        threshold=threshold, grid_points=128)
