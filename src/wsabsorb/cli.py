@@ -221,8 +221,8 @@ def cmd_scan(args) -> int:
     emax = float(args.emax) if args.emax is not None else None
     if emin is None or emax is None:
         raise ValueError("--emin and --emax are required")
-    if not (emin > 0 and emax > emin):
-        raise ValueError(f"invalid window [{emin}, {emax}]")
+    if not (emin > 0 and emax > emin and math.isfinite(emax)):
+        raise ValueError(f"invalid window [{emin}, {emax}]: need finite 0 < emin < emax")
     if points < 2:
         raise ValueError("--points must be at least 2")
     grid = np.linspace(emin, emax, points)

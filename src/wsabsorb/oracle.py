@@ -7,7 +7,9 @@ state into the two local plane-wave-normalized solutions.  Everything
 here is Gamma-function-free: local solutions come from the hypergeometric
 series (a direct power-series solution of the same ODE), the middle is
 bridged by an adaptive Runge-Kutta integrator, and coefficients come from
-2x2 endpoint fits.
+2x2 endpoint fits.  The wave equation is linear, so both launches of a fit
+ride one integration of the linear system (their stacked states) and one
+fit against the local basis.
 
 Numerical design: a bare plane-wave launch/fit at a deeply flat contour
 depth is hopeless in double precision, because the subdominant
@@ -213,51 +215,74 @@ def _integrate_core(
     a2: complex,
     a3: complex,
     phi: float,
-    shape: str,
+    shapes: tuple[str, ...],
     u_top: float,
     u_bot: float,
-    rtol: float,
 ):
-    # imported here: scipy.integrate costs ~0.3 s, and only the oracle needs it
-    from scipy.integrate import solve_ivp
+    """Carry the local solutions named by ``shapes`` from u_top to u_bot.
 
-    y0 = np.array(_local_state(shape, a2, a3, u_top, phi), dtype=complex)
-    if max(abs(y0[0]), abs(y0[1])) > OVERFLOW_GUARD:
+    The equation is linear and every launch sees the same q(u), so the
+    launches ride one DOP853 integration of their stacked (psi, dpsi/du)
+    pairs.  Returns (launch state, end state, mesh point count).
+    """
+    # imported here: scipy.integrate costs ~0.3 s, and only the oracle needs it
+    from scipy.integrate import DOP853
+
+    y0 = np.array([v for s in shapes for v in _local_state(s, a2, a3, u_top, phi)], dtype=complex)
+    if np.abs(y0).max() > OVERFLOW_GUARD:
         raise ContourError(
-            f"launch state magnitude {max(abs(y0[0]), abs(y0[1])):.3e} exceeds "
+            f"launch state magnitude {np.abs(y0).max():.3e} exceeds "
             f"the {OVERFLOW_GUARD:.0e} overflow guard; shrink the contour"
         )
     q_depth = a3 * a3 - a2 * a2
+    swap = np.arange(y0.size) ^ 1  # (psi, dpsi) -> (dpsi, psi) per launch
 
     def rhs(u, y):
         z = 1.0 / (1.0 + cmath.exp(complex(u, phi)))
-        q = a2 * a2 + q_depth * z
-        return [y[1], q * y[0]]
+        dy = y[swap]
+        dy[1::2] *= a2 * a2 + q_depth * z
+        return dy
 
-    def overflow(u, y):
-        return max(abs(y[0]), abs(y[1])) - OVERFLOW_GUARD
+    solver = DOP853(rhs, u_top, y0, u_bot, rtol=DEFAULT_RTOL, atol=1e-250)
+    points = 1
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise ContourError(f"integration stalled at u={solver.t:.6g}: {message}")
+        points += 1
+        if np.abs(solver.y).max() > OVERFLOW_GUARD:
+            raise ContourError(
+                f"|psi| exceeded the {OVERFLOW_GUARD:.0e} overflow guard at u={solver.t:.6g}"
+            )
+    return y0, solver.y, points
 
-    overflow.terminal = True
-    overflow.direction = 1.0
-    sol = solve_ivp(
-        rhs,
-        (u_top, u_bot),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-250,
-        events=overflow,
-    )
-    if sol.t_events and sol.t_events[0].size:
-        raise ContourError(
-            f"|psi| exceeded the {OVERFLOW_GUARD:.0e} overflow guard at "
-            f"u={sol.t_events[0][0]:.6g}"
+
+def _shapes(variant: Variant, launches=(Launch.PSI_ONE, Launch.PSI_TWO)) -> tuple[str, ...]:
+    """Local solution each launch starts from.  The conjugated potential on
+    the same contour is the forward core with opposite phase, so for the
+    time-reversed variant the incoming/outgoing exponential roles swap."""
+    order = ("psi2", "psi1") if variant is Variant.TIME_REVERSED else ("psi1", "psi2")
+    return tuple(order[launch is Launch.PSI_TWO] for launch in launches)
+
+
+def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
+    """(a2, a3, phi_eff, handoff u) of the contour at x0, validated."""
+    validate(spec)
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if Z is not None and not (math.isfinite(Z) and Z > 0.0):
+        raise ValueError(f"Z must be finite and positive, got {Z!r}")
+    ch = channel_params(spec, energy)
+    a2, a3 = abs(ch.a2), abs(ch.a3)
+    if _critical_distance(a2, a3) < CRITICAL_MARGIN:
+        raise ValueError(
+            f"energy {energy} is within {CRITICAL_MARGIN} of a critical "
+            "integer condition; the contour oracle excludes those points"
         )
-    if not sol.success:
-        raise ContourError(
-            f"integration stalled at u={sol.t[-1]:.6g}: {sol.message}"
-        )
-    return y0, sol.y[:, -1], sol.t.size
+    phi = _effective_phase(spec.rho, x0)
+    phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
+    uh = spec.rho * Z if Z is not None else _handoff(a2, a3)
+    return complex(a2), complex(a3), phi_eff, uh
 
 
 def integrate_contour(
@@ -277,41 +302,10 @@ def integrate_contour(
     solution bases degenerate and amplitude limits are the closed-form
     module's job.
     """
-    validate(spec)
-    ch = channel_params(spec, energy)
-    a2, a3 = abs(ch.a2), abs(ch.a3)
-    if _critical_distance(a2, a3) < CRITICAL_MARGIN:
-        raise ValueError(
-            f"energy {energy} is within {CRITICAL_MARGIN} of a critical "
-            "integer condition; the contour oracle excludes those points"
-        )
-    phi = _effective_phase(spec.rho, x0)
-    phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
-    return _contour(complex(a2), complex(a3), phi_eff, launch, spec.variant, spec.rho, x0, Z)
-
-
-def _contour(
-    a2: complex,
-    a3: complex,
-    phi_eff: float,
-    launch: Launch,
-    variant: Variant,
-    rho: float,
-    x0: float = 0.0,
-    Z: float | None = None,
-) -> ContourSolution:
-    """One launch from the top handoff point to the bottom one, for real
-    (contour) or imaginary (Hermitian, real-axis) channel parameters."""
-    if variant is Variant.TIME_REVERSED:
-        # the conjugated potential on the same contour is the forward core
-        # with opposite phase; incoming/outgoing exponential roles swap
-        shape = "psi2" if launch is Launch.PSI_ONE else "psi1"
-    else:
-        shape = "psi1" if launch is Launch.PSI_ONE else "psi2"
-    uh = rho * Z if Z is not None else _handoff(a2, a3)
-    if uh <= 0:
-        raise ValueError("contour half-width must be positive")
-    y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, shape, uh, -uh, DEFAULT_RTOL)
+    a2, a3, phi_eff, uh = _contour_setup(spec, energy, x0, Z)
+    rho = spec.rho
+    shapes = _shapes(spec.variant, (launch,))
+    y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, shapes, uh, -uh)
     return ContourSolution(
         x0=x0,
         zeta_start=uh / rho,
@@ -322,7 +316,7 @@ def _contour(
         dpsi_start=complex(y_start[1]) * rho,
         step_count=int(nsteps),
         launch=launch,
-        variant=variant,
+        variant=spec.variant,
         phi_eff=phi_eff,
         a2=a2,
         a3=a3,
@@ -355,40 +349,34 @@ def fit_asymptotics(sol: ContourSolution, k2: float) -> FittedCoefficients:
     )
 
 
-def _local_basis(sol: ContourSolution) -> tuple[np.ndarray, float]:
-    """Fit matrix of the local solutions w+ and w- at the contour end, and
-    its condition number."""
-    u_bot = sol.rho * sol.zeta_end
-    wp, dwp = _local_state("w_plus", sol.a2, sol.a3, u_bot, sol.phi_eff)
-    wm, dwm = _local_state("w_minus", sol.a2, sol.a3, u_bot, sol.phi_eff)
+def _basis_coefficients(a2, a3, phi, u_bot, variant, Y) -> tuple[np.ndarray, float]:
+    """Coefficients of the local solutions w+ and w- in the end states Y
+    (rows psi, dpsi/du), as rows (c+, c-), and the fit's condition number."""
+    wp, dwp = _local_state("w_plus", a2, a3, u_bot, phi)
+    wm, dwm = _local_state("w_minus", a2, a3, u_bot, phi)
     M = np.array([[wp, wm], [dwp, dwm]], dtype=complex)
     cond = float(np.linalg.cond(M))
     if cond > CONDITION_LIMIT:
         raise ContourError(f"local-basis fit ill-conditioned: cond={cond:.3e}")
-    return M, cond
+    C = np.linalg.solve(M, Y)
+    # for the conjugated potential the fit basis roles swap
+    return (C[::-1] if variant is Variant.TIME_REVERSED else C), cond
 
 
-def _fit_local(
-    sol: ContourSolution, basis: tuple[np.ndarray, float] | None = None
-) -> FittedCoefficients:
-    """Series-corrected endpoint fit in the scaled coordinate; ``basis`` is
-    the _local_basis of another launch that ends at the same point."""
-    M, cond = basis if basis is not None else _local_basis(sol)
-    rhs = np.array([sol.psi, sol.dpsi / sol.rho], dtype=complex)  # d/dzeta -> d/du
-    c = np.linalg.solve(M, rhs)
-    if sol.variant is Variant.TIME_REVERSED:
-        # for the conjugated potential the fit basis roles swap
-        return FittedCoefficients(complex(c[1]), complex(c[0]), cond)
+def _fit_local(sol: ContourSolution) -> FittedCoefficients:
+    """Series-corrected endpoint fit in the scaled coordinate."""
+    Y = np.array([sol.psi, sol.dpsi / sol.rho], dtype=complex)  # d/dzeta -> d/du
+    u_bot = sol.rho * sol.zeta_end
+    c, cond = _basis_coefficients(sol.a2, sol.a3, sol.phi_eff, u_bot, sol.variant, Y)
     return FittedCoefficients(complex(c[0]), complex(c[1]), cond)
 
 
-def _fitted_g(solve) -> tuple[complex, complex, complex, complex]:
-    """(G1, G2, G3, G4): local-basis fits of the two launches that
-    ``solve(launch)`` integrates."""
-    two, one = solve(Launch.PSI_TWO), solve(Launch.PSI_ONE)
-    basis = _local_basis(two)  # both launches end at the same contour point
-    two, one = _fit_local(two, basis), _fit_local(one, basis)
-    return one.c_plus, one.c_minus, two.c_plus, two.c_minus
+def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, complex]:
+    """(G1, G2, G3, G4): local-basis fits of the PSI_ONE and PSI_TWO launches,
+    integrated together from uh to -uh."""
+    _, y_end, _ = _integrate_core(a2, a3, phi, _shapes(variant), uh, -uh)
+    C, _ = _basis_coefficients(a2, a3, phi, -uh, variant, y_end.reshape(2, 2).T)
+    return complex(C[0, 0]), complex(C[1, 0]), complex(C[0, 1]), complex(C[1, 1])
 
 
 def _fitted_amplitudes(
@@ -417,7 +405,7 @@ def oracle_g_factors(
     the same four constants the closed forms produce.
     """
     forward = PotentialSpec(spec.v0, spec.rho, spec.mass, spec.zeta, Variant.FORWARD)
-    return _fitted_g(lambda launch: integrate_contour(forward, energy, launch, x0, Z))
+    return _fitted_g(*_contour_setup(forward, energy, x0, Z), Variant.FORWARD)
 
 
 def oracle_amplitudes(
@@ -432,8 +420,8 @@ def oracle_amplitudes(
     r_r = -c+(psi1)/c+(psi2); the time-reversed variant integrates the
     conjugated potential.
     """
+    g1, _, g3, g4 = _fitted_g(*_contour_setup(spec, energy, x0, Z), spec.variant)
     ch = channel_params(spec, energy)
-    g1, _, g3, g4 = _fitted_g(lambda launch: integrate_contour(spec, energy, launch, x0, Z))
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 
@@ -446,9 +434,7 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
     end-to-end check.
     """
     ch = _hermitian_channel(v0, delta, m, energy)
-    g1, _, g3, g4 = _fitted_g(
-        lambda launch: _contour(ch.a2, ch.a3, 0.0, launch, Variant.FORWARD, rho=1.0)
-    )
+    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3), Variant.FORWARD)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 

@@ -358,8 +358,8 @@ def scan_ranges(
     """
     validate(spec)
     emin, emax = window
-    if not (emin > 0.0 and emax > emin):
-        raise ValueError(f"invalid window {window!r}")
+    if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
+        raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     if grid_points < 100:

@@ -283,6 +283,16 @@ class TestRangesThreshold:
         assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "ranges"])
+def test_infinite_window_exits_1(capsys, command):
+    argv = [command, "--v0", "1", "--rho", "0.0006", "--emin", "1", "--emax", "inf"]
+    if command == "ranges":
+        argv += ["--criterion", "cc-left", "--grid", "128"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "invalid window" in captured.err and "Warning" not in captured.err
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # a fresh interpreter: scipy.integrate is the oracle's, loaded on first use
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

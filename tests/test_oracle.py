@@ -14,12 +14,16 @@ import numpy as np
 import pytest
 
 from wsabsorb.amplitudes import amplitudes, channel_params, g_factors
-from wsabsorb.amplitudes import hermitian_amplitudes
+from wsabsorb.amplitudes import _hermitian_channel, hermitian_amplitudes
 from wsabsorb.oracle import (
     ContourError,
     Launch,
+    _contour_setup,
     _fit_local,
+    _handoff,
+    _integrate_core,
     _local_state,
+    _shapes,
     fit_asymptotics,
     hermitian_oracle_amplitudes,
     integrate_contour,
@@ -283,3 +287,77 @@ class TestNonFiniteStep:
     def test_bad_step_rejected(self, step):
         with pytest.raises(ValueError, match="step"):
             wavefunction_residual(SPEC, 1.0, [(0.3, 0.4)], step=step)
+
+
+ORACLE_ENTRIES = {
+    "integrate_contour": lambda **kw: integrate_contour(SPEC, 1.0, Launch.PSI_TWO, **kw),
+    "oracle_g_factors": lambda **kw: oracle_g_factors(SPEC, 1.0, **kw),
+    "oracle_amplitudes": lambda **kw: oracle_amplitudes(SPEC, 1.0, **kw),
+}
+
+
+class TestContourArguments:
+    @pytest.mark.parametrize("entry", sorted(ORACLE_ENTRIES))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_rejected(self, entry, value):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ORACLE_ENTRIES[entry](x0=value)
+
+    @pytest.mark.parametrize("entry", sorted(ORACLE_ENTRIES))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_Z_rejected(self, entry, value):
+        with pytest.raises(ValueError, match="Z must be finite and positive"):
+            ORACLE_ENTRIES[entry](Z=value)
+
+
+def _joint_draws():
+    """(a2, a3, phi, u handoff, variant) of forward, time-reversed and
+    Hermitian (imaginary a2, a3) contours."""
+    rng = np.random.default_rng(53)
+    draws = []
+    for variant in (Variant.FORWARD, Variant.TIME_REVERSED):
+        while sum(d[-1] is variant for d in draws) < 4:
+            spec = PotentialSpec(rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 1.0,
+                                 variant=variant)
+            energy = rng.uniform(0.1, 10.0)
+            if oracle_domain_ok(spec, energy):
+                draws.append((*_contour_setup(spec, energy, rng.uniform(0.0, 1.0), None),
+                              variant))
+    for _ in range(4):
+        ch = _hermitian_channel(rng.uniform(0.3, 3.0), rng.uniform(0.6, 2.0), 1.0,
+                                rng.uniform(0.2, 6.0))
+        draws.append((ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3), Variant.FORWARD))
+    return draws
+
+
+class TestJointIntegration:
+    @pytest.mark.parametrize("draw", _joint_draws())
+    def test_joint_end_states_match_single_launches(self, draw):
+        a2, a3, phi, uh, variant = draw
+        shapes = _shapes(variant)
+        start, end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh)
+        assert start.shape == end.shape == (4,)
+        for i, shape in enumerate(shapes):
+            _, alone, _ = _integrate_core(a2, a3, phi, (shape,), uh, -uh)
+            joint = end[2 * i:2 * i + 2]
+            assert np.abs(joint - alone).max() <= 1e-12 * np.abs(alone).max()
+
+    @pytest.mark.parametrize("call", [
+        lambda: oracle_g_factors(SPEC, 1.0),
+        lambda: oracle_amplitudes(replace(SPEC, variant=Variant.TIME_REVERSED), 1.37),
+        lambda: hermitian_oracle_amplitudes(1.0, 1.0, 1.0, 1.0),
+    ], ids=["oracle_g_factors", "oracle_amplitudes", "hermitian_oracle_amplitudes"])
+    def test_one_integration_per_fit(self, monkeypatch, call):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return _integrate_core(*args)
+
+        monkeypatch.setattr("wsabsorb.oracle._integrate_core", counting)
+        call()
+        assert len(calls) == 1 and len(calls[0]) == 2
+
+    def test_overflow_guard_trips_through_g_factors(self):
+        with pytest.raises(ContourError, match="overflow guard"):
+            oracle_g_factors(PotentialSpec(8.0, 0.6, 1.0), 2.2, Z=60.0)

@@ -324,6 +324,11 @@ class TestScanRanges:
         with pytest.raises(ValueError):
             scan_ranges(SPEC_A, RangeCriterion.CC_LEFT_RANGE, (1.0, 2.0), -1.0, 128)
 
+    @pytest.mark.parametrize("window", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="invalid window"):
+            scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, window, grid_points=128)
+
 
 class TestThresholdValidation:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0])
