@@ -5,11 +5,17 @@ Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 validation error, 2 acceptance mismatch (table1/verify).
+
+In-process calls of :func:`main` share one parser per process, built on
+the first call and never changed by parsing, so repeated calls (from
+threads too) do not pay for argparse again; :func:`build_parser` returns a
+fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,22 +66,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            raise ValueError("refusing to emit NaN")
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _log10_token(value: float) -> str:
-    """log10 magnitudes with +-inf flushing beyond 300 decades."""
-    if value >= 300.0:
-        return "inf"
-    if value <= -300.0:
-        return "-inf"
-    return _fmt(value)
+    if math.isnan(x):
+        raise ValueError("refusing to emit NaN")
+    return f"{x:.12g}"
 
 
 def _jsonify(token: str):
@@ -91,8 +84,13 @@ def _jsonify(token: str):
         return token
 
 
+def _tokens(rows) -> list[list[str]]:
+    """Output tokens of value rows: floats by :func:`_fmt`, the rest by str()."""
+    return [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+
+
 def _emit(args, columns, rows, meta):
-    rows = [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    """Write rows of output tokens as CSV or JSON to stdout or ``--out``."""
     if args.format == "json":
         doc = {
             "command": meta["command"],
@@ -200,14 +198,13 @@ def _flag_points(spec: PotentialSpec, emin: float, emax: float):
     ]
 
 
-def _flags_for(energy: float, annotations) -> str:
-    hits = []
+def _scan_flags(grid: np.ndarray, annotations) -> list[str]:
+    """'|'-joined flags of every annotation within its tolerance, per energy."""
+    hits: dict[int, set[str]] = {}
     for flag, at, tol, degenerate in annotations:
-        if abs(energy - at) <= tol:
-            hits.append(flag)
-            if degenerate:
-                hits.append("DEGENERATE")
-    return "|".join(sorted(set(hits)))
+        for i in np.flatnonzero(np.abs(grid - at) <= tol).tolist():
+            hits.setdefault(i, set()).update((flag, "DEGENERATE") if degenerate else (flag,))
+    return ["|".join(sorted(hits[i])) if i in hits else "" for i in range(len(grid))]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -226,15 +223,18 @@ def cmd_scan(args) -> int:
     if points < 2:
         raise ValueError("--points must be at least 2")
     grid = np.linspace(emin, emax, points)
-    annotations = _flag_points(spec, emin, emax)
     columns = ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
                "log10_T", "log10_absdetS", "flags"]
-    logs = log10_coefficients(spec, grid).T.tolist()
-    rows = [
-        [energy, convert_energy(energy, EnergyUnit.INTERNAL, unit),
-         *map(_log10_token, values), _flags_for(energy, annotations)]
-        for energy, values in zip(grid.tolist(), logs)
-    ]
+    logs = log10_coefficients(spec, grid)
+    # one block of every numeric column: the display energy is one product
+    # (the internal unit's factor is 1, so it equals convert_energy's), and
+    # log10 magnitudes flush to +-inf beyond 300 decades
+    values = np.vstack([grid, grid * convert_energy(1.0, EnergyUnit.INTERNAL, unit),
+                        np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)])
+    if np.isnan(values).any():
+        raise ValueError("refusing to emit NaN")
+    flags = _scan_flags(grid, _flag_points(spec, emin, emax))
+    rows = [[*map("{:.12g}".format, row), flag] for row, flag in zip(values.T.tolist(), flags)]
     _emit(args, columns, rows, {
         "command": "scan",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
@@ -261,7 +261,7 @@ def cmd_spectrum(args) -> int:
     max_count = int(args.max_count if args.max_count is not None else 10)
     if max_count < 0:
         raise ValueError("max_count must be non-negative")
-    raw = str(args.families or "all")
+    raw = "all" if args.families is None else str(args.families)
     if raw == "all":
         tokens = list(_FAMILY_CHOICES)
     elif raw == "none":
@@ -280,7 +280,7 @@ def cmd_spectrum(args) -> int:
          convert_energy(p.energy, EnergyUnit.INTERNAL, unit), str(p.degenerate).lower()]
         for p in sorted(points, key=lambda p: (p.kind.value, p.index))
     ]
-    _emit(args, columns, rows, {
+    _emit(args, columns, _tokens(rows), {
         "command": "spectrum",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "families": [token.replace("-", "_") for token in tokens],
@@ -320,7 +320,7 @@ def cmd_ranges(args) -> int:
             r.bracketing_ss[1].energy,
             ";".join(_fmt(p.energy) for p in r.interior_zeros),
         ])
-    _emit(args, columns, rows, {
+    _emit(args, columns, _tokens(rows), {
         "command": "ranges",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "criterion": criterion.value, "emin": float(args.emin),
@@ -415,7 +415,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns, rows, {"command": "table1", "params": {"grid": grid}})
+    _emit(args, columns, _tokens(rows), {"command": "table1", "params": {"grid": grid}})
     return 2 if failed else 0
 
 
@@ -567,6 +567,8 @@ def _suite_oracle(rng, n=8):
 
 def cmd_verify(args) -> int:
     seed = int(args.seed if args.seed is not None else 20260810)
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     suites = [
         ("gamma_reflection", _suite_gamma_reflection),
         ("gamma_recurrence", _suite_gamma_recurrence),
@@ -587,7 +589,7 @@ def cmd_verify(args) -> int:
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, columns, rows, {"command": "verify", "params": {"seed": seed}})
+    _emit(args, columns, _tokens(rows), {"command": "verify", "params": {"seed": seed}})
     return 2 if failed else 0
 
 
@@ -597,6 +599,9 @@ def cmd_potential(args) -> int:
     zmin = float(args.zmin if args.zmin is not None else -4.0)
     zmax = float(args.zmax if args.zmax is not None else 4.0)
     points = int(args.points if args.points is not None else 200)
+    for name, value in [("--x", x) for x in xs] + [("--zmin", zmin), ("--zmax", zmax)]:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if points < 2 or zmax <= zmin:
         raise ValueError("need points >= 2 and zmax > zmin")
     zeta = np.linspace(zmin, zmax, points)
@@ -611,7 +616,7 @@ def cmd_potential(args) -> int:
         for profile in profiles:
             row += [float(profile[i].real), float(profile[i].imag)]
         rows.append(row)
-    _emit(args, columns, rows, {
+    _emit(args, columns, _tokens(rows), {
         "command": "potential",
         "params": {"v0": spec.v0, "rho": spec.rho, "x": xs,
                    "zmin": zmin, "zmax": zmax, "points": points},
@@ -640,6 +645,7 @@ def _add_common(sub, spec_flags=True, window_flags=False):
 
 
 def build_parser() -> _Parser:
+    """A fresh parser for every wsabsorb subcommand."""
     parser = _Parser(prog="wsabsorb",
                      description="Scattering analysis of the gain/loss-symmetric "
                                  "complexified Wood-Saxon potential.")
@@ -686,9 +692,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The process's one parser for main(); parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         _overlay_config(args)
         args.format = args.format or "csv"

@@ -6,11 +6,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import warnings
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wsabsorb import cli, log10_coefficients
 from wsabsorb.cli import main
+from wsabsorb.spectral import SpectralFamily, critical_points
+from wsabsorb.units import PotentialSpec, Variant
 
 SCAN_SCHEMA = {
     "type": "object",
@@ -303,3 +310,269 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["False", "True"]
+
+
+# -- input validation --------------------------------------------------------------
+
+
+class TestPotentialInputs:
+    @pytest.mark.parametrize("flag", ["--x", "--zmin", "--zmax"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_named(self, tmp_path, capsys, flag, value):
+        argv = ["potential", "--v0", "1.2", "--rho", "1.8", "--points", "5",
+                "--out", str(tmp_path / "out.txt"), f"{flag}={value}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err and "NaN" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+
+def test_empty_families_rejected(tmp_path, capsys):
+    argv = ["spectrum", "--v0", "2", "--rho", "2", "--families", "",
+            "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    assert "family" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_rejected(tmp_path, capsys, source):
+    argv = ["verify", "--out", str(tmp_path / "out.txt")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = -1\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def test_main_builds_at_most_one_parser(tmp_path, monkeypatch):
+    built = []
+    original = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._shared_parser.cache_clear()  # so the first call below builds it
+    for points in ("2", "3", "4"):
+        code, _ = run(tmp_path, "scan", "--v0", "1.2", "--rho", "1.8",
+                      "--emin", "0.5", "--emax", "1.5", "--points", points)
+        assert code == 0
+    assert len(built) == 7  # one parser and its six subcommand parsers
+    built.clear()
+    assert cli.build_parser() is not cli.build_parser()  # a fresh one per call
+    assert len(built) == 14
+
+
+def _fresh_processes(argvs, cwd):
+    """(exit code, stdout, stderr) of ``python -m wsabsorb.cli`` per argv,
+    each in its own interpreter, run side by side."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    procs = [subprocess.Popen([sys.executable, "-m", "wsabsorb.cli", *argv], env=env, cwd=cwd,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in argvs]
+    outputs = [proc.communicate() for proc in procs]
+    return [(proc.returncode, *output) for proc, output in zip(procs, outputs)]
+
+
+def test_reused_parser_matches_fresh_process(tmp_path, capfdbinary):
+    config = tmp_path / "spec.cfg"
+    config.write_text("v0 = 2\nrho = 2\nmass = 1.5\nvariant = time-reversed\npoints = 7\n")
+    out = tmp_path / "out.csv"
+    scan = ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "2.5",
+            "--points", "9"]
+    # the config call comes first, so nothing it sets may reach the later calls
+    sequence = [
+        ["scan", "--config", str(config), "--emin", "0.05", "--emax", "8"],
+        scan + ["--format", "json"],
+        scan + ["--units", "mev"],
+        scan + ["--out", str(out)],
+        ["scan", "--v0", "1.2", "--points", "many"],  # usage error, exit 1
+        ["spectrum", "--v0", "2", "--rho", "2", "--max-count", "3"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout, stderr = capfdbinary.readouterr()
+        in_process.append((code, stdout, stderr, out.read_bytes() if out.exists() else b""))
+        out.unlink(missing_ok=True)
+    assert [entry[0] for entry in in_process] == [0, 0, 0, 0, 1, 0]
+    fresh = _fresh_processes(sequence, tmp_path)  # only the --out run writes out.csv
+    for argv, (code, stdout, stderr, written), expected in zip(sequence, in_process, fresh):
+        assert (code, stdout, stderr) == expected, argv
+    assert in_process[3][3] == out.read_bytes() and in_process[3][1] == b""
+
+
+def test_concurrent_main_calls_match_sequential(tmp_path):
+    variants = [
+        ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05", "--emax", "6",
+         "--points", "600"],
+        ["scan", "--v0", "2", "--rho", "2", "--emin", "0.05", "--emax", "8",
+         "--points", "900", "--variant", "time-reversed", "--format", "json"],
+        ["spectrum", "--v0", "2", "--rho", "2", "--units", "mev"],
+        ["potential", "--v0", "1.2", "--rho", "1.8", "--x", "2", "--points", "400"],
+    ]
+    sequential = []
+    for i, argv in enumerate(variants):
+        path = tmp_path / f"seq{i}.txt"
+        assert main(argv + ["--out", str(path)]) == 0
+        sequential.append(path.read_bytes())
+
+    start = threading.Barrier(len(variants))
+    codes = [None] * len(variants)
+
+    def call(i):
+        start.wait()
+        codes[i] = main(variants[i] + ["--out", str(tmp_path / f"par{i}.txt")])
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(variants))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-parse included
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [0] * len(variants)
+    assert [(tmp_path / f"par{i}.txt").read_bytes()
+            for i in range(len(variants))] == sequential
+
+
+# -- scan rows built from arrays -----------------------------------------------------
+
+
+def _per_row_flags(energy, annotations):
+    """The per-row flag rule the array-built scan rows must reproduce."""
+    hits = []
+    for flag, at, tol, degenerate in annotations:
+        if abs(energy - at) <= tol:
+            hits.append(flag)
+            if degenerate:
+                hits.append("DEGENERATE")
+    return "|".join(sorted(set(hits)))
+
+
+def _scan_flags_column(tmp_path, spec, emin, emax, points):
+    code, text = run(tmp_path, "scan", "--v0", repr(spec.v0), "--rho", repr(spec.rho),
+                     "--mass", repr(spec.mass), "--variant", spec.variant.value,
+                     "--emin", repr(emin), "--emax", repr(emax), "--points", str(points))
+    assert code == 0
+    return [line.rsplit(",", 1)[1] for line in text.split("\n")[1:-1]]
+
+
+def _assert_flags_follow_per_row_rule(tmp_path, spec, emin, emax, points):
+    grid = np.linspace(emin, emax, points)
+    try:
+        log10_coefficients(spec, grid)
+    except ArithmeticError:
+        # the kernel's det-S cross-check raises here (ROADMAP item 1), so
+        # the scan has no rows to flag and must raise the same
+        with pytest.raises(ArithmeticError):
+            _scan_flags_column(tmp_path, spec, emin, emax, points)
+        return
+    annotations = cli._flag_points(spec, emin, emax)
+    want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
+    assert _scan_flags_column(tmp_path, spec, emin, emax, points) == want
+
+
+def _landing_window(spec, family, lo, hi):
+    """Window ends moved onto the first and last enumerated energies of
+    ``family`` in [lo, hi], where it has two."""
+    critical = [p.energy for p in critical_points(spec, family, window=(lo, hi))
+                if p.energy > 0.0]
+    return (critical[0], critical[-1]) if len(critical) >= 2 else (lo, hi)
+
+
+@given(
+    v0=st.floats(0.3, 8.0),
+    rho=st.floats(0.3, 3.0),
+    mass=st.floats(0.5, 2.0),
+    variant=st.sampled_from(list(Variant)),
+    family=st.sampled_from([SpectralFamily.CC_LEFT, SpectralFamily.CC_RIGHT,
+                            SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT,
+                            SpectralFamily.CPA_TIME_REVERSED]),
+    lo=st.floats(0.05, 10.0),
+    span=st.floats(0.01, 3.0),
+    points=st.integers(2, 400),
+)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scan_flags_equal_per_row_rule(tmp_path, v0, rho, mass, variant, family, lo,
+                                        span, points):
+    spec = PotentialSpec(v0=v0, rho=rho, mass=mass, variant=variant)
+    emin, emax = _landing_window(spec, family, lo, lo * (1.0 + span))
+    _assert_flags_follow_per_row_rule(tmp_path, spec, emin, emax, points)
+
+
+@given(
+    low=st.integers(1, 12),
+    gap=st.integers(1, 12),
+    rho=st.floats(0.3, 3.0),
+    mass=st.floats(0.5, 2.0),
+    variant=st.sampled_from(list(Variant)),
+    half_width=st.floats(1e-6, 0.2),
+    points=st.integers(2, 301),
+)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scan_flags_at_degenerate_points(tmp_path, low, gap, rho, mass, variant,
+                                          half_width, points):
+    # 2 a2 = low and 2 a3 = low + gap at one energy: a degenerate point,
+    # centred in an odd-point window so a grid row lands on it
+    scale = rho ** 2 / (16.0 * mass)
+    spec = PotentialSpec(v0=scale * ((low + gap) ** 2 - low ** 2), rho=rho, mass=mass,
+                         variant=variant)
+    energy = scale * low ** 2
+    emin, emax = energy * (1.0 - half_width), energy * (1.0 + half_width)
+    points += 1 - points % 2
+    _assert_flags_follow_per_row_rule(tmp_path, spec, emin, emax, points)
+
+
+def test_degenerate_strategy_reaches_degenerate_rows(tmp_path):
+    spec = PotentialSpec(v0=2.0, rho=2.0, mass=1.0)
+    flags = _scan_flags_column(tmp_path, spec, 0.25 * (1 - 1e-3), 0.25 * (1 + 1e-3), 3)
+    assert flags[1] == "CC_L|CC_R|CPA|DEGENERATE"
+
+
+def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, capsys):
+    def fake_log10(spec, energies):
+        out = np.empty((4, len(energies)))
+        out[:] = [[300.0], [-300.0], [299.99], [-299.99]]
+        return out
+
+    monkeypatch.setattr(cli, "log10_coefficients", fake_log10)
+    code, text = run(tmp_path, "scan", "--v0", "1.2", "--rho", "1.8",
+                     "--emin", "0.5", "--emax", "1.5", "--points", "2")
+    assert code == 0
+    for line in text.split("\n")[1:-1]:
+        assert line.split(",")[2:6] == ["inf", "-inf", "299.99", "-299.99"]
+
+    def nan_log10(spec, energies):
+        out = fake_log10(spec, energies)
+        out[3, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "log10_coefficients", nan_log10)
+    out = tmp_path / "nan.txt"
+    assert main(["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5",
+                 "--emax", "1.5", "--points", "2", "--out", str(out)]) == 1
+    assert "refusing to emit NaN" in capsys.readouterr().err
+    assert not out.exists()
