@@ -3,10 +3,14 @@
 The four connection coefficients G1..G4 are Gamma-function ratios in the
 channel parameters (a2, a3).  Reflection/transmission amplitudes are
 ratios of those, so at critical energies where individual Gamma factors
-hit poles the amplitudes are finite limits, exact zeros, or poles; all of
-that is carried by the SingularValue algebra with coefficients normalized
-to the energy offset from the critical point (pole-cancellation limits are
-taken analytically via Gamma residues, never by nudging the energy).
+hit poles the amplitudes are finite limits, exact zeros, or poles.  One
+kernel evaluates the closed form over an array of energies: each Gamma
+argument that snaps to a pole carries an integer order and its residue,
+normalized to the energy offset from the critical point (pole-cancellation
+limits are taken analytically via Gamma residues, never by nudging the
+energy), and det S is cross-checked at every energy.  The scalar functions
+read the kernel's one-energy column as :class:`SingularValue` values;
+:func:`log10_coefficients` reads its arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma
 
-from .specfun import TAU_INT, SingularValue, gamma_info
+from .specfun import TAU_INT, SingularValue
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -102,24 +106,6 @@ def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
     )
 
 
-def _gamma_factor(ch: ChannelParams, c2: int, c3: int, c0: int) -> SingularValue:
-    """SingularValue of Gamma(c2*a2 + c3*a3 + c0) in the energy-offset sense.
-
-    Near a pole the residue is rescaled by the energy derivative of the
-    argument, so that coefficients of different Gamma factors combine in a
-    common limit variable (the offset from the critical energy).
-    """
-    value = gamma_info(c2 * ch.a2 + c3 * ch.a3 + c0)
-    if value.is_pole:
-        deriv = complex(c2 * ch.da2_denergy + c3 * ch.da3_denergy)
-        if deriv == 0:
-            deriv = 1.0 + 0.0j  # stationary argument; leave the residue unscaled
-        value = value / SingularValue.finite(
-            math.log(abs(deriv)), math.atan2(deriv.imag, deriv.real)
-        )
-    return value
-
-
 # numerator/denominator Gamma arguments of G1..G4 as (c2, c3, c0) triples
 _G_TABLE = (
     (((2, 0, 1), (0, -2, 0)), ((1, -1, 0), (1, -1, 1))),
@@ -127,69 +113,115 @@ _G_TABLE = (
     (((-2, 0, 1), (0, -2, 0)), ((-1, -1, 0), (-1, -1, 1))),
     (((-2, 0, 1), (0, 2, 0)), ((-1, 1, 0), (-1, 1, 1))),
 )
+# the 12 distinct Gamma arguments as (12, 1) coefficient columns, and the rows
+# of the first and second numerator and denominator arguments of G1..G4
+_G_ARGS = tuple(sorted({arg for numer, denom in _G_TABLE for arg in numer + denom}))
+_C2, _C3, _C0 = np.array(_G_ARGS, dtype=float).T[:, :, None]
+_G_ROWS = np.array([[_G_ARGS.index(arg) for arg in numer + denom] for numer, denom in _G_TABLE]).T
+# r_l, -r_r, t and det S are G4, G1, sqrt(k1/k2) and G2 over G3; their log10
+# coefficients |r_l|^2, |r_r|^2, T and |det S| take the squares of the first three
+_AMP_ROWS = np.array([3, 0, 4, 1])
+_SQUARED = np.array([[2.0], [2.0], [2.0], [1.0]])
+_LN10 = math.log(10.0)
 
 
-def g_factors(ch: ChannelParams) -> GFactors:
-    """The four connection coefficients, assembled in log space."""
-    out = []
-    for numer, denom in _G_TABLE:
-        value = SingularValue.finite(0.0, 0.0)
-        for c2, c3, c0 in numer:
-            value = value * _gamma_factor(ch, c2, c3, c0)
-        for c2, c3, c0 in denom:
-            value = value / _gamma_factor(ch, c2, c3, c0)
-        out.append(value)
-    return GFactors(*out)
+def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n) arrays.
+
+    The fields of ``ch`` hold one energy or n of them.  One ``loggamma``
+    call covers the 12 distinct Gamma arguments.  An argument within
+    ``TAU_INT`` of a pole -k (the rule of
+    :func:`~wsabsorb.specfun.gamma_info`) is a pole of order 1 whose residue
+    (-1)^k / k! is divided by the argument's energy derivative, so that
+    coefficients of different Gamma factors combine in a common limit
+    variable (the offset from the critical energy).  Callers silence
+    numpy's floating-point warnings.
+    """
+    z = _C2 * ch.a2 + _C3 * ch.a3 + _C0
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
+    k = np.minimum(np.rint(z.real), 0.0)  # the nearest pole
+    pole = np.abs(z - k) <= TAU_INT
+    lg = loggamma(np.where(pole, 1.0 - k, z).astype(complex))  # log (-k)! at a pole
+    order = np.zeros((5, z.shape[1]), dtype=int)
+    if pole.any():
+        dz = (_C2 * ch.da2_denergy + _C3 * ch.da3_denergy)[pole] + 0j
+        dz[dz == 0] = 1.0  # stationary argument; leave the residue unscaled
+        lg[pole] = 1j * math.pi * (k[pole] % 2) - lg[pole] - np.log(dz)
+        p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
+        order[:4] = q1 + q2 - p1 - p2
+    n1, n2, d1, d2 = lg[_G_ROWS]
+    # math.log, not np.log: numpy's vectorised log may round differently
+    root_k = 0.5 * np.fromiter(map(math.log, np.ravel(ch.k1 / ch.k2).tolist()), float)
+    return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]])
 
 
-def _det_cross_check(
-    t2: SingularValue, rlrr: SingularValue, det_closed: SingularValue, energy: float
-) -> None:
-    """Verify tl*tr - rl*rr against the closed-form det S.
+def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_g_logs`, then the orders and logs of r_l, -r_r, t and det S
+    as (4, n) arrays, with tl*tr - rl*rr verified against the closed-form
+    det S = G2/G3 at every energy.
 
     The difference can cancel arbitrarily many digits (the Gamma identity
     makes the two products nearly equal wherever |det S| is small), so the
     tolerance scales with the observed cancellation; where the closed form
     is an exact zero of higher order than the float difference can
-    resolve, only the cancellation depth is asserted.
+    resolve, only the cancellation depth is asserted.  Leading coefficients
+    that cancel exactly leave no digits to compare.  Raises
+    ``ArithmeticError`` at the first energy that fails.
     """
-    try:
-        det_sum = t2 - rlrr
-    except ArithmeticError:
-        return  # coefficients cancelled exactly; no digits left to compare
-    cancel = 0.0
-    if t2.order == rlrr.order:
-        cancel = max(t2.log_magnitude, rlrr.log_magnitude) - det_sum.log_magnitude
-    if det_sum.order == det_closed.order:
-        tol = 1e-8 * max(1.0, math.exp(min(200.0, cancel)))
-        if det_closed.order != 0:
-            # a snapped critical point: the finite cofactors sit up to the
-            # snap tolerance away from the exact pole, so the two leading
-            # coefficients differ by the subleading Laurent term, bounded
-            # by TAU_INT times the digamma scale of the dozen Gamma factors
-            tol += 300.0 * TAU_INT
-        rel = det_sum.relative_difference(det_closed)
-        if rel > tol:
-            raise ArithmeticError(
-                f"det S cross-check failed at E={energy}: rel diff {rel:.3e}"
-            )
-    elif det_closed.order > det_sum.order:
-        # an exact higher-order zero; the sum is cancellation residue
-        if cancel < 9.0 * math.log(10.0):
-            raise ArithmeticError(
-                f"det S zero not reproduced at E={energy}: "
-                f"only {cancel / math.log(10.0):.1f} digits cancelled"
-            )
-    else:
-        raise ArithmeticError(
-            f"det S more singular via the sum route at E={energy}: "
-            f"orders {det_sum.order} vs {det_closed.order}"
-        )
+    with np.errstate(all="ignore"):
+        order, lg = _g_logs(ch)
+        amp_order, amp = order[_AMP_ROWS] - order[2], lg[_AMP_ROWS] - lg[2]
+        (o_rl, o_rr, o_t, o_det), (rl, rr, t, det) = amp_order, amp
+        # det S = t^2 + m with m = -r_l r_r
+        o_t2, o_m = 2 * o_t, o_rl + o_rr
+        t2, m = 2.0 * t, rl + rr
+        big = np.maximum(t2.real, m.real)
+        e_t2, e_m = np.exp(t2 - big), np.exp(m - big)
+        w = e_t2 + e_m
+        equal = o_t2 == o_m
+        o_sum = np.minimum(o_t2, o_m)
+        log_sum = np.where(equal, big + np.log(w), np.where(o_t2 < o_m, t2, m))
+        cancel = np.where(equal, big - log_sum.real, 0.0)
+        rel = np.abs(np.exp(log_sum - det) - 1.0)
+        # at a snapped critical point the finite cofactors sit up to the snap
+        # tolerance away from the exact pole, so the two leading coefficients
+        # differ by the subleading Laurent term, bounded by TAU_INT times the
+        # digamma scale of the dozen Gamma factors
+        tol = 1e-8 * np.maximum(1.0, np.exp(np.minimum(200.0, cancel)))
+        tol += 300.0 * TAU_INT * (o_det != 0)
+        # equal orders compare coefficients; an exact higher-order zero of the
+        # closed form needs 9 cancelled digits; a more singular sum always fails
+        fail = np.where(o_sum == o_det, rel > tol, (o_det < o_sum) | (cancel < 9.0 * _LN10))
+        if fail.any():  # except where the leading coefficients cancel exactly
+            fail &= ~(equal & (np.abs(w) < 4e-16 * (np.abs(e_t2) + np.abs(e_m))))
+    if fail.any():
+        i = np.flatnonzero(fail)[0]
+        if o_sum[i] == o_det[i]:
+            what, detail = "cross-check failed", f"rel diff {rel[i]:.3e}"
+        elif o_det[i] > o_sum[i]:
+            what, detail = "zero not reproduced", f"only {cancel[i] / _LN10:.1f} digits cancelled"
+        else:
+            what, detail = "more singular via the sum route", f"orders {o_sum[i]} vs {o_det[i]}"
+        raise ArithmeticError(f"det S {what} at E={float(np.ravel(ch.energy)[i])}: {detail}")
+    return order, lg, amp_order, amp
+
+
+def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
+    """G1..G4 and sqrt(k1/k2) at the first energy of a kernel call."""
+    return [SingularValue(o, w.real, w.imag) for o, w in zip(order[:, 0].tolist(), lg[:, 0].tolist())]
+
+
+def g_factors(ch: ChannelParams) -> GFactors:
+    """The four connection coefficients, assembled in log space."""
+    with np.errstate(all="ignore"):
+        return GFactors(*_column(*_g_logs(ch))[:4])
 
 
 def _amplitude_set(
     energy: float,
-    k_ratio: float,
+    root_k: SingularValue,
     g1: SingularValue,
     g3: SingularValue,
     g4: SingularValue,
@@ -197,10 +229,11 @@ def _amplitude_set(
 ) -> AmplitudeSet:
     """The one assembly of an AmplitudeSet from the connection coefficients.
 
-    r_l = G4/G3, t_l = t_r = sqrt(k1/k2)/G3 and r_r = -G1/G3, whichever
-    route produced G1, G3 and G4; det S comes from the calling route.
+    r_l = G4/G3, t_l = t_r = sqrt(k1/k2)/G3 (``root_k`` is sqrt(k1/k2)) and
+    r_r = -G1/G3, whichever route produced G1, G3 and G4; det S comes from
+    the calling route.
     """
-    tl = SingularValue.finite(0.5 * math.log(k_ratio), 0.0) / g3
+    tl = root_k / g3
     rl = g4 / g3
     rr = -(g1 / g3)
     return AmplitudeSet(
@@ -216,12 +249,11 @@ def _amplitude_set(
     )
 
 
-def _closed_form(ch: ChannelParams) -> AmplitudeSet:
-    """Closed-form amplitudes; det S = G2/G3, checked against tl*tr - rl*rr."""
-    gf = g_factors(ch)
-    amps = _amplitude_set(ch.energy, ch.k1 / ch.k2, gf.g1, gf.g3, gf.g4, gf.g2 / gf.g3)
-    _det_cross_check(amps.tl * amps.tl, amps.rl * amps.rr, amps.det_s, ch.energy)
-    return amps
+def _amplitudes(ch: ChannelParams) -> AmplitudeSet:
+    """Closed-form amplitudes at one energy; det S = G2/G3, checked."""
+    order, lg, _, _ = _checked_logs(ch)
+    g1, g2, g3, g4, root_k = _column(order, lg)
+    return _amplitude_set(ch.energy, root_k, g1, g3, g4, g2 / g3)
 
 
 def amplitudes(spec: PotentialSpec, energy: float) -> AmplitudeSet:
@@ -231,81 +263,35 @@ def amplitudes(spec: PotentialSpec, energy: float) -> AmplitudeSet:
     expression; det S comes out as the closed-form G-ratio and is verified
     against tl*tr - rl*rr on every call.
     """
-    return _closed_form(channel_params(spec, energy))
-
-
-# the 12 distinct Gamma arguments of _G_TABLE, and the positions in that list
-# of the first and second numerator and denominator arguments of G1..G4
-_G_ARGS = tuple(sorted({arg for numer, denom in _G_TABLE for arg in numer + denom}))
-_G_ROWS = tuple(zip(*(tuple(map(_G_ARGS.index, numer + denom)) for numer, denom in _G_TABLE)))
-_LN10 = math.log(10.0)
+    return _amplitudes(channel_params(spec, energy))
 
 
 def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     """log10 of |r_l|^2, |r_r|^2, T and |det S| over an energy array.
 
-    The array route of :func:`amplitudes`, returned as a (4, n) array in
-    that row order.  Each distinct Gamma argument is evaluated once over
-    the array by ``scipy.special.loggamma`` (the function behind
-    :func:`~wsabsorb.specfun.log_gamma`), and the log-magnitudes are
-    combined by the same float operations, in the same order, as the
-    SingularValue algebra, so every row equals ``amplitudes(spec, E)``'s
-    ``log10_magnitude`` values bit for bit.  The det-S cross-check runs on
-    the arrays at its unchanged tolerance; because the unfolded phases and
-    numpy's exp/log may differ from the scalar route in the last bits, an
-    energy only passes here with a factor-2 margin.  Energies where a
-    Gamma argument snaps to a pole (the ``TAU_INT`` rule of
-    :func:`gamma_info`), or is not finite, or that miss the margin are
-    recomputed by :func:`amplitudes` in ascending index: they get the exact
-    residue limits (+-inf where the order is non-zero), and raise wherever
-    :func:`amplitudes` raises.
+    The array view of :func:`amplitudes`, returned as a (4, n) array in
+    that row order.  Both read the same closed-form kernel, so every row
+    equals ``amplitudes(spec, E)``'s ``log10_magnitude`` values bit for
+    bit: +-inf where a pole order is non-zero (the exact zeros and poles
+    of pole-snapped energies), and a det-S ``ArithmeticError`` at the
+    first energy where :func:`amplitudes` raises.
     """
     validate(spec)
     e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or not np.all(np.isfinite(e) & (e > 0.0)):
+    if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
     k1 = np.sqrt(spec.mass * e)
     k2 = np.sqrt(spec.mass * (e + spec.v0))
     sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
-    a2 = sign * 2.0 * k1 / spec.rho
-    a3 = sign * 2.0 * k2 / spec.rho
-    c2, c3, c0 = np.array(_G_ARGS, dtype=float).T[:, :, None]
-    with np.errstate(all="ignore"):
-        z = c2 * a2 + c3 * a3 + c0  # one row per distinct argument
-        k = np.round(z)
-        recheck = np.any(~np.isfinite(z) | ((k <= 0) & (np.abs(z - k) <= TAU_INT)), axis=0)
-        lg = loggamma(z.astype(complex))
-        n1, n2, d1, d2 = (lg[list(rows)] for rows in _G_ROWS)
-        # G1..G4 summed from 0.0 as in g_factors: real part log|G|,
-        # imaginary part an (unfolded) phase
-        g1, g2, g3, g4 = 0.0 + n1 + n2 - d1 - d2
-        half_log_k = 0.5 * np.array([math.log(r) for r in (k1 / k2).tolist()])
-        log_tl = half_log_k - g3
-        log_rl = g4 - g3
-        log_rr = g1 - g3  # r_r = -G1/G3: the sign is the pi in the check below
-        log_det = g2 - g3
-        # det S = tl^2 - rl rr, both terms scaled by the larger one
-        t2, rlrr = 2.0 * log_tl, log_rl + log_rr + 1j * math.pi
-        big = np.maximum(t2.real, rlrr.real)
-        w = np.exp(t2 - big) - np.exp(rlrr - big)
-        cancel = -np.log(np.abs(w))
-        tol = 1e-8 * np.maximum(1.0, np.exp(np.minimum(200.0, cancel)))
-        rel = np.abs(np.exp(np.log(w) + big - log_det) - 1.0)
-        # the margin covers last-bit differences while w keeps >= 3 digits
-        # (cancel <= 30, i.e. |w| >= 1e-13)
-        recheck |= ~((rel <= 0.5 * tol) & (cancel <= 30.0))
-    out = np.stack([2.0 * log_rl.real, 2.0 * log_rr.real, 2.0 * log_tl.real, log_det.real]) / _LN10
-    for i in np.flatnonzero(recheck):
-        amps = amplitudes(spec, float(e[i]))
-        out[:, i] = [sv.log10_magnitude for sv in (amps.Rl, amps.Rr, amps.T, amps.det_s)]
-    return out
+    ch = ChannelParams(e, k1, k2, sign * 2.0 * k1 / spec.rho, sign * 2.0 * k2 / spec.rho, spec.mass)
+    _, _, order, logs = _checked_logs(ch)
+    return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
 
 
 def det_s(spec: PotentialSpec, energy: float) -> SingularValue:
     """det S as the closed-form Gamma ratio (G2/G3, or its inverse when
     the stored channel parameters are the time-reversed ones)."""
-    ch = channel_params(spec, energy)
-    gf = g_factors(ch)
+    gf = g_factors(channel_params(spec, energy))
     return gf.g2 / gf.g3
 
 
@@ -355,4 +341,4 @@ def hermitian_amplitudes(v0: float, delta: float, m: float, energy: float) -> Am
     reciprocity and unitarity hold here, which the tests use as a limit
     check on the whole assembly.
     """
-    return _closed_form(_hermitian_channel(v0, delta, m, energy))
+    return _amplitudes(_hermitian_channel(v0, delta, m, energy))

@@ -4,7 +4,8 @@ reference-table reproduction, and the invariant verification suite.
 Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 validation error, 2 acceptance mismatch (table1/verify).
+1 validation error or failed det-S cross-check, 2 acceptance mismatch
+(table1/verify).
 
 In-process calls of :func:`main` share one parser per process, built on
 the first call and never changed by parsing, so repeated calls (from
@@ -140,8 +141,9 @@ def _overlay_config(args) -> None:
 def _spec_from_args(args) -> PotentialSpec:
     if args.v0 is None or args.rho is None:
         raise ValueError("both --v0 and --rho are required (flag or config)")
+    name = "forward" if args.variant is None else str(args.variant)
     variant = {"forward": Variant.FORWARD, "time-reversed": Variant.TIME_REVERSED,
-               "time_reversed": Variant.TIME_REVERSED}.get(str(args.variant or "forward"))
+               "time_reversed": Variant.TIME_REVERSED}.get(name)
     if variant is None:
         raise ValueError(f"unknown variant {args.variant!r}")
     return validate(
@@ -156,7 +158,7 @@ def _spec_from_args(args) -> PotentialSpec:
 
 
 def _energy_unit(args) -> EnergyUnit:
-    name = str(args.units or "ev").lower()
+    name = "ev" if args.units is None else str(args.units).lower()
     if name not in _UNIT_CHOICES:
         raise ValueError(f"unknown units {name!r}")
     return _UNIT_CHOICES[name]
@@ -702,11 +704,12 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         _overlay_config(args)
-        args.format = args.format or "csv"
+        if args.format is None:
+            args.format = "csv"
         if args.format not in ("csv", "json"):
             raise ValueError(f"unknown format {args.format!r}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

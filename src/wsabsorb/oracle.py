@@ -390,7 +390,7 @@ def _fitted_amplitudes(
         SingularValue.finite(-math.inf, 0.0) if w == 0 else SingularValue.from_complex(w)
         for w in (g1, g3, g4, det)
     )
-    return _amplitude_set(energy, k_ratio, g1, g3, g4, det)
+    return _amplitude_set(energy, SingularValue.finite(0.5 * math.log(k_ratio), 0.0), g1, g3, g4, det)
 
 
 def oracle_g_factors(

@@ -6,9 +6,9 @@ functions whose arguments sweep through poles.  Values are therefore kept
 in log-magnitude + phase form, and exact poles/zeros are represented
 explicitly by :class:`SingularValue` instead of overflowing floats.  The
 log-Gamma values themselves come from ``scipy.special.loggamma`` (Hare's
-principal-branch algorithm), the same ufunc the array route in
-``amplitudes`` applies to whole energy grids, so both routes agree bit
-for bit away from the poles.
+principal-branch algorithm), the ufunc that the one closed-form kernel in
+``amplitudes`` applies to all twelve Gamma arguments of a whole energy
+grid at once.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from scipy.special import loggamma
 #: The one snap rule deciding "is this argument an integer".  The critical-point
 #: conditions are exact integer conditions; floating input needs an explicit
 #: snap rule.  Absolute, on the argument itself.  It decides Gamma poles
-#: (:func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c`` guard), the points
-#: and degeneracy flags of ``spectral.critical_points``, the energy-space
-#: ``spectral.snap_tolerance``, and the Laurent-term allowance of the det-S
-#: cross-check in ``amplitudes``.
+#: (:func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c`` guard, and the pole
+#: mask of the closed-form kernel in ``amplitudes``, which every amplitude,
+#: G-factor and det S value goes through), the points and degeneracy flags
+#: of ``spectral.critical_points``, the energy-space
+#: ``spectral.snap_tolerance``, and the Laurent-term allowance of that
+#: kernel's det-S cross-check.
 TAU_INT = 1e-9
 
 # term cap and |z| bound of the 2F1 series

@@ -69,6 +69,8 @@ __all__ = [
 DEFAULT_MAX_COUNT = 10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_THRESHOLD = 1e-6
+# the most indices critical_points enumerates for one window
+_MAX_WINDOW_INDICES = 10**6
 
 
 class SpectralFamily(Enum):
@@ -187,9 +189,10 @@ def critical_points(
 
     With a window, the points whose N lies between floor(u) and ceil(u) + 1
     of the window ends, so the list covers the window with one point at or
-    beyond each end where the family has one.  With a count, at most the
-    first ``count`` points.  With neither, every point, which only the
-    finite RPRIME_LEFT_ZERO family has.
+    beyond each end where the family has one; a window spanning more than
+    10**6 indices raises ``ValueError`` before any point is enumerated.
+    With a count, at most the first ``count`` points.  With neither, every
+    point, which only the finite RPRIME_LEFT_ZERO family has.
     """
     validate(spec)
     row = _TABLE[family]
@@ -204,6 +207,9 @@ def critical_points(
         u_lo, u_hi = sorted(row.u(spec, e) for e in window)
         first = max(first, math.floor(u_lo))
         stop = min(stop, math.ceil(u_hi) + 2)
+        if stop - first > _MAX_WINDOW_INDICES:
+            raise ValueError(f"{family.value} window {window} spans {stop - first:.3g} "
+                             f"indices, more than {_MAX_WINDOW_INDICES}")
     elif count is None and stop == math.inf:
         raise ValueError(f"{family.value} has no last point: give a window or a count")
     points: list[SpectralPoint] = []

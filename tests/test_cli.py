@@ -1,5 +1,7 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -484,9 +486,16 @@ def _assert_flags_follow_per_row_rule(tmp_path, spec, emin, emax, points):
         log10_coefficients(spec, grid)
     except ArithmeticError:
         # the kernel's det-S cross-check raises here (ROADMAP item 1), so
-        # the scan has no rows to flag and must raise the same
-        with pytest.raises(ArithmeticError):
-            _scan_flags_column(tmp_path, spec, emin, emax, points)
+        # the scan has no rows to flag and must end in an error line
+        out, err = tmp_path / "raised.txt", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scan", "--v0", repr(spec.v0), "--rho", repr(spec.rho),
+                         "--mass", repr(spec.mass), "--variant", spec.variant.value,
+                         "--emin", repr(emin), "--emax", repr(emax),
+                         "--points", str(points), "--out", str(out)])
+        assert code == 1
+        assert err.getvalue().startswith("error: det S")
+        assert not out.exists()
         return
     annotations = cli._flag_points(spec, emin, emax)
     want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
@@ -575,4 +584,53 @@ def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, 
     assert main(["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5",
                  "--emax", "1.5", "--points", "2", "--out", str(out)]) == 1
     assert "refusing to emit NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- error lines instead of tracebacks or defaults ------------------------------------
+
+
+def test_det_s_failure_exits_1_with_error_line(tmp_path, capsys):
+    # a degenerate point (2 a2 = 1, 2 a3 = 3) where the det-S cross-check fails
+    out = tmp_path / "out.txt"
+    assert main(["scan", "--v0", "0.5", "--rho", "1", "--emin", "0.0624999375",
+                 "--emax", "0.0625000625", "--points", "33", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: det S cross-check failed at E=")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_runaway_scan_window_exits_1(tmp_path, capsys, no_points):
+    out = tmp_path / "out.txt"
+    assert main(["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05", "--emax", "1e300",
+                 "--points", "50", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_runaway_window_error_names_family_and_window(capsys, no_points):
+    assert main(["ranges", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05",
+                 "--emax", "1e300", "--criterion", "cpa"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ss_left window (0.05, 1e+300) spans 2.22e+150 indices, more than 1000000\n")
+
+
+def test_empty_variant_flag_rejected(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(["scan", "--v0", "2", "--rho", "2", "--emin", "0.2", "--emax", "0.3",
+                 "--points", "3", "--variant", "", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown variant ''\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["variant", "units", "format"])
+def test_empty_config_value_rejected(tmp_path, capsys, key):
+    config = tmp_path / "empty.cfg"
+    config.write_text(f"v0 = 2\nrho = 2\n{key} =\n")
+    out = tmp_path / "out.txt"
+    assert main(["scan", "--config", str(config), "--emin", "0.2", "--emax", "0.3",
+                 "--points", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown {key} ''\n"
     assert not out.exists()

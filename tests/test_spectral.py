@@ -336,3 +336,23 @@ class TestThresholdValidation:
         with pytest.raises(ValueError, match="threshold"):
             scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
                         threshold=threshold, grid_points=128)
+
+
+
+class TestRunawayWindow:
+    # RPRIME_LEFT_ZERO has finitely many points, so no window runs away
+    @pytest.mark.parametrize("family", [f for f in SpectralFamily
+                                        if f is not SpectralFamily.RPRIME_LEFT_ZERO])
+    def test_refused_before_enumerating(self, no_points, family):
+        with pytest.raises(ValueError, match=rf"{family.value} window \(0\.05, 1e\+300\)"):
+            critical_points(SPEC_A, family, window=(0.05, 1e300))
+
+    def test_scan_ranges_inherits_the_bound(self, no_points):
+        with pytest.raises(ValueError, match="ss_left window"):
+            scan_ranges(SPEC_A, RangeCriterion.CC_LEFT_RANGE, (0.05, 1e300))
+
+    def test_large_window_below_the_bound_enumerates(self):
+        # 2 a3 runs from 2.5 to about 5e4 here: far more indices than any
+        # shipped window, still below the bound
+        points = critical_points(SPEC_A, SpectralFamily.CC_LEFT, window=(0.05, 5e8))
+        assert len(points) > 40_000
