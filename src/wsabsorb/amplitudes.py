@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import gammaln, gammasgn, loggamma, xlogy
 
 from .specfun import TAU_INT, SingularValue
 from .units import PotentialSpec, Variant, validate
@@ -128,8 +128,12 @@ _LN10 = math.log(10.0)
 def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n) arrays.
 
-    The fields of ``ch`` hold one energy or n of them.  One ``loggamma``
-    call covers the 12 distinct Gamma arguments.  An argument within
+    The fields of ``ch`` hold one energy or n of them.  One log-Gamma call
+    covers the 12 distinct Gamma arguments: real arguments (the real
+    channel parameters of both variants of the complexified potential) take
+    ``gammaln`` with a phase of pi where ``gammasgn`` is negative, complex
+    ones (the imaginary channel parameters of the Hermitian potential)
+    take ``loggamma``.  An argument within
     ``TAU_INT`` of a pole -k (the rule of
     :func:`~wsabsorb.specfun.gamma_info`) is a pole of order 1 whose residue
     (-1)^k / k! is divided by the argument's energy derivative, so that
@@ -143,7 +147,8 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
     k = np.minimum(np.rint(z.real), 0.0)  # the nearest pole
     pole = np.abs(z - k) <= TAU_INT
-    lg = loggamma(np.where(pole, 1.0 - k, z).astype(complex))  # log (-k)! at a pole
+    x = np.where(pole, 1.0 - k, z)  # log (-k)! at a pole
+    lg = loggamma(x) if np.iscomplexobj(x) else gammaln(x) + 1j * math.pi * (gammasgn(x) < 0)
     order = np.zeros((5, z.shape[1]), dtype=int)
     if pole.any():
         dz = (_C2 * ch.da2_denergy + _C3 * ch.da3_denergy)[pole] + 0j
@@ -152,8 +157,9 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
         p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
         order[:4] = q1 + q2 - p1 - p2
     n1, n2, d1, d2 = lg[_G_ROWS]
-    # math.log, not np.log: numpy's vectorised log may round differently
-    root_k = 0.5 * np.fromiter(map(math.log, np.ravel(ch.k1 / ch.k2).tolist()), float)
+    # xlogy, not np.log: a scalar ufunc loop that rounds as 0.5 * math.log
+    # does at every array length, where numpy's vectorised log may not
+    root_k = xlogy(0.5, np.ravel(ch.k1 / ch.k2))
     return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]])
 
 

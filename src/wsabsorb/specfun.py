@@ -6,9 +6,10 @@ functions whose arguments sweep through poles.  Values are therefore kept
 in log-magnitude + phase form, and exact poles/zeros are represented
 explicitly by :class:`SingularValue` instead of overflowing floats.  The
 log-Gamma values themselves come from ``scipy.special.loggamma`` (Hare's
-principal-branch algorithm), the ufunc that the one closed-form kernel in
-``amplitudes`` applies to all twelve Gamma arguments of a whole energy
-grid at once.
+principal-branch algorithm).  The one closed-form kernel in ``amplitudes``
+applies one log-Gamma ufunc to all twelve Gamma arguments of a whole
+energy grid at once: ``loggamma`` to complex arguments, and to real ones
+``gammaln`` with the phase pi where ``gammasgn`` is negative.
 """
 
 from __future__ import annotations

@@ -30,8 +30,10 @@ is the E = 0 threshold and is skipped.  The energy-space snap tolerance of
 a point is the integer tolerance divided by ``|du/dE|``.
 
 Range scanning certifies the smallness of the relevant coefficients on a
-grid between consecutive singularities, with bisection refinement of the
-crossing points.
+grid between consecutive singularities, one kernel call per bracket, and
+refines the threshold crossings by bisection.  The crossings of all
+brackets bisect in lockstep, one kernel call per step, each with its own
+stop rule, so every endpoint is the one a crossing bisected alone reaches.
 """
 
 from __future__ import annotations
@@ -192,7 +194,9 @@ def critical_points(
     beyond each end where the family has one; a window spanning more than
     10**6 indices raises ``ValueError`` before any point is enumerated.
     With a count, at most the first ``count`` points.  With neither, every
-    point, which only the finite RPRIME_LEFT_ZERO family has.
+    point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
+    that is not finite and non-negative raises ``ValueError``; the ends may
+    come in either order.
     """
     validate(spec)
     row = _TABLE[family]
@@ -204,6 +208,8 @@ def critical_points(
     else:
         stop = math.ceil(u0 - TAU_INT)
     if window is not None:
+        if not all(math.isfinite(e) and e >= 0.0 for e in window):
+            raise ValueError(f"{family.value} window {window} needs finite non-negative ends")
         u_lo, u_hi = sorted(row.u(spec, e) for e in window)
         first = max(first, math.floor(u_lo))
         stop = min(stop, math.ceil(u_hi) + 2)
@@ -231,7 +237,11 @@ def critical_points(
 
 def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -> float:
     """Energy distance over which the family's condition moves by TAU_INT:
-    TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2)."""
+    TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2).
+    An energy that is not finite and positive raises ``ValueError``."""
+    if not (math.isfinite(energy) and energy > 0.0):
+        raise ValueError(f"{family.value} snap tolerance needs a finite positive energy, "
+                         f"got {energy!r}")
     row = _TABLE[family]
     k1 = math.sqrt(spec.mass * energy)
     k2 = math.sqrt(spec.mass * (energy + spec.v0))
@@ -330,18 +340,29 @@ def _bisect_crossing(
     tr_spec: PotentialSpec,
     criterion: RangeCriterion,
     log10_cap: float,
-    e_fail: float,
-    e_pass: float,
-) -> float:
-    """Refine the threshold crossing between a failing and a passing energy."""
+    e_fail: np.ndarray,
+    e_pass: np.ndarray,
+) -> np.ndarray:
+    """Refine threshold crossings between failing and passing energies.
+
+    The crossings bisect in lockstep: each step is one kernel call over the
+    midpoints of the crossings still open.  Each crossing stops on its own,
+    once its bracket is within 1e-10 relative of its midpoint or after 200
+    steps, so every refined energy is the one a crossing bisected alone
+    would reach.  Returns the refined passing energies.
+    """
+    e_fail = np.array(e_fail, dtype=float)
+    e_pass = np.array(e_pass, dtype=float)
+    active = np.ones(e_pass.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (e_fail + e_pass)
-        if abs(e_pass - e_fail) <= 1e-10 * mid:
+        active &= np.abs(e_pass - e_fail) > 1e-10 * mid
+        if not active.any():
             break
-        if _log10_certified(tr_spec, criterion, [mid])[0] < log10_cap:
-            e_pass = mid
-        else:
-            e_fail = mid
+        i = np.flatnonzero(active)
+        passing = _log10_certified(tr_spec, criterion, mid[i]) < log10_cap
+        e_pass[i[passing]] = mid[i[passing]]
+        e_fail[i[~passing]] = mid[i[~passing]]
     return e_pass
 
 
@@ -358,8 +379,10 @@ def scan_ranges(
     max(R'_l, T') for unidirectional ranges, |det S'| for bidirectional
     ones (whose brackets interleave both singularity families, so the
     right-reflection singular points are excluded by construction).  Each
-    bracket overlapping the window is sampled on a uniform grid; maximal
-    sub-threshold runs are reported with bisection-refined endpoints.
+    bracket overlapping the window is sampled on a uniform grid, one kernel
+    call per bracket; maximal sub-threshold runs are reported, with every
+    endpoint that a failing grid point bounds refined by bisection.  The
+    crossings of all brackets bisect in lockstep, one kernel call per step.
     An empty result means no sample beat the threshold.
     """
     validate(spec)
@@ -379,7 +402,9 @@ def scan_ranges(
 
     singularities = _ss_in_window(spec, families, emin, emax)
     log10_cap = math.log10(threshold)
-    ranges: list[AbsorptionRange] = []
+    brackets: list[tuple[SpectralPoint, SpectralPoint]] = []
+    ends = []  # lo and hi of every sub-threshold run
+    beyond = []  # the failing grid point next to each end, or NaN
 
     for ss_lo, ss_hi in zip(singularities, singularities[1:]):
         lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
@@ -388,34 +413,27 @@ def scan_ranges(
             continue
         grid = np.linspace(lo, hi, grid_points)
         passing = _log10_certified(tr_spec, criterion, grid) < log10_cap
-        i = 0
-        while i < grid_points:
-            if not passing[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < grid_points and passing[j + 1]:
-                j += 1
-            lo_e = grid[i]
-            if i > 0:
-                lo_e = _bisect_crossing(tr_spec, criterion, log10_cap, grid[i - 1], grid[i])
-            hi_e = grid[j]
-            if j + 1 < grid_points:
-                hi_e = _bisect_crossing(tr_spec, criterion, log10_cap, grid[j + 1], grid[j])
-            ranges.append(
-                AbsorptionRange(
-                    lo=float(lo_e),
-                    hi=float(hi_e),
-                    criterion=criterion,
-                    threshold=threshold,
-                    bracketing_ss=(ss_lo, ss_hi),
-                    interior_zeros=tuple(
-                        _interior_points(spec, criterion, float(lo_e), float(hi_e))
-                    ),
-                )
-            )
-            i = j + 1
-    return ranges
+        edges = np.diff(passing.astype(np.int8), prepend=0, append=0)
+        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
+            brackets.append((ss_lo, ss_hi))
+            ends += [grid[i], grid[j]]
+            beyond += [grid[i - 1] if i > 0 else math.nan,
+                       grid[j + 1] if j + 1 < grid_points else math.nan]
+
+    ends, beyond = np.array(ends), np.array(beyond)
+    crossing = ~np.isnan(beyond)
+    ends[crossing] = _bisect_crossing(tr_spec, criterion, log10_cap, beyond[crossing], ends[crossing])
+    return [
+        AbsorptionRange(
+            lo=lo_e,
+            hi=hi_e,
+            criterion=criterion,
+            threshold=threshold,
+            bracketing_ss=pair,
+            interior_zeros=tuple(_interior_points(spec, criterion, lo_e, hi_e)),
+        )
+        for pair, lo_e, hi_e in zip(brackets, ends[0::2].tolist(), ends[1::2].tolist())
+    ]
 
 
 def _interior_points(

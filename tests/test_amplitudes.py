@@ -3,12 +3,15 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from wsabsorb.amplitudes import (
+    _G_TABLE,
     AmplitudeSet,
     ChannelParams,
+    _g_logs,
     amplitudes,
     channel_params,
     det_s,
@@ -212,6 +215,55 @@ class TestHermitian:
         amps = hermitian_amplitudes(0.8, 1.3, 1.0, 1e4 * 0.8)
         assert amps.T.magnitude > 0.99
         assert amps.Rl.magnitude < 0.01
+
+
+
+class TestRealRoute:
+    """Real Gamma arguments (both variants of the complexified potential)
+    take gammaln/gammasgn; complex ones take loggamma."""
+
+    @staticmethod
+    def draws(seed, n=300):
+        rng = np.random.default_rng(seed)
+        pairs = [random_channel(rng, margin=1e-6) for _ in range(n)]
+        return np.array([ch.a2 for ch in pairs]), np.array([ch.a3 for ch in pairs])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_g_factors_against_mpmath(self, sign):
+        a2, a3 = self.draws(41)
+        with np.errstate(all="ignore"):
+            order, lg = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
+        assert lg.dtype == complex and (order == 0).all()
+        worst = 0.0
+        with mp.workdps(40):
+            for j in range(a2.size):
+                x2, x3 = mp.mpf(sign * a2[j]), mp.mpf(sign * a3[j])
+                for g, (numer, denom) in enumerate(_G_TABLE):
+                    n1, n2, d1, d2 = (mp.gamma(c2 * x2 + c3 * x3 + c0)
+                                      for c2, c3, c0 in numer + denom)
+                    got = mp.exp(mp.mpc(lg[g, j].real, lg[g, j].imag))
+                    worst = max(worst, float(abs(got * d1 * d2 / (n1 * n2) - 1)))
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_complex_route_agrees(self, sign):
+        a2, a3 = self.draws(43)
+        with np.errstate(all="ignore"):
+            _, real = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
+            _, cplx = _g_logs(ChannelParams(a2, a2, a3, sign * a2 + 0j, sign * a3 + 0j, 1.0))
+        assert np.abs(np.exp(real[:4] - cplx[:4]) - 1.0).max() <= 1e-13
+
+    def test_root_k_is_half_math_log(self):
+        rng = np.random.default_rng(47)
+        k1 = rng.uniform(1e-3, 50.0, 2000)
+        k2 = k1 + rng.uniform(1e-6, 50.0, 2000)
+        want = [0.5 * math.log(r) for r in (k1 / k2).tolist()]
+        with np.errstate(all="ignore"):
+            _, lg = _g_logs(ChannelParams(k1, k1, k2, k1, k2, 1.0))
+            assert lg[4].real.tolist() == want
+            for j in range(20):  # and one energy at a time
+                ch = ChannelParams(k1[j], float(k1[j]), float(k2[j]), float(k1[j]), float(k2[j]), 1.0)
+                assert _g_logs(ch)[1][4, 0].real == want[j]
 
 
 class TestPotentialProfile:

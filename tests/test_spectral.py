@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wsabsorb.amplitudes import amplitudes, det_s
+from wsabsorb import spectral
+from wsabsorb.amplitudes import amplitudes, det_s, log10_coefficients
+from wsabsorb.cli import _table1_ranges
 from wsabsorb.spectral import (
     RangeCriterion,
     Side,
@@ -20,6 +22,7 @@ from wsabsorb.spectral import (
     q_intermediate,
     rprime_left_zeros,
     scan_ranges,
+    snap_tolerance,
     ss_energies,
 )
 from wsabsorb.units import EnergyUnit, PotentialSpec, Variant, convert_energy
@@ -328,6 +331,137 @@ class TestScanRanges:
     def test_window_must_be_finite(self, window):
         with pytest.raises(ValueError, match="invalid window"):
             scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, window, grid_points=128)
+
+
+
+def sequential_ranges(spec, criterion, window, threshold, grid_points):
+    """Reference scan: the bracket-by-bracket loop that bisects one crossing
+    at a time, one kernel call per step.  Returns the (lo, hi) of every range
+    and the step count of every bisection."""
+    tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+    families = ((SpectralFamily.SS_LEFT,) if criterion is RangeCriterion.CC_LEFT_RANGE
+                else (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT))
+    emin, emax = window
+    singularities = sorted((p for f in families for p in critical_points(spec, f, window=window)),
+                           key=lambda p: p.energy)
+    log10_cap = math.log10(threshold)
+    steps = []
+
+    def certified(energies):
+        rl, _, t, det = log10_coefficients(tr_spec, energies)
+        return np.maximum(rl, t) if criterion is RangeCriterion.CC_LEFT_RANGE else det
+
+    def bisect(e_fail, e_pass):
+        for n in range(200):
+            mid = 0.5 * (e_fail + e_pass)
+            if abs(e_pass - e_fail) <= 1e-10 * mid:
+                break
+            if certified([mid])[0] < log10_cap:
+                e_pass = mid
+            else:
+                e_fail = mid
+        else:
+            n = 200
+        steps.append(n)
+        return e_pass
+
+    found = []
+    for ss_lo, ss_hi in zip(singularities, singularities[1:]):
+        lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
+        hi = min(ss_hi.energy * (1.0 - 1e-12), emax)
+        if hi <= lo:
+            continue
+        grid = np.linspace(lo, hi, grid_points)
+        passing = certified(grid) < log10_cap
+        i = 0
+        while i < grid_points:
+            if not passing[i]:
+                i += 1
+                continue
+            j = i
+            while j + 1 < grid_points and passing[j + 1]:
+                j += 1
+            lo_e = bisect(grid[i - 1], grid[i]) if i > 0 else grid[i]
+            hi_e = bisect(grid[j + 1], grid[j]) if j + 1 < grid_points else grid[j]
+            found.append((float(lo_e), float(hi_e)))
+            i = j + 1
+    return found, steps
+
+
+def two_bracket_windows(seed, count):
+    """Seeded CPA windows from one spectral singularity to the next but one,
+    at moderate rho, where |det S'| crosses 1e-3 inside the brackets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        spec = PotentialSpec(rng.uniform(1.5, 3.0), rng.uniform(0.25, 0.4), 1.0)
+        above = rng.uniform(1.0, 2.5)
+        max_count = 3 + math.ceil(4.0 * math.sqrt(above + spec.v0) / spec.rho)
+        ss = sorted(p.energy for side in Side for p in ss_energies(spec, side, max_count)
+                    if p.energy >= above)
+        yield spec, (ss[0], ss[2])
+
+
+def range_scenarios():
+    """The table scenarios, the README case and seeded two-bracket CPA windows."""
+    table = [pytest.param(spec, crit, window, thr, False, id=label)
+             for label, spec, crit, window, thr, *_ in _table1_ranges()]
+    readme = pytest.param(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030), 1e-6, False,
+                          id="readme")
+    seeded = [pytest.param(spec, RangeCriterion.CPA_RANGE, window, 1e-3, True, id=f"seeded{i}")
+              for i, (spec, window) in enumerate(two_bracket_windows(2631, 8))]
+    return table + [readme] + seeded
+
+
+class TestLockstepBisection:
+    GRID = 1024
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    def test_equals_sequential_bisection(self, spec, criterion, window, threshold, bisects):
+        try:
+            want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:  # raised at the same energies either way
+            with pytest.raises(ArithmeticError, match="det S"):
+                scan_ranges(spec, criterion, window, threshold, self.GRID)
+            return
+        got = scan_ranges(spec, criterion, window, threshold, self.GRID)
+        assert [(r.lo, r.hi) for r in got] == want
+        if bisects:
+            assert steps, "a seeded window that never bisects tests nothing here"
+
+    def test_one_kernel_call_per_step(self, monkeypatch):
+        spec, window = next(two_bracket_windows(2631, 1))
+        want, steps = sequential_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        assert len(steps) >= 2 and min(steps) > 0
+        sizes = []
+
+        def counting(tr_spec, energies):
+            sizes.append(len(energies))
+            return log10_coefficients(tr_spec, energies)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", counting)
+        got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        assert [(r.lo, r.hi) for r in got] == want
+        brackets = sizes.count(self.GRID)
+        assert brackets == 2
+        assert len(sizes) <= brackets + max(steps)
+
+
+class TestBadEnergies:
+    @pytest.mark.parametrize("window", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan),
+                                        (-1.0, 2.0)])
+    def test_window_end_named(self, window):
+        with pytest.raises(ValueError, match=rf"cc_left window \({window[0]}, {window[1]}\)"):
+            critical_points(SPEC_A, SpectralFamily.CC_LEFT, window=window)
+
+    def test_reversed_window_is_sorted(self):
+        for family in SpectralFamily:
+            assert (critical_points(SPEC_A, family, window=(4.0, 1.0))
+                    == critical_points(SPEC_A, family, window=(1.0, 4.0)))
+
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
+    def test_snap_tolerance_needs_positive_energy(self, energy):
+        with pytest.raises(ValueError, match=rf"cc_right .*{energy}"):
+            snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, energy)
 
 
 class TestThresholdValidation:
