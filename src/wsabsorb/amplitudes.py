@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, loggamma, xlogy
+from scipy.special import xlogy
 
-from .specfun import TAU_INT, SingularValue
+from .specfun import TAU_INT, SingularValue, gamma_logs
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -86,6 +86,16 @@ class AmplitudeSet:
     det_s: SingularValue
 
 
+def _channel(spec: PotentialSpec, energy) -> ChannelParams:
+    """k1, k2 and the variant-signed a2, a3 at a float energy or an array."""
+    sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
+    k1 = sqrt(spec.mass * energy)
+    k2 = sqrt(spec.mass * (energy + spec.v0))
+    sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
+    a2, a3 = sign * 2.0 * k1 / spec.rho, sign * 2.0 * k2 / spec.rho
+    return ChannelParams(energy, k1, k2, a2, a3, spec.mass)
+
+
 def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
     """Wavenumbers and channel parameters at a positive energy."""
     validate(spec)
@@ -93,17 +103,7 @@ def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
         raise ValueError(f"energy must be finite, got {energy!r}")
     if energy <= 0:
         raise ValueError(f"energy must be positive, got {energy}")
-    k1 = math.sqrt(spec.mass * energy)
-    k2 = math.sqrt(spec.mass * (energy + spec.v0))
-    sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
-    return ChannelParams(
-        energy=float(energy),
-        k1=k1,
-        k2=k2,
-        a2=sign * 2.0 * k1 / spec.rho,
-        a3=sign * 2.0 * k2 / spec.rho,
-        mass=spec.mass,
-    )
+    return _channel(spec, float(energy))
 
 
 # numerator/denominator Gamma arguments of G1..G4 as (c2, c3, c0) triples
@@ -128,32 +128,25 @@ _LN10 = math.log(10.0)
 def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n) arrays.
 
-    The fields of ``ch`` hold one energy or n of them.  One log-Gamma call
-    covers the 12 distinct Gamma arguments: real arguments (the real
-    channel parameters of both variants of the complexified potential) take
-    ``gammaln`` with a phase of pi where ``gammasgn`` is negative, complex
-    ones (the imaginary channel parameters of the Hermitian potential)
-    take ``loggamma``.  An argument within
-    ``TAU_INT`` of a pole -k (the rule of
-    :func:`~wsabsorb.specfun.gamma_info`) is a pole of order 1 whose residue
-    (-1)^k / k! is divided by the argument's energy derivative, so that
-    coefficients of different Gamma factors combine in a common limit
-    variable (the offset from the critical energy).  Callers silence
-    numpy's floating-point warnings.
+    The fields of ``ch`` hold one energy or n of them.  One
+    :func:`~wsabsorb.specfun.gamma_logs` call covers the 12 distinct Gamma
+    arguments: real ones for both variants of the complexified potential,
+    imaginary ones for the Hermitian potential.  An argument that snaps to
+    a pole is a pole of order 1 whose residue (-1)^k / k! is divided here
+    by the argument's energy derivative, so that coefficients of different
+    Gamma factors combine in a common limit variable (the offset from the
+    critical energy).  Callers silence numpy's floating-point warnings.
     """
     z = _C2 * ch.a2 + _C3 * ch.a3 + _C0
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
-    k = np.minimum(np.rint(z.real), 0.0)  # the nearest pole
-    pole = np.abs(z - k) <= TAU_INT
-    x = np.where(pole, 1.0 - k, z)  # log (-k)! at a pole
-    lg = loggamma(x) if np.iscomplexobj(x) else gammaln(x) + 1j * math.pi * (gammasgn(x) < 0)
+    pole, lg = gamma_logs(z)
     order = np.zeros((5, z.shape[1]), dtype=int)
     if pole.any():
         dz = (_C2 * ch.da2_denergy + _C3 * ch.da3_denergy)[pole] + 0j
         dz[dz == 0] = 1.0  # stationary argument; leave the residue unscaled
-        lg[pole] = 1j * math.pi * (k[pole] % 2) - lg[pole] - np.log(dz)
+        lg[pole] -= np.log(dz)
         p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
         order[:4] = q1 + q2 - p1 - p2
     n1, n2, d1, d2 = lg[_G_ROWS]
@@ -286,11 +279,7 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
-    k1 = np.sqrt(spec.mass * e)
-    k2 = np.sqrt(spec.mass * (e + spec.v0))
-    sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
-    ch = ChannelParams(e, k1, k2, sign * 2.0 * k1 / spec.rho, sign * 2.0 * k2 / spec.rho, spec.mass)
-    _, _, order, logs = _checked_logs(ch)
+    _, _, order, logs = _checked_logs(_channel(spec, e))
     return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
 
 

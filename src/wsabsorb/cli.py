@@ -424,12 +424,18 @@ def cmd_table1(args) -> int:
 # -- verification suite -----------------------------------------------------------
 
 
-def _suite_gamma_reflection(rng, n=1000):
-    worst = 0.0
+def _gamma_points(rng, n):
+    """n random draws from [-30, 30]^2, less those within 1e-3 of an integer,
+    where Gamma(z) or Gamma(1 - z) has a pole."""
     for _ in range(n):
         z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-        if abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3:
-            continue
+        if not (abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3):
+            yield z
+
+
+def _suite_gamma_reflection(rng, n=1000):
+    worst = 0.0
+    for z in _gamma_points(rng, n):
         lhs = log_gamma(z) + log_gamma(1.0 - z)
         rhs = math.pi / np.sin(math.pi * complex(z))
         worst = max(worst, abs(np.exp(lhs) - rhs) / abs(rhs))
@@ -438,10 +444,7 @@ def _suite_gamma_reflection(rng, n=1000):
 
 def _suite_gamma_recurrence(rng, n=1000):
     worst = 0.0
-    for _ in range(n):
-        z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-        if abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3:
-            continue
+    for z in _gamma_points(rng, n):
         got = np.exp(log_gamma(z + 1.0) - log_gamma(z))
         worst = max(worst, abs(got - complex(z)) / abs(z))
     return worst, 1e-12
@@ -453,8 +456,7 @@ def _random_channel(rng):
         a3 = rng.uniform(0.05, 20.0)
         if a3 <= a2:
             a2, a3 = a3, a2 + 0.05
-        dists = [abs(x - round(x)) for x in (2 * a2, 2 * a3, a3 - a2, a3 + a2)]
-        if min(dists) > 5e-3:
+        if spectral.integer_distance(a2, a3) > 5e-3:
             return a2, a3
 
 

@@ -46,6 +46,7 @@ from .amplitudes import (
     g_factors,
 )
 from .specfun import SERIES_Z_MAX, SingularValue, hyp2f1, hyp2f1_deriv
+from .spectral import integer_distance
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -162,14 +163,6 @@ def _local_state(shape: str, a2: complex, a3: complex, u: float, phi: float):
     return psi, dpsi
 
 
-def _critical_distance(a2: float, a3: float) -> float:
-    """Distance of the integer conditions from the nearest integer."""
-    dists = []
-    for x in (2.0 * a2, 2.0 * a3, a3 - a2, a3 + a2):
-        dists.append(abs(x - round(x)))
-    return min(dists)
-
-
 def _effective_phase(rho: float, x0: float) -> float:
     phi = math.remainder(rho * x0, 2.0 * math.pi)
     if abs(abs(phi) - math.pi) < POLE_PHASE_MARGIN:
@@ -200,7 +193,7 @@ def oracle_domain_ok(spec: PotentialSpec, energy: float) -> bool:
     a2, a3 = abs(ch.a2), abs(ch.a3)
     if a2 + a3 > DOMAIN_MAX_SUM:
         return False
-    if _critical_distance(a2, a3) < DOMAIN_MIN_DISTANCE:
+    if integer_distance(a2, a3) < DOMAIN_MIN_DISTANCE:
         return False
     gf = g_factors(ch)
     ln_cap = DOMAIN_MAX_DECADES * math.log(10.0)
@@ -274,7 +267,7 @@ def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | Non
         raise ValueError(f"Z must be finite and positive, got {Z!r}")
     ch = channel_params(spec, energy)
     a2, a3 = abs(ch.a2), abs(ch.a3)
-    if _critical_distance(a2, a3) < CRITICAL_MARGIN:
+    if integer_distance(a2, a3) < CRITICAL_MARGIN:
         raise ValueError(
             f"energy {energy} is within {CRITICAL_MARGIN} of a critical "
             "integer condition; the contour oracle excludes those points"

@@ -6,10 +6,13 @@ functions whose arguments sweep through poles.  Values are therefore kept
 in log-magnitude + phase form, and exact poles/zeros are represented
 explicitly by :class:`SingularValue` instead of overflowing floats.  The
 log-Gamma values themselves come from ``scipy.special.loggamma`` (Hare's
-principal-branch algorithm).  The one closed-form kernel in ``amplitudes``
-applies one log-Gamma ufunc to all twelve Gamma arguments of a whole
-energy grid at once: ``loggamma`` to complex arguments, and to real ones
-``gammaln`` with the phase pi where ``gammasgn`` is negative.
+principal-branch algorithm) for complex arguments, and for real ones from
+``gammaln`` with the phase pi where ``gammasgn`` is negative.  One integer
+rule, :func:`snap`, decides every "is this an integer" question of the
+package, and :func:`gamma_logs` is the one pole-aware Gamma evaluation:
+the closed-form kernel in ``amplitudes`` applies it to all twelve Gamma
+arguments of a whole energy grid at once, and :func:`gamma_info` and
+:func:`log_gamma` read it at one argument.
 """
 
 from __future__ import annotations
@@ -18,17 +21,19 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import loggamma
+import numpy as np
+from scipy.special import gammaln, gammasgn, loggamma
 
-#: The one snap rule deciding "is this argument an integer".  The critical-point
-#: conditions are exact integer conditions; floating input needs an explicit
-#: snap rule.  Absolute, on the argument itself.  It decides Gamma poles
-#: (:func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c`` guard, and the pole
-#: mask of the closed-form kernel in ``amplitudes``, which every amplitude,
-#: G-factor and det S value goes through), the points and degeneracy flags
-#: of ``spectral.critical_points``, the energy-space
-#: ``spectral.snap_tolerance``, and the Laurent-term allowance of that
-#: kernel's det-S cross-check.
+#: The width of the one snap rule deciding "is this argument an integer".
+#: The critical-point conditions are exact integer conditions; floating input
+#: needs an explicit snap rule.  Absolute, on the argument itself.  Only
+#: :func:`snap` compares against it; every reader of the rule goes through
+#: ``snap``: Gamma poles (:func:`gamma_logs` and so the closed-form kernel in
+#: ``amplitudes``, :func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c``
+#: guard) and the threshold skip and degeneracy flags of
+#: ``spectral.critical_points``.  ``spectral.snap_tolerance`` and the
+#: ``300 * TAU_INT`` Laurent-term allowance of the kernel's det-S cross-check
+#: use it as a scale.
 TAU_INT = 1e-9
 
 # term cap and |z| bound of the 2F1 series
@@ -44,12 +49,33 @@ class SeriesError(RuntimeError):
     """Hypergeometric series failed to converge within the term cap."""
 
 
-def _nearest_pole_index(z: complex) -> int | None:
-    """Index k >= 0 if z is within TAU_INT of the Gamma pole at -k, else None."""
-    k = round(z.real)
-    if k <= 0 and abs(z - k) <= TAU_INT:
-        return -k
-    return None
+def snap(x):
+    """The one integer rule: ``(n, hit)`` with n the integer nearest to the
+    real part of x and hit whether x lies within ``TAU_INT`` of n.
+
+    Operators only, so it reads a Python scalar and an array alike.
+    """
+    n = np.rint(x.real)
+    return n, abs(x - n) <= TAU_INT
+
+
+def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pole mask and logs of Gamma over an array: the one pole-aware Gamma
+    evaluation.
+
+    ``pole`` marks the arguments that :func:`snap` puts on a pole -k,
+    k >= 0.  ``lg`` is log Gamma(z) off the poles and, at a pole, the log of
+    the residue (-1)^k / k!.  Real arrays take ``gammaln`` with a phase of
+    pi where ``gammasgn`` is negative, complex ones ``loggamma``.  The
+    arguments must be finite.
+    """
+    n, hit = snap(z)
+    pole = hit & (n <= 0)
+    x = np.where(pole, 1.0 - n, z)  # log k! at a pole
+    lg = loggamma(x) if np.iscomplexobj(x) else gammaln(x) + 1j * math.pi * (gammasgn(x) < 0)
+    if pole.any():
+        lg[pole] = 1j * math.pi * (n[pole] % 2) - lg[pole]
+    return pole, lg
 
 
 def log_gamma(z: complex) -> complex:
@@ -61,13 +87,10 @@ def log_gamma(z: complex) -> complex:
     Raises :class:`PoleProximityError` within ``TAU_INT`` of a non-positive
     integer; those cases must go through :func:`gamma_info`.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite argument {z!r}")
-    if _nearest_pole_index(z) is not None:
-        raise PoleProximityError(f"Gamma argument {z} within {TAU_INT} of a pole")
-    out = complex(loggamma(z))
-    return complex(out.real, math.remainder(out.imag, 2.0 * math.pi))
+    g = gamma_info(z)
+    if g.is_pole:
+        raise PoleProximityError(f"Gamma argument {complex(z)} within {TAU_INT} of a pole")
+    return complex(g.log_magnitude, g.phase)
 
 
 @dataclass(frozen=True)
@@ -200,11 +223,6 @@ class SingularValue:
     def abs_squared(self) -> "SingularValue":
         return SingularValue(2 * self.order, 2.0 * self.log_magnitude, 0.0)
 
-    def sqrt_magnitude(self) -> "SingularValue":
-        if self.order % 2:
-            raise ValueError("odd order has no single-valued square root")
-        return SingularValue(self.order // 2, 0.5 * self.log_magnitude, 0.0)
-
     # -- extraction ----------------------------------------------------------
 
     def to_complex(self) -> complex:
@@ -248,18 +266,18 @@ class SingularValue:
 
 
 def gamma_info(z: complex) -> SingularValue:
-    """Classify Gamma(z): the one pole-aware Gamma primitive.
+    """Classify Gamma(z) at one argument.
 
-    Returns Pole(1) with the residue coefficient (-1)^k / k! when z is
-    within ``TAU_INT`` of a non-positive integer -k, otherwise a Finite
-    value carrying log Gamma(z).
+    :func:`gamma_logs` at one argument, taken as complex: Pole(1) with the
+    residue coefficient (-1)^k / k! when z snaps to a non-positive integer
+    -k, otherwise a Finite value carrying log Gamma(z).
     """
-    try:
-        lg = log_gamma(z)
-    except PoleProximityError:
-        k = _nearest_pole_index(complex(z))
-        return SingularValue.pole(1, -log_gamma(k + 1.0).real, math.pi if k % 2 else 0.0)
-    return SingularValue.finite(lg.real, lg.imag)
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"non-finite argument {z!r}")
+    pole, lg = gamma_logs(np.array([z]))
+    w = complex(lg[0])
+    return SingularValue(-int(pole[0]), w.real, w.imag)
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
@@ -276,7 +294,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         raise ValueError(f"non-finite 2F1 input ({a}, {b}; {c}; {z})")
     if abs(z) >= SERIES_Z_MAX:
         raise ValueError(f"|z| = {abs(z):.4f} outside series domain (< {SERIES_Z_MAX})")
-    if _nearest_pole_index(c) is not None:
+    n, hit = snap(c)
+    if hit and n <= 0:
         raise PoleProximityError(f"c = {c} is a non-positive integer")
     if z == 0:
         return 1.0 + 0.0j

@@ -18,16 +18,18 @@ condition             u(E)         inverse energy                      valid N
 CC_LEFT, SS_LEFT and CPA_FORWARD_A3 sit on the first row; CC_RIGHT, SS_RIGHT
 and CPA_FORWARD_A2 (index ``N - 1``) on the second; CPA_TIME_REVERSED on the
 third; the zeros of the time-reversed left reflection (RPRIME_LEFT_ZERO) on
-the fourth.  ``_TABLE`` holds these rows and ``critical_points`` enumerates
-any of them.  A point is degenerate when the channel parameter its row does
-not fix also puts 2*a2 or 2*a3 within the snap tolerance of a positive
-integer: 2*a2 on the ``2 a3`` row, 2*a3 on the ``2 a2`` row, either one on
-the sum and difference rows (there 2*a2 + 2*a3 or 2*a3 - 2*a2 is an integer,
-so one implies the other).  CPA_TIME_REVERSED excludes such points, because
-a numerator residue cancels the intended zero of det S there, and every
-other family flags them.  An index within the snap tolerance of u(0)
-is the E = 0 threshold and is skipped.  The energy-space snap tolerance of
-a point is the integer tolerance divided by ``|du/dE|``.
+the fourth.  ``_TABLE`` holds these rows, ``critical_points`` enumerates
+any of them, and ``integer_distance`` measures how far a pair (a2, a3) sits
+from the nearest of their conditions.  Every integer decision reads the one
+rule ``specfun.snap``.  A point is degenerate when the channel parameter its
+row does not fix also snaps 2*a2 or 2*a3 to a positive integer: 2*a2 on the
+``2 a3`` row, 2*a3 on the ``2 a2`` row, either one on the sum and difference
+rows (there 2*a2 + 2*a3 or 2*a3 - 2*a2 is an integer, so one implies the
+other).  CPA_TIME_REVERSED excludes such points, because a numerator residue
+cancels the intended zero of det S there, and every other family flags them.
+When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
+The energy-space snap tolerance of a point is the integer tolerance divided
+by ``|du/dE|``.
 
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
@@ -46,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .amplitudes import log10_coefficients
-from .specfun import TAU_INT
+from .specfun import TAU_INT, snap
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
@@ -65,13 +67,14 @@ __all__ = [
     "cpa_energies_time_reversed",
     "p_intermediate",
     "q_intermediate",
+    "integer_distance",
     "scan_ranges",
 ]
 
 DEFAULT_MAX_COUNT = 10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_THRESHOLD = 1e-6
-# the most indices critical_points enumerates for one window
+# the most indices critical_points enumerates for one window or count
 _MAX_WINDOW_INDICES = 10**6
 
 
@@ -176,9 +179,14 @@ _TABLE = {
 }
 
 
-def _near_positive_integer(x: float) -> bool:
-    n = round(x)
-    return n >= 1 and abs(x - n) <= TAU_INT
+# the distinct conditions (c2, c3) of the table
+_CONDITIONS = sorted({(row.c2, row.c3) for row in _TABLE.values()})
+
+
+def integer_distance(a2: float, a3: float) -> float:
+    """Distance from an integer of the nearest condition c2*a2 + c3*a3 of the
+    table: the nearest of 2*a2, 2*a3, a2 + a3 and a3 - a2."""
+    return min(abs(x - round(x)) for x in (c2 * a2 + c3 * a3 for c2, c3 in _CONDITIONS))
 
 
 def critical_points(
@@ -193,20 +201,25 @@ def critical_points(
     of the window ends, so the list covers the window with one point at or
     beyond each end where the family has one; a window spanning more than
     10**6 indices raises ``ValueError`` before any point is enumerated.
-    With a count, at most the first ``count`` points.  With neither, every
+    With a count, at most the first ``count`` points; a count above 10**6
+    raises ``ValueError`` the same way.  With neither, every
     point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
     that is not finite and non-negative raises ``ValueError``; the ends may
     come in either order.
     """
     validate(spec)
+    if count is not None and count > _MAX_WINDOW_INDICES:
+        raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
     row = _TABLE[family]
     u0 = row.u(spec, 0.0)
+    n0, at_threshold = snap(u0)
+    u0 = n0 if at_threshold else u0  # an integer u0 is the E = 0 threshold itself
     first, stop = 1 + row.offset, math.inf
     # da2/dE > da3/dE because k1 < k2, so u falls only where a2 enters negatively
     if row.c2 >= 0:
-        first = max(first, math.floor(u0 + TAU_INT) + 1)
+        first = max(first, math.floor(u0) + 1)
     else:
-        stop = math.ceil(u0 - TAU_INT)
+        stop = math.ceil(u0)
     if window is not None:
         if not all(math.isfinite(e) and e >= 0.0 for e in window):
             raise ValueError(f"{family.value} window {window} needs finite non-negative ends")
@@ -224,11 +237,8 @@ def critical_points(
         energy = row.energy(spec, n)
         if energy > 0.0:
             # 2*a_i with c_i = 2 is N by construction; only the other one is tested
-            degenerate = any(
-                _near_positive_integer(2.0 * a)
-                for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3))
-                if c != 2
-            )
+            others = [2.0 * a for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3)) if c != 2]
+            degenerate = any(hit and m >= 1 for m, hit in map(snap, others))
             if not (row.exclude_degenerate and degenerate):
                 points.append(SpectralPoint(family, n - row.offset, energy, degenerate))
         n += 1

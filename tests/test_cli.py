@@ -617,6 +617,11 @@ def test_runaway_window_error_names_family_and_window(capsys, no_points):
         "error: ss_left window (0.05, 1e+300) spans 2.22e+150 indices, more than 1000000\n")
 
 
+def test_runaway_spectrum_count_exits_1(capsys, no_points):
+    assert main(["spectrum", "--v0", "1", "--rho", "1", "--max-count", "1000000000"]) == 1
+    assert capsys.readouterr() == ("", "error: cc_left count 1000000000 is more than 1000000\n")
+
+
 def test_empty_variant_flag_rejected(tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert main(["scan", "--v0", "2", "--rho", "2", "--emin", "0.2", "--emax", "0.3",
