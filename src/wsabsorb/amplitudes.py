@@ -123,10 +123,12 @@ _G_ROWS = np.array([[_G_ARGS.index(arg) for arg in numer + denom] for numer, den
 _AMP_ROWS = np.array([3, 0, 4, 1])
 _SQUARED = np.array([[2.0], [2.0], [2.0], [1.0]])
 _LN10 = math.log(10.0)
+_EPS = float(np.finfo(float).eps)
 
 
-def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n) arrays.
+def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n)
+    arrays, and the sum of |Re log Gamma| over the 12 arguments, as (n,).
 
     The fields of ``ch`` hold one energy or n of them.  One
     :func:`~wsabsorb.specfun.gamma_logs` call covers the 12 distinct Gamma
@@ -135,13 +137,15 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     a pole is a pole of order 1 whose residue (-1)^k / k! is divided here
     by the argument's energy derivative, so that coefficients of different
     Gamma factors combine in a common limit variable (the offset from the
-    critical energy).  Callers silence numpy's floating-point warnings.
+    critical energy).  The sum sizes the rounding of the logs.  Callers
+    silence numpy's floating-point warnings.
     """
     z = _C2 * ch.a2 + _C3 * ch.a3 + _C0
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
     pole, lg = gamma_logs(z)
+    size = np.abs(lg.real).sum(axis=0)
     order = np.zeros((5, z.shape[1]), dtype=int)
     if pole.any():
         dz = (_C2 * ch.da2_denergy + _C3 * ch.da3_denergy)[pole] + 0j
@@ -153,7 +157,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     # xlogy, not np.log: a scalar ufunc loop that rounds as 0.5 * math.log
     # does at every array length, where numpy's vectorised log may not
     root_k = xlogy(0.5, np.ravel(ch.k1 / ch.k2))
-    return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]])
+    return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size
 
 
 def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +174,7 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``ArithmeticError`` at the first energy that fails.
     """
     with np.errstate(all="ignore"):
-        order, lg = _g_logs(ch)
+        order, lg, size = _g_logs(ch)
         amp_order, amp = order[_AMP_ROWS] - order[2], lg[_AMP_ROWS] - lg[2]
         (o_rl, o_rr, o_t, o_det), (rl, rr, t, det) = amp_order, amp
         # det S = t^2 + m with m = -r_l r_r
@@ -190,6 +194,9 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
         # digamma scale of the dozen Gamma factors
         tol = 1e-8 * np.maximum(1.0, np.exp(np.minimum(200.0, cancel)))
         tol += 300.0 * TAU_INT * (o_det != 0)
+        # each log Gamma carries about eps |log Gamma| of rounding, which
+        # outgrows the 1e-8 floor once the arguments reach about 1e6
+        tol += 8.0 * _EPS * size
         # equal orders compare coefficients; an exact higher-order zero of the
         # closed form needs 9 cancelled digits; a more singular sum always fails
         fail = np.where(o_sum == o_det, rel > tol, (o_det < o_sum) | (cancel < 9.0 * _LN10))
@@ -215,7 +222,8 @@ def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
 def g_factors(ch: ChannelParams) -> GFactors:
     """The four connection coefficients, assembled in log space."""
     with np.errstate(all="ignore"):
-        return GFactors(*_column(*_g_logs(ch))[:4])
+        order, lg, _ = _g_logs(ch)
+        return GFactors(*_column(order, lg)[:4])
 
 
 def _amplitude_set(

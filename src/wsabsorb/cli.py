@@ -273,8 +273,13 @@ def cmd_spectrum(args) -> int:
         for token in tokens:
             if token not in _FAMILY_CHOICES:
                 raise ValueError(f"unknown family {token!r}")
-    points = [p for token in tokens for family in _FAMILY_CHOICES[token]
-              for p in critical_points(spec, family, count=max_count)]
+    families = [family for token in tokens for family in _FAMILY_CHOICES[token]]
+    total, cap = max_count * len(families), spectral._MAX_WINDOW_INDICES
+    # a count above the cap is refused by critical_points, naming the family
+    if max_count <= cap < total:
+        raise ValueError(f"--max-count {max_count} over {len(families)} families asks for "
+                         f"{total} points, more than {cap}")
+    points = [p for family in families for p in critical_points(spec, family, count=max_count)]
 
     columns = ["family", "index", "energy_internal", _display_column(unit), "degenerate"]
     rows = [

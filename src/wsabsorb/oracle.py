@@ -9,7 +9,9 @@ series (a direct power-series solution of the same ODE), the middle is
 bridged by an adaptive Runge-Kutta integrator, and coefficients come from
 2x2 endpoint fits.  The wave equation is linear, so both launches of a fit
 ride one integration of the linear system (their stacked states) and one
-fit against the local basis.
+fit against the local basis.  The integrator is this module's own
+Dormand-Prince 8(5,3) (DOP853) driver: linearity turns the 12 stages of a
+step into one triangular solve.
 
 Numerical design: a bare plane-wave launch/fit at a deeply flat contour
 depth is hopeless in double precision, because the subdominant
@@ -204,6 +206,156 @@ def oracle_domain_ok(spec: PotentialSpec, energy: float) -> bool:
     return True
 
 
+# -- Dormand-Prince 8(5,3) bridge ---------------------------------------------
+
+# The 12-stage DOP853 tableau of Hairer, Norsett & Wanner (Solving ODEs I,
+# II.5): nodes C, the non-zero entries of A by row, weights B, and the
+# fifth- and third-order error weights (without the dense-output stages;
+# the FSAL 13th stage has weight 0 in both error estimates).
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+])
+_A_ROWS = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+)
+_A = np.array([[row.get(j, 0.0) for j in range(12)] for row in _A_ROWS])
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+_E3 = _B - np.array([0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+                     0.733846688281611857341361741547, 0, 0,
+                     0.220588235294117647058823529412e-1])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+])
+# psi'' = q psi as the system (psi, dpsi): stage i has the psi-slope
+# P_i = dpsi + h (A Q)_i and the dpsi-slope Q_i = q_i (psi + h (A P)_i), so with
+# A's row sums C the dpsi-slopes of all 12 stages solve one unit lower
+# triangular system, (I - h^2 diag(q) A^2) Q = q (psi + h C dpsi).  The step
+# and both error estimates are these rows applied to Q: the psi-part
+# (through A) and the dpsi-part of B, E5 and E3.
+_A2 = _A @ _A
+_EYE = np.eye(12)
+_C_COL = _C[:, None]
+_W = np.array([_B @ _A, _B, _E5 @ _A, _E5, _E3 @ _A, _E3])
+# scipy's step-size rules for DOP853 (error estimator of order 7)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+_ATOL = 1e-250
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end: float):
+    """DOP853 on psi'' = q(u) psi from t to t_end for the (2, n) stacked
+    states Y (rows psi and dpsi/du, one column per launch), with
+    q(u) = a2^2 + (a3^2 - a2^2) / (1 + e^{i phi} e^u).
+
+    The step-size control is scipy's ``DOP853``: its initial-step rule, the
+    RMS norm of the blended 5th/3rd-order error over all 2n components,
+    safety 0.9, factor clamps 0.2 and 10, and no growth right after a
+    rejection, so the accepted mesh is the same.  Returns the end state and
+    the mesh point count; raises ``ContourError`` when the step falls below
+    10 ulp of u or |psi| passes the overflow guard.
+    """
+    a2_sq, q_depth, phase = a2 * a2, a3 * a3 - a2 * a2, cmath.exp(1j * phi)
+
+    def slope(u, Y):
+        return np.array([Y[1], (a2_sq + q_depth / (1.0 + phase * math.exp(u))) * Y[0]])
+
+    direction = 1.0 if t_end > t else -1.0
+    span = abs(t_end - t)
+    scale = _ATOL + np.abs(Y) * DEFAULT_RTOL
+    f0 = slope(t, Y)
+    d0, d1 = _rms(Y / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((slope(t + h0 * direction, Y + h0 * direction * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, span)
+
+    abs_y = np.abs(Y)
+    points = 1
+    while direction * (t - t_end) < 0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step stalls too
+                raise ContourError(
+                    f"integration stalled at u={t:.6g}: step {h_abs:.3g} is below 10 ulp of u"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            hc, h2 = h * _C, h * h
+            H = h2 * a2_sq + h2 * q_depth / (1.0 + phase * math.exp(t) * np.exp(hc))  # h^2 q
+            X = np.linalg.solve(_EYE - H[:, None] * _A2, H[:, None] * (Y[0] / h + _C_COL * Y[1]))
+            S = _W @ X  # X = h Q, the h-scaled dpsi-slopes
+            S[0] += Y[1]  # psi advances by h (B . psi-slopes) = h (dpsi + (B A) X)
+            S[::2] *= h
+            Y_new = Y + S[:2]
+            abs_new = np.abs(Y_new)
+            E = S[2:].reshape(2, 2, -1) / (_ATOL + np.maximum(abs_y, abs_new) * DEFAULT_RTOL)
+            e5, e3 = np.vdot(E[0], E[0]).real, np.vdot(E[1], E[1]).real
+            err = e5 / math.sqrt((e5 + 0.01 * e3) * Y.size) if e5 or e3 else 0.0
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        t, Y, abs_y = t_new, Y_new, abs_new
+        points += 1
+        if abs_y.max() > OVERFLOW_GUARD:
+            raise ContourError(f"|psi| exceeded the {OVERFLOW_GUARD:.0e} overflow guard at u={t:.6g}")
+    return Y, points
+
+
 def _integrate_core(
     a2: complex,
     a3: complex,
@@ -216,38 +368,17 @@ def _integrate_core(
 
     The equation is linear and every launch sees the same q(u), so the
     launches ride one DOP853 integration of their stacked (psi, dpsi/du)
-    pairs.  Returns (launch state, end state, mesh point count).
+    pairs.  Returns (launch state, end state, mesh point count), the
+    states laid out as (psi, dpsi/du) per launch.
     """
-    # imported here: scipy.integrate costs ~0.3 s, and only the oracle needs it
-    from scipy.integrate import DOP853
-
     y0 = np.array([v for s in shapes for v in _local_state(s, a2, a3, u_top, phi)], dtype=complex)
     if np.abs(y0).max() > OVERFLOW_GUARD:
         raise ContourError(
             f"launch state magnitude {np.abs(y0).max():.3e} exceeds "
             f"the {OVERFLOW_GUARD:.0e} overflow guard; shrink the contour"
         )
-    q_depth = a3 * a3 - a2 * a2
-    swap = np.arange(y0.size) ^ 1  # (psi, dpsi) -> (dpsi, psi) per launch
-
-    def rhs(u, y):
-        z = 1.0 / (1.0 + cmath.exp(complex(u, phi)))
-        dy = y[swap]
-        dy[1::2] *= a2 * a2 + q_depth * z
-        return dy
-
-    solver = DOP853(rhs, u_top, y0, u_bot, rtol=DEFAULT_RTOL, atol=1e-250)
-    points = 1
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise ContourError(f"integration stalled at u={solver.t:.6g}: {message}")
-        points += 1
-        if np.abs(solver.y).max() > OVERFLOW_GUARD:
-            raise ContourError(
-                f"|psi| exceeded the {OVERFLOW_GUARD:.0e} overflow guard at u={solver.t:.6g}"
-            )
-    return y0, solver.y, points
+    y_end, points = _bridge(a2, a3, phi, y0.reshape(-1, 2).T, u_top, u_bot)
+    return y0, y_end.T.ravel(), points
 
 
 def _shapes(variant: Variant, launches=(Launch.PSI_ONE, Launch.PSI_TWO)) -> tuple[str, ...]:

@@ -97,3 +97,13 @@ def test_array_route_raises_where_scalar_raises(v0, rho, energy, variant):
 def test_bad_energies_rejected(energies):
     with pytest.raises(ValueError):
         log10_coefficients(PotentialSpec(v0=1.2, rho=1.8, mass=1.0), energies)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_large_log_gamma_rounding_passes_det_s_check(variant):
+    # a2, a3 ~ 2e6: each log Gamma ~ 4e7 carries ~ 1e-8 of rounding, which
+    # the det-S tolerance must allow for (the 1e-8 floor alone did not)
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=variant)
+    energies = np.linspace(4e12, 4.1e12, 50)
+    assert np.isfinite(log10_coefficients(spec, energies)).all()
+    assert amplitudes(spec, float(energies[1])).det_s.order == 0

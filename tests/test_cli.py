@@ -622,6 +622,28 @@ def test_runaway_spectrum_count_exits_1(capsys, no_points):
     assert capsys.readouterr() == ("", "error: cc_left count 1000000000 is more than 1000000\n")
 
 
+@pytest.mark.parametrize("families, count", [(None, 1000000), ("cpa-forward", 500001),
+                                             ("cc-left,ss-right", 600000)])
+def test_spectrum_total_count_capped(capsys, no_points, families, count):
+    # the cap is on points over all families: "all" expands to eight of them
+    argv = ["spectrum", "--v0", "1", "--rho", "1", "--max-count", str(count)]
+    n = 8 if families is None else 2
+    assert main(argv + (["--families", families] if families else [])) == 1
+    assert capsys.readouterr() == ("", f"error: --max-count {count} over {n} families asks "
+                                       f"for {count * n} points, more than 1000000\n")
+
+
+def test_spectrum_total_count_boundary(tmp_path, capsys, monkeypatch):
+    # with the cap at 6, two families of 3 points pass and two of 4 do not
+    monkeypatch.setattr("wsabsorb.spectral._MAX_WINDOW_INDICES", 6)
+    argv = ["spectrum", "--v0", "1", "--rho", "1", "--families", "cpa-forward", "--max-count"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+    assert main(argv + ["4"]) == 1
+    assert capsys.readouterr().err.startswith("error: --max-count 4 over 2 families")
+
+
 def test_empty_variant_flag_rejected(tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert main(["scan", "--v0", "2", "--rho", "2", "--emin", "0.2", "--emax", "0.3",
