@@ -298,10 +298,18 @@ def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end
     the mesh point count; raises ``ContourError`` when the step falls below
     10 ulp of u or |psi| passes the overflow guard.
     """
+    if t == t_end:
+        return Y, 1
     a2_sq, q_depth, phase = a2 * a2, a3 * a3 - a2 * a2, cmath.exp(1j * phi)
 
+    def q(u, du=0.0, scale=1.0):
+        """scale * q(u + du), for a float u and a float or array du; scale
+        multiplies each term, not the sum, which is the rounding the
+        step's mesh was checked against scipy's with."""
+        return scale * a2_sq + scale * q_depth / (1.0 + phase * math.exp(u) * np.exp(du))
+
     def slope(u, Y):
-        return np.array([Y[1], (a2_sq + q_depth / (1.0 + phase * math.exp(u))) * Y[0]])
+        return np.array([Y[1], q(u) * Y[0]])
 
     direction = 1.0 if t_end > t else -1.0
     span = abs(t_end - t)
@@ -332,8 +340,7 @@ def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            hc, h2 = h * _C, h * h
-            H = h2 * a2_sq + h2 * q_depth / (1.0 + phase * math.exp(t) * np.exp(hc))  # h^2 q
+            H = q(t, h * _C, h * h)  # h^2 q at the stage nodes
             X = np.linalg.solve(_EYE - H[:, None] * _A2, H[:, None] * (Y[0] / h + _C_COL * Y[1]))
             S = _W @ X  # X = h Q, the h-scaled dpsi-slopes
             S[0] += Y[1]  # psi advances by h (B . psi-slopes) = h (dpsi + (B A) X)

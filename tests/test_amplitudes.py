@@ -12,6 +12,7 @@ from wsabsorb.amplitudes import (
     AmplitudeSet,
     ChannelParams,
     _g_logs,
+    _hermitian_channel,
     amplitudes,
     channel_params,
     det_s,
@@ -65,6 +66,23 @@ class TestChannelParams:
             gap = ch.a3 ** 2 - ch.a2 ** 2
             ref = 4 * spec.mass * spec.v0 / spec.rho ** 2
             assert gap == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("energy", [0.5, 1e8, 1e20])
+    def test_gap_without_cancellation(self, energy):
+        # a3 - a2 = 2 (k2 - k1) / rho, exact to a few ulp at any energy
+        with mp.workdps(50):
+            e = mp.mpf(energy)
+            k1, k2 = mp.sqrt(e), mp.sqrt(e + mp.mpf(SPEC.v0))
+            want = float(2 * (k2 - k1) / mp.mpf(SPEC.rho))
+            want_h = float(2 * (mp.sqrt(2 * e) - mp.sqrt(2 * (e + mp.mpf(0.7)))) / mp.mpf(1.3))
+        for variant, sign in ((Variant.FORWARD, 1.0), (Variant.TIME_REVERSED, -1.0)):
+            ch = channel_params(replace(SPEC, variant=variant), energy)
+            assert ch.gap == pytest.approx(sign * want, rel=1e-15)
+        herm = _hermitian_channel(0.7, 1.3, 2.0, energy)
+        assert herm.gap.real == 0.0 and herm.gap.imag == pytest.approx(-want_h, rel=1e-15)
+
+    def test_gap_defaults_to_difference(self):
+        assert ChannelParams(energy=1.0, k1=0.5, k2=1.0, a2=0.5, a3=1.25, mass=1.0).gap == 0.75
 
     def test_rejects_bad_energy(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """The array route of the closed form: ``log10_coefficients`` against the
 scalar ``amplitudes`` it stands in for, row by row and bit for bit."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsabsorb.amplitudes import amplitudes, log10_coefficients
+from wsabsorb.amplitudes import _G_TABLE, amplitudes, log10_coefficients
 from wsabsorb.spectral import SpectralFamily, critical_points
 from wsabsorb.units import PotentialSpec, Variant
 
@@ -99,11 +100,41 @@ def test_bad_energies_rejected(energies):
         log10_coefficients(PotentialSpec(v0=1.2, rho=1.8, mass=1.0), energies)
 
 
+def mpmath_route(spec, energies):
+    """(4, n) log10 |r_l|^2, |r_r|^2, T, |det S| from exact a2, a3 at 60 digits."""
+    sign = 1 if spec.variant is Variant.FORWARD else -1
+    rows = []
+    with mp.workdps(60):
+        for energy in energies:
+            e, v0, rho = mp.mpf(float(energy)), mp.mpf(spec.v0), mp.mpf(spec.rho)
+            x2 = sign * 2 * mp.sqrt(spec.mass * e) / rho
+            x3 = sign * 2 * mp.sqrt(spec.mass * (e + v0)) / rho
+            lg = [sum(s * mp.loggamma(c2 * x2 + c3 * x3 + c0) for s, (c2, c3, c0)
+                      in zip((1, 1, -1, -1), numer + denom)) for numer, denom in _G_TABLE]
+            root_k = mp.log(e / (e + v0)) / 4
+            logs = (2 * (lg[3] - lg[2]), 2 * (lg[0] - lg[2]), 2 * (root_k - lg[2]), lg[1] - lg[2])
+            rows.append([float(mp.re(w) / mp.log(10)) for w in logs])
+    return np.array(rows).T
+
+
 @pytest.mark.parametrize("variant", list(Variant))
-def test_large_log_gamma_rounding_passes_det_s_check(variant):
-    # a2, a3 ~ 2e6: each log Gamma ~ 4e7 carries ~ 1e-8 of rounding, which
-    # the det-S tolerance must allow for (the 1e-8 floor alone did not)
+@pytest.mark.parametrize("lo, hi, tol", [(1e8, 1.1e8, 5e-9), (4e12, 4.1e12, 1e-7)])
+def test_large_energies_match_mpmath(variant, lo, hi, tol):
+    # a2 and a3 ~ 1e4 and ~ 2e6: their difference must not be formed by
+    # subtraction, and each log Gamma ~ 4e7 carries ~ 1e-8 of rounding that
+    # the det-S tolerance must allow for
     spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=variant)
-    energies = np.linspace(4e12, 4.1e12, 50)
-    assert np.isfinite(log10_coefficients(spec, energies)).all()
+    energies = np.linspace(lo, hi, 7)
+    got = log10_coefficients(spec, energies)
+    assert np.abs(got - mpmath_route(spec, energies)).max() < tol
     assert amplitudes(spec, float(energies[1])).det_s.order == 0
+
+
+@pytest.mark.parametrize("energy", [1e13, 1e25, 1e300])
+def test_unresolvable_rounding_raises(energy):
+    # past the rounding limit the check cannot see an error, so it refuses
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
+    with pytest.raises(ArithmeticError, match="det S cannot be checked"):
+        log10_coefficients(spec, [1.0, energy])
+    with pytest.raises(ArithmeticError, match="det S cannot be checked"):
+        amplitudes(spec, energy)

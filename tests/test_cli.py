@@ -610,6 +610,15 @@ def test_runaway_scan_window_exits_1(tmp_path, capsys, no_points):
     assert not out.exists()
 
 
+def test_unresolvable_energy_exits_1(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "1e25", "--emax", "1.0000001e25",
+                 "--points", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: det S cannot be checked at E=1e+25: log-Gamma rounding 2.854e+00 exceeds 1e-06\n")
+    assert not out.exists()
+
+
 def test_runaway_window_error_names_family_and_window(capsys, no_points):
     assert main(["ranges", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05",
                  "--emax", "1e300", "--criterion", "cpa"]) == 1

@@ -98,6 +98,12 @@ def test_bridge_matches_scipy_off_the_oracle_domain(a2, a3, phi, Y, t, t_end):
     assert np.abs(end - ref_end).max() <= 1e-12 * np.abs(ref_end).max()
 
 
+def test_zero_span_returns_the_launch_state():
+    # a mesh of one point (scipy's DOP853 counts a second, zero-length step)
+    end, points = _bridge(2.0 + 0j, 3.0 + 0j, 0.5, _Y2, 0.7, 0.7)
+    assert points == 1 and np.array_equal(end, _Y2)
+
+
 def test_stiff_system_stalls():
     # q = 1e30: no step above 10 ulp of u meets the tolerance
     with pytest.raises(ContourError, match="integration stalled"):
