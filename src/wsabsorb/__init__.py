@@ -18,9 +18,7 @@ from .amplitudes import (
 from .oracle import (
     ContourError,
     ContourSolution,
-    FittedCoefficients,
     Launch,
-    fit_asymptotics,
     hermitian_oracle_amplitudes,
     integrate_contour,
     oracle_amplitudes,

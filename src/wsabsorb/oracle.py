@@ -47,17 +47,15 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from .specfun import SERIES_Z_MAX, SingularValue, hyp2f1, hyp2f1_deriv
+from .specfun import SingularValue, hyp2f1, hyp2f1_deriv
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant, validate
 
 __all__ = [
     "Launch",
     "ContourSolution",
-    "FittedCoefficients",
     "ContourError",
     "integrate_contour",
-    "fit_asymptotics",
     "oracle_domain_ok",
     "oracle_g_factors",
     "oracle_amplitudes",
@@ -111,20 +109,6 @@ class ContourSolution:
     dpsi_start: complex
     step_count: int
     launch: Launch
-    variant: Variant
-    phi_eff: float
-    a2: complex
-    a3: complex
-    rho: float
-
-
-@dataclass(frozen=True)
-class FittedCoefficients:
-    """Coefficients of exp(+-i k2 xbar) fitted at the deep end."""
-
-    c_plus: complex
-    c_minus: complex
-    condition_number: float
 
 
 # -- local Frobenius solutions ------------------------------------------------
@@ -427,7 +411,8 @@ def integrate_contour(
 
     The launch state is the exact local solution (series-corrected plane
     wave) at the top handoff point; by default the handoff half-width
-    shrinks as the channel parameters grow, keeping the fit conditioned.
+    shrinks as the channel parameters grow, keeping the oracle's local-basis
+    fit conditioned.
     Passing Z overrides the half-width (in zeta units).  The energy must
     sit away from every integer critical condition, where the local
     solution bases degenerate and amplitude limits are the closed-form
@@ -447,36 +432,6 @@ def integrate_contour(
         dpsi_start=complex(y_start[1]) * rho,
         step_count=int(nsteps),
         launch=launch,
-        variant=spec.variant,
-        phi_eff=phi_eff,
-        a2=a2,
-        a3=a3,
-        rho=rho,
-    )
-
-
-def fit_asymptotics(sol: ContourSolution, k2: float) -> FittedCoefficients:
-    """Decompose the endpoint state onto bare plane waves exp(+-i k2 xbar).
-
-    Exact only where the potential is genuinely flat; the production
-    extraction path uses the series-corrected basis instead (see
-    oracle_g_factors).  The 2x2 system matches psi and d(psi)/d(zeta).
-    """
-    sign = -1.0 if sol.variant is Variant.TIME_REVERSED else 1.0
-    # exp(+-i k2 xbar) on the contour, xbar = x0 - i zeta (conjugated for
-    # the time-reversed potential)
-    zeta = sol.zeta_end
-    f_plus = cmath.exp(1j * k2 * sol.x0 * sign + k2 * zeta)
-    f_minus = cmath.exp(-1j * k2 * sol.x0 * sign - k2 * zeta)
-    M = np.array(
-        [[f_plus, f_minus], [k2 * f_plus, -k2 * f_minus]], dtype=complex
-    )
-    cond = float(np.linalg.cond(M))
-    if cond > CONDITION_LIMIT:
-        raise ContourError(f"asymptotic fit ill-conditioned: cond={cond:.3e}")
-    c = np.linalg.solve(M, np.array([sol.psi, sol.dpsi], dtype=complex))
-    return FittedCoefficients(
-        c_plus=complex(c[0]), c_minus=complex(c[1]), condition_number=cond
     )
 
 
@@ -492,14 +447,6 @@ def _basis_coefficients(a2, a3, phi, u_bot, variant, Y) -> tuple[np.ndarray, flo
     C = np.linalg.solve(M, Y)
     # for the conjugated potential the fit basis roles swap
     return (C[::-1] if variant is Variant.TIME_REVERSED else C), cond
-
-
-def _fit_local(sol: ContourSolution) -> FittedCoefficients:
-    """Series-corrected endpoint fit in the scaled coordinate."""
-    Y = np.array([sol.psi, sol.dpsi / sol.rho], dtype=complex)  # d/dzeta -> d/du
-    u_bot = sol.rho * sol.zeta_end
-    c, cond = _basis_coefficients(sol.a2, sol.a3, sol.phi_eff, u_bot, sol.variant, Y)
-    return FittedCoefficients(complex(c[0]), complex(c[1]), cond)
 
 
 def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, complex]:
@@ -573,20 +520,15 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
 
 
 def local_wavefunction(spec: PotentialSpec, energy: float, x: float, zeta: float) -> complex:
-    """The regular scattering solution evaluated through the 2F1 series."""
+    """The regular scattering solution at x - i zeta: the local solution psi1
+    (the forward oracle's PSI_ONE launch), evaluated through the 2F1 series."""
     ch = channel_params(spec, energy)
-    a2, a3 = abs(ch.a2), abs(ch.a3)
     sign = -1.0 if spec.variant is Variant.TIME_REVERSED else 1.0
-    w = cmath.exp(complex(spec.rho * zeta, sign * spec.rho * x))
+    u, phi = spec.rho * zeta, sign * spec.rho * x
+    w = cmath.exp(complex(u, phi))
     if abs(1.0 + w) < 1e-3 * (1.0 + abs(w)):
         raise ValueError(f"sample (x={x}, zeta={zeta}) too close to a potential pole")
-    z = 1.0 / (1.0 + w)
-    if abs(z) >= SERIES_Z_MAX:
-        raise ValueError(f"series argument |z|={abs(z):.3f} outside domain at x={x}")
-    omz = w * z
-    log_omz = complex(spec.rho * zeta, sign * spec.rho * x) + cmath.log(z)
-    pref = cmath.exp(a2 * cmath.log(z) + a3 * log_omz)
-    return pref * hyp2f1(1 + a2 + a3, a2 + a3, 1 + 2 * a2, z)
+    return _local_state("psi1", abs(ch.a2), abs(ch.a3), u, phi)[0]
 
 
 def wavefunction_residual(

@@ -6,7 +6,6 @@ internal consistency: launch-state round trips, handoff and offset
 invariance, and the connection identity re-derived from fitted numbers.
 """
 
-import cmath
 import math
 from dataclasses import replace
 
@@ -18,13 +17,12 @@ from wsabsorb.amplitudes import _hermitian_channel, hermitian_amplitudes
 from wsabsorb.oracle import (
     ContourError,
     Launch,
+    _basis_coefficients,
     _contour_setup,
-    _fit_local,
     _handoff,
     _integrate_core,
     _local_state,
     _shapes,
-    fit_asymptotics,
     hermitian_oracle_amplitudes,
     integrate_contour,
     oracle_amplitudes,
@@ -47,19 +45,17 @@ class TestIntegrateContour:
     def test_free_particle_limit(self):
         # residual reflection scales out linearly with the vanishing depth
         spec = PotentialSpec(v0=1e-6, rho=1.0, mass=1.0)
-        fit1 = _fit_local(integrate_contour(spec, 0.73, Launch.PSI_ONE))
-        assert abs(fit1.c_minus - 1.0) < 1e-5
-        assert abs(fit1.c_plus) < 1e-4
-        fit2 = _fit_local(integrate_contour(spec, 0.73, Launch.PSI_TWO))
-        assert abs(fit2.c_plus - 1.0) < 1e-5
-        assert abs(fit2.c_minus) < 1e-4
+        g1, g2, g3, g4 = oracle_g_factors(spec, 0.73)
+        assert abs(g2 - 1.0) < 1e-5  # the PSI_ONE launch
+        assert abs(g1) < 1e-4
+        assert abs(g3 - 1.0) < 1e-5  # the PSI_TWO launch
+        assert abs(g4) < 1e-4
 
     def test_fitted_pair_matches_analytic(self):
-        sol = integrate_contour(SPEC, 1.0, Launch.PSI_TWO)
-        fit = _fit_local(sol)
+        _, _, fit3, fit4 = oracle_g_factors(SPEC, 1.0)
         g1, g2, g3, g4 = analytic_g(SPEC, 1.0)
-        assert abs(fit.c_plus - g3) <= 1e-6 * abs(g3)
-        assert abs(fit.c_minus - g4) <= 1e-6 * abs(g4)
+        assert abs(fit3 - g3) <= 1e-6 * abs(g3)
+        assert abs(fit4 - g4) <= 1e-6 * abs(g4)
 
     def test_critical_energy_guarded(self):
         with pytest.raises(ValueError, match="critical"):
@@ -78,52 +74,25 @@ class TestIntegrateContour:
 
     def test_launch_state_matches_local_solution(self):
         sol = integrate_contour(SPEC, 1.0, Launch.PSI_ONE)
-        psi, dpsi = _local_state(
-            "psi1", sol.a2, sol.a3, sol.rho * sol.zeta_start, sol.phi_eff
-        )
+        a2, a3, phi, uh = _contour_setup(SPEC, 1.0, 0.0, None)
+        psi, dpsi = _local_state("psi1", a2, a3, uh, phi)
         assert abs(sol.psi_start - psi) < 1e-13 * abs(psi)
-        assert abs(sol.dpsi_start - dpsi * sol.rho) < 1e-13 * abs(dpsi * sol.rho)
+        assert abs(sol.dpsi_start - dpsi * SPEC.rho) < 1e-13 * abs(dpsi * SPEC.rho)
 
 
-class TestFitAsymptotics:
-    def test_exact_basis_elements(self):
-        sol = integrate_contour(SPEC, 1.0, Launch.PSI_TWO)
-        k2 = 2.0 * channel_params(SPEC, 1.0).k2  # asymptotic wavenumber
-        zeta = sol.zeta_end
-        for target, expect in ((+1, (1.0, 0.0)), (-1, (0.0, 1.0))):
-            psi = cmath.exp(target * 1j * k2 * sol.x0 + target * k2 * zeta)
-            dpsi = target * k2 * psi
-            probe = replace(sol, psi=psi, dpsi=dpsi)
-            fit = fit_asymptotics(probe, k2)
-            assert abs(fit.c_plus - expect[0]) < 1e-12
-            assert abs(fit.c_minus - expect[1]) < 1e-12
-
-    def test_round_trip_random_combination(self):
-        rng = np.random.default_rng(2)
-        sol = integrate_contour(SPEC, 1.0, Launch.PSI_TWO)
-        k2 = 1.7
-        zeta = sol.zeta_end
-        f_plus = cmath.exp(1j * k2 * sol.x0 + k2 * zeta)
-        f_minus = cmath.exp(-1j * k2 * sol.x0 - k2 * zeta)
-        for _ in range(10):
-            c = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi = c[0] * f_plus + c[1] * f_minus
-            dpsi = k2 * (c[0] * f_plus - c[1] * f_minus)
-            fit = fit_asymptotics(replace(sol, psi=psi, dpsi=dpsi), k2)
-            assert abs(fit.c_plus - c[0]) < 1e-12 * max(1.0, abs(c[0]))
-            assert abs(fit.c_minus - c[1]) < 1e-12 * max(1.0, abs(c[1]))
-
+class TestLocalFit:
     def test_local_fit_resynthesis(self):
-        sol = integrate_contour(SPEC, 1.0, Launch.PSI_TWO)
-        fit = _fit_local(sol)
-        u_bot = sol.rho * sol.zeta_end
-        wp, dwp = _local_state("w_plus", sol.a2, sol.a3, u_bot, sol.phi_eff)
-        wm, dwm = _local_state("w_minus", sol.a2, sol.a3, u_bot, sol.phi_eff)
-        psi = fit.c_plus * wp + fit.c_minus * wm
-        dpsi = (fit.c_plus * dwp + fit.c_minus * dwm) * sol.rho
-        assert abs(psi - sol.psi) <= 1e-8 * abs(sol.psi)
-        assert abs(dpsi - sol.dpsi) <= 1e-8 * abs(sol.dpsi)
-        assert fit.condition_number < 1e8
+        a2, a3, phi, uh = _contour_setup(SPEC, 1.0, 0.0, None)
+        shapes = _shapes(Variant.FORWARD, (Launch.PSI_TWO,))
+        _, end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh)
+        (c_plus, c_minus), cond = _basis_coefficients(a2, a3, phi, -uh, Variant.FORWARD, end)
+        wp, dwp = _local_state("w_plus", a2, a3, -uh, phi)
+        wm, dwm = _local_state("w_minus", a2, a3, -uh, phi)
+        psi = c_plus * wp + c_minus * wm
+        dpsi = c_plus * dwp + c_minus * dwm
+        assert abs(psi - end[0]) <= 1e-8 * abs(end[0])
+        assert abs(dpsi - end[1]) <= 1e-8 * abs(end[1])
+        assert cond < 1e8
 
 
 class TestOracleAmplitudes:
