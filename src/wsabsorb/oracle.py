@@ -324,8 +324,8 @@ def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            H = q(t, h * _C, h * h)  # h^2 q at the stage nodes
-            X = np.linalg.solve(_EYE - H[:, None] * _A2, H[:, None] * (Y[0] / h + _C_COL * Y[1]))
+            hq = q(t, h * _C, h)[:, None]  # h q at the stage nodes
+            X = np.linalg.solve(_EYE - (h * hq) * _A2, hq * (Y[0] + (h * _C_COL) * Y[1]))
             S = _W @ X  # X = h Q, the h-scaled dpsi-slopes
             S[0] += Y[1]  # psi advances by h (B . psi-slopes) = h (dpsi + (B A) X)
             S[::2] *= h

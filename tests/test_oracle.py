@@ -7,6 +7,7 @@ invariance, and the connection identity re-derived from fitted numbers.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,13 @@ class TestIntegrateContour:
         spec = PotentialSpec(v0=8.0, rho=0.6, mass=1.0)
         with pytest.raises(ContourError):
             integrate_contour(spec, 2.2, Launch.PSI_TWO, Z=60.0)
+
+    def test_tiny_span_returns_the_launch_state(self):
+        # a span of 2e-323, where psi / h would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = integrate_contour(SPEC, 1.0, Launch.PSI_ONE, Z=5e-324)
+        assert (sol.psi, sol.dpsi) == (sol.psi_start, sol.dpsi_start)
 
     def test_launch_state_matches_local_solution(self):
         sol = integrate_contour(SPEC, 1.0, Launch.PSI_ONE)
