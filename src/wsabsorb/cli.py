@@ -636,11 +636,12 @@ def cmd_potential(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
-def _add_common(sub, spec_flags=True, window_flags=False):
+def _add_common(sub, spec_flags=True, window_flags=False, units_flag=True):
     sub.add_argument("--config", help="key = value file supplying defaults")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--out", help="write output to PATH instead of stdout")
-    sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default=None)
+    if units_flag:
+        sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default=None)
     if spec_flags:
         sub.add_argument("--v0", type=float, default=None)
         sub.add_argument("--rho", type=float, default=None)
@@ -681,17 +682,17 @@ def build_parser() -> _Parser:
     ranges.set_defaults(func=cmd_ranges)
 
     table1 = subs.add_parser("table1", help="reproduce the published reference table")
-    _add_common(table1, spec_flags=False)
+    _add_common(table1, spec_flags=False, units_flag=False)
     table1.add_argument("--grid", type=int, default=None)
     table1.set_defaults(func=cmd_table1)
 
     verify = subs.add_parser("verify", help="run the cross-module invariant suites")
-    _add_common(verify, spec_flags=False)
+    _add_common(verify, spec_flags=False, units_flag=False)
     verify.add_argument("--seed", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     potential = subs.add_parser("potential", help="sample the complex potential")
-    _add_common(potential)
+    _add_common(potential, units_flag=False)
     potential.add_argument("--x", action="append", default=None,
                            help="real offset; repeatable")
     potential.add_argument("--zmin", type=float, default=None)

@@ -353,6 +353,17 @@ def test_negative_seed_rejected(tmp_path, capsys, source):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [["table1"], ["verify"], ["potential", "--v0", "1.2", "--rho", "1.8"]],
+                         ids=["table1", "verify", "potential"])
+def test_units_rejected_where_no_energy_is_shown(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--units", "mev", "--out", str(out)])
+    assert stop.value.code == 1
+    assert "unrecognized arguments: --units mev" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- one parser per process --------------------------------------------------------
 
 
