@@ -307,6 +307,18 @@ def _joint_draws():
     return draws
 
 
+@pytest.mark.parametrize("shape, end", [("psi1", 1), ("psi2", 1), ("w_plus", -1), ("w_minus", -1)])
+@pytest.mark.parametrize("draw", _joint_draws())
+def test_local_state_derivative_matches_finite_difference(draw, shape, end):
+    # five-point stencil in u at the end of the contour the solution belongs to
+    a2, a3, phi, uh, _ = draw
+    u, step = end * uh, 1e-3
+    f = [_local_state(shape, a2, a3, u + j * step, phi)[0] for j in (-2, -1, 1, 2)]
+    fd = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * step)
+    dpsi = _local_state(shape, a2, a3, u, phi)[1]
+    assert abs(fd - dpsi) <= 1e-8 * abs(dpsi)
+
+
 class TestJointIntegration:
     @pytest.mark.parametrize("draw", _joint_draws())
     def test_joint_end_states_match_single_launches(self, draw):
