@@ -259,7 +259,6 @@ _E5 = np.array([
 # (through A) and the dpsi-part of B, E5 and E3.
 _A2 = _A @ _A
 _EYE = np.eye(12)
-_C_COL = _C[:, None]
 _W = np.array([_B @ _A, _B, _E5 @ _A, _E5, _E3 @ _A, _E3])
 # scipy's step-size rules for DOP853 (error estimator of order 7)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
@@ -324,8 +323,9 @@ def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            hq = q(t, h * _C, h)[:, None]  # h q at the stage nodes
-            X = np.linalg.solve(_EYE - (h * hq) * _A2, hq * (Y[0] + (h * _C_COL) * Y[1]))
+            hC = h * _C  # the stage offsets
+            hq = q(t, hC, h)[:, None]  # h q at the stage nodes
+            X = np.linalg.solve(_EYE - (h * hq) * _A2, hq * (Y[0] + hC[:, None] * Y[1]))
             S = _W @ X  # X = h Q, the h-scaled dpsi-slopes
             S[0] += Y[1]  # psi advances by h (B . psi-slopes) = h (dpsi + (B A) X)
             S[::2] *= h
