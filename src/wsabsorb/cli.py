@@ -20,27 +20,22 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import spectral
-from .amplitudes import amplitudes, hermitian_amplitudes, log10_coefficients, potential_profile
-from .oracle import oracle_g_factors
-from .specfun import SingularValue, log_gamma
+from .amplitudes import log10_coefficients, potential_profile
+from .invariants import SUITES
 from .spectral import (
     RangeCriterion,
-    Side,
     SpectralFamily,
     cc_left_energies,
     cc_right_energies,
     cpa_energies_forward,
     cpa_energies_time_reversed,
     critical_points,
-    rprime_left_zeros,
     scan_ranges,
     snap_tolerance,
-    ss_energies,
 )
 from .units import (
     EnergyUnit,
@@ -50,8 +45,7 @@ from .units import (
     validate,
 )
 
-_UNIT_CHOICES = {"internal": EnergyUnit.INTERNAL, "ev": EnergyUnit.ELECTRON_VOLT,
-                 "mev": EnergyUnit.MEGA_ELECTRON_VOLT}
+_UNIT_CHOICES = {unit.value: unit for unit in EnergyUnit}
 
 _SPEC_KEYS = ("v0", "rho", "mass", "zeta", "variant", "emin", "emax", "points",
               "threshold", "units", "format", "grid", "max_count", "seed")
@@ -133,8 +127,11 @@ def _overlay_config(args) -> None:
     unknown = set(loaded) - set(_SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    foreign = sorted(key for key in loaded if not hasattr(args, key))
+    if foreign:
+        raise ValueError(f"config keys {foreign} are not options of {args.command}")
     for key, value in loaded.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -142,8 +139,7 @@ def _spec_from_args(args) -> PotentialSpec:
     if args.v0 is None or args.rho is None:
         raise ValueError("both --v0 and --rho are required (flag or config)")
     name = "forward" if args.variant is None else str(args.variant)
-    variant = {"forward": Variant.FORWARD, "time-reversed": Variant.TIME_REVERSED,
-               "time_reversed": Variant.TIME_REVERSED}.get(name)
+    variant = {v.value: v for v in Variant}.get(name.replace("-", "_"))
     if variant is None:
         raise ValueError(f"unknown variant {args.variant!r}")
     return validate(
@@ -260,7 +256,7 @@ _FAMILY_CHOICES = {
 def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     unit = _energy_unit(args)
-    max_count = int(args.max_count if args.max_count is not None else 10)
+    max_count = int(args.max_count if args.max_count is not None else spectral.DEFAULT_MAX_COUNT)
     if max_count < 0:
         raise ValueError("max_count must be non-negative")
     raw = "all" if args.families is None else str(args.families)
@@ -299,13 +295,10 @@ def cmd_spectrum(args) -> int:
 def cmd_ranges(args) -> int:
     spec = _spec_from_args(args)
     unit = _energy_unit(args)
-    criterion = {"cc-left": RangeCriterion.CC_LEFT_RANGE,
-                 "cpa": RangeCriterion.CPA_RANGE}.get(str(args.criterion))
-    if criterion is None:
-        raise ValueError(f"unknown criterion {args.criterion!r}")
+    criterion = RangeCriterion(args.criterion.replace("-", "_"))
     if args.emin is None or args.emax is None:
         raise ValueError("--emin and --emax are required")
-    threshold = float(args.threshold if args.threshold is not None else 1e-6)
+    threshold = float(args.threshold if args.threshold is not None else spectral.DEFAULT_THRESHOLD)
     grid = int(args.grid if args.grid is not None else spectral.DEFAULT_GRID_POINTS)
     found = scan_ranges(spec, criterion, (float(args.emin), float(args.emax)),
                         threshold, grid)
@@ -429,172 +422,15 @@ def cmd_table1(args) -> int:
 # -- verification suite -----------------------------------------------------------
 
 
-def _gamma_points(rng, n):
-    """n random draws from [-30, 30]^2, less those within 1e-3 of an integer,
-    where Gamma(z) or Gamma(1 - z) has a pole."""
-    for _ in range(n):
-        z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-        if not (abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3):
-            yield z
-
-
-def _suite_gamma_reflection(rng, n=1000):
-    worst = 0.0
-    for z in _gamma_points(rng, n):
-        lhs = log_gamma(z) + log_gamma(1.0 - z)
-        rhs = math.pi / np.sin(math.pi * complex(z))
-        worst = max(worst, abs(np.exp(lhs) - rhs) / abs(rhs))
-    return worst, 1e-10
-
-
-def _suite_gamma_recurrence(rng, n=1000):
-    worst = 0.0
-    for z in _gamma_points(rng, n):
-        got = np.exp(log_gamma(z + 1.0) - log_gamma(z))
-        worst = max(worst, abs(got - complex(z)) / abs(z))
-    return worst, 1e-12
-
-
-def _random_channel(rng):
-    while True:
-        a2 = rng.uniform(0.05, 20.0)
-        a3 = rng.uniform(0.05, 20.0)
-        if a3 <= a2:
-            a2, a3 = a3, a2 + 0.05
-        if spectral.integer_distance(a2, a3) > 5e-3:
-            return a2, a3
-
-
-def _suite_gamma_identity(rng, n=1000):
-    from .amplitudes import ChannelParams, g_factors
-
-    worst = 0.0
-    for _ in range(n):
-        a2, a3 = _random_channel(rng)
-        ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0)
-        gf = g_factors(ch)
-        lhs = gf.g4 * gf.g1 + SingularValue.from_complex(a2 / a3)
-        worst = max(worst, lhs.relative_difference(gf.g2 * gf.g3))
-    return worst, 1e-9
-
-
-def _suite_hermitian(rng, n=200):
-    worst = 0.0
-    for _ in range(n):
-        v0 = rng.uniform(0.2, 6.0)
-        delta = rng.uniform(0.4, 3.0)
-        energy = rng.uniform(0.05, 12.0)
-        amps = hermitian_amplitudes(v0, delta, 1.0, energy)
-        unitarity = abs(amps.Rl.magnitude + amps.T.magnitude - 1.0)
-        recip = abs(math.exp(amps.rl.log_magnitude) - math.exp(amps.rr.log_magnitude))
-        det_dev = abs(amps.det_s.magnitude - 1.0)
-        worst = max(worst, unitarity, recip, det_dev)
-    return worst, 1e-10
-
-
-def _suite_duality(rng, n=5):
-    worst = 0.0
-    for _ in range(n):
-        spec = PotentialSpec(v0=rng.uniform(0.5, 4.0), rho=rng.uniform(0.8, 2.5), mass=1.0)
-        forward = cc_left_energies(spec, 6)
-        mirrored = ss_energies(spec, Side.LEFT, 6)
-        for a, b in zip(forward, mirrored):
-            worst = max(worst, abs(a.energy - b.energy))
-            amps = amplitudes(spec, a.energy)
-            tr = amplitudes(replace(spec, variant=Variant.TIME_REVERSED), a.energy)
-            if a.degenerate:
-                continue
-            if not (amps.rl.is_zero and amps.tl.is_zero and tr.Rl.is_pole):
-                worst = math.inf
-    return worst, 1e-12
-
-
-def _suite_spacing(rng, n=4):
-    worst = 0.0
-    for _ in range(n):
-        spec = PotentialSpec(v0=rng.uniform(0.5, 8.0), rho=rng.uniform(0.5, 2.5), mass=1.0)
-        scale = spec.rho ** 2 / (16.0 * spec.mass)
-        ccl = cc_left_energies(spec, 8)
-        for a, b in zip(ccl, ccl[1:]):
-            ref = scale * (2 * a.index + 1)
-            worst = max(worst, abs((b.energy - a.energy) - ref) / ref)
-        ccr = cc_right_energies(spec, 8)
-        for a, b in zip(ccr, ccr[1:]):
-            ref = scale * (2 * a.index + 1)
-            worst = max(worst, abs((b.energy - a.energy) - ref) / ref)
-    return worst, 1e-12
-
-
-def _suite_rzero_spacing(rng, n=3):
-    worst = 0.0
-    specs = [PotentialSpec(v0=50.0, rho=1.0, mass=1.0),
-             PotentialSpec(v0=8.0, rho=1.0, mass=1.0),
-             PotentialSpec(v0=30.0, rho=1.5, mass=1.0)]
-    for spec in specs[:n]:
-        zeros = rprime_left_zeros(spec)
-        for a, b in zip(zeros, zeros[1:]):
-            n_idx = a.index
-            ref = (2 * n_idx + 1) * (
-                spec.rho ** 2 / (16.0 * spec.mass)
-                - spec.mass * spec.v0 ** 2
-                / (n_idx ** 2 * (n_idx + 1) ** 2 * spec.rho ** 2)
-            )
-            worst = max(worst, abs((b.energy - a.energy) - ref) / abs(ref))
-    return worst, 1e-9
-
-
-def _suite_zeta_independence(rng, n=20):
-    for _ in range(n):
-        spec = PotentialSpec(v0=rng.uniform(0.5, 4.0), rho=rng.uniform(0.8, 2.5), mass=1.0)
-        energy = rng.uniform(0.2, 8.0)
-        base = amplitudes(replace(spec, zeta=0.0), energy)
-        for zeta in (-2.0, 3.0):
-            other = amplitudes(replace(spec, zeta=zeta), energy)
-            if (other.rl, other.rr, other.tl) != (base.rl, base.rr, base.tl):
-                return math.inf, 0.0
-    return 0.0, 0.0
-
-
-def _suite_oracle(rng, n=8):
-    from .amplitudes import channel_params, g_factors
-    from .oracle import oracle_domain_ok
-
-    worst = 0.0
-    done = 0
-    while done < n:
-        spec = PotentialSpec(v0=rng.uniform(0.5, 5.0), rho=rng.uniform(0.5, 3.0), mass=1.0)
-        energy = rng.uniform(0.1, 10.0)
-        if not oracle_domain_ok(spec, energy):
-            continue
-        done += 1
-        gf = g_factors(channel_params(spec, energy))
-        got = oracle_g_factors(spec, energy)
-        for sv, num in zip((gf.g1, gf.g2, gf.g3, gf.g4), got):
-            worst = max(worst, abs(sv.to_complex() - num) / abs(num))
-    return worst, 1e-6
-
-
 def cmd_verify(args) -> int:
     seed = int(args.seed if args.seed is not None else 20260810)
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
-    suites = [
-        ("gamma_reflection", _suite_gamma_reflection),
-        ("gamma_recurrence", _suite_gamma_recurrence),
-        ("gamma_identity", _suite_gamma_identity),
-        ("hermitian_unitarity", _suite_hermitian),
-        ("cc_ss_duality", _suite_duality),
-        ("cc_spacing_laws", _suite_spacing),
-        ("rzero_spacing_corrected", _suite_rzero_spacing),
-        ("zeta_independence", _suite_zeta_independence),
-        ("oracle_agreement", _suite_oracle),
-    ]
     columns = ["suite", "max_deviation", "tolerance", "status"]
     rows = []
     failed = False
-    for name, fn in suites:
-        rng = np.random.default_rng(seed)
-        worst, tol = fn(rng)
+    for name, check, tol in SUITES:
+        worst = check(np.random.default_rng(seed))
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])

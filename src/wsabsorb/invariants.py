@@ -1,0 +1,175 @@
+"""Cross-module invariant suites: the checks ``wsabsorb verify`` runs.
+
+Each check takes a ``numpy.random.Generator`` and returns its worst
+deviation over its own draws.  :data:`SUITES` names every check once, in
+``verify``'s row order, next to the tolerance its worst deviation must not
+exceed; ``verify`` gives each check a fresh generator from the same seed.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from .amplitudes import ChannelParams, amplitudes, channel_params, g_factors, hermitian_amplitudes
+from .oracle import oracle_domain_ok, oracle_g_factors
+from .specfun import SingularValue, log_gamma
+from .spectral import (
+    Side,
+    cc_left_energies,
+    cc_right_energies,
+    integer_distance,
+    rprime_left_zeros,
+    ss_energies,
+)
+from .units import PotentialSpec, Variant
+
+
+def _gamma_points(rng, n):
+    """n random draws from [-30, 30]^2, less those within 1e-3 of an integer,
+    where Gamma(z) or Gamma(1 - z) has a pole."""
+    for _ in range(n):
+        z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
+        if not (abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3):
+            yield z
+
+
+def _suite_gamma_reflection(rng, n=1000):
+    worst = 0.0
+    for z in _gamma_points(rng, n):
+        lhs = log_gamma(z) + log_gamma(1.0 - z)
+        rhs = math.pi / np.sin(math.pi * complex(z))
+        worst = max(worst, abs(np.exp(lhs) - rhs) / abs(rhs))
+    return worst
+
+
+def _suite_gamma_recurrence(rng, n=1000):
+    worst = 0.0
+    for z in _gamma_points(rng, n):
+        got = np.exp(log_gamma(z + 1.0) - log_gamma(z))
+        worst = max(worst, abs(got - complex(z)) / abs(z))
+    return worst
+
+
+def _random_channel(rng):
+    while True:
+        a2 = rng.uniform(0.05, 20.0)
+        a3 = rng.uniform(0.05, 20.0)
+        if a3 <= a2:
+            a2, a3 = a3, a2 + 0.05
+        if integer_distance(a2, a3) > 5e-3:
+            return a2, a3
+
+
+def _suite_gamma_identity(rng, n=1000):
+    worst = 0.0
+    for _ in range(n):
+        a2, a3 = _random_channel(rng)
+        ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0)
+        gf = g_factors(ch)
+        lhs = gf.g4 * gf.g1 + SingularValue.from_complex(a2 / a3)
+        worst = max(worst, lhs.relative_difference(gf.g2 * gf.g3))
+    return worst
+
+
+def _suite_hermitian(rng, n=200):
+    worst = 0.0
+    for _ in range(n):
+        v0 = rng.uniform(0.2, 6.0)
+        delta = rng.uniform(0.4, 3.0)
+        energy = rng.uniform(0.05, 12.0)
+        amps = hermitian_amplitudes(v0, delta, 1.0, energy)
+        unitarity = abs(amps.Rl.magnitude + amps.T.magnitude - 1.0)
+        recip = abs(math.exp(amps.rl.log_magnitude) - math.exp(amps.rr.log_magnitude))
+        det_dev = abs(amps.det_s.magnitude - 1.0)
+        worst = max(worst, unitarity, recip, det_dev)
+    return worst
+
+
+def _suite_duality(rng, n=5):
+    worst = 0.0
+    for _ in range(n):
+        spec = PotentialSpec(v0=rng.uniform(0.5, 4.0), rho=rng.uniform(0.8, 2.5), mass=1.0)
+        forward = cc_left_energies(spec, 6)
+        mirrored = ss_energies(spec, Side.LEFT, 6)
+        for a, b in zip(forward, mirrored):
+            worst = max(worst, abs(a.energy - b.energy))
+            amps = amplitudes(spec, a.energy)
+            tr = amplitudes(replace(spec, variant=Variant.TIME_REVERSED), a.energy)
+            if a.degenerate:
+                continue
+            if not (amps.rl.is_zero and amps.tl.is_zero and tr.Rl.is_pole):
+                worst = math.inf
+    return worst
+
+
+def _suite_spacing(rng, n=4):
+    worst = 0.0
+    for _ in range(n):
+        spec = PotentialSpec(v0=rng.uniform(0.5, 8.0), rho=rng.uniform(0.5, 2.5), mass=1.0)
+        scale = spec.rho ** 2 / (16.0 * spec.mass)
+        for points in (cc_left_energies(spec, 8), cc_right_energies(spec, 8)):
+            for a, b in zip(points, points[1:]):
+                ref = scale * (2 * a.index + 1)
+                worst = max(worst, abs((b.energy - a.energy) - ref) / ref)
+    return worst
+
+
+def _suite_rzero_spacing(rng, n=3):
+    worst = 0.0
+    specs = [PotentialSpec(v0=50.0, rho=1.0, mass=1.0),
+             PotentialSpec(v0=8.0, rho=1.0, mass=1.0),
+             PotentialSpec(v0=30.0, rho=1.5, mass=1.0)]
+    for spec in specs[:n]:
+        zeros = rprime_left_zeros(spec)
+        for a, b in zip(zeros, zeros[1:]):
+            n_idx = a.index
+            ref = (2 * n_idx + 1) * (
+                spec.rho ** 2 / (16.0 * spec.mass)
+                - spec.mass * spec.v0 ** 2
+                / (n_idx ** 2 * (n_idx + 1) ** 2 * spec.rho ** 2)
+            )
+            worst = max(worst, abs((b.energy - a.energy) - ref) / abs(ref))
+    return worst
+
+
+def _suite_zeta_independence(rng, n=20):
+    for _ in range(n):
+        spec = PotentialSpec(v0=rng.uniform(0.5, 4.0), rho=rng.uniform(0.8, 2.5), mass=1.0)
+        energy = rng.uniform(0.2, 8.0)
+        base = amplitudes(replace(spec, zeta=0.0), energy)
+        for zeta in (-2.0, 3.0):
+            other = amplitudes(replace(spec, zeta=zeta), energy)
+            if (other.rl, other.rr, other.tl) != (base.rl, base.rr, base.tl):
+                return math.inf
+    return 0.0
+
+
+def _suite_oracle(rng, n=8):
+    worst = 0.0
+    done = 0
+    while done < n:
+        spec = PotentialSpec(v0=rng.uniform(0.5, 5.0), rho=rng.uniform(0.5, 3.0), mass=1.0)
+        energy = rng.uniform(0.1, 10.0)
+        if not oracle_domain_ok(spec, energy):
+            continue
+        done += 1
+        gf = g_factors(channel_params(spec, energy))
+        got = oracle_g_factors(spec, energy)
+        for sv, num in zip((gf.g1, gf.g2, gf.g3, gf.g4), got):
+            worst = max(worst, abs(sv.to_complex() - num) / abs(num))
+    return worst
+
+
+#: (name, check, tolerance) per suite, in ``verify``'s row order.
+SUITES = (
+    ("gamma_reflection", _suite_gamma_reflection, 1e-10),
+    ("gamma_recurrence", _suite_gamma_recurrence, 1e-12),
+    ("gamma_identity", _suite_gamma_identity, 1e-9),
+    ("hermitian_unitarity", _suite_hermitian, 1e-10),
+    ("cc_ss_duality", _suite_duality, 1e-12),
+    ("cc_spacing_laws", _suite_spacing, 1e-12),
+    ("rzero_spacing_corrected", _suite_rzero_spacing, 1e-9),
+    ("zeta_independence", _suite_zeta_independence, 0.0),
+    ("oracle_agreement", _suite_oracle, 1e-6),
+)

@@ -40,8 +40,6 @@ class UnitSystem:
     length_scale: LengthUnit = LengthUnit.INTERNAL
 
 
-INTERNAL_UNITS = UnitSystem()
-
 _EV_FACTOR = {
     EnergyUnit.INTERNAL: 1.0,
     EnergyUnit.ELECTRON_VOLT: EV_PER_ENERGY_UNIT,

@@ -681,3 +681,45 @@ def test_empty_config_value_rejected(tmp_path, capsys, key):
                  "--points", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: unknown {key} ''\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--seed", "7"], "grid = 5\nunits = bogus\n"),
+    (["table1"], "units = mev\n"),
+    (["scan", "--v0", "2", "--rho", "2", "--emin", "0.2", "--emax", "0.3"], "seed = 3\n"),
+], ids=["verify", "table1", "scan"])
+def test_config_key_the_command_does_not_take_rejected(tmp_path, capsys, argv, text):
+    config = tmp_path / "foreign.cfg"
+    config.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
+    keys = sorted(line.split("=")[0].strip() for line in text.splitlines())
+    assert capsys.readouterr().err == f"error: config keys {keys} are not options of {argv[0]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05", "--emax", "6", "--points", "9"],
+    ["spectrum", "--v0", "2", "--rho", "2", "--max-count", "2"],
+    ["ranges", "--v0", "1", "--rho", "0.0006", "--emin", "3.0010", "--emax", "3.0030",
+     "--grid", "128"],
+    ["table1"],
+    ["verify"],
+    ["potential", "--v0", "1.2", "--rho", "1.8", "--points", "5"],
+], ids=lambda argv: argv[0])
+def test_json_document_mirrors_csv(tmp_path, monkeypatch, argv):
+    # the document's shape does not depend on what the checks find, so verify
+    # runs stand-in checks here; tests/test_invariants.py runs the real ones
+    monkeypatch.setattr(cli, "SUITES", tuple((name, lambda rng: 0.0, tol)
+                                              for name, _, tol in cli.SUITES))
+    _, csv_text = run(tmp_path, *argv)
+    _, json_text = run(tmp_path, *argv, "--format", "json")
+    header, *lines = csv_text.splitlines()
+    doc = json.loads(json_text)
+    assert list(doc) == ["command", "params", "rows"]
+    assert doc["command"] == argv[0]
+    assert isinstance(doc["params"], dict)
+    assert len(doc["rows"]) == len(lines) > 0
+    for row in doc["rows"]:
+        assert list(row) == header.split(",")
+        assert all(isinstance(value, (int, float, str)) for value in row.values())

@@ -7,6 +7,7 @@ parameters -> Gamma poles -> singular-value limits) over random depths,
 shapes and masses, including masses away from one.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsabsorb import cli
 from wsabsorb.amplitudes import amplitudes, det_s
+from wsabsorb.invariants import SUITES
 from wsabsorb.oracle import oracle_amplitudes, oracle_domain_ok, wavefunction_residual
 from wsabsorb.spectral import (
     Side,
@@ -132,3 +135,25 @@ def test_oracle_time_reversed_nonzero_offset():
         a = getattr(ref, field).to_complex()
         b = getattr(got, field).to_complex()
         assert abs(a - b) <= 1e-6 * abs(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, check, tolerance", SUITES, ids=[row[0] for row in SUITES])
+def test_suite_passes(name, check, tolerance, seed):
+    assert check(np.random.default_rng(seed)) <= tolerance
+
+
+def test_verify_rows_follow_the_suite_table(monkeypatch, capsys):
+    # each stand-in check reports its generator's first draw, scaled into its
+    # tolerance, so the rows show that every check got a fresh generator
+    assert cli.SUITES is SUITES
+    stand_ins = tuple((name, lambda rng, tol=tol: rng.uniform() * tol, tol)
+                      for name, _, tol in SUITES)
+    monkeypatch.setattr(cli, "SUITES", stand_ins)
+    assert cli.main(["verify", "--seed", "3", "--format", "json"]) == 0
+    first = np.random.default_rng(3).uniform()
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"suite": name, "max_deviation": float(f"{first * tol:.12g}"),
+         "tolerance": tol, "status": "PASS"}
+        for name, _, tol in SUITES
+    ]
