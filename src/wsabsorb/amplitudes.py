@@ -8,9 +8,10 @@ kernel evaluates the closed form over an array of energies: each Gamma
 argument that snaps to a pole carries an integer order and its residue,
 normalized to the energy offset from the critical point (pole-cancellation
 limits are taken analytically via Gamma residues, never by nudging the
-energy), and det S is cross-checked at every energy.  The scalar functions
-read the kernel's one-energy column as :class:`SingularValue` values;
-:func:`log10_coefficients` reads its arrays.
+energy), and det S is cross-checked at every energy.  One function,
+:func:`_amplitude_logs`, forms r_l, r_r, t and det S from G-factor rows for
+every route: the kernel, the scalar functions (which read the kernel's
+one-energy column as :class:`SingularValue` values) and the contour oracle.
 """
 
 from __future__ import annotations
@@ -175,10 +176,20 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size
 
 
+def _amplitude_logs(order: np.ndarray, lg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one assembly of amplitudes from connection coefficients.
+
+    Takes the (5, n) pole orders and complex logs of G1..G4 and sqrt(k1/k2),
+    whichever route produced them, and returns those of r_l = G4/G3,
+    -r_r = G1/G3, t = sqrt(k1/k2)/G3 and det S = G2/G3 as (4, n) arrays.
+    """
+    return order[_AMP_ROWS] - order[2], lg[_AMP_ROWS] - lg[2]
+
+
 def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_g_logs`, then the orders and logs of r_l, -r_r, t and det S
-    as (4, n) arrays, with tl*tr - rl*rr verified against the closed-form
-    det S = G2/G3 at every energy.
+    by :func:`_amplitude_logs`, with tl*tr - rl*rr verified against the
+    closed-form det S = G2/G3 at every energy.
 
     The difference can cancel arbitrarily many digits (the Gamma identity
     makes the two products nearly equal wherever |det S| is small), so the
@@ -192,7 +203,7 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     with np.errstate(all="ignore"):
         order, lg, size = _g_logs(ch)
-        amp_order, amp = order[_AMP_ROWS] - order[2], lg[_AMP_ROWS] - lg[2]
+        amp_order, amp = _amplitude_logs(order, lg)
         (o_rl, o_rr, o_t, o_det), (rl, rr, t, det) = amp_order, amp
         # det S = t^2 + m with m = -r_l r_r
         o_t2, o_m = 2 * o_t, o_rl + o_rr
@@ -238,7 +249,7 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
-    """G1..G4 and sqrt(k1/k2) at the first energy of a kernel call."""
+    """The rows of a kernel call at its first energy, as SingularValues."""
     return [SingularValue(o, w.real, w.imag) for o, w in zip(order[:, 0].tolist(), lg[:, 0].tolist())]
 
 
@@ -249,23 +260,15 @@ def g_factors(ch: ChannelParams) -> GFactors:
         return GFactors(*_column(order, lg)[:4])
 
 
-def _amplitude_set(
-    energy: float,
-    root_k: SingularValue,
-    g1: SingularValue,
-    g3: SingularValue,
-    g4: SingularValue,
-    det: SingularValue,
-) -> AmplitudeSet:
-    """The one assembly of an AmplitudeSet from the connection coefficients.
-
-    r_l = G4/G3, t_l = t_r = sqrt(k1/k2)/G3 (``root_k`` is sqrt(k1/k2)) and
-    r_r = -G1/G3, whichever route produced G1, G3 and G4; det S comes from
-    the calling route.
-    """
-    tl = root_k / g3
-    rl = g4 / g3
-    rr = -(g1 / g3)
+def _amplitude_set(energy: float, order: np.ndarray, lg: np.ndarray) -> AmplitudeSet:
+    """An AmplitudeSet from the G1..G4 and sqrt(k1/k2) rows of one energy,
+    through :func:`_amplitude_logs`.  Each row's phase is folded into
+    [-pi, pi] first, as a :class:`SingularValue` folds it, so that each
+    quotient's phase is the one SingularValue division gives: a phase of
+    2 pi over one of pi gives -pi, not pi."""
+    folded = [[complex(w.real, math.remainder(w.imag, 2.0 * math.pi))] for w in lg[:, 0].tolist()]
+    rl, minus_rr, tl, det = _column(*_amplitude_logs(order[:, :1], np.array(folded)))
+    rr = -minus_rr
     return AmplitudeSet(
         energy=float(energy),
         rl=rl,
@@ -282,8 +285,7 @@ def _amplitude_set(
 def _amplitudes(ch: ChannelParams) -> AmplitudeSet:
     """Closed-form amplitudes at one energy; det S = G2/G3, checked."""
     order, lg, _, _ = _checked_logs(ch)
-    g1, g2, g3, g4, root_k = _column(order, lg)
-    return _amplitude_set(ch.energy, root_k, g1, g3, g4, g2 / g3)
+    return _amplitude_set(ch.energy, order, lg)
 
 
 def amplitudes(spec: PotentialSpec, energy: float) -> AmplitudeSet:
@@ -316,9 +318,10 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
 
 def det_s(spec: PotentialSpec, energy: float) -> SingularValue:
     """det S as the closed-form Gamma ratio (G2/G3, or its inverse when
-    the stored channel parameters are the time-reversed ones)."""
-    gf = g_factors(channel_params(spec, energy))
-    return gf.g2 / gf.g3
+    the stored channel parameters are the time-reversed ones): the
+    ``det_s`` of :func:`amplitudes`, so it passes the same cross-check and
+    raises the same ``ArithmeticError`` where that fails."""
+    return amplitudes(spec, energy).det_s
 
 
 def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:

@@ -47,7 +47,7 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from .specfun import SingularValue, hyp2f1, hyp2f1_deriv
+from .specfun import hyp2f1, hyp2f1_deriv
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant, validate
 
@@ -460,15 +460,15 @@ def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, comp
 def _fitted_amplitudes(
     energy: float, k_ratio: float, g1: complex, g3: complex, g4: complex
 ) -> AmplitudeSet:
-    """Amplitudes from fitted coefficients, with det S on this module's own
-    route: t^2 - r_l r_r = (k1/k2 + G1 G4) / G3^2.  A coefficient the fit
-    rounds to 0 is a finite value of magnitude 0 (log_magnitude -inf)."""
-    det = (k_ratio + g1 * g4) / (g3 * g3)
-    g1, g3, g4, det = (
-        SingularValue.finite(-math.inf, 0.0) if w == 0 else SingularValue.from_complex(w)
-        for w in (g1, g3, g4, det)
-    )
-    return _amplitude_set(energy, SingularValue.finite(0.5 * math.log(k_ratio), 0.0), g1, g3, g4, det)
+    """Amplitudes from fitted coefficients through the closed form's one
+    assembly, with det S on this module's own route: t^2 - r_l r_r =
+    (k1/k2 + G1 G4) / G3^2, fed in as the G2 row (k1/k2 + G1 G4) / G3.  A
+    coefficient the fit rounds to 0 is a finite value of magnitude 0
+    (log_magnitude -inf)."""
+    rows = (g1, (k_ratio + g1 * g4) / g3, g3, g4)
+    lg = [complex(math.log(abs(w)), cmath.phase(w)) if w else complex(-math.inf, 0.0) for w in rows]
+    lg.append(0.5 * math.log(k_ratio))
+    return _amplitude_set(energy, np.zeros((5, 1), dtype=int), np.array(lg)[:, None])
 
 
 def oracle_g_factors(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsabsorb.amplitudes import _G_TABLE, amplitudes, log10_coefficients
+from wsabsorb.amplitudes import _G_TABLE, amplitudes, det_s, log10_coefficients
 from wsabsorb.spectral import SpectralFamily, critical_points
 from wsabsorb.units import PotentialSpec, Variant
 
@@ -90,6 +90,20 @@ def test_array_route_raises_where_scalar_raises(v0, rho, energy, variant):
         amplitudes(spec, energy)
     with pytest.raises(ArithmeticError, match="det S"):
         log10_coefficients(spec, ordinary[:2] + [energy] + ordinary[2:])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_det_s_is_the_checked_amplitude_det_s(variant):
+    # det_s reads the one checked assembly: it raises where amplitudes()
+    # raises, rather than returning an unchecked G2/G3 (an exact zero or a
+    # pole at these points, where mpmath finds a finite value)
+    for v0, rho, energy in DET_S_REPRODUCERS:
+        with pytest.raises(ArithmeticError, match="det S"):
+            det_s(PotentialSpec(v0=v0, rho=rho, mass=1.0, variant=variant), energy)
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=variant)
+    for family in SpectralFamily:
+        for point in critical_points(spec, family, count=3):
+            assert det_s(spec, point.energy) == amplitudes(spec, point.energy).det_s
 
 
 @pytest.mark.parametrize("energies", [
