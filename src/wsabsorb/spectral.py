@@ -201,13 +201,16 @@ def critical_points(
     of the window ends, so the list covers the window with one point at or
     beyond each end where the family has one; a window spanning more than
     10**6 indices raises ``ValueError`` before any point is enumerated.
-    With a count, at most the first ``count`` points; a count above 10**6
-    raises ``ValueError`` the same way.  With neither, every
+    With a count, at most the first ``count`` points; a count that is not
+    a non-negative ``int`` (a bool is not one) or is above 10**6 raises
+    ``ValueError`` the same way.  With neither, every
     point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
     that is not finite and non-negative raises ``ValueError``; the ends may
     come in either order.
     """
     validate(spec)
+    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
+        raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
     if count is not None and count > _MAX_WINDOW_INDICES:
         raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
     row = _TABLE[family]

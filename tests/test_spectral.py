@@ -254,6 +254,18 @@ class TestCriticalPoints:
         with pytest.raises(ValueError):
             critical_points(SPEC_A, SpectralFamily.CC_LEFT)
 
+    @pytest.mark.parametrize("count", [-1, -3, 2.5, 3.0, True, False, np.int64(3), "3"])
+    def test_bad_count_rejected(self, count, no_points):
+        # a bad count is refused, naming the family, before any point is
+        # built: not read as no points, nor rounded
+        for family in SpectralFamily:
+            with pytest.raises(ValueError, match=f"{family.value} count must be"):
+                critical_points(SPEC_A, family, count=count)
+        with pytest.raises(ValueError, match="cc_left count must be"):
+            cc_left_energies(SPEC_A, count)
+        with pytest.raises(ValueError, match="cpa_forward_a2 count must be"):
+            cpa_energies_forward(SPEC_A, count)
+
 
 class TestScanRanges:
     def test_narrow_absorption_range(self):
