@@ -66,44 +66,47 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _jsonify(token: str):
-    if token in ("inf", "-inf"):
-        return token
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
+def _cell(value):
+    """The JSON cell of an output value: a float is the number its CSV token
+    shows (``inf``/``-inf`` stay strings), an int an int, text text."""
+    if isinstance(value, float):
+        token = _fmt(value)
+        return token if math.isinf(value) else float(token)
+    return value
 
 
-def _tokens(rows) -> list[list[str]]:
-    """Output tokens of value rows: floats by :func:`_fmt`, the rest by str()."""
-    return [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+def _csv(columns, token_rows) -> str:
+    """CSV text: the header line, then one line per row of tokens."""
+    return "\n".join([",".join(columns), *map(",".join, token_rows)]) + "\n"
 
 
-def _emit(args, columns, rows, meta):
-    """Write rows of output tokens as CSV or JSON to stdout or ``--out``."""
-    if args.format == "json":
-        doc = {
-            "command": meta["command"],
-            "params": meta["params"],
-            "rows": [
-                {c: _jsonify(v) for c, v in zip(columns, row)} for row in rows
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+def _write(args, text: str) -> None:
+    """Write an output document to ``--out`` or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, columns, rows, meta):
+    """Write rows of output values as CSV or JSON.
+
+    A CSV token is a float to 12 significant digits (:func:`_fmt`) or the
+    value's str(); each JSON cell takes its type from the value, not the
+    token (:func:`_cell`)."""
+    if args.format == "json":
+        doc = {
+            "command": meta["command"],
+            "params": meta["params"],
+            "rows": [
+                {c: _cell(v) for c, v in zip(columns, row)} for row in rows
+            ],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        text = _csv(columns, ([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows))
+    _write(args, text)
 
 
 def _load_config(path: str) -> dict:
@@ -232,7 +235,11 @@ def cmd_scan(args) -> int:
     if np.isnan(values).any():
         raise ValueError("refusing to emit NaN")
     flags = _scan_flags(grid, _flag_points(spec, emin, emax))
-    rows = [[*map("{:.12g}".format, row), flag] for row, flag in zip(values.T.tolist(), flags)]
+    if args.format == "csv":  # the hot path: one C-level format call per token
+        _write(args, _csv(columns, ([*map("{:.12g}".format, row), flag]
+                                    for row, flag in zip(values.T.tolist(), flags))))
+        return 0
+    rows = [[*row, flag] for row, flag in zip(values.T.tolist(), flags)]
     _emit(args, columns, rows, {
         "command": "scan",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
@@ -283,7 +290,7 @@ def cmd_spectrum(args) -> int:
          convert_energy(p.energy, EnergyUnit.INTERNAL, unit), str(p.degenerate).lower()]
         for p in sorted(points, key=lambda p: (p.kind.value, p.index))
     ]
-    _emit(args, columns, _tokens(rows), {
+    _emit(args, columns, rows, {
         "command": "spectrum",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "families": [token.replace("-", "_") for token in tokens],
@@ -320,7 +327,7 @@ def cmd_ranges(args) -> int:
             r.bracketing_ss[1].energy,
             ";".join(_fmt(p.energy) for p in r.interior_zeros),
         ])
-    _emit(args, columns, _tokens(rows), {
+    _emit(args, columns, rows, {
         "command": "ranges",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "criterion": criterion.value, "emin": float(args.emin),
@@ -415,7 +422,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns, _tokens(rows), {"command": "table1", "params": {"grid": grid}})
+    _emit(args, columns, rows, {"command": "table1", "params": {"grid": grid}})
     return 2 if failed else 0
 
 
@@ -434,7 +441,7 @@ def cmd_verify(args) -> int:
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, columns, _tokens(rows), {"command": "verify", "params": {"seed": seed}})
+    _emit(args, columns, rows, {"command": "verify", "params": {"seed": seed}})
     return 2 if failed else 0
 
 
@@ -461,7 +468,7 @@ def cmd_potential(args) -> int:
         for profile in profiles:
             row += [float(profile[i].real), float(profile[i].imag)]
         rows.append(row)
-    _emit(args, columns, _tokens(rows), {
+    _emit(args, columns, rows, {
         "command": "potential",
         "params": {"v0": spec.v0, "rho": spec.rho, "x": xs,
                    "zmin": zmin, "zmax": zmax, "points": points},

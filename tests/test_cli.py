@@ -723,3 +723,31 @@ def test_json_document_mirrors_csv(tmp_path, monkeypatch, argv):
     for row in doc["rows"]:
         assert list(row) == header.split(",")
         assert all(isinstance(value, (int, float, str)) for value in row.values())
+
+
+def test_json_cells_take_their_type_from_the_value(tmp_path, monkeypatch):
+    # a float stays a float where its token reads as an integer, an int
+    # stays an int, and the ranges interior_zeros cell is always text
+    _, text = run(tmp_path, "scan", "--v0", "1.2", "--rho", "1.8", "--emin", "1",
+                  "--emax", "6", "--points", "6", "--format", "json")
+    rows = json.loads(text)["rows"]
+    assert [row["energy_internal"] for row in rows] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert all(type(row["energy_internal"]) is float for row in rows)
+
+    monkeypatch.setattr(cli, "SUITES", tuple((name, lambda rng: 0.0, 0.0)
+                                              for name, _, _ in cli.SUITES))
+    _, text = run(tmp_path, "verify", "--format", "json")
+    for row in json.loads(text)["rows"]:
+        assert type(row["max_deviation"]) is float and type(row["tolerance"]) is float
+
+    _, text = run(tmp_path, "spectrum", "--v0", "2", "--rho", "2", "--max-count", "2",
+                  "--format", "json")
+    assert all(type(row["index"]) is int for row in json.loads(text)["rows"])
+
+    _, csv_text = run(tmp_path, "ranges", "--v0", "15", "--rho", "0.001", "--criterion", "cpa",
+                      "--emin", "14.9990", "--emax", "15.0035", "--grid", "256")
+    _, text = run(tmp_path, "ranges", "--v0", "15", "--rho", "0.001", "--criterion", "cpa",
+                  "--emin", "14.9990", "--emax", "15.0035", "--grid", "256", "--format", "json")
+    zeros = [row["interior_zeros"] for row in json.loads(text)["rows"]]
+    assert zeros == [line.split(",")[-1] for line in csv_text.splitlines()[1:]]
+    assert "" in zeros and any(zeros)
