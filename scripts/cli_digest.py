@@ -1,0 +1,81 @@
+"""Print a digest of a fixed set of wsabsorb CLI invocations, one line each.
+
+Each line holds the argv, the sha256 of what the call wrote to stdout and to
+stderr, and its exit code, tab-separated.  The calls run in-process through
+``wsabsorb.cli.main``, imported from the ``src/`` of the checkout this
+script sits in, so comparing two checkouts is a ``diff`` of their outputs:
+
+    python scripts/cli_digest.py > a.txt      # in one checkout
+    python scripts/cli_digest.py > b.txt      # in the other
+    diff a.txt b.txt
+
+The set: the 47 scans recorded in ``bench/reference/scan.json.gz`` (read
+only), the README commands in CSV and JSON, ``table1``, ``verify`` at seeds
+20260810 and 7, two ``spectrum`` cases and one ``potential`` case beyond the
+README's, and two scans that end in a det-S error (a degenerate point at
+E = 0.0625, and a window up to E = 1e14).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import gzip
+import hashlib
+import io
+import json
+import pathlib
+import shlex
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+README = (
+    "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 6 --points 2381",
+    "spectrum --v0 2 --rho 2 --families cpa-time-reversed --max-count 5",
+    "ranges --v0 1 --rho 0.0006 --criterion cc-left --emin 3.0010 --emax 3.0030 --threshold 1e-6",
+    "table1",
+    "verify --seed 20260810",
+    "potential --v0 1.2 --rho 1.8 --x 2 --x 4 --zmin -4 --zmax 4",
+)
+EXTRA = (
+    "verify --seed 7",
+    "spectrum --v0 1.2 --rho 1.8 --max-count 4 --units mev",
+    "spectrum --v0 15 --rho 0.001 --families cc-left,ss-right,rprime-zeros --max-count 3",
+    "potential --v0 2 --rho 0.5 --x -1.5 --zmin -2 --zmax 3 --points 7",
+    "scan --v0 0.5 --rho 1 --emin 0.0624999375 --emax 0.0625000625 --points 33",
+    "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 1e14 --points 50",
+)
+
+
+def invocations() -> list[list[str]]:
+    """The argv lists, in the order they are run."""
+    with gzip.open(ROOT / "bench" / "reference" / "scan.json.gz", "rt", encoding="utf-8") as handle:
+        recorded = [list(op["argv"]) for op in json.load(handle)["ops"]]
+    readme = [shlex.split(line) for line in README]
+    return recorded + readme + [argv + ["--format", "json"] for argv in readme] + [
+        shlex.split(line) for line in EXTRA]
+
+
+def digest(main, argv: list[str]) -> str:
+    """One output line for one call of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    sha = [hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err)]
+    return "\t".join([shlex.join(argv), *sha, str(code)])
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from wsabsorb.cli import main as cli_main
+
+    for argv in invocations():
+        print(digest(cli_main, argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
