@@ -21,6 +21,7 @@ from wsabsorb.amplitudes import (
     potential_profile,
 )
 from wsabsorb.specfun import SingularValue
+from wsabsorb.spectral import SpectralFamily, critical_points
 from wsabsorb.units import PotentialSpec, Variant
 
 SPEC = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
@@ -308,3 +309,32 @@ class TestPotentialProfile:
     def test_overflow_safe_far_field(self):
         values = potential_profile(SPEC, 0.5, [1000.0])
         assert values[0] == 0.0
+
+
+def test_assembly_is_singular_value_division_of_g_factors():
+    # the one assembly gives, bit for bit, what dividing the G-factors as
+    # SingularValues gives, phases folded the same way (at critical points a
+    # phase of 2 pi over one of pi is -pi, not pi), Hermitian limit included
+    def divided(gf, root_k):
+        rl, rr, tl = gf.g4 / gf.g3, -(gf.g1 / gf.g3), root_k / gf.g3
+        return [rl, rr, tl, tl, rl.abs_squared(), rr.abs_squared(), tl.abs_squared(),
+                gf.g2 / gf.g3]
+
+    fields = ("rl", "rr", "tl", "tr", "Rl", "Rr", "T", "det_s")
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        v0, rho = rng.uniform(0.3, 8.0), rng.uniform(0.3, 3.0)
+        for variant in Variant:
+            spec = PotentialSpec(v0=v0, rho=rho, mass=1.0, variant=variant)
+            energies = [rng.uniform(0.05, 10.0)] + [
+                p.energy for family in SpectralFamily
+                for p in critical_points(spec, family, count=3)]
+            for energy in energies:
+                ch = channel_params(spec, energy)
+                root_k = SingularValue.finite(0.5 * math.log(ch.k1 / ch.k2), 0.0)
+                got = [getattr(amplitudes(spec, energy), f) for f in fields]
+                assert repr(got) == repr(divided(g_factors(ch), root_k))
+        ch = _hermitian_channel(v0, rho, 1.0, rng.uniform(0.05, 10.0))
+        root_k = SingularValue.finite(0.5 * math.log(ch.k1 / ch.k2), 0.0)
+        got = hermitian_amplitudes(v0, rho, 1.0, ch.energy)
+        assert repr([getattr(got, f) for f in fields]) == repr(divided(g_factors(ch), root_k))
