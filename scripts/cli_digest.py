@@ -12,8 +12,10 @@ script sits in, so comparing two checkouts is a ``diff`` of their outputs:
 The set: the 47 scans recorded in ``bench/reference/scan.json.gz`` (read
 only), the README commands in CSV and JSON, ``table1``, ``verify`` at seeds
 20260810 and 7, two ``spectrum`` cases and one ``potential`` case beyond the
-README's, and two scans that end in a det-S error (a degenerate point at
-E = 0.0625, and a window up to E = 1e14).
+README's, two scans that end in a det-S error (a degenerate point at
+E = 0.0625, and a window up to E = 1e14), and ``<command> --help`` for all
+six commands, so a usage change shows too.  The help text is formatted at
+80 columns whatever the terminal.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import gzip
 import hashlib
 import io
 import json
+import os
 import pathlib
 import shlex
 import sys
@@ -45,6 +48,7 @@ EXTRA = (
     "scan --v0 0.5 --rho 1 --emin 0.0624999375 --emax 0.0625000625 --points 33",
     "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 1e14 --points 50",
 )
+COMMANDS = ("scan", "spectrum", "ranges", "table1", "verify", "potential")
 
 
 def invocations() -> list[list[str]]:
@@ -53,7 +57,7 @@ def invocations() -> list[list[str]]:
         recorded = [list(op["argv"]) for op in json.load(handle)["ops"]]
     readme = [shlex.split(line) for line in README]
     return recorded + readme + [argv + ["--format", "json"] for argv in readme] + [
-        shlex.split(line) for line in EXTRA]
+        shlex.split(line) for line in EXTRA] + [[command, "--help"] for command in COMMANDS]
 
 
 def digest(main, argv: list[str]) -> str:
@@ -62,13 +66,14 @@ def digest(main, argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # --help and argparse usage errors
             code = exc.code
     sha = [hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err)]
     return "\t".join([shlex.join(argv), *sha, str(code)])
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to this width
     sys.path.insert(0, str(ROOT / "src"))
     from wsabsorb.cli import main as cli_main
 

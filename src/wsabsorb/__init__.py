@@ -27,7 +27,6 @@ from .oracle import (
 )
 from .specfun import (
     TAU_INT,
-    GammaPoleInfo,
     PoleProximityError,
     SeriesError,
     SingularValue,
@@ -47,7 +46,6 @@ from .spectral import (
     cpa_energies_time_reversed,
     critical_points,
     p_intermediate,
-    q_intermediate,
     rprime_left_zeros,
     scan_ranges,
     ss_energies,
@@ -58,7 +56,6 @@ from .units import (
     EnergyUnit,
     LengthUnit,
     PotentialSpec,
-    UnitSystem,
     Variant,
     convert_energy,
     convert_length,

@@ -4,8 +4,8 @@ reference-table reproduction, and the invariant verification suite.
 Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 validation error or failed det-S cross-check, 2 acceptance mismatch
-(table1/verify).
+1 validation error, failed det-S cross-check or a grid too large for
+memory, 2 acceptance mismatch (table1/verify).
 
 In-process calls of :func:`main` share one parser per process, built on
 the first call and never changed by parsing, so repeated calls (from
@@ -47,7 +47,7 @@ from .units import (
 
 _UNIT_CHOICES = {unit.value: unit for unit in EnergyUnit}
 
-_SPEC_KEYS = ("v0", "rho", "mass", "zeta", "variant", "emin", "emax", "points",
+_SPEC_KEYS = ("v0", "rho", "mass", "variant", "emin", "emax", "points",
               "threshold", "units", "format", "grid", "max_count", "seed")
 
 
@@ -141,16 +141,18 @@ def _overlay_config(args) -> None:
 def _spec_from_args(args) -> PotentialSpec:
     if args.v0 is None or args.rho is None:
         raise ValueError("both --v0 and --rho are required (flag or config)")
-    name = "forward" if args.variant is None else str(args.variant)
-    variant = {v.value: v for v in Variant}.get(name.replace("-", "_"))
+    # --mass and --variant exist only where an output reads them
+    given = getattr(args, "variant", None)
+    variant = {v.value: v for v in Variant}.get(
+        "forward" if given is None else str(given).replace("-", "_"))
     if variant is None:
-        raise ValueError(f"unknown variant {args.variant!r}")
+        raise ValueError(f"unknown variant {given!r}")
+    mass = getattr(args, "mass", None)
     return validate(
         PotentialSpec(
             v0=float(args.v0),
             rho=float(args.rho),
-            mass=float(args.mass if args.mass is not None else 1.0),
-            zeta=float(args.zeta if args.zeta is not None else 0.0),
+            mass=float(mass if mass is not None else 1.0),
             variant=variant,
         )
     )
@@ -273,9 +275,11 @@ def cmd_spectrum(args) -> int:
         tokens = []
     else:
         tokens = [token.strip() for token in raw.split(",")]
-        for token in tokens:
+        for i, token in enumerate(tokens):
             if token not in _FAMILY_CHOICES:
                 raise ValueError(f"unknown family {token!r}")
+            if token in tokens[:i]:
+                raise ValueError(f"family {token!r} given twice")
     families = [family for token in tokens for family in _FAMILY_CHOICES[token]]
     total, cap = max_count * len(families), spectral._MAX_WINDOW_INDICES
     # a count above the cap is refused by critical_points, naming the family
@@ -447,7 +451,8 @@ def cmd_verify(args) -> int:
 
 def cmd_potential(args) -> int:
     spec = _spec_from_args(args)
-    xs = [float(x) for x in (args.x or ["2.0", "4.0"])]
+    given = args.x or ["2.0", "4.0"]
+    xs = [float(x) for x in given]
     zmin = float(args.zmin if args.zmin is not None else -4.0)
     zmax = float(args.zmax if args.zmax is not None else 4.0)
     points = int(args.points if args.points is not None else 200)
@@ -456,12 +461,15 @@ def cmd_potential(args) -> int:
             raise ValueError(f"{name} must be finite, got {value}")
     if points < 2 or zmax <= zmin:
         raise ValueError("need points >= 2 and zmax > zmin")
+    # each profile needs columns of its own, or a JSON row keeps only one
+    tags = [f"{x:g}".replace("-", "m").replace(".", "p") for x in xs]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"--x {given[tags.index(tag)]} and --x {given[i]} share the "
+                             f"columns re_V_x{tag}, im_V_x{tag}")
+    columns = ["zeta", *(f"{part}_V_x{tag}" for tag in tags for part in ("re", "im"))]
     zeta = np.linspace(zmin, zmax, points)
     profiles = [potential_profile(spec, x, zeta) for x in xs]
-    columns = ["zeta"]
-    for x in xs:
-        tag = f"{x:g}".replace("-", "m").replace(".", "p")
-        columns += [f"re_V_x{tag}", f"im_V_x{tag}"]
     rows = []
     for i, z in enumerate(zeta):
         row = [float(z)]
@@ -479,19 +487,20 @@ def cmd_potential(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
-def _add_common(sub, spec_flags=True, window_flags=False, units_flag=True):
+def _add_common(sub, spec_flags=(), window_flags=False, units_flag=True):
+    """The options several commands share.  ``spec_flags`` names the
+    potential's parameters (of v0, rho, mass and variant) that the
+    command's output reads; each gets its flag."""
     sub.add_argument("--config", help="key = value file supplying defaults")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--out", help="write output to PATH instead of stdout")
     if units_flag:
         sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default=None)
-    if spec_flags:
-        sub.add_argument("--v0", type=float, default=None)
-        sub.add_argument("--rho", type=float, default=None)
-        sub.add_argument("--mass", type=float, default=None)
-        sub.add_argument("--zeta", type=float, default=None)
-        sub.add_argument("--variant", default=None,
-                         help="forward or time-reversed")
+    for name in spec_flags:
+        if name == "variant":
+            sub.add_argument("--variant", default=None, help="forward or time-reversed")
+        else:
+            sub.add_argument(f"--{name}", type=float, default=None)
     if window_flags:
         sub.add_argument("--emin", type=float, default=None)
         sub.add_argument("--emax", type=float, default=None)
@@ -505,12 +514,12 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     scan = subs.add_parser("scan", help="amplitude scan over an energy window")
-    _add_common(scan, window_flags=True)
+    _add_common(scan, ("v0", "rho", "mass", "variant"), window_flags=True)
     scan.add_argument("--points", type=int, default=None)
     scan.set_defaults(func=cmd_scan)
 
     spectrum = subs.add_parser("spectrum", help="closed-form critical energies")
-    _add_common(spectrum)
+    _add_common(spectrum, ("v0", "rho", "mass"))
     spectrum.add_argument("--families", default=None,
                           help="comma list of " + ",".join(_FAMILY_CHOICES)
                                + ", or all/none")
@@ -518,24 +527,24 @@ def build_parser() -> _Parser:
     spectrum.set_defaults(func=cmd_spectrum)
 
     ranges = subs.add_parser("ranges", help="certified absorption ranges")
-    _add_common(ranges, window_flags=True)
+    _add_common(ranges, ("v0", "rho", "mass"), window_flags=True)
     ranges.add_argument("--criterion", choices=("cc-left", "cpa"), default="cc-left")
     ranges.add_argument("--threshold", type=float, default=None)
     ranges.add_argument("--grid", type=int, default=None)
     ranges.set_defaults(func=cmd_ranges)
 
     table1 = subs.add_parser("table1", help="reproduce the published reference table")
-    _add_common(table1, spec_flags=False, units_flag=False)
+    _add_common(table1, units_flag=False)
     table1.add_argument("--grid", type=int, default=None)
     table1.set_defaults(func=cmd_table1)
 
     verify = subs.add_parser("verify", help="run the cross-module invariant suites")
-    _add_common(verify, spec_flags=False, units_flag=False)
+    _add_common(verify, units_flag=False)
     verify.add_argument("--seed", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     potential = subs.add_parser("potential", help="sample the complex potential")
-    _add_common(potential, units_flag=False)
+    _add_common(potential, ("v0", "rho", "variant"), units_flag=False)
     potential.add_argument("--x", action="append", default=None,
                            help="real offset; repeatable")
     potential.add_argument("--zmin", type=float, default=None)
@@ -560,8 +569,9 @@ def main(argv=None) -> int:
         if args.format not in ("csv", "json"):
             raise ValueError(f"unknown format {args.format!r}")
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
+        # a MemoryError is a grid too large to allocate; a bare one has no text
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
 
 

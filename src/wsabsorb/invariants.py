@@ -9,11 +9,9 @@ exceed; ``verify`` gives each check a fresh generator from the same seed.
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from .amplitudes import ChannelParams, amplitudes, channel_params, g_factors, hermitian_amplitudes
 from .oracle import oracle_domain_ok, oracle_g_factors
-from .specfun import SingularValue, log_gamma
+from .specfun import SingularValue
 from .spectral import (
     Side,
     cc_left_energies,
@@ -23,32 +21,6 @@ from .spectral import (
     ss_energies,
 )
 from .units import PotentialSpec, Variant
-
-
-def _gamma_points(rng, n):
-    """n random draws from [-30, 30]^2, less those within 1e-3 of an integer,
-    where Gamma(z) or Gamma(1 - z) has a pole."""
-    for _ in range(n):
-        z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-        if not (abs(z.real - round(z.real)) < 1e-3 and abs(z.imag) < 1e-3):
-            yield z
-
-
-def _suite_gamma_reflection(rng, n=1000):
-    worst = 0.0
-    for z in _gamma_points(rng, n):
-        lhs = log_gamma(z) + log_gamma(1.0 - z)
-        rhs = math.pi / np.sin(math.pi * complex(z))
-        worst = max(worst, abs(np.exp(lhs) - rhs) / abs(rhs))
-    return worst
-
-
-def _suite_gamma_recurrence(rng, n=1000):
-    worst = 0.0
-    for z in _gamma_points(rng, n):
-        got = np.exp(log_gamma(z + 1.0) - log_gamma(z))
-        worst = max(worst, abs(got - complex(z)) / abs(z))
-    return worst
 
 
 def _random_channel(rng):
@@ -163,8 +135,6 @@ def _suite_oracle(rng, n=8):
 
 #: (name, check, tolerance) per suite, in ``verify``'s row order.
 SUITES = (
-    ("gamma_reflection", _suite_gamma_reflection, 1e-10),
-    ("gamma_recurrence", _suite_gamma_recurrence, 1e-12),
     ("gamma_identity", _suite_gamma_identity, 1e-9),
     ("hermitian_unitarity", _suite_hermitian, 1e-10),
     ("cc_ss_duality", _suite_duality, 1e-12),

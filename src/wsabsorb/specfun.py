@@ -94,23 +94,6 @@ def log_gamma(z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class GammaPoleInfo:
-    """Residue data of Gamma at z = -pole_index."""
-
-    pole_index: int
-    leading_coefficient: complex
-
-    @classmethod
-    def at(cls, k: int) -> "GammaPoleInfo":
-        """The residue that :func:`gamma_info` carries at -k, as a number."""
-        if k < 0:
-            raise ValueError("pole index must be a non-negative integer")
-        pole = gamma_info(-k)
-        coeff = math.cos(pole.phase) * math.exp(pole.log_magnitude)  # phase is 0 or pi
-        return cls(pole_index=k, leading_coefficient=complex(coeff))
-
-
-@dataclass(frozen=True)
 class SingularValue:
     """A complex value with explicit zero/pole order in a limit variable.
 

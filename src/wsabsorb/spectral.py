@@ -66,7 +66,6 @@ __all__ = [
     "cpa_energies_forward",
     "cpa_energies_time_reversed",
     "p_intermediate",
-    "q_intermediate",
     "integer_distance",
     "scan_ranges",
 ]
@@ -128,9 +127,6 @@ def p_intermediate(spec: PotentialSpec, n: int) -> float:
     p_n < 0.
     """
     return n * n * spec.rho * spec.rho / (8.0 * spec.mass) - spec.v0 / 2.0
-
-
-q_intermediate = p_intermediate
 
 
 def _well_energy(spec: PotentialSpec, n: int) -> float:

@@ -34,12 +34,6 @@ class LengthUnit(Enum):
     NANOMETER = "nm"
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    energy_scale: EnergyUnit = EnergyUnit.INTERNAL
-    length_scale: LengthUnit = LengthUnit.INTERNAL
-
-
 _EV_FACTOR = {
     EnergyUnit.INTERNAL: 1.0,
     EnergyUnit.ELECTRON_VOLT: EV_PER_ENERGY_UNIT,
@@ -54,28 +48,24 @@ _NM_FACTOR = {
 
 def convert_energy(
     value: float,
-    from_units: UnitSystem | EnergyUnit = EnergyUnit.INTERNAL,
-    to_units: UnitSystem | EnergyUnit = EnergyUnit.INTERNAL,
+    from_units: EnergyUnit = EnergyUnit.INTERNAL,
+    to_units: EnergyUnit = EnergyUnit.INTERNAL,
 ) -> float:
-    """Convert an energy between unit systems (pure arithmetic)."""
+    """Convert an energy between units (pure arithmetic)."""
     if not math.isfinite(value):
         raise ValueError(f"energy must be finite, got {value!r}")
-    src = from_units.energy_scale if isinstance(from_units, UnitSystem) else from_units
-    dst = to_units.energy_scale if isinstance(to_units, UnitSystem) else to_units
-    return value / _EV_FACTOR[src] * _EV_FACTOR[dst]
+    return value / _EV_FACTOR[from_units] * _EV_FACTOR[to_units]
 
 
 def convert_length(
     value: float,
-    from_units: UnitSystem | LengthUnit = LengthUnit.INTERNAL,
-    to_units: UnitSystem | LengthUnit = LengthUnit.INTERNAL,
+    from_units: LengthUnit = LengthUnit.INTERNAL,
+    to_units: LengthUnit = LengthUnit.INTERNAL,
 ) -> float:
-    """Convert a length between unit systems."""
+    """Convert a length between units."""
     if not math.isfinite(value):
         raise ValueError(f"length must be finite, got {value!r}")
-    src = from_units.length_scale if isinstance(from_units, UnitSystem) else from_units
-    dst = to_units.length_scale if isinstance(to_units, UnitSystem) else to_units
-    return value / _NM_FACTOR[src] * _NM_FACTOR[dst]
+    return value / _NM_FACTOR[from_units] * _NM_FACTOR[to_units]
 
 
 @dataclass(frozen=True)

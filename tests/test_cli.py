@@ -751,3 +751,90 @@ def test_json_cells_take_their_type_from_the_value(tmp_path, monkeypatch):
     zeros = [row["interior_zeros"] for row in json.loads(text)["rows"]]
     assert zeros == [line.split(",")[-1] for line in csv_text.splitlines()[1:]]
     assert "" in zeros and any(zeros)
+
+
+# -- inputs that no output reads, and inputs that would lose output -------------------
+
+
+_SMALL_CALLS = {
+    "scan": ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "1.5",
+             "--points", "3"],
+    "spectrum": ["spectrum", "--v0", "2", "--rho", "2", "--max-count", "2"],
+    "ranges": ["ranges", "--v0", "1", "--rho", "0.0006", "--emin", "3.0010",
+               "--emax", "3.0030", "--grid", "128"],
+    "potential": ["potential", "--v0", "1.2", "--rho", "1.8", "--points", "5"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("scan", "--zeta 5"), ("spectrum", "--zeta 5"), ("ranges", "--zeta 5"),
+    ("potential", "--zeta 5"), ("spectrum", "--variant time-reversed"),
+    ("ranges", "--variant time-reversed"), ("potential", "--mass 7"),
+])
+def test_flag_no_output_reads_is_a_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as stop:
+        main(_SMALL_CALLS[command] + flag.split() + ["--out", str(out)])
+    assert stop.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(_SMALL_CALLS[command] + ["--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("scan", "zeta = 1", "unknown config keys: ['zeta']"),
+    ("potential", "zeta = 1", "unknown config keys: ['zeta']"),
+    ("spectrum", "variant = forward", "config keys ['variant'] are not options of spectrum"),
+    ("ranges", "variant = forward", "config keys ['variant'] are not options of ranges"),
+    ("potential", "mass = 1", "config keys ['mass'] are not options of potential"),
+])
+def test_config_key_no_output_reads_is_rejected(tmp_path, capsys, command, line, message):
+    config = tmp_path / "unread.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out.txt"
+    assert main(_SMALL_CALLS[command] + ["--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, second, tag", [
+    ("1.0000001", "1.0000002", "1"), ("2", "2.0", "2"), ("-0.5", "-0.5", "m0p5"),
+])
+def test_potential_offsets_sharing_columns_rejected(tmp_path, capsys, first, second, tag):
+    # each profile needs its own columns, or the JSON rows keep only one
+    out = tmp_path / "out.txt"
+    argv = _SMALL_CALLS["potential"] + ["--x", first, "--x", "3", "--x", second]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --x {first} and --x {second} share the columns re_V_x{tag}, im_V_x{tag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("families", ["cc-left,cc-left", "cc-left,ss-right,cc-left"])
+def test_repeated_family_rejected(tmp_path, capsys, families):
+    out = tmp_path / "out.txt"
+    argv = _SMALL_CALLS["spectrum"] + ["--families", families, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: family 'cc-left' given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("scan", "log10_coefficients"), ("ranges", "scan_ranges"), ("potential", "potential_profile"),
+])
+@pytest.mark.parametrize("text, line", [
+    ("Unable to allocate 8.94 GiB for an array with shape (12, 50000000) and data type "
+     "complex128", "error: Unable to allocate 8.94 GiB for an array with shape "
+                   "(12, 50000000) and data type complex128\n"),
+    ("", "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_grid_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, command, name,
+                                           text, line):
+    # what numpy raises where a --points or --grid array cannot be allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(text)
+    monkeypatch.setattr(cli, name, out_of_memory)
+    out = tmp_path / "out.txt"
+    assert main(_SMALL_CALLS[command] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()

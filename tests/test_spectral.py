@@ -19,7 +19,6 @@ from wsabsorb.spectral import (
     cpa_energies_time_reversed,
     critical_points,
     p_intermediate,
-    q_intermediate,
     rprime_left_zeros,
     scan_ranges,
     snap_tolerance,
@@ -153,10 +152,6 @@ class TestReflectionZeros:
             for n in range(1, 6):
                 p = p_intermediate(spec, n)
                 assert spec.v0 + 2 * p == pytest.approx(
-                    n ** 2 * spec.rho ** 2 / (4 * spec.mass), rel=1e-12
-                )
-                q = q_intermediate(spec, n)
-                assert spec.v0 + 2 * q == pytest.approx(
                     n ** 2 * spec.rho ** 2 / (4 * spec.mass), rel=1e-12
                 )
 

@@ -10,7 +10,6 @@ from wsabsorb.units import (
     EnergyUnit,
     LengthUnit,
     PotentialSpec,
-    UnitSystem,
     Variant,
     convert_energy,
     convert_length,
@@ -32,11 +31,6 @@ class TestConversions:
         assert convert_length(1 / 1.8, to_units=NM) == pytest.approx(0.0294, abs=5e-5)
         assert convert_length(1 / 60, to_units=NM) == pytest.approx(0.00088, abs=1e-5)
         assert convert_length(1.0, to_units=NM) == pytest.approx(0.0529177, abs=1e-12)
-
-    def test_unit_system_objects(self):
-        display = UnitSystem(energy_scale=EV, length_scale=NM)
-        assert convert_energy(1.0, UnitSystem(), display) == pytest.approx(27.2114)
-        assert convert_energy(27.2114, display, UnitSystem()) == pytest.approx(1.0)
 
     @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
     @settings(max_examples=200, deadline=None)
