@@ -1,6 +1,6 @@
 """Contour-integration cross-check of the closed-form coefficients.
 
-These tests pit the Gamma-free route (series launch, adaptive RK bridge,
+These tests pit the Gamma-free route (series launch, Taylor-series bridge,
 series fit) against the analytic module, and exercise the oracle's own
 internal consistency: launch-state round trips, handoff and offset
 invariance, and the connection identity re-derived from fitted numbers.
@@ -319,6 +319,21 @@ def test_local_state_derivative_matches_finite_difference(draw, shape, end):
     assert abs(fd - dpsi) <= 1e-8 * abs(dpsi)
 
 
+@pytest.mark.parametrize("draw", _joint_draws())
+def test_closed_form_fit_matches_linalg(draw):
+    # the 2-norm condition number and Cramer's rule against SVD and LU
+    a2, a3, phi, uh, variant = draw
+    _, end, _ = _integrate_core(a2, a3, phi, _shapes(variant), uh, -uh)
+    Y = end.reshape(2, 2).T
+    C, cond = _basis_coefficients(a2, a3, phi, -uh, Variant.FORWARD, Y)
+    wp, dwp = _local_state("w_plus", a2, a3, -uh, phi)
+    wm, dwm = _local_state("w_minus", a2, a3, -uh, phi)
+    M = np.array([[wp, wm], [dwp, dwm]])
+    assert abs(cond - np.linalg.cond(M)) <= 1e-12 * np.linalg.cond(M)
+    ref = np.linalg.solve(M, Y)
+    assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestJointIntegration:
     @pytest.mark.parametrize("draw", _joint_draws())
     def test_joint_end_states_match_single_launches(self, draw):
@@ -350,3 +365,37 @@ class TestJointIntegration:
     def test_overflow_guard_trips_through_g_factors(self):
         with pytest.raises(ContourError, match="overflow guard"):
             oracle_g_factors(PotentialSpec(8.0, 0.6, 1.0), 2.2, Z=60.0)
+
+
+def _worst_deviation(v0, rho, energy):
+    """Worst deviation of the oracle from the closed form at one draw: relative
+    on the forward G-factors and the time-reversed amplitudes, and on the unit
+    scale of the unitary S matrix for the Hermitian amplitudes."""
+    spec = PotentialSpec(v0, rho, 1.0)
+    tr = replace(spec, variant=Variant.TIME_REVERSED)
+    pairs = [(a, b, 0.0) for a, b in zip(analytic_g(spec, energy), oracle_g_factors(spec, energy))]
+    for closed, fitted, floor in ((amplitudes(tr, energy), oracle_amplitudes(tr, energy), 0.0),
+                                  (hermitian_amplitudes(v0, rho, 1.0, energy),
+                                   hermitian_oracle_amplitudes(v0, rho, 1.0, energy), 1.0)):
+        for name in ("rl", "rr", "tl", "det_s"):
+            pairs.append((getattr(closed, name).to_complex(), getattr(fitted, name).to_complex(),
+                          floor))
+    return max(abs(a - b) / max(abs(a), floor) for a, b, floor in pairs)
+
+
+def test_deviation_quantiles_on_the_domain_family():
+    # v0 in [0.5, 5], rho in [0.5, 3], E in [0.1, 10] kept by oracle_domain_ok, with a
+    # Hermitian reflection (delta = rho) of at least 1e-12: the worst deviation per
+    # draw is rounding noise up to ~1e-8, so the gate is on its quantiles
+    rng = np.random.default_rng(61)
+    devs = []
+    while len(devs) < 48:
+        v0, rho, energy = rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), rng.uniform(0.1, 10.0)
+        if not oracle_domain_ok(PotentialSpec(v0, rho, 1.0), energy):
+            continue
+        herm = hermitian_amplitudes(v0, rho, 1.0, energy)
+        if min(herm.rl.magnitude, herm.rr.magnitude) < 1e-12:
+            continue
+        devs.append(_worst_deviation(v0, rho, energy))
+    p50, p90 = np.quantile(devs, [0.5, 0.9])
+    assert p50 <= 1e-11 and p90 <= 1e-9
