@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .specfun import TAU_INT, SingularValue, gamma_logs
 from .units import PotentialSpec, Variant, validate
@@ -170,9 +169,10 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
         order[:4] = q1 + q2 - p1 - p2
     n1, n2, d1, d2 = lg[_G_ROWS]
-    # xlogy, not np.log: a scalar ufunc loop that rounds as 0.5 * math.log
-    # does at every array length, where numpy's vectorised log may not
-    root_k = xlogy(0.5, np.ravel(ch.k1 / ch.k2))
+    # libm's log one energy at a time: numpy's vectorised log may round
+    # differently, and these bits must not depend on how many energies share
+    # the call
+    root_k = 0.5 * np.fromiter(map(math.log, np.ravel(ch.k1 / ch.k2).tolist()), float)
     return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size
 
 

@@ -72,7 +72,7 @@ __all__ = [
 U_BUDGET = 5.0
 
 #: the bridge's accuracy target: its end states are held to an integrator
-#: run at this relative tolerance (the tests use scipy's DOP853)
+#: run at this relative tolerance (the tests' DOP853 reference)
 DEFAULT_RTOL = 3e-14
 OVERFLOW_GUARD = 1e120
 CONDITION_LIMIT = 1e8

@@ -5,10 +5,10 @@ critical-energy classification) reduces to products and ratios of Gamma
 functions whose arguments sweep through poles.  Values are therefore kept
 in log-magnitude + phase form, and exact poles/zeros are represented
 explicitly by :class:`SingularValue` instead of overflowing floats.  The
-log-Gamma values themselves come from ``scipy.special.loggamma`` (Hare's
-principal-branch algorithm) for complex arguments, and for real ones from
-``gammaln`` with the phase pi where ``gammasgn`` is negative.  One integer
-rule, :func:`snap`, decides every "is this an integer" question of the
+log-Gamma values come from the package's own series, in numpy alone: a Pade
+form of the Taylor series about 2 with the recurrence, Stirling's series
+for large arguments and the reflection formula left of 1/2, over real and
+complex arrays alike.  One integer rule, :func:`snap`, decides every "is this an integer" question of the
 package, and :func:`gamma_logs` is the one pole-aware Gamma evaluation:
 the closed-form kernel in ``amplitudes`` applies it to all twelve Gamma
 arguments of a whole energy grid at once, and :func:`gamma_info` and
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, loggamma
 
 #: The width of the one snap rule deciding "is this argument an integer".
 #: The critical-point conditions are exact integer conditions; floating input
@@ -59,30 +58,172 @@ def snap(x):
     return n, abs(x - n) <= TAU_INT
 
 
+# log Gamma(2 + t) = t P(t) / (1 + t Q(t)) on |t| <= 1/2, real or complex: the
+# [8/8] Pade approximant of the Taylor series (1 - gamma) t + sum_k>=2
+# (-1)^k (zeta(k) - 1) t^k / k (DLMF 5.7.3), good to 1e-18 on that disk
+_PADE_P = (0.42278433509846713, 1.097580382712048, 1.0926632537445615, 0.5439360240124151,
+           0.14506061235372716, 0.020285357312986484, 0.0013221993659978846,
+           2.8636525082098215e-05)
+_PADE_Q = (1.8333539938451355, 1.3454125045900527, 0.5037666463652358, 0.10142936848227321,
+           0.010567361047207917, 0.0004924219301827396, 6.671296294757436e-06,
+           -1.217589790657765e-08)
+# B_2k / (2k (2k - 1)), k = 1..8: Stirling's series (DLMF 5.11.1) in 1/w^2,
+# whose next term is below 1e-16 of log Gamma from |w| >= _STIRLING_MIN on
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+_STIRLING_MIN = 8.0
+# from |w| >= _STIRLING_SHORT on, the first three terms do, the fourth being
+# below 1e-17
+_STIRLING_SHORT = 100.0
+# _PADE[j] is the column (P_j, Q_j) of the t^j coefficients
+_PADE = np.array([_PADE_P, _PADE_Q]).T[:, :, None]
+# the factors w, w + 1, ..., w + 7 of an upward shift by m <= 8
+_SHIFT_J = np.arange(8.0)[:, None]
+_LOG_PI = math.log(math.pi)
+_STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+# past this |Im z|, log sin(pi z) is its asymptotic form to within e^(-40 pi)
+_SIN_ASYMPTOTIC = 20.0
+
+
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma off the poles, elementwise, as a complex array.
+
+    Real x gives log |Gamma(x)| with the phase pi where Gamma(x) < 0,
+    complex x a log of Gamma(x) whose phase is right modulo 2 pi.  Re x <
+    1/2 reflects to w = 1 - x: Gamma(x) Gamma(w) = pi / sin(pi x) (DLMF
+    5.5.3), where x = k + f with k the integer nearest Re x is exact, so
+    sin(pi x) = (-1)^k sin(pi f) keeps its digits near the integers.
+    For |w| < 8 within 1/2 of the integer n nearest Re w (every real w
+    below 8), log Gamma(w) is the Pade form at 2 + t, t = w - n, and the
+    recurrence to w; elsewhere Stirling's series, at w + m with
+    Re(w + m) >= 8 where |w| < 8 (complex w only), less the log of
+    w (w + 1) ... (w + m - 1).
+    """
+    complex_ = x.dtype.kind == "c"
+    reflect = x.real < 0.5
+    w = x.copy()
+    np.subtract(1.0, x, out=w, where=reflect)
+    size = np.abs(w) if complex_ else w
+    near = size < _STIRLING_MIN
+    if complex_:
+        near &= np.abs(w - np.floor(w.real + 0.5)) <= 0.5
+    far = ~near
+    wn, v = w[near], w[far]
+    short = size[far] >= _STIRLING_SHORT
+    # the arrays are freed as soon as they are used up: fresh memory costs
+    # big calls page faults
+    del w, size
+    lg = np.empty(x.shape, dtype=wn.dtype)
+    if wn.size:  # each stage is skipped where no argument needs it
+        n = np.floor(wn.real + 0.5)
+        t = wn - n
+        # numpy's in-place complex products may round differently at different
+        # array lengths, so each product goes to a buffer apart from its factors;
+        # the buffers of a stage share one block, which big calls find again
+        # on the heap
+        block = np.empty((7,) + t.shape, dtype=t.dtype)
+        pq, spare = block[:4].reshape((2, 2) + t.shape)
+        pq[...] = _PADE[-1]
+        for c in _PADE[-2::-1]:
+            np.multiply(pq, t, out=spare)
+            spare += c
+            pq, spare = spare, pq
+        p, q = np.multiply(pq, t, out=spare)
+        q += 1.0
+        p = np.divide(p, q, out=pq[0])
+        # Gamma(w) / Gamma(2 + t): (w - 1) ... (w - n + 2), or 1 / w for n = 1
+        ratio, product, spare = block[4:]
+        ratio[...] = 1.0
+        np.divide(1.0, wn, out=ratio, where=n == 1.0)
+        product[...] = 1.0
+        for j in range(1, int(np.maximum.reduce(n, initial=2.0)) - 1):
+            np.multiply(product, wn - j, out=spare)
+            product, spare = spare, product
+            np.copyto(ratio, product, where=n == j + 2.0)
+        p += np.log(ratio)
+        lg[near] = p
+        del wn, n, t, block, pq, spare, p, q, ratio, product
+    if v.size:
+        if complex_:
+            m = np.ceil(_STIRLING_MIN - v.real) * (np.abs(v) < _STIRLING_MIN)
+            factors = np.where(m > _SHIFT_J, v + _SHIFT_J, 1.0)
+            shift = factors[0]
+            for row in factors[1:]:
+                shift = shift * row
+            v += m
+        # Stirling's series in 1/v^2 by Horner's rule: all eight terms below
+        # _STIRLING_SHORT, the last three from there on
+        r, r2, series, spare = np.empty((4,) + v.shape, dtype=v.dtype)
+        np.divide(1.0, v, out=r)
+        np.multiply(r, r, out=r2)
+        series[...] = _STIRLING[2]
+        long = ~short
+        x2 = r2[long]
+        head = np.full(x2.shape, _STIRLING[-1], dtype=v.dtype)
+        for c in _STIRLING[-2:1:-1]:
+            head = head * x2
+            head += c
+        series[long] = head
+        for c in _STIRLING[1::-1]:
+            np.multiply(series, r2, out=spare)
+            spare += c
+            series, spare = spare, series
+        np.multiply(series, r, out=spare)
+        spare += _STIRLING_CONST
+        if complex_:
+            spare -= np.log(shift)
+        lv = np.log(v, out=r2)
+        lv -= 1.0
+        v -= 0.5
+        np.multiply(lv, v, out=series)
+        series += spare
+        lg[far] = series
+        del v, r, r2, series, spare, lv, x2, head
+    xr = x[reflect]
+    k = np.rint(xr.real)
+    f = xr - k
+    if complex_:
+        y = f.imag
+        direct = np.log(np.sin(math.pi * (f.real + 1j * np.clip(y, -_SIN_ASYMPTOTIC, _SIN_ASYMPTOTIC))))
+        asymptotic = math.pi * np.abs(y) - math.log(2.0) + 1j * np.sign(y) * (0.5 * math.pi - math.pi * f.real)
+        log_sin = np.where(np.abs(y) > _SIN_ASYMPTOTIC, asymptotic, direct) + 1j * math.pi * k
+        lg[reflect] = _LOG_PI - log_sin - lg[reflect]
+        return lg
+    sin = np.sin(math.pi * f)
+    lg[reflect] = _LOG_PI - np.log(np.abs(sin)) - lg[reflect]
+    out = lg.astype(complex)
+    half = 0.5 * k
+    out.imag[reflect] = math.pi * ((sin < 0.0) != (half != np.floor(half)))
+    return out
+
+
 def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pole mask and logs of Gamma over an array: the one pole-aware Gamma
     evaluation.
 
     ``pole`` marks the arguments that :func:`snap` puts on a pole -k,
     k >= 0.  ``lg`` is log Gamma(z) off the poles and, at a pole, the log of
-    the residue (-1)^k / k!.  Real arrays take ``gammaln`` with a phase of
-    pi where ``gammasgn`` is negative, complex ones ``loggamma``.  The
-    arguments must be finite.
+    the residue (-1)^k / k!.  A real array gives log |Gamma| with the phase
+    pi where Gamma < 0; a complex one a log of Gamma whose phase is right
+    modulo 2 pi.  Off the poles, the real part and the phase are within
+    4 eps (real arguments) or 32 eps (complex ones) of max(1, |log Gamma|).
+    The arguments must be finite.  Elementwise: an argument gives the same
+    bits alone as anywhere in an array of any length.
     """
     n, hit = snap(z)
     pole = hit & (n <= 0)
     x = np.where(pole, 1.0 - n, z)  # log k! at a pole
-    lg = loggamma(x) if np.iscomplexobj(x) else gammaln(x) + 1j * math.pi * (gammasgn(x) < 0)
+    lg = _log_gamma(x)
     if pole.any():
         lg[pole] = 1j * math.pi * (n[pole] % 2) - lg[pole]
     return pole, lg
 
 
 def log_gamma(z: complex) -> complex:
-    """Principal log of Gamma(z), by ``scipy.special.loggamma``.
+    """Log of Gamma(z): :func:`gamma_info`'s value at one argument.
 
     ``exp(log_gamma(z))`` reproduces Gamma(z); the imaginary part is
-    folded into (-pi, pi].
+    folded into [-pi, pi].
 
     Raises :class:`PoleProximityError` within ``TAU_INT`` of a non-positive
     integer; those cases must go through :func:`gamma_info`.
@@ -258,7 +399,8 @@ def gamma_info(z: complex) -> SingularValue:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite argument {z!r}")
-    pole, lg = gamma_logs(np.array([z]))
+    with np.errstate(over="ignore"):  # log Gamma past 1e308 is inf, as a float
+        pole, lg = gamma_logs(np.array([z]))
     w = complex(lg[0])
     return SingularValue(-int(pole[0]), w.real, w.imag)
 

@@ -34,8 +34,9 @@ by ``|du/dE|``.
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
 refines the threshold crossings by bisection.  The crossings of all
-brackets bisect in lockstep, one kernel call per step, each with its own
-stop rule, so every endpoint is the one a crossing bisected alone reaches.
+brackets bisect in lockstep, one kernel call per three steps, each with its
+own stop rule, so every endpoint is the one a crossing bisected alone
+reaches.
 """
 
 from __future__ import annotations
@@ -345,6 +346,12 @@ def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies
     return np.maximum(rl, t) if criterion is RangeCriterion.CC_LEFT_RANGE else det
 
 
+# bisection steps one kernel call resolves: it evaluates the midpoints of the
+# next _LOOKAHEAD steps for either outcome of the steps before, 2**_LOOKAHEAD - 1
+# energies per open crossing, so that the calls' fixed cost is paid a third as often
+_LOOKAHEAD = 3
+
+
 def _bisect_crossing(
     tr_spec: PotentialSpec,
     criterion: RangeCriterion,
@@ -354,25 +361,53 @@ def _bisect_crossing(
 ) -> np.ndarray:
     """Refine threshold crossings between failing and passing energies.
 
-    The crossings bisect in lockstep: each step is one kernel call over the
-    midpoints of the crossings still open.  Each crossing stops on its own,
-    once its bracket is within 1e-10 relative of its midpoint or after 200
-    steps, so every refined energy is the one a crossing bisected alone
-    would reach.  Returns the refined passing energies.
+    The crossings bisect in lockstep, each stopping on its own once its
+    bracket is within 1e-10 relative of its midpoint or after 200 steps, so
+    every refined energy is the one a crossing bisected alone would reach.
+    One kernel call serves _LOOKAHEAD steps: the tree of midpoints the next
+    steps can reach is evaluated at once (every energy gets the bits it
+    would get alone), and the steps then read their outcomes from it.
+    Where that call raises, the steps evaluate one at a time, so an error
+    names the energy a lone step would.  Returns the refined passing
+    energies.
     """
     e_fail = np.array(e_fail, dtype=float)
     e_pass = np.array(e_pass, dtype=float)
     active = np.ones(e_pass.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (e_fail + e_pass)
-        active &= np.abs(e_pass - e_fail) > 1e-10 * mid
-        if not active.any():
-            break
-        i = np.flatnonzero(active)
-        passing = _log10_certified(tr_spec, criterion, mid[i]) < log10_cap
-        e_pass[i[passing]] = mid[i[passing]]
-        e_fail[i[~passing]] = mid[i[~passing]]
-    return e_pass
+    steps = 0
+    while True:
+        # node k of a crossing's tree brackets the step after k passing
+        # (child 2k + 1) or failing (child 2k + 2)
+        lo, hi = [e_fail], [e_pass]
+        for k in range(2 ** (_LOOKAHEAD - 1) - 1):
+            mid = 0.5 * (lo[k] + hi[k])
+            lo += [lo[k], mid]
+            hi += [mid, hi[k]]
+        lo, hi = np.array(lo), np.array(hi)
+        mids = 0.5 * (lo + hi)
+        wanted = (np.abs(hi - lo) > 1e-10 * mids) & active
+        try:
+            outcome = np.zeros(mids.shape, dtype=bool)
+            outcome[wanted] = _log10_certified(tr_spec, criterion, mids[wanted]) < log10_cap
+        except ArithmeticError:
+            outcome = None
+        node = np.zeros(e_pass.shape, dtype=int)
+        for _ in range(_LOOKAHEAD):
+            mid = 0.5 * (e_fail + e_pass)
+            active &= np.abs(e_pass - e_fail) > 1e-10 * mid
+            if not active.any():
+                return e_pass
+            i = np.flatnonzero(active)
+            if outcome is None:
+                passing = _log10_certified(tr_spec, criterion, mid[i]) < log10_cap
+            else:
+                passing = outcome[node[i], i]
+            e_pass[i[passing]] = mid[i[passing]]
+            e_fail[i[~passing]] = mid[i[~passing]]
+            node[i] = 2 * node[i] + np.where(passing, 1, 2)
+            steps += 1
+            if steps == 200:
+                return e_pass
 
 
 def scan_ranges(
@@ -391,7 +426,8 @@ def scan_ranges(
     bracket overlapping the window is sampled on a uniform grid, one kernel
     call per bracket; maximal sub-threshold runs are reported, with every
     endpoint that a failing grid point bounds refined by bisection.  The
-    crossings of all brackets bisect in lockstep, one kernel call per step.
+    crossings of all brackets bisect in lockstep, one kernel call per three
+    steps.
     An empty result means no sample beat the threshold.
     """
     validate(spec)

@@ -302,16 +302,67 @@ def test_infinite_window_exits_1(capsys, command):
     assert "invalid window" in captured.err and "Warning" not in captured.err
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # a fresh interpreter: scipy.integrate is the oracle's, loaded on first use
+def _fresh_interpreter(probe: str) -> subprocess.CompletedProcess:
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter: scipy.integrate is the oracle's, loaded on first use
     probe = ("import sys, wsabsorb.cli; "
              "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert _fresh_interpreter(probe).stdout.split() == ["False", "False"]
+
+
+def test_cli_and_oracle_load_no_scipy_module():
+    probe = (
+        "import sys, wsabsorb.cli\n"
+        "from wsabsorb.oracle import hermitian_oracle_amplitudes, oracle_amplitudes, "
+        "oracle_g_factors\n"
+        "from wsabsorb.units import PotentialSpec, Variant\n"
+        "oracle_g_factors(PotentialSpec(1.2, 1.8, 1.0), 1.0)\n"
+        "oracle_amplitudes(PotentialSpec(1.2, 1.8, 1.0, variant=Variant.TIME_REVERSED), 1.37)\n"
+        "hermitian_oracle_amplitudes(1.0, 1.0, 1.0, 1.0)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert _fresh_interpreter(probe).stdout.strip() == "[]"
+
+
+NO_SCIPY_RUNS = (
+    "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 6 --points 2381",
+    "ranges --v0 1 --rho 0.0006 --criterion cc-left --emin 3.0010 --emax 3.0030 --threshold 1e-6",
+    "table1",
+    "verify --seed 7",
+)
+
+
+def test_commands_run_with_scipy_refused():
+    # a meta-path finder that refuses every scipy import, installed before wsabsorb loads
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "from wsabsorb.cli import main\n"
+        "runs = []\n"
+        f"for argv in {list(NO_SCIPY_RUNS)!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv.split())\n"
+        "    runs.append([code, buf.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    refused = json.loads(_fresh_interpreter(probe).stdout)
+    for argv, (code, out) in zip(NO_SCIPY_RUNS, refused):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv.split()) == 0
+        assert code == 0 and out == buf.getvalue(), argv
 
 
 # -- input validation --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Critical-energy enumeration, spacing laws, and range certification."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -451,6 +452,41 @@ class TestLockstepBisection:
         brackets = sizes.count(self.GRID)
         assert brackets == 2
         assert len(sizes) <= brackets + max(steps)
+
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["lookahead-only", "reached"])
+    def test_a_raising_call_steps_one_at_a_time(self, monkeypatch, reached):
+        # the kernel raises at one energy of the first lookahead call: one the
+        # bisection never steps on, or one it does, which must raise as the
+        # one-step-per-call bisection would
+        spec, window = next(two_bracket_windows(2631, 1))
+        calls = []
+
+        def recording(tr_spec, energies):
+            calls.append(np.asarray(energies).tolist())
+            return log10_coefficients(tr_spec, energies)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", recording)
+        monkeypatch.setattr(spectral, "_LOOKAHEAD", 1)
+        want = [(r.lo, r.hi) for r in scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)]
+        stepped = {e for c in calls[2:] for e in c}
+        monkeypatch.setattr(spectral, "_LOOKAHEAD", 3)
+        calls.clear()
+        scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        bad = next(e for e in calls[2] if (e in stepped) == reached)
+
+        def raising(tr_spec, energies):
+            if bad in np.asarray(energies).tolist():
+                raise ArithmeticError(f"det S cross-check failed at E={bad!r}")
+            return log10_coefficients(tr_spec, energies)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", raising)
+        if reached:
+            with pytest.raises(ArithmeticError, match=re.escape(f"E={bad!r}")):
+                scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        else:
+            got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+            assert [(r.lo, r.hi) for r in got] == want
 
 
 class TestBadEnergies:
