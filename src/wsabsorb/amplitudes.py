@@ -169,9 +169,8 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
         order[:4] = q1 + q2 - p1 - p2
     n1, n2, d1, d2 = lg[_G_ROWS]
-    # libm's log one energy at a time: numpy's vectorised log may round
-    # differently, and these bits must not depend on how many energies share
-    # the call
+    # 0.5 * math.log, one energy at a time: the row keeps libm's bits, which
+    # tests/test_amplitudes.py pins at one energy and at 2000
     root_k = 0.5 * np.fromiter(map(math.log, np.ravel(ch.k1 / ch.k2).tolist()), float)
     return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size
 

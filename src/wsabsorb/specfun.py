@@ -72,17 +72,52 @@ _PADE_Q = (1.8333539938451355, 1.3454125045900527, 0.5037666463652358, 0.1014293
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
 _STIRLING_MIN = 8.0
-# from |w| >= _STIRLING_SHORT on, the first three terms do, the fourth being
-# below 1e-17
-_STIRLING_SHORT = 100.0
-# _PADE[j] is the column (P_j, Q_j) of the t^j coefficients
-_PADE = np.array([_PADE_P, _PADE_Q]).T[:, :, None]
+# P and Q as _estrin reads them: the coefficients of even and of odd powers
+_PADE = np.array([_PADE_P, _PADE_Q])[:, :, None]
+_PADE_EVEN, _PADE_ODD = _PADE[:, 0::2], _PADE[:, 1::2]
+# Gamma(n + t) / Gamma(2 + t) is the product of the t + j below n
+_RISE = np.arange(2.0, 8.0)[:, None]
 # the factors w, w + 1, ..., w + 7 of an upward shift by m <= 8
 _SHIFT_J = np.arange(8.0)[:, None]
 _LOG_PI = math.log(math.pi)
 _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
 # past this |Im z|, log sin(pi z) is its asymptotic form to within e^(-40 pi)
 _SIN_ASYMPTOTIC = 20.0
+# gamma_logs hands longer arrays to _log_gamma in pieces of this many
+# arguments, whose temporaries stay in cache and come back from the heap
+_PIECE = 4096
+
+
+def _estrin(even: np.ndarray, odd: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Polynomials of degree 7 at z by Estrin's scheme, one row each: fewer
+    numpy calls than :func:`_horner` for two rows.  Complex products go to
+    fresh arrays."""
+    z2 = z * z
+    pairs = even + odd * z
+    quads = pairs[:, 0::2] + pairs[:, 1::2] * z2
+    return quads[:, 0] + quads[:, 1] * (z2 * z2)
+
+
+def _horner(coefficients: tuple, z: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients of z^0, z^1, ... at z, by
+    Horner's rule.  Each product goes to a buffer apart from its factors:
+    numpy's in-place complex products may round differently at different
+    array lengths."""
+    acc, spare = np.empty((2,) + z.shape, dtype=z.dtype)
+    acc[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        np.multiply(acc, z, out=spare)
+        spare += c
+        acc, spare = spare, acc
+    return acc
+
+
+def _product(rows: np.ndarray) -> np.ndarray:
+    """The product of the rows, taken in order."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = out * row
+    return out
 
 
 def _log_gamma(x: np.ndarray) -> np.ndarray:
@@ -93,107 +128,61 @@ def _log_gamma(x: np.ndarray) -> np.ndarray:
     1/2 reflects to w = 1 - x: Gamma(x) Gamma(w) = pi / sin(pi x) (DLMF
     5.5.3), where x = k + f with k the integer nearest Re x is exact, so
     sin(pi x) = (-1)^k sin(pi f) keeps its digits near the integers.
-    For |w| < 8 within 1/2 of the integer n nearest Re w (every real w
-    below 8), log Gamma(w) is the Pade form at 2 + t, t = w - n, and the
-    recurrence to w; elsewhere Stirling's series, at w + m with
-    Re(w + m) >= 8 where |w| < 8 (complex w only), less the log of
-    w (w + 1) ... (w + m - 1).
+    Within 1/2 of the integer n <= 8 nearest Re w (every real w below 8.5),
+    log Gamma(w) is the Pade form at 2 + t, t = w - n, and the recurrence
+    to w; elsewhere Stirling's series, at w + m with Re(w + m) >= 8 where
+    |w| < 8 (complex w only), less the log of w (w + 1) ... (w + m - 1).
     """
     complex_ = x.dtype.kind == "c"
     reflect = x.real < 0.5
-    w = x.copy()
-    np.subtract(1.0, x, out=w, where=reflect)
-    size = np.abs(w) if complex_ else w
-    near = size < _STIRLING_MIN
+    w = np.where(reflect, 1.0 - x, x)
+    n = np.floor(w.real + 0.5)
+    near = n <= 8.0
     if complex_:
-        near &= np.abs(w - np.floor(w.real + 0.5)) <= 0.5
-    far = ~near
-    wn, v = w[near], w[far]
-    short = size[far] >= _STIRLING_SHORT
-    # the arrays are freed as soon as they are used up: fresh memory costs
-    # big calls page faults
-    del w, size
-    lg = np.empty(x.shape, dtype=wn.dtype)
-    if wn.size:  # each stage is skipped where no argument needs it
-        n = np.floor(wn.real + 0.5)
+        near &= np.abs(w - n) <= 0.5
+    lg = np.empty(x.shape, dtype=w.dtype)
+    # each stage runs on the arguments it serves, and not at all where it
+    # serves none
+    wn, n = w[near], n[near]
+    if wn.size:
         t = wn - n
-        # numpy's in-place complex products may round differently at different
-        # array lengths, so each product goes to a buffer apart from its factors;
-        # the buffers of a stage share one block, which big calls find again
-        # on the heap
-        block = np.empty((7,) + t.shape, dtype=t.dtype)
-        pq, spare = block[:4].reshape((2, 2) + t.shape)
-        pq[...] = _PADE[-1]
-        for c in _PADE[-2::-1]:
-            np.multiply(pq, t, out=spare)
-            spare += c
-            pq, spare = spare, pq
-        p, q = np.multiply(pq, t, out=spare)
-        q += 1.0
-        p = np.divide(p, q, out=pq[0])
-        # Gamma(w) / Gamma(2 + t): (w - 1) ... (w - n + 2), or 1 / w for n = 1
-        ratio, product, spare = block[4:]
-        ratio[...] = 1.0
-        np.divide(1.0, wn, out=ratio, where=n == 1.0)
-        product[...] = 1.0
-        for j in range(1, int(np.maximum.reduce(n, initial=2.0)) - 1):
-            np.multiply(product, wn - j, out=spare)
-            product, spare = spare, product
-            np.copyto(ratio, product, where=n == j + 2.0)
-        p += np.log(ratio)
-        lg[near] = p
-        del wn, n, t, block, pq, spare, p, q, ratio, product
+        p, q = _estrin(_PADE_EVEN, _PADE_ODD, t)
+        rise = _RISE[:max(int(n.max()) - 2, 1)]
+        ratio = _product(np.where(rise < n, t + rise, 1.0))
+        ratio = np.where(n == 1.0, 1.0 / wn, ratio)  # Gamma(1 + t) = Gamma(2 + t) / w
+        lg[near] = t * p / (t * q + 1.0) + np.log(ratio)
+    far = ~near
+    v = w[far]
     if v.size:
+        stirling = _STIRLING_CONST
         if complex_:
             m = np.ceil(_STIRLING_MIN - v.real) * (np.abs(v) < _STIRLING_MIN)
-            factors = np.where(m > _SHIFT_J, v + _SHIFT_J, 1.0)
-            shift = factors[0]
-            for row in factors[1:]:
-                shift = shift * row
-            v += m
-        # Stirling's series in 1/v^2 by Horner's rule: all eight terms below
-        # _STIRLING_SHORT, the last three from there on
-        r, r2, series, spare = np.empty((4,) + v.shape, dtype=v.dtype)
-        np.divide(1.0, v, out=r)
-        np.multiply(r, r, out=r2)
-        series[...] = _STIRLING[2]
-        long = ~short
-        x2 = r2[long]
-        head = np.full(x2.shape, _STIRLING[-1], dtype=v.dtype)
-        for c in _STIRLING[-2:1:-1]:
-            head = head * x2
-            head += c
-        series[long] = head
-        for c in _STIRLING[1::-1]:
-            np.multiply(series, r2, out=spare)
-            spare += c
-            series, spare = spare, series
-        np.multiply(series, r, out=spare)
-        spare += _STIRLING_CONST
-        if complex_:
-            spare -= np.log(shift)
-        lv = np.log(v, out=r2)
-        lv -= 1.0
-        v -= 0.5
-        np.multiply(lv, v, out=series)
-        series += spare
-        lg[far] = series
-        del v, r, r2, series, spare, lv, x2, head
+            if m.any():
+                stirling = stirling - np.log(_product(np.where(m > _SHIFT_J, v + _SHIFT_J, 1.0)))
+                v = v + m
+        r = 1.0 / v
+        s = _horner(_STIRLING, r * r)
+        # (v - 1/2) log v - v + 1/2 log(2 pi) + the series
+        lg[far] = (v - 0.5) * (np.log(v) - 1.0) + (s * r + stirling)
     xr = x[reflect]
+    if not xr.size:
+        return lg if complex_ else lg.astype(complex)
     k = np.rint(xr.real)
     f = xr - k
     if complex_:
         y = f.imag
-        direct = np.log(np.sin(math.pi * (f.real + 1j * np.clip(y, -_SIN_ASYMPTOTIC, _SIN_ASYMPTOTIC))))
-        asymptotic = math.pi * np.abs(y) - math.log(2.0) + 1j * np.sign(y) * (0.5 * math.pi - math.pi * f.real)
-        log_sin = np.where(np.abs(y) > _SIN_ASYMPTOTIC, asymptotic, direct) + 1j * math.pi * k
-        lg[reflect] = _LOG_PI - log_sin - lg[reflect]
+        big = np.abs(y) > _SIN_ASYMPTOTIC
+        if not big.any():
+            log_sin = np.log(np.sin(math.pi * f))
+        else:  # where sin(pi z) would overflow
+            asymptotic = math.pi * np.abs(y) - math.log(2.0) + 1j * np.sign(y) * (0.5 * math.pi - math.pi * f.real)
+            log_sin = np.where(big, asymptotic, np.log(np.sin(math.pi * np.where(big, 0.5, f))))
+        lg[reflect] = (_LOG_PI - 1j * math.pi * k) - log_sin - lg[reflect]
         return lg
-    sin = np.sin(math.pi * f)
-    lg[reflect] = _LOG_PI - np.log(np.abs(sin)) - lg[reflect]
+    lg[reflect] = _LOG_PI - np.log(np.abs(np.sin(math.pi * f))) - lg[reflect]
     out = lg.astype(complex)
-    half = 0.5 * k
-    out.imag[reflect] = math.pi * ((sin < 0.0) != (half != np.floor(half)))
+    # Gamma(x) < 0 for x < 0 where floor(x) is odd
+    out.imag[reflect] = math.pi * (np.floor(xr).astype(np.int64) & 1)
     return out
 
 
@@ -213,7 +202,11 @@ def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, hit = snap(z)
     pole = hit & (n <= 0)
     x = np.where(pole, 1.0 - n, z)  # log k! at a pole
-    lg = _log_gamma(x)
+    if x.size <= _PIECE:
+        lg = _log_gamma(x)
+    else:
+        x = x.ravel()
+        lg = np.concatenate([_log_gamma(x[i:i + _PIECE]) for i in range(0, x.size, _PIECE)]).reshape(z.shape)
     if pole.any():
         lg[pole] = 1j * math.pi * (n[pole] % 2) - lg[pole]
     return pole, lg

@@ -34,9 +34,9 @@ by ``|du/dE|``.
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
 refines the threshold crossings by bisection.  The crossings of all
-brackets bisect in lockstep, one kernel call per three steps, each with its
-own stop rule, so every endpoint is the one a crossing bisected alone
-reaches.
+brackets bisect in lockstep, one kernel call per ``_LOOKAHEAD`` steps, each
+with its own stop rule, so every endpoint is the one a crossing bisected
+alone reaches.
 """
 
 from __future__ import annotations
@@ -348,8 +348,9 @@ def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies
 
 # bisection steps one kernel call resolves: it evaluates the midpoints of the
 # next _LOOKAHEAD steps for either outcome of the steps before, 2**_LOOKAHEAD - 1
-# energies per open crossing, so that the calls' fixed cost is paid a third as often
-_LOOKAHEAD = 3
+# energies per open crossing, so that the calls' fixed cost is paid once per
+# _LOOKAHEAD steps
+_LOOKAHEAD = 4
 
 
 def _bisect_crossing(
@@ -386,6 +387,8 @@ def _bisect_crossing(
         lo, hi = np.array(lo), np.array(hi)
         mids = 0.5 * (lo + hi)
         wanted = (np.abs(hi - lo) > 1e-10 * mids) & active
+        if not wanted[0].any():  # no crossing is open
+            return e_pass
         try:
             outcome = np.zeros(mids.shape, dtype=bool)
             outcome[wanted] = _log10_certified(tr_spec, criterion, mids[wanted]) < log10_cap
@@ -426,8 +429,8 @@ def scan_ranges(
     bracket overlapping the window is sampled on a uniform grid, one kernel
     call per bracket; maximal sub-threshold runs are reported, with every
     endpoint that a failing grid point bounds refined by bisection.  The
-    crossings of all brackets bisect in lockstep, one kernel call per three
-    steps.
+    crossings of all brackets bisect in lockstep, one kernel call per
+    ``_LOOKAHEAD`` steps.
     An empty result means no sample beat the threshold.
     """
     validate(spec)

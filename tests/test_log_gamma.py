@@ -10,7 +10,7 @@ import pytest
 from scipy.special import gammaln, gammasgn, loggamma
 
 from wsabsorb import specfun
-from wsabsorb.amplitudes import _C0, _C3, _Z2, ChannelParams, _channel, _g_logs
+from wsabsorb.amplitudes import _C0, _C3, _Z2, _channel
 from wsabsorb.specfun import TAU_INT, gamma_logs
 from wsabsorb.units import PotentialSpec, Variant
 
@@ -126,7 +126,7 @@ def test_one_argument_has_the_same_bits_in_any_array(kind):
     pool = kernel_pool(rng)[kind]
     pool = np.concatenate([pool, near_poles(rng, 40) + (0j if kind == "complex" else 0.0)])
     alone = np.array([gamma_logs(pool[i:i + 1])[1][0] for i in range(pool.size)])
-    for length in (2, 3, 5, 12, 64, 1000, 4096):
+    for length in (2, 3, 5, 12, 64, 1000, 4096, 2 * specfun._PIECE + 5):
         picks = rng.integers(0, pool.size, length)
         contiguous = pool[picks]
         assert np.array_equal(bits(gamma_logs(contiguous)[1]), bits(alone[picks]))
@@ -136,19 +136,6 @@ def test_one_argument_has_the_same_bits_in_any_array(kind):
         wide[:, ::2] = pool[picks]
         assert np.array_equal(bits(gamma_logs(wide[:, ::2])[1]), bits(alone[picks]))
         assert np.array_equal(bits(gamma_logs(pool[picks.T].T)[1]), bits(alone[picks]))
-
-
-def test_root_k_has_the_same_bits_in_any_array():
-    rng = np.random.default_rng(72)
-    k1 = rng.uniform(1e-3, 50.0, 300)
-    k2 = k1 + rng.uniform(1e-6, 50.0, 300)
-    with np.errstate(all="ignore"):
-        alone = np.array([_g_logs(ChannelParams(1.0, a, b, a, b, 1.0))[1][4, 0]
-                          for a, b in zip(k1.tolist(), k2.tolist())])
-        for length in (2, 7, 100, 4096):
-            picks = rng.integers(0, k1.size, length)
-            _, lg, _ = _g_logs(ChannelParams(1.0, k1[picks], k2[picks], k1[picks], k2[picks], 1.0))
-            assert np.array_equal(bits(lg[4]), bits(alone[picks]))
 
 
 @pytest.mark.parametrize("z", [1e306, 3e307 + 0j])

@@ -454,6 +454,18 @@ class TestLockstepBisection:
         assert len(sizes) <= brackets + max(steps)
 
 
+    def test_no_crossing_makes_no_bisection_call(self, monkeypatch):
+        spec, window = next(two_bracket_windows(2631, 1))
+        sizes = []
+
+        def counting(tr_spec, energies):
+            sizes.append(len(energies))
+            return log10_coefficients(tr_spec, energies)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", counting)
+        assert scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-200, self.GRID) == []
+        assert sizes == [self.GRID] * 2
+
     @pytest.mark.parametrize("reached", [False, True], ids=["lookahead-only", "reached"])
     def test_a_raising_call_steps_one_at_a_time(self, monkeypatch, reached):
         # the kernel raises at one energy of the first lookahead call: one the
