@@ -1,0 +1,149 @@
+"""Run the benchmark on two checkouts in alternating pairs and summarise them.
+
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload scan \\
+        --seeds 21-30 --out BENCH_17.json [--workload ranges ...] [--seconds S]
+
+Each directory is a whole checkout (its own ``bench/`` and ``src/``); make
+both the same way, for example with ``git archive``, and never pass the
+working checkout: ``bench/run.py`` rewrites ``bench/results/``.  For every
+workload and seed, ``bench/run.py --workload W --seed N --seconds S --trace 0``
+runs once on each side, the parent first in even-numbered pairs and the
+change first in odd-numbered ones, and the last line of its standard output
+is read as the run's result.  ``--seconds`` defaults to ``BENCHMARK.json``'s
+``run_seconds``.
+
+The output file holds, per workload and per end-to-end metric of this
+checkout's ``BENCHMARK.json``: each side's median and quartiles (the
+inclusive method, as ``numpy.percentile``), the pairs the change won and
+tied, and every run in pair order; per side the attempted and failed ops;
+and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric
+goes to standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.metadata
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list[int]:
+    """``A-B`` (inclusive) or a single seed ``A``."""
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def src_digest(checkout: pathlib.Path) -> str:
+    """sha256 over the relative paths and bytes of the checkout's sources."""
+    digest = hashlib.sha256()
+    src = checkout / "src"
+    for path in sorted((src / "wsabsorb").rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``; its last stdout line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    # before Python 3.13, quantiles() refuses a single run
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "iqr": q3 - q1, "q1": q1, "q3": q3}
+
+
+def compare(runs: dict, name: str, better: str) -> dict:
+    """One metric's medians, quartiles and pair count; ``runs`` maps each
+    side to its results in pair order."""
+    values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
+    sign = 1.0 if better == "higher" else -1.0
+    diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+    return {
+        **{side: summary(values[side]) for side in SIDES},
+        "better": better,
+        "change_better_pairs": sum(d > 0 for d in diffs),
+        "tied_pairs": sum(d == 0 for d in diffs),
+        **{f"{side}_runs": values[side] for side in SIDES},
+    }
+
+
+def main() -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=pathlib.Path)
+    parser.add_argument("change", type=pathlib.Path)
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=[w["name"] for w in benchmark["workloads"]])
+    parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
+    parser.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]))
+    parser.add_argument("--out", type=pathlib.Path, required=True)
+    args = parser.parse_args()
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in dirs.items():
+        if not (checkout / "bench" / "run.py").is_file():
+            parser.error(f"{side} {checkout} has no bench/run.py")
+
+    doc = {
+        "what": f"bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0 "
+                "on each side in alternating pairs (the parent first in even-numbered pairs); "
+                "quartiles by the inclusive method; change_better_pairs counts the pairs "
+                "the change won; *_runs list every run in pair order.",
+        "sides": {side: {"dir": checkout.name, "src_sha256": src_digest(checkout)}
+                  for side, checkout in dirs.items()},
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": importlib.metadata.version("numpy")},
+        "workloads": {},
+    }
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    try:
+        for workload in args.workload:
+            runs = {side: [] for side in SIDES}
+            for k, seed in enumerate(args.seeds):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    runs[side].append(run_once(dirs[side], workload, seed, args.seconds))
+            metrics = {name: compare(runs, name, direction)
+                       for name, direction in better.items()}
+            doc["workloads"][workload] = {
+                "pairs": len(args.seeds), "seeds": args.seeds, "metrics": metrics,
+                **{key: {side: sum(run[key] for run in runs[side]) for side in SIDES}
+                   for key in ("attempted", "failed")},
+            }
+            for name, m in metrics.items():
+                print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
+                      f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
+                      f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
+                      f"{m['change']['q3']:.6g}], change better in "
+                      f"{m['change_better_pairs']} of {len(args.seeds)} pairs", flush=True)
+    except (RuntimeError, ValueError, KeyError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

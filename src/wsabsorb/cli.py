@@ -76,8 +76,29 @@ def _cell(value):
 
 
 def _csv(columns, token_rows) -> str:
-    """CSV text: the header line, then one line per row of tokens."""
+    """CSV text: the header line, then one line per row of tokens (every
+    command's CSV but scan's, which :func:`_scan_csv` formats)."""
     return "\n".join([",".join(columns), *map(",".join, token_rows)]) + "\n"
+
+
+# rows per formatting call of a scan's CSV: a large scan holds the boxed
+# floats of one block at a time, never of the whole grid
+_SCAN_BLOCK_ROWS = 4096
+
+
+def _scan_csv(columns, values: np.ndarray, flags: list[str]) -> str:
+    """A scan's CSV text: the header line, then per grid energy its column
+    of ``values`` to 12 significant digits (``%.12g``, the bytes of
+    :func:`_fmt`) and its flags.  Each block of rows is one ``%`` call."""
+    line = "%.12g," * len(values) + "%s\n"
+    parts = [",".join(columns) + "\n"]
+    for start in range(0, len(flags), _SCAN_BLOCK_ROWS):
+        chunk = flags[start:start + _SCAN_BLOCK_ROWS]
+        block = np.empty((len(chunk), len(values) + 1), dtype=object)
+        block[:, :-1] = values[:, start:start + len(chunk)].T
+        block[:, -1] = chunk
+        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _write(args, text: str) -> None:
@@ -202,12 +223,27 @@ def _flag_points(spec: PotentialSpec, emin: float, emax: float):
 
 
 def _scan_flags(grid: np.ndarray, annotations) -> list[str]:
-    """'|'-joined flags of every annotation within its tolerance, per energy."""
+    """'|'-joined flags of every annotation within its tolerance, per energy.
+
+    ``grid`` ascends (a linspace).  A row that passes ``abs(grid[i] - at) <=
+    tol`` lies within ``at -+ 2 tol`` even as rounded, since rounding is
+    monotone (an exact distance over ``2 tol`` rounds to at least ``2 tol``),
+    so two bisections give each annotation its candidate rows and only
+    those take the row test."""
+    centres = np.array([at for _, at, _, _ in annotations], dtype=float)
+    reach = 2.0 * np.array([tol for _, _, tol, _ in annotations], dtype=float)
+    spans = zip(np.searchsorted(grid, centres - reach, "left").tolist(),
+                np.searchsorted(grid, centres + reach, "right").tolist())
+    energies = grid.tolist()
     hits: dict[int, set[str]] = {}
-    for flag, at, tol, degenerate in annotations:
-        for i in np.flatnonzero(np.abs(grid - at) <= tol).tolist():
-            hits.setdefault(i, set()).update((flag, "DEGENERATE") if degenerate else (flag,))
-    return ["|".join(sorted(hits[i])) if i in hits else "" for i in range(len(grid))]
+    for (flag, at, tol, degenerate), (lo, hi) in zip(annotations, spans):
+        for i in range(lo, hi):
+            if abs(energies[i] - at) <= tol:
+                hits.setdefault(i, set()).update((flag, "DEGENERATE") if degenerate else (flag,))
+    flags = [""] * len(grid)
+    for i, found in hits.items():
+        flags[i] = "|".join(sorted(found))
+    return flags
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -237,9 +273,8 @@ def cmd_scan(args) -> int:
     if np.isnan(values).any():
         raise ValueError("refusing to emit NaN")
     flags = _scan_flags(grid, _flag_points(spec, emin, emax))
-    if args.format == "csv":  # the hot path: one C-level format call per token
-        _write(args, _csv(columns, ([*map("{:.12g}".format, row), flag]
-                                    for row, flag in zip(values.T.tolist(), flags))))
+    if args.format == "csv":  # the hot path: one C-level format call per block of rows
+        _write(args, _scan_csv(columns, values, flags))
         return 0
     rows = [[*row, flag] for row, flag in zip(values.T.tolist(), flags)]
     _emit(args, columns, rows, {

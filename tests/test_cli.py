@@ -649,6 +649,164 @@ def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+def _per_token_csv(columns, values, flags):
+    """The per-token CSV the block formatter must reproduce byte for byte."""
+    rows = ([*map("{:.12g}".format, row), flag] for row, flag in zip(values.T.tolist(), flags))
+    return "".join(",".join(tokens) + "\n" for tokens in [columns, *rows])
+
+
+def _scan_csv_against_per_token(tmp_path, monkeypatch, argv):
+    """Run a CSV scan, check its text is the per-token CSV of the values and
+    flags it formatted, and return the text."""
+    seen, block_csv = [], cli._scan_csv
+
+    def spy(columns, values, flags):
+        seen.append((columns, values.copy(), list(flags)))
+        return block_csv(columns, values, flags)
+
+    monkeypatch.setattr(cli, "_scan_csv", spy)
+    code, text = run(tmp_path, "scan", *argv)
+    assert code == 0 and len(seen) == 1
+    assert text == _per_token_csv(*seen[0])
+    return text
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--v0", "1.2", "--rho", "1.8", "--emin", "0.05", "--emax", "6",
+                  "--points", "2381"), id="readme"),
+    # a landing window: R'_l diverges at both ends, so both end rows print inf,
+    # and its 5671 rows span a block seam
+    pytest.param(("--v0", "1.2", "--rho", "1.8", "--variant", "time-reversed",
+                  "--emin", "0.6225", "--emax", "2.04", "--points", "5671"), id="landing-inf"),
+    pytest.param(("--v0", "2", "--rho", "2", "--emin", "0.05", "--emax", "8",
+                  "--points", str(cli._SCAN_BLOCK_ROWS + 1)), id="block-plus-one"),
+])
+def test_scan_csv_blocks_equal_per_token_formatting(tmp_path, monkeypatch, argv):
+    text = _scan_csv_against_per_token(tmp_path, monkeypatch, argv)
+    lines = text.split("\n")
+    assert len(lines) == int(argv[-1]) + 2  # header, rows, and the final newline's ""
+    if "time-reversed" in argv:
+        assert lines[1].split(",")[2] == lines[-2].split(",")[2] == "inf"
+
+
+def test_scan_csv_blocks_equal_per_token_formatting_at_the_clip(tmp_path, monkeypatch):
+    def fake_log10(spec, energies):
+        # each row cycles through values either side of the +-300-decade clip
+        cells = [300.0, -300.0, 299.99999999999994, -299.99999999999994, 1e300, -1e300,
+                 299.999999999995, -0.0]
+        return np.resize(np.array(cells), (4, len(energies)))
+
+    monkeypatch.setattr(cli, "log10_coefficients", fake_log10)
+    text = _scan_csv_against_per_token(tmp_path, monkeypatch, (
+        "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "1.5", "--points", "9"))
+    tokens = {token for line in text.split("\n")[1:-1] for token in line.split(",")[2:6]}
+    assert {"inf", "-inf", "300", "-300", "-0"} <= tokens
+
+
+@pytest.mark.parametrize("rows", [1, 2, cli._SCAN_BLOCK_ROWS, cli._SCAN_BLOCK_ROWS + 1,
+                                  2 * cli._SCAN_BLOCK_ROWS + 3])
+def test_scan_csv_special_floats_equal_per_token_formatting(rows):
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+               1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf,
+               9.99999999999951, -9.99999999999951, 0.999999999999951, 99999999999.95,
+               999999999999.5, 1e16, 123456789012.5, 0.1, 1.0 / 3.0, 2.5e-5]
+    rng = np.random.default_rng(rows)
+    values = rng.choice(special, size=(6, rows))
+    # every other row: magnitudes across the whole exponent range
+    values[:, ::2] = rng.uniform(-1.0, 1.0, (6, len(range(0, rows, 2)))) * 10.0 ** rng.uniform(
+        -320.0, 308.0, (6, len(range(0, rows, 2))))
+    flags = rng.choice(["", "CC_L", "CC_R|CPA", "CC_L|CC_R|CPA|DEGENERATE", "SS"], rows).tolist()
+    columns = ["energy_internal", "energy_ev", "log10_Rl", "log10_Rr", "log10_T",
+               "log10_absdetS", "flags"]
+    assert cli._scan_csv(columns, values, flags) == _per_token_csv(columns, values, flags)
+
+
+def _flag_cases():
+    """(id, ascending grid, annotations) cases for the flag search."""
+    wide = np.linspace(1.0, 2.0, 101)
+    exact = np.linspace(0.3, 7.1, 97)
+    at_edges = []
+    for k, m in ((10, 11), (10, 40), (50, 49), (50, 3), (0, 96), (96, 0)):
+        tol = abs(float(exact[m]) - float(exact[k]))
+        at_edges += [("CC_L", float(exact[k]), tol, False),
+                     ("CPA", float(exact[k]), math.nextafter(tol, 0.0), True),
+                     ("SS", float(exact[k]), math.nextafter(tol, math.inf), False)]
+    repeated = np.linspace(1.0, 1.0000000000000002, 5)
+    huge = np.linspace(1e300, 1.0000001e300, 50)
+    tiny = np.linspace(5e-324, 1e-322, 21)
+    return [
+        ("tolerance-over-many-steps", wide,
+         [("CC_L", 1.5, 0.2, False), ("CPA", 1.37, 0.0401, True), ("SS", 1.999, 0.5, False)]),
+        ("grid-points-at-at-plus-minus-tol", exact, at_edges),
+        ("repeated-grid-values", repeated,
+         [("CC_L", 1.0, 0.0, False), ("CC_R", 1.0000000000000002, 0.0, True),
+          ("CPA", 1.0, 1e-17, False), ("SS", 1.0000000000000002, 2.220446049250313e-16, False)]),
+        ("beyond-the-grid-ends", np.linspace(2.0, 3.0, 11),
+         [("CC_L", 1.0, 0.5, False), ("CC_R", 1.0, 1.0, False), ("CPA", 4.0, 1.0, True),
+          ("SS", 0.5, 10.0, False), ("SS", 1e6, 1.0, False), ("CPA", -3.0, 2.0, False)]),
+        ("no-annotations", np.linspace(1.0, 2.0, 7), []),
+        ("two-point-grid", np.linspace(0.3, 0.9, 2),
+         [("CC_L", 0.3, 0.0, False), ("CC_R", 0.6, 0.3, False), ("CPA", 0.6, 0.30000000000000004, True),
+          ("SS", 0.9, 1e-300, False)]),
+        ("below-one-rounding-unit", huge,
+         [("CC_L", float(huge[7]), 1e280, False), ("SS", float(huge[7]) * (1 + 1e-16), 1e280, True),
+          ("CPA", float(huge[30]), float(huge[31] - huge[30]), False)]),
+        ("subnormal-grid", tiny,
+         [("CC_L", float(tiny[3]), 0.0, False), ("CPA", float(tiny[10]), 2e-323, True)]),
+        # rows one rounding unit beyond the rounded at - tol and at + tol that the
+        # rounded test abs(grid[i] - at) <= tol still takes
+        ("rows-past-the-rounded-bounds", np.sort(np.array(_PAST_BOUNDS_ROWS)),
+         [("CC_L", _PAST_LOWER[0], _PAST_LOWER[1], False),
+          ("CPA", _PAST_UPPER[0], _PAST_UPPER[1], True)]),
+    ]
+
+
+# (at, tol, row): the row lies outside [at - tol, at + tol] as rounded, and
+# abs(row - at) <= tol holds
+_PAST_LOWER = (0.13877959929748418, 0.10539900664621493, 0.03338059265126924)
+_PAST_UPPER = (0.0007481975764844304, 0.015748104212518446, 0.01649630178900288)
+_PAST_BOUNDS_ROWS = [
+    row + step * math.ulp(row) for at, tol, row in (_PAST_LOWER, _PAST_UPPER)
+    for step in (-1, 0, 1)] + [_PAST_LOWER[0] - _PAST_LOWER[1], _PAST_UPPER[0] + _PAST_UPPER[1],
+                               0.0, _PAST_LOWER[0], _PAST_UPPER[0], 0.5]
+
+
+@pytest.mark.parametrize("grid, annotations",
+                         [pytest.param(grid, notes, id=name) for name, grid, notes in _flag_cases()])
+def test_scan_flags_equal_brute_force_rule(grid, annotations):
+    want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
+    assert cli._scan_flags(grid, annotations) == want
+
+
+def test_flag_cases_reach_what_they_name():
+    cases = {name: (grid, notes) for name, grid, notes in _flag_cases()}
+    grid, notes = cases["tolerance-over-many-steps"]
+    assert sum(bool(f) for f in cli._scan_flags(grid, notes)) > 40
+    grid, notes = cases["grid-points-at-at-plus-minus-tol"]
+    assert any(abs(energy - at) == tol for energy in grid.tolist() for _, at, tol, _ in notes)
+    assert len(np.unique(cases["repeated-grid-values"][0])) < 5
+    (at, tol, row), (up_at, up_tol, up_row) = _PAST_LOWER, _PAST_UPPER
+    assert row < at - tol and abs(row - at) <= tol
+    assert up_row > up_at + up_tol and abs(up_row - up_at) <= up_tol
+
+
+def test_scan_flags_equal_brute_force_rule_on_random_grids():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        span = lo * 10.0 ** rng.uniform(-16.0, 3.0)
+        grid = np.linspace(lo, lo + span, int(rng.integers(2, 120)))
+        annotations = []
+        for _ in range(int(rng.integers(0, 12))):
+            at = float(rng.choice(grid)) if rng.random() < 0.5 else lo + span * rng.uniform(-0.3, 1.3)
+            tol = span * 10.0 ** rng.uniform(-20.0, 0.5) if rng.random() < 0.8 else (
+                abs(float(rng.choice(grid)) - at))
+            annotations.append((str(rng.choice(["CC_L", "CPA", "SS"])), at, tol,
+                                bool(rng.random() < 0.3)))
+        want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
+        assert cli._scan_flags(grid, annotations) == want
+
+
 # -- error lines instead of tracebacks or defaults ------------------------------------
 
 
