@@ -713,8 +713,8 @@ def test_scan_csv_special_floats_equal_per_token_formatting(rows):
     rng = np.random.default_rng(rows)
     values = rng.choice(special, size=(6, rows))
     # every other row: magnitudes across the whole exponent range
-    values[:, ::2] = rng.uniform(-1.0, 1.0, (6, len(range(0, rows, 2)))) * 10.0 ** rng.uniform(
-        -320.0, 308.0, (6, len(range(0, rows, 2))))
+    shape = (6, (rows + 1) // 2)
+    values[:, ::2] = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-320.0, 308.0, shape)
     flags = rng.choice(["", "CC_L", "CC_R|CPA", "CC_L|CC_R|CPA|DEGENERATE", "SS"], rows).tolist()
     columns = ["energy_internal", "energy_ev", "log10_Rl", "log10_Rr", "log10_T",
                "log10_absdetS", "flags"]
