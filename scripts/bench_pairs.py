@@ -5,12 +5,15 @@
 
 Each directory is a whole checkout (its own ``bench/`` and ``src/``); make
 both the same way, for example with ``git archive``, and never pass the
-working checkout: ``bench/run.py`` rewrites ``bench/results/``.  For every
-workload and seed, ``bench/run.py --workload W --seed N --seconds S --trace 0``
-runs once on each side, the parent first in even-numbered pairs and the
-change first in odd-numbered ones, and the last line of its standard output
-is read as the run's result.  ``--seconds`` defaults to ``BENCHMARK.json``'s
-``run_seconds``.
+working checkout: ``bench/run.py`` rewrites ``bench/results/``.  The two
+resolved paths must have the same length, or the script exits 2 before any
+run: two copies of one commit whose directory names differed in length
+measured 11-12 % apart in ``ops_per_s`` (CHANGES.md), a shift of the order
+of the benchmark's bounds.  For every workload and seed, ``bench/run.py
+--workload W --seed N --seconds S --trace 0`` runs once on each side, the
+parent first in even-numbered pairs and the change first in odd-numbered
+ones, and the last line of its standard output is read as the run's result.
+``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.
 
 The output file holds, per workload and per end-to-end metric of this
 checkout's ``BENCHMARK.json``: each side's median and quartiles (the
@@ -102,6 +105,9 @@ def main() -> int:
     parser.add_argument("--out", type=pathlib.Path, required=True)
     args = parser.parse_args()
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(dirs["parent"])) != len(str(dirs["change"])):
+        parser.error(f"the paths {dirs['parent']} and {dirs['change']} differ in length; "
+                     "copy both checkouts to paths of equal length")
     for side, checkout in dirs.items():
         if not (checkout / "bench" / "run.py").is_file():
             parser.error(f"{side} {checkout} has no bench/run.py")

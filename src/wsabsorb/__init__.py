@@ -23,7 +23,6 @@ from .oracle import (
     integrate_contour,
     oracle_amplitudes,
     oracle_g_factors,
-    wavefunction_residual,
 )
 from .specfun import (
     TAU_INT,

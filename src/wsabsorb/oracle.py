@@ -50,7 +50,7 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from .specfun import hyp2f1, hyp2f1_deriv
+from .specfun import hyp2f1
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant, validate
 
@@ -63,7 +63,6 @@ __all__ = [
     "oracle_g_factors",
     "oracle_amplitudes",
     "hermitian_oracle_amplitudes",
-    "wavefunction_residual",
 ]
 
 #: Total exponential budget for the integration span: the handoff
@@ -146,7 +145,7 @@ def _local_state(shape: str, a2: complex, a3: complex, u: float, phi: float):
     a, b, c = params(a2, a3)
     arg = omz if arg_is_omz else z
     F = hyp2f1(a, b, c, arg)
-    dF = hyp2f1_deriv(a, b, c, arg)
+    dF = a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg)  # the contiguous relation for d/dz
     darg_du = z * omz if arg_is_omz else -z * omz
     pref = cmath.exp(al * log_z + be * log_omz)
     psi = pref * F
@@ -455,7 +454,7 @@ def oracle_g_factors(
     No Gamma function enters: this is the independent numerical route to
     the same four constants the closed forms produce.
     """
-    forward = PotentialSpec(spec.v0, spec.rho, spec.mass, spec.zeta, Variant.FORWARD)
+    forward = PotentialSpec(v0=spec.v0, rho=spec.rho, mass=spec.mass)
     return _fitted_g(*_contour_setup(forward, energy, x0, Z), Variant.FORWARD)
 
 
@@ -487,56 +486,3 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
     ch = _hermitian_channel(v0, delta, m, energy)
     g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3), Variant.FORWARD)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
-
-
-# -- wavefunction residual -----------------------------------------------------
-
-
-def local_wavefunction(spec: PotentialSpec, energy: float, x: float, zeta: float) -> complex:
-    """The regular scattering solution at x - i zeta: the local solution psi1
-    (the forward oracle's PSI_ONE launch), evaluated through the 2F1 series."""
-    ch = channel_params(spec, energy)
-    sign = -1.0 if spec.variant is Variant.TIME_REVERSED else 1.0
-    u, phi = spec.rho * zeta, sign * spec.rho * x
-    w = cmath.exp(complex(u, phi))
-    if abs(1.0 + w) < 1e-3 * (1.0 + abs(w)):
-        raise ValueError(f"sample (x={x}, zeta={zeta}) too close to a potential pole")
-    return _local_state("psi1", abs(ch.a2), abs(ch.a3), u, phi)[0]
-
-
-def wavefunction_residual(
-    spec: PotentialSpec,
-    energy: float,
-    sample_points,
-    step: float = 1e-3,
-) -> float:
-    """Wave-equation residual of the series wavefunction.
-
-    Five-point finite-difference second derivative in x at each sample
-    point, normalized by the largest |psi| over the stencil set.  Checks
-    that the 2F1-built solution satisfies the governing equation without
-    any Gamma-function input.
-    """
-    validate(spec)
-    if energy <= 0:
-        raise ValueError("energy must be positive")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
-    mu = 4.0 * spec.mass
-    sign = -1.0 if spec.variant is Variant.TIME_REVERSED else 1.0
-    worst = 0.0
-    largest = 0.0
-    for x, zeta in sample_points:
-        stencil = [
-            local_wavefunction(spec, energy, x + j * step, zeta) for j in (-2, -1, 0, 1, 2)
-        ]
-        largest = max(largest, max(abs(v) for v in stencil))
-        d2 = (
-            -stencil[0] + 16 * stencil[1] - 30 * stencil[2] + 16 * stencil[3] - stencil[4]
-        ) / (12.0 * step * step)
-        w = cmath.exp(complex(spec.rho * zeta, sign * spec.rho * x))
-        v_pot = -spec.v0 / (1.0 + w)
-        worst = max(worst, abs(d2 + mu * (energy - v_pot) * stencil[2]))
-    if largest == 0.0:
-        raise ValueError("all samples vanished; cannot normalize residual")
-    return worst / largest

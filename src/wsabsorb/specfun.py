@@ -253,24 +253,8 @@ class SingularValue:
     def from_complex(cls, w: complex) -> "SingularValue":
         w = complex(w)
         if w == 0:
-            raise ValueError("exact zero has no log representation; use zero()")
+            raise ValueError("exact zero has no log representation; give it a positive order")
         return cls(0, math.log(abs(w)), cmath.phase(w))
-
-    @classmethod
-    def finite(cls, log_magnitude: float, phase: float) -> "SingularValue":
-        return cls(0, log_magnitude, phase)
-
-    @classmethod
-    def zero(cls, order: int, log_magnitude: float, phase: float) -> "SingularValue":
-        if order <= 0:
-            raise ValueError("zero order must be positive")
-        return cls(order, log_magnitude, phase)
-
-    @classmethod
-    def pole(cls, order: int, log_magnitude: float, phase: float) -> "SingularValue":
-        if order <= 0:
-            raise ValueError("pole order must be positive")
-        return cls(-order, log_magnitude, phase)
 
     # -- classification ----------------------------------------------------
 
@@ -402,10 +386,11 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1 by direct series summation.
 
     Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``: this
-    evaluator backs the wavefunction cross-checks and must stay independent
-    of the Gamma-function connection identities, so no continuation
-    formulas.  Neumaier-compensated summation keeps accuracy through the
-    coefficient spikes that occur when c sits left of the origin.
+    evaluator backs the contour oracle's local solutions and must stay
+    independent of the Gamma-function connection identities, so no
+    continuation formulas.  Neumaier-compensated summation keeps accuracy
+    through the coefficient spikes that occur when c sits left of the
+    origin.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if not all(cmath.isfinite(x) for x in (a, b, c, z)):
@@ -441,7 +426,3 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         f"2F1({a}, {b}; {c}; {z}) did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
-
-def hyp2f1_deriv(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """d/dz of 2F1, via the contiguous relation F' = (ab/c) F(a+1,b+1;c+1;z)."""
-    return a * b / c * hyp2f1(a + 1, b + 1, c + 1, z)

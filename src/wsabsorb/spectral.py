@@ -180,6 +180,12 @@ _TABLE = {
 _CONDITIONS = sorted({(row.c2, row.c3) for row in _TABLE.values()})
 
 
+def _row(family: SpectralFamily) -> _Row:
+    if not isinstance(family, SpectralFamily):
+        raise ValueError(f"family must be a SpectralFamily, got {family!r}")
+    return _TABLE[family]
+
+
 def integer_distance(a2: float, a3: float) -> float:
     """Distance from an integer of the nearest condition c2*a2 + c3*a3 of the
     table: the nearest of 2*a2, 2*a3, a2 + a3 and a3 - a2."""
@@ -203,14 +209,15 @@ def critical_points(
     ``ValueError`` the same way.  With neither, every
     point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
     that is not finite and non-negative raises ``ValueError``; the ends may
-    come in either order.
+    come in either order, and a family that is not a ``SpectralFamily``
+    raises ``ValueError``.
     """
     validate(spec)
+    row = _row(family)
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
         raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
     if count is not None and count > _MAX_WINDOW_INDICES:
         raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
-    row = _TABLE[family]
     u0 = row.u(spec, 0.0)
     n0, at_threshold = snap(u0)
     u0 = n0 if at_threshold else u0  # an integer u0 is the E = 0 threshold itself
@@ -248,11 +255,12 @@ def critical_points(
 def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -> float:
     """Energy distance over which the family's condition moves by TAU_INT:
     TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2).
-    An energy that is not finite and positive raises ``ValueError``."""
+    An energy that is not finite and positive, or a family that is not a
+    ``SpectralFamily``, raises ``ValueError``."""
+    row = _row(family)
     if not (math.isfinite(energy) and energy > 0.0):
         raise ValueError(f"{family.value} snap tolerance needs a finite positive energy, "
                          f"got {energy!r}")
-    row = _TABLE[family]
     k1 = math.sqrt(spec.mass * energy)
     k2 = math.sqrt(spec.mass * (energy + spec.v0))
     du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
@@ -431,14 +439,20 @@ def scan_ranges(
     endpoint that a failing grid point bounds refined by bisection.  The
     crossings of all brackets bisect in lockstep, one kernel call per
     ``_LOOKAHEAD`` steps.
-    An empty result means no sample beat the threshold.
+    An empty result means no sample beat the threshold.  A criterion that
+    is not a ``RangeCriterion`` or a ``grid_points`` that is not an ``int``
+    (a bool is not one) raises ``ValueError``.
     """
     validate(spec)
+    if not isinstance(criterion, RangeCriterion):
+        raise ValueError(f"criterion must be a RangeCriterion, got {criterion!r}")
     emin, emax = window
     if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
         raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, int):
+        raise ValueError(f"grid_points must be an int, got {grid_points!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
 

@@ -7,7 +7,7 @@ bohr-equivalent lengths) under the dispersion convention k1 = sqrt(m E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 #: 1 internal energy unit in electron-volts.
@@ -72,16 +72,16 @@ def convert_length(
 class PotentialSpec:
     """Physical parameters of the complexified smoothed-step potential.
 
-    v0, rho and mass are in internal units; zeta is the imaginary shift of
-    the sampling coordinate and never enters any amplitude (asserted by
-    tests).  The shape-phase constant is fixed to one, so the nominal width
-    r0 = pi / rho is display metadata only.
+    v0, rho and mass are in internal units.  The imaginary shift zeta of
+    the coordinate x - i zeta is no field: every amplitude is a Gamma ratio
+    in a2 and a3 alone, so none depends on it, and ``potential_profile``
+    takes it as its sampling grid.  The shape-phase constant is fixed to
+    one, so the nominal width r0 = pi / rho is display metadata only.
     """
 
     v0: float
     rho: float
     mass: float = 1.0
-    zeta: float = 0.0
     variant: Variant = Variant.FORWARD
 
     @property
@@ -94,17 +94,10 @@ class PotentialSpec:
         """Nominal width r0 = pi * a (display only)."""
         return math.pi / self.rho
 
-    def time_reversed(self) -> "PotentialSpec":
-        other = {
-            Variant.FORWARD: Variant.TIME_REVERSED,
-            Variant.TIME_REVERSED: Variant.FORWARD,
-        }[self.variant]
-        return replace(self, variant=other)
-
 
 def validate(spec: PotentialSpec) -> PotentialSpec:
     """Return spec unchanged if its invariants hold, else raise ValueError."""
-    for name in ("v0", "rho", "mass", "zeta"):
+    for name in ("v0", "rho", "mass"):
         value = getattr(spec, name)
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

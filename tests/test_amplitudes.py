@@ -191,18 +191,6 @@ class TestAmplitudes:
     def test_det_s_zero_at_absorption_point(self):
         assert det_s(SPEC, E3).is_zero
 
-    def test_zeta_never_enters(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            spec = PotentialSpec(v0=rng.uniform(0.3, 4), rho=rng.uniform(0.5, 2.5), mass=1.0)
-            energy = rng.uniform(0.1, 8.0)
-            base = amplitudes(replace(spec, zeta=0.0), energy)
-            for zeta in (-2.0, 3.0):
-                other = amplitudes(replace(spec, zeta=zeta), energy)
-                assert other.rl == base.rl
-                assert other.rr == base.rr
-                assert other.tl == base.tl
-
     def test_forward_zeros_are_time_reversed_poles(self):
         from wsabsorb.spectral import cc_left_energies
 
@@ -331,10 +319,10 @@ def test_assembly_is_singular_value_division_of_g_factors():
                 for p in critical_points(spec, family, count=3)]
             for energy in energies:
                 ch = channel_params(spec, energy)
-                root_k = SingularValue.finite(0.5 * math.log(ch.k1 / ch.k2), 0.0)
+                root_k = SingularValue(0, 0.5 * math.log(ch.k1 / ch.k2), 0.0)
                 got = [getattr(amplitudes(spec, energy), f) for f in fields]
                 assert repr(got) == repr(divided(g_factors(ch), root_k))
         ch = _hermitian_channel(v0, rho, 1.0, rng.uniform(0.05, 10.0))
-        root_k = SingularValue.finite(0.5 * math.log(ch.k1 / ch.k2), 0.0)
+        root_k = SingularValue(0, 0.5 * math.log(ch.k1 / ch.k2), 0.0)
         got = hermitian_amplitudes(v0, rho, 1.0, ch.energy)
         assert repr([getattr(got, f) for f in fields]) == repr(divided(g_factors(ch), root_k))

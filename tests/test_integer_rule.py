@@ -83,8 +83,8 @@ def ref_gamma_info(z):
         lg = ref_log_gamma(z)
     except PoleProximityError:
         k = ref_nearest_pole_index(complex(z))
-        return SingularValue.pole(1, -ref_log_gamma(k + 1.0).real, math.pi if k % 2 else 0.0)
-    return SingularValue.finite(lg.real, lg.imag)
+        return SingularValue(-1, -ref_log_gamma(k + 1.0).real, math.pi if k % 2 else 0.0)
+    return SingularValue(0, lg.real, lg.imag)
 
 
 def ref_critical_distance(a2, a3):

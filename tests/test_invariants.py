@@ -7,6 +7,7 @@ parameters -> Gamma poles -> singular-value limits) over random depths,
 shapes and masses, including masses away from one.
 """
 
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsabsorb import cli
+from wsabsorb import cli, spectral
 from wsabsorb.amplitudes import amplitudes, det_s
 from wsabsorb.invariants import SUITES
-from wsabsorb.oracle import oracle_amplitudes, oracle_domain_ok, wavefunction_residual
+from wsabsorb.oracle import oracle_amplitudes, oracle_domain_ok
 from wsabsorb.spectral import (
     Side,
     SpectralFamily,
@@ -121,12 +122,6 @@ def test_oracle_with_nonunit_mass():
         assert abs(a - b) <= 1e-6 * abs(a)
 
 
-def test_residual_time_reversed_variant():
-    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=Variant.TIME_REVERSED)
-    res = wavefunction_residual(spec, 1.0, [(0.3, 0.4), (0.9, 0.8)], step=1e-3)
-    assert res < 1e-6
-
-
 def test_oracle_time_reversed_nonzero_offset():
     spec = PotentialSpec(v0=0.9, rho=1.1, mass=1.0, variant=Variant.TIME_REVERSED)
     ref = amplitudes(spec, 1.17)
@@ -141,6 +136,49 @@ def test_oracle_time_reversed_nonzero_offset():
 @pytest.mark.parametrize("name, check, tolerance", SUITES, ids=[row[0] for row in SUITES])
 def test_suite_passes(name, check, tolerance, seed):
     assert check(np.random.default_rng(seed)) <= tolerance
+
+
+# the module, which the package's ``amplitudes`` function shadows
+_AMPLITUDES = importlib.import_module("wsabsorb.amplitudes")
+_FLIP = {Variant.FORWARD: Variant.TIME_REVERSED, Variant.TIME_REVERSED: Variant.FORWARD}
+
+
+def _swap_g1_g2(monkeypatch):
+    monkeypatch.setattr(_AMPLITUDES, "_G_ROWS", _AMPLITUDES._G_ROWS[:, [1, 0, 2, 3]])
+
+
+def _flip_variant_sign(monkeypatch):
+    channel = _AMPLITUDES._channel
+    monkeypatch.setattr(_AMPLITUDES, "_channel",
+                        lambda spec, energy: channel(replace(spec, variant=_FLIP[spec.variant]), energy))
+
+
+def _offset_by_one(family):
+    def fault(monkeypatch):
+        row = spectral._TABLE[family]
+        monkeypatch.setitem(spectral._TABLE, family, row._replace(offset=row.offset + 1))
+    return fault
+
+
+# a seeded fault per verify row that the row must report
+SUITE_FAULTS = {
+    "gamma_identity": _swap_g1_g2,
+    "hermitian_unitarity": _swap_g1_g2,
+    "cc_ss_duality": _flip_variant_sign,
+    "cc_spacing_laws": _offset_by_one(SpectralFamily.CC_LEFT),
+    "rzero_spacing_corrected": _offset_by_one(SpectralFamily.RPRIME_LEFT_ZERO),
+    "oracle_agreement": _flip_variant_sign,
+}
+
+
+@pytest.mark.parametrize("name, check, tolerance", SUITES, ids=[row[0] for row in SUITES])
+def test_suite_fails_under_its_fault(name, check, tolerance, monkeypatch):
+    SUITE_FAULTS[name](monkeypatch)
+    try:
+        worst = check(np.random.default_rng(0))
+    except ArithmeticError:
+        return
+    assert not worst <= tolerance
 
 
 def test_verify_rows_follow_the_suite_table(monkeypatch, capsys):

@@ -528,6 +528,30 @@ class TestThresholdValidation:
 
 
 
+class TestArgumentTypes:
+    # a criterion given by its value used to run the CPA criterion under the
+    # label "cc_left"
+    @pytest.mark.parametrize("criterion", ["cc_left", "cpa", None, SpectralFamily.CC_LEFT])
+    def test_criterion_must_be_a_range_criterion(self, criterion):
+        with pytest.raises(ValueError, match="criterion must be a RangeCriterion"):
+            scan_ranges(NARROW, criterion, (3.0010, 3.0030), grid_points=128)
+
+    @pytest.mark.parametrize("family", ["cc_left", None, RangeCriterion.CC_LEFT_RANGE])
+    @pytest.mark.parametrize("call", [
+        lambda family: critical_points(SPEC_A, family, count=3),
+        lambda family: snap_tolerance(SPEC_A, family, 1.0),
+    ], ids=["critical_points", "snap_tolerance"])
+    def test_family_must_be_a_spectral_family(self, call, family):
+        with pytest.raises(ValueError, match="family must be a SpectralFamily"):
+            call(family)
+
+    @pytest.mark.parametrize("grid_points", [128.0, True, "128"])
+    def test_grid_points_must_be_an_int(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points must be an int"):
+            scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                        grid_points=grid_points)
+
+
 class TestRunawayWindow:
     # RPRIME_LEFT_ZERO has finitely many points, so no window runs away
     @pytest.mark.parametrize("family", [f for f in SpectralFamily

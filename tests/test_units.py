@@ -10,7 +10,6 @@ from wsabsorb.units import (
     EnergyUnit,
     LengthUnit,
     PotentialSpec,
-    Variant,
     convert_energy,
     convert_length,
     validate,
@@ -56,7 +55,7 @@ class TestConversions:
 
 class TestValidate:
     def test_good_spec(self):
-        spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, zeta=0.0)
+        spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
         assert validate(spec) is spec
 
     def test_sign_errors(self):
@@ -67,15 +66,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="mass must be positive"):
             validate(PotentialSpec(v0=1.0, rho=1.0, mass=-2.0))
 
-    def test_nonfinite_fields(self):
-        with pytest.raises(ValueError, match="zeta must be finite"):
-            validate(PotentialSpec(v0=1.0, rho=1.0, mass=1.0, zeta=math.inf))
-
-    def test_variant_flip(self):
-        spec = PotentialSpec(v0=1.0, rho=1.0)
-        assert spec.variant is Variant.FORWARD
-        assert spec.time_reversed().variant is Variant.TIME_REVERSED
-        assert spec.time_reversed().time_reversed() == spec
+    @pytest.mark.parametrize("name", ["v0", "rho", "mass"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_fields(self, name, value):
+        fields = {"v0": 1.0, "rho": 1.0, "mass": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            validate(PotentialSpec(**fields))
 
 
 # Published parameter columns (depth in eV/MeV, diffuseness and width in nm)
