@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import TAU_INT, SingularValue, gamma_logs
-from .units import PotentialSpec, Variant, validate
+from .units import PotentialSpec, Variant, _check_number
 
 __all__ = [
     "ChannelParams",
@@ -109,8 +109,8 @@ def _channel(spec: PotentialSpec, energy) -> ChannelParams:
 
 def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
     """Wavenumbers and channel parameters at a positive energy."""
-    validate(spec)
-    if not (isinstance(energy, (int, float)) and math.isfinite(energy)):
+    _check_number("energy", energy)
+    if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     if energy <= 0:
         raise ValueError(f"energy must be positive, got {energy}")
@@ -307,7 +307,6 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     of pole-snapped energies), and a det-S ``ArithmeticError`` at the
     first energy where :func:`amplitudes` raises.
     """
-    validate(spec)
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
@@ -329,7 +328,6 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
     Returns -v0 / (1 + e^{rho*zeta} e^{i rho x}) per grid point; the
     time-reversed variant is its complex conjugate.
     """
-    validate(spec)
     zeta = np.asarray(zeta_grid, dtype=float)
     phase = np.exp(1j * spec.rho * x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -345,6 +343,8 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
 def _hermitian_channel(v0: float, delta: float, m: float, energy: float) -> ChannelParams:
     """Channel parameters of the uncomplexified (Hermitian) potential:
     purely imaginary a2 = 2i k1/delta and a3 = 2i k2/delta."""
+    for name, value in (("v0", v0), ("delta", delta), ("m", m), ("energy", energy)):
+        _check_number(name, value)
     if not all(math.isfinite(x) and x > 0 for x in (v0, delta, m, energy)):
         raise ValueError(
             f"v0, delta, m and energy must be finite and positive, "

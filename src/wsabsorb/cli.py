@@ -4,8 +4,14 @@ reference-table reproduction, and the invariant verification suite.
 Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
-1 validation error, failed det-S cross-check or a grid too large for
-memory, 2 acceptance mismatch (table1/verify).
+1 validation error (a flag or ``--config`` value that argparse refuses
+included), failed det-S cross-check or a grid too large for memory,
+2 acceptance mismatch (table1/verify).
+
+A ``--config`` file's ``key = value`` lines are read by the same parser as
+the flags, as ``--key=value`` tokens placed before the command line's own,
+so a flag wins and a config value is converted, checked and refused just as
+the flag would be.
 
 In-process calls of :func:`main` share one parser per process, built on
 the first call and never changed by parsing, so repeated calls (from
@@ -42,7 +48,6 @@ from .units import (
     PotentialSpec,
     Variant,
     convert_energy,
-    validate,
 )
 
 _UNIT_CHOICES = {unit.value: unit for unit in EnergyUnit}
@@ -130,9 +135,10 @@ def _emit(args, columns, rows, meta):
     _write(args, text)
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as handle:
+def _config_tokens(args) -> list[str]:
+    """One ``--key=value`` token per line of the ``--config`` file."""
+    loaded = []
+    with open(args.config, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -140,50 +146,26 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line {raw!r} is not 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
-
-
-def _overlay_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    loaded = _load_config(args.config)
-    unknown = set(loaded) - set(_SPEC_KEYS)
+            loaded.append((key.replace("-", "_"), value))
+    keys = {key for key, _ in loaded}
+    unknown = keys - set(_SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    foreign = sorted(key for key in loaded if not hasattr(args, key))
+    foreign = sorted(key for key in keys if not hasattr(args, key))
     if foreign:
         raise ValueError(f"config keys {foreign} are not options of {args.command}")
-    for key, value in loaded.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    return [f"--{key.replace('_', '-')}={value}" for key, value in loaded]
 
 
 def _spec_from_args(args) -> PotentialSpec:
     if args.v0 is None or args.rho is None:
         raise ValueError("both --v0 and --rho are required (flag or config)")
     # --mass and --variant exist only where an output reads them
-    given = getattr(args, "variant", None)
-    variant = {v.value: v for v in Variant}.get(
-        "forward" if given is None else str(given).replace("-", "_"))
+    given = getattr(args, "variant", "forward")
+    variant = {v.value: v for v in Variant}.get(given.replace("-", "_"))
     if variant is None:
         raise ValueError(f"unknown variant {given!r}")
-    mass = getattr(args, "mass", None)
-    return validate(
-        PotentialSpec(
-            v0=float(args.v0),
-            rho=float(args.rho),
-            mass=float(mass if mass is not None else 1.0),
-            variant=variant,
-        )
-    )
-
-
-def _energy_unit(args) -> EnergyUnit:
-    name = "ev" if args.units is None else str(args.units).lower()
-    if name not in _UNIT_CHOICES:
-        raise ValueError(f"unknown units {name!r}")
-    return _UNIT_CHOICES[name]
+    return PotentialSpec(args.v0, args.rho, getattr(args, "mass", 1.0), variant)
 
 
 def _display_column(unit: EnergyUnit) -> str:
@@ -251,10 +233,8 @@ def _scan_flags(grid: np.ndarray, annotations) -> list[str]:
 
 def cmd_scan(args) -> int:
     spec = _spec_from_args(args)
-    unit = _energy_unit(args)
-    points = int(args.points if args.points is not None else 1000)
-    emin = float(args.emin) if args.emin is not None else None
-    emax = float(args.emax) if args.emax is not None else None
+    unit = _UNIT_CHOICES[args.units]
+    emin, emax, points = args.emin, args.emax, args.points
     if emin is None or emax is None:
         raise ValueError("--emin and --emax are required")
     if not (emin > 0 and emax > emin and math.isfinite(emax)):
@@ -299,11 +279,10 @@ _FAMILY_CHOICES = {
 
 def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    unit = _energy_unit(args)
-    max_count = int(args.max_count if args.max_count is not None else spectral.DEFAULT_MAX_COUNT)
+    unit = _UNIT_CHOICES[args.units]
+    max_count, raw = args.max_count, args.families
     if max_count < 0:
         raise ValueError("max_count must be non-negative")
-    raw = "all" if args.families is None else str(args.families)
     if raw == "all":
         tokens = list(_FAMILY_CHOICES)
     elif raw == "none":
@@ -340,14 +319,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_ranges(args) -> int:
     spec = _spec_from_args(args)
-    unit = _energy_unit(args)
+    unit = _UNIT_CHOICES[args.units]
     criterion = RangeCriterion(args.criterion.replace("-", "_"))
     if args.emin is None or args.emax is None:
         raise ValueError("--emin and --emax are required")
-    threshold = float(args.threshold if args.threshold is not None else spectral.DEFAULT_THRESHOLD)
-    grid = int(args.grid if args.grid is not None else spectral.DEFAULT_GRID_POINTS)
-    found = scan_ranges(spec, criterion, (float(args.emin), float(args.emax)),
-                        threshold, grid)
+    found = scan_ranges(spec, criterion, (args.emin, args.emax), args.threshold, args.grid)
     columns = ["criterion", "lo_internal", "hi_internal",
                "lo_" + _display_column(unit).split("_", 1)[1],
                "hi_" + _display_column(unit).split("_", 1)[1],
@@ -369,9 +345,9 @@ def cmd_ranges(args) -> int:
     _emit(args, columns, rows, {
         "command": "ranges",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
-                   "criterion": criterion.value, "emin": float(args.emin),
-                   "emax": float(args.emax), "threshold": threshold,
-                   "grid": grid, "units": unit.value},
+                   "criterion": criterion.value, "emin": args.emin,
+                   "emax": args.emax, "threshold": args.threshold,
+                   "grid": args.grid, "units": unit.value},
     })
     return 0
 
@@ -430,7 +406,6 @@ def _table1_ranges():
 
 
 def cmd_table1(args) -> int:
-    grid = int(args.grid if args.grid is not None else 1024)
     columns = ["row", "quantity", "params", "computed", "published", "unit",
                "rel_dev", "status"]
     rows = []
@@ -443,7 +418,7 @@ def cmd_table1(args) -> int:
                      f"v0={spec.v0:g} rho={spec.rho:g} m={spec.mass:g}",
                      computed, float(ref), unit, dev, "PASS" if ok else "FAIL"])
     for label, spec, criterion, window, threshold, plo, phi, unit in _table1_ranges():
-        found = scan_ranges(spec, criterion, window, threshold, grid_points=grid)
+        found = scan_ranges(spec, criterion, window, threshold, grid_points=args.grid)
         overlap = any(
             convert_energy(r.lo, to_units=unit) < phi
             and convert_energy(r.hi, to_units=unit) > plo
@@ -461,7 +436,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns, rows, {"command": "table1", "params": {"grid": grid}})
+    _emit(args, columns, rows, {"command": "table1", "params": {"grid": args.grid}})
     return 2 if failed else 0
 
 
@@ -469,18 +444,17 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = int(args.seed if args.seed is not None else 20260810)
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     columns = ["suite", "max_deviation", "tolerance", "status"]
     rows = []
     failed = False
     for name, check, tol in SUITES:
-        worst = check(np.random.default_rng(seed))
+        worst = check(np.random.default_rng(args.seed))
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, columns, rows, {"command": "verify", "params": {"seed": seed}})
+    _emit(args, columns, rows, {"command": "verify", "params": {"seed": args.seed}})
     return 2 if failed else 0
 
 
@@ -488,9 +462,7 @@ def cmd_potential(args) -> int:
     spec = _spec_from_args(args)
     given = args.x or ["2.0", "4.0"]
     xs = [float(x) for x in given]
-    zmin = float(args.zmin if args.zmin is not None else -4.0)
-    zmax = float(args.zmax if args.zmax is not None else 4.0)
-    points = int(args.points if args.points is not None else 200)
+    zmin, zmax, points = args.zmin, args.zmax, args.points
     for name, value in [("--x", x) for x in xs] + [("--zmin", zmin), ("--zmax", zmax)]:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -527,15 +499,15 @@ def _add_common(sub, spec_flags=(), window_flags=False, units_flag=True):
     potential's parameters (of v0, rho, mass and variant) that the
     command's output reads; each gets its flag."""
     sub.add_argument("--config", help="key = value file supplying defaults")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="write output to PATH instead of stdout")
     if units_flag:
-        sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default=None)
+        sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default="ev")
     for name in spec_flags:
         if name == "variant":
-            sub.add_argument("--variant", default=None, help="forward or time-reversed")
+            sub.add_argument("--variant", default="forward", help="forward or time-reversed")
         else:
-            sub.add_argument(f"--{name}", type=float, default=None)
+            sub.add_argument(f"--{name}", type=float, default=1.0 if name == "mass" else None)
     if window_flags:
         sub.add_argument("--emin", type=float, default=None)
         sub.add_argument("--emax", type=float, default=None)
@@ -550,41 +522,42 @@ def build_parser() -> _Parser:
 
     scan = subs.add_parser("scan", help="amplitude scan over an energy window")
     _add_common(scan, ("v0", "rho", "mass", "variant"), window_flags=True)
-    scan.add_argument("--points", type=int, default=None)
+    scan.add_argument("--points", type=int, default=1000)
     scan.set_defaults(func=cmd_scan)
 
     spectrum = subs.add_parser("spectrum", help="closed-form critical energies")
     _add_common(spectrum, ("v0", "rho", "mass"))
-    spectrum.add_argument("--families", default=None,
+    spectrum.add_argument("--families", default="all",
                           help="comma list of " + ",".join(_FAMILY_CHOICES)
                                + ", or all/none")
-    spectrum.add_argument("--max-count", dest="max_count", type=int, default=None)
+    spectrum.add_argument("--max-count", dest="max_count", type=int,
+                          default=spectral.DEFAULT_MAX_COUNT)
     spectrum.set_defaults(func=cmd_spectrum)
 
     ranges = subs.add_parser("ranges", help="certified absorption ranges")
     _add_common(ranges, ("v0", "rho", "mass"), window_flags=True)
     ranges.add_argument("--criterion", choices=("cc-left", "cpa"), default="cc-left")
-    ranges.add_argument("--threshold", type=float, default=None)
-    ranges.add_argument("--grid", type=int, default=None)
+    ranges.add_argument("--threshold", type=float, default=spectral.DEFAULT_THRESHOLD)
+    ranges.add_argument("--grid", type=int, default=spectral.DEFAULT_GRID_POINTS)
     ranges.set_defaults(func=cmd_ranges)
 
     table1 = subs.add_parser("table1", help="reproduce the published reference table")
     _add_common(table1, units_flag=False)
-    table1.add_argument("--grid", type=int, default=None)
+    table1.add_argument("--grid", type=int, default=1024)
     table1.set_defaults(func=cmd_table1)
 
     verify = subs.add_parser("verify", help="run the cross-module invariant suites")
     _add_common(verify, units_flag=False)
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--seed", type=int, default=20260810)
     verify.set_defaults(func=cmd_verify)
 
     potential = subs.add_parser("potential", help="sample the complex potential")
     _add_common(potential, ("v0", "rho", "variant"), units_flag=False)
     potential.add_argument("--x", action="append", default=None,
                            help="real offset; repeatable")
-    potential.add_argument("--zmin", type=float, default=None)
-    potential.add_argument("--zmax", type=float, default=None)
-    potential.add_argument("--points", type=int, default=None)
+    potential.add_argument("--zmin", type=float, default=-4.0)
+    potential.add_argument("--zmax", type=float, default=4.0)
+    potential.add_argument("--points", type=int, default=200)
     potential.set_defaults(func=cmd_potential)
     return parser
 
@@ -596,13 +569,13 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
     try:
-        _overlay_config(args)
-        if args.format is None:
-            args.format = "csv"
-        if args.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {args.format!r}")
+        if args.config:
+            # the command, the config's tokens, then the flags, which so win
+            args = parser.parse_args([argv[0], *_config_tokens(args), *argv[1:]])
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # a MemoryError is a grid too large to allocate; a bare one has no text

@@ -52,7 +52,7 @@ from .amplitudes import (
 )
 from .specfun import hyp2f1
 from .spectral import integer_distance
-from .units import PotentialSpec, Variant, validate
+from .units import PotentialSpec, Variant
 
 __all__ = [
     "Launch",
@@ -350,7 +350,6 @@ def _shapes(variant: Variant, launches=(Launch.PSI_ONE, Launch.PSI_TWO)) -> tupl
 
 def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
     """(a2, a3, phi_eff, handoff u) of the contour at x0, validated."""
-    validate(spec)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if Z is not None and not (math.isfinite(Z) and Z > 0.0):

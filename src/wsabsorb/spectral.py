@@ -50,7 +50,7 @@ import numpy as np
 
 from .amplitudes import log10_coefficients
 from .specfun import TAU_INT, snap
-from .units import PotentialSpec, Variant, validate
+from .units import PotentialSpec, Variant, _check_number
 
 __all__ = [
     "SpectralFamily",
@@ -212,7 +212,6 @@ def critical_points(
     come in either order, and a family that is not a ``SpectralFamily``
     raises ``ValueError``.
     """
-    validate(spec)
     row = _row(family)
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
         raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
@@ -255,9 +254,10 @@ def critical_points(
 def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -> float:
     """Energy distance over which the family's condition moves by TAU_INT:
     TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2).
-    An energy that is not finite and positive, or a family that is not a
-    ``SpectralFamily``, raises ``ValueError``."""
+    An energy that is not a finite positive int or float, or a family that
+    is not a ``SpectralFamily``, raises ``ValueError``."""
     row = _row(family)
+    _check_number("energy", energy)
     if not (math.isfinite(energy) and energy > 0.0):
         raise ValueError(f"{family.value} snap tolerance needs a finite positive energy, "
                          f"got {energy!r}")
@@ -440,15 +440,16 @@ def scan_ranges(
     crossings of all brackets bisect in lockstep, one kernel call per
     ``_LOOKAHEAD`` steps.
     An empty result means no sample beat the threshold.  A criterion that
-    is not a ``RangeCriterion`` or a ``grid_points`` that is not an ``int``
-    (a bool is not one) raises ``ValueError``.
+    is not a ``RangeCriterion``, a threshold that is not a finite positive
+    ``int`` or ``float``, or a ``grid_points`` that is not an ``int`` (a
+    bool is neither) raises ``ValueError``.
     """
-    validate(spec)
     if not isinstance(criterion, RangeCriterion):
         raise ValueError(f"criterion must be a RangeCriterion, got {criterion!r}")
     emin, emax = window
     if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
         raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
+    _check_number("threshold", threshold)
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int):

@@ -77,12 +77,19 @@ class PotentialSpec:
     in a2 and a3 alone, so none depends on it, and ``potential_profile``
     takes it as its sampling grid.  The shape-phase constant is fixed to
     one, so the nominal width r0 = pi / rho is display metadata only.
+
+    A spec is checked when it is made (:func:`validate`), so every spec
+    that exists holds its invariants and no function that takes one checks
+    it again.
     """
 
     v0: float
     rho: float
     mass: float = 1.0
     variant: Variant = Variant.FORWARD
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def diffuseness(self) -> float:
@@ -95,18 +102,25 @@ class PotentialSpec:
         return math.pi / self.rho
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is an int or a float (``np.float64`` is
+    one; a bool, ``np.int64`` or ``np.float32`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an int or float, got {value!r}")
+
+
 def validate(spec: PotentialSpec) -> PotentialSpec:
-    """Return spec unchanged if its invariants hold, else raise ValueError."""
+    """Return spec unchanged if its invariants hold, else raise ValueError.
+
+    ``PotentialSpec`` calls it when a spec is made, so a spec that exists
+    has passed it."""
     for name in ("v0", "rho", "mass"):
         value = getattr(spec, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        _check_number(name, value)
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if spec.v0 <= 0:
-        raise ValueError(f"v0 must be positive, got {spec.v0}")
-    if spec.rho <= 0:
-        raise ValueError(f"rho must be positive, got {spec.rho}")
-    if spec.mass <= 0:
-        raise ValueError(f"mass must be positive, got {spec.mass}")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if not isinstance(spec.variant, Variant):
         raise ValueError(f"variant must be a Variant, got {spec.variant!r}")
     return spec

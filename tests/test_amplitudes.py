@@ -91,6 +91,16 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             channel_params(SPEC, math.nan)
 
+    # a bool was read as E = 1 and np.float32 refused as not finite
+    @pytest.mark.parametrize("energy", [True, np.int64(1), np.float32(1.0), "1.0"])
+    def test_energy_must_be_int_or_float(self, energy):
+        with pytest.raises(ValueError, match="energy must be an int or float, got "):
+            channel_params(SPEC, energy)
+
+    def test_int_and_float64_energy_accepted(self):
+        assert channel_params(SPEC, np.float64(1.0)) == channel_params(SPEC, 1) \
+            == channel_params(SPEC, 1.0)
+
 
 class TestGFactors:
     def test_zero_when_exponents_coincide(self):
@@ -207,6 +217,16 @@ class TestAmplitudes:
 
 
 class TestHermitian:
+    @pytest.mark.parametrize("position, name", enumerate(["v0", "delta", "m", "energy"]))
+    @pytest.mark.parametrize("value", [True, np.int64(1), np.float32(1.0)])
+    def test_arguments_must_be_int_or_float(self, position, name, value):
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError, match=f"{name} must be an int or float, got "):
+            hermitian_amplitudes(*args)
+        args[position] = np.float64(1.0)
+        assert hermitian_amplitudes(*args) == hermitian_amplitudes(1.0, 1.0, 1.0, 1.0)
+
     def test_unitarity_and_reciprocity(self):
         rng = np.random.default_rng(29)
         for _ in range(200):

@@ -53,6 +53,14 @@ def run(tmp_path, *argv):
     return code, out.read_text()
 
 
+def _usage_error(capsys, argv):
+    """The stderr of a main() call that argparse ends with exit code 1."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    return capsys.readouterr().err
+
+
 class TestScan:
     def test_row_count_and_grid_contract(self, tmp_path):
         code, text = run(tmp_path, "scan", "--v0", "1.2", "--rho", "1.8",
@@ -267,7 +275,7 @@ class TestConfig:
         code = main(["scan", "--config", str(cfg), "--emin", "1", "--emax", "2"])
         assert code == 1
 
-    def test_config_format_applies(self, tmp_path):
+    def test_config_format_applies(self, tmp_path, capsys):
         cfg = tmp_path / "json.cfg"
         cfg.write_text("v0 = 1.2\nrho = 1.8\nformat = json\n")
         code, text = run(tmp_path, "scan", "--config", str(cfg),
@@ -278,7 +286,88 @@ class TestConfig:
                          "--emin", "0.5", "--emax", "1.5", "--points", "3")
         assert text.startswith("energy_internal,")
         cfg.write_text("v0 = 1.2\nrho = 1.8\nformat = xml\n")
-        assert main(["scan", "--config", str(cfg), "--emin", "0.5", "--emax", "1.5"]) == 1
+        window = ["--emin", "0.5", "--emax", "1.5"]
+        assert _usage_error(capsys, ["scan", "--config", str(cfg), *window]) == _usage_error(
+            capsys, ["scan", "--v0", "1.2", "--rho", "1.8", "--format", "xml", *window])
+
+
+# -- flags and config lines are one path ------------------------------------------
+
+
+# per command, two values of every config key it takes: the config gives the
+# first, and a flag after it gives the second
+_KEY_VALUES = {
+    "scan": {"v0": ("1.2", "2"), "rho": ("1.8", "2"), "mass": ("1.5", "1"),
+             "variant": ("time-reversed", "forward"), "emin": ("0.5", "0.3"),
+             "emax": ("2.5", "2"), "points": ("9", "4"), "units": ("mev", "internal"),
+             "format": ("json", "csv")},
+    "spectrum": {"v0": ("2", "1.2"), "rho": ("2", "1.8"), "mass": ("1.5", "1"),
+                 "max_count": ("3", "2"), "units": ("internal", "mev"),
+                 "format": ("json", "csv")},
+    "ranges": {"v0": ("15", "14"), "rho": ("0.001", "0.0012"), "mass": ("1", "1.1"),
+               "emin": ("14.9990", "14.9995"), "emax": ("15.0035", "15.003"),
+               "threshold": ("1e-6", "1e-5"), "grid": ("128", "256"),
+               "units": ("mev", "internal"), "format": ("json", "csv")},
+    "table1": {"grid": ("128", "100"), "format": ("json", "csv")},
+    "verify": {"seed": ("7", "8"), "format": ("json", "csv")},
+    "potential": {"v0": ("1.2", "2"), "rho": ("1.8", "2"),
+                  "variant": ("time-reversed", "forward"), "points": ("5", "3"),
+                  "format": ("json", "csv")},
+}
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main() call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _flags(values):
+    return [token for key, value in values.items()
+            for token in (f"--{key.replace('_', '-')}", value)]
+
+
+@pytest.fixture
+def stand_in_suites(monkeypatch):
+    # verify's parsing is under test here; tests/test_invariants.py runs the real suites
+    monkeypatch.setattr(cli, "SUITES", tuple((name, lambda rng: 0.0, tol)
+                                              for name, _, tol in cli.SUITES))
+
+
+@pytest.mark.parametrize("command", _KEY_VALUES)
+def test_config_equals_flags(tmp_path, capsys, stand_in_suites, command):
+    values = _KEY_VALUES[command]
+    taken = vars(cli.build_parser().parse_args([command]))
+    assert set(values) == set(cli._SPEC_KEYS) & set(taken)
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key} = {first}\n" for key, (first, _) in values.items()))
+    firsts = {key: first for key, (first, _) in values.items()}
+    from_flags = _outcome(capsys, [command, *_flags(firsts)])
+    assert from_flags[0] == 0 and from_flags[1]
+    assert _outcome(capsys, [command, "--config", str(config)]) == from_flags
+    for key, (_, second) in values.items():
+        overridden = _outcome(capsys, [command, "--config", str(config), *_flags({key: second})])
+        assert overridden == _outcome(capsys, [command, *_flags({**firsts, key: second})]), key
+        assert overridden[0] == 0 and overridden != from_flags, key  # the value was read
+
+
+@pytest.mark.parametrize("line, later", [("points = 2.5", "points = 3"),
+                                         ("v0 = abc", "v0 = 1.2")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_config_value_refused_under_an_override(tmp_path, capsys, line, later,
+                                                          source):
+    # a later flag, or a later line of the same key, overrides the value
+    key, value = (part.strip() for part in line.split("="))
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n" + (later + "\n" if source == "config" else ""))
+    override = [f"--{key}", later.split("=")[1].strip()] if source == "flag" else []
+    call = ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "1.5"]
+    # refused exactly as the flag with the config's value is
+    assert (_usage_error(capsys, call + ["--config", str(config), *override])
+            == _usage_error(capsys, call + [f"--{key}", value]))
 
 
 class TestRangesThreshold:
@@ -886,9 +975,13 @@ def test_empty_config_value_rejected(tmp_path, capsys, key):
     config = tmp_path / "empty.cfg"
     config.write_text(f"v0 = 2\nrho = 2\n{key} =\n")
     out = tmp_path / "out.txt"
-    assert main(["scan", "--config", str(config), "--emin", "0.2", "--emax", "0.3",
-                 "--points", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: unknown {key} ''\n"
+    argv = ["scan", "--emin", "0.2", "--emax", "0.3", "--points", "3", "--out", str(out)]
+    if key == "variant":  # --variant has no choices: _spec_from_args refuses the value
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: unknown variant ''\n"
+    else:  # refused by the option's choices, as the flag would be
+        assert _usage_error(capsys, argv + ["--config", str(config)]) == _usage_error(
+            capsys, argv + ["--v0", "2", "--rho", "2", f"--{key}", ""])
     assert not out.exists()
 
 

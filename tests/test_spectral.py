@@ -518,6 +518,18 @@ class TestBadEnergies:
         with pytest.raises(ValueError, match=rf"cc_right .*{energy}"):
             snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, energy)
 
+    @pytest.mark.parametrize("energy", [True, np.int64(1), np.float32(1.0), "1.0"])
+    def test_snap_tolerance_energy_must_be_int_or_float(self, energy):
+        with pytest.raises(ValueError, match="energy must be an int or float, got "):
+            snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, energy)
+        assert (snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, np.float64(1.0))
+                == snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, 1))
+
+    def test_snap_tolerance_of_a_bad_spec_cannot_be_asked(self):
+        # nothing on this path checked the spec, and it divided by zero
+        with pytest.raises(ValueError, match="v0 must be positive"):
+            snap_tolerance(PotentialSpec(-1.0, 1.8), SpectralFamily.CC_LEFT, 1.0)
+
 
 class TestThresholdValidation:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0])
@@ -526,6 +538,16 @@ class TestThresholdValidation:
             scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
                         threshold=threshold, grid_points=128)
 
+    # True ran, and every range it found stored threshold=True
+    @pytest.mark.parametrize("threshold", [True, np.int64(1), np.float32(1e-6), "1e-6"])
+    def test_threshold_must_be_int_or_float(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be an int or float, got "):
+            scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                        threshold=threshold, grid_points=128)
+        assert (scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                            threshold=np.float64(1e-6), grid_points=128)
+                == scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                               threshold=1e-6, grid_points=128))
 
 
 class TestArgumentTypes:

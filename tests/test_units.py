@@ -2,7 +2,9 @@
 columns."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,24 @@ class TestValidate:
         fields = {"v0": 1.0, "rho": 1.0, "mass": 1.0, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             validate(PotentialSpec(**fields))
+
+    # a bool passed as 1, and np.int64 / np.float32 were refused as not finite
+    @pytest.mark.parametrize("name", ["v0", "rho", "mass"])
+    @pytest.mark.parametrize("value", [True, np.int64(2), np.float32(2.0), "2", None])
+    def test_fields_must_be_int_or_float(self, name, value):
+        fields = {"v0": 1.0, "rho": 1.0, "mass": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an int or float, got "):
+            PotentialSpec(**fields)
+
+    def test_int_and_float64_fields_accepted(self):
+        spec = PotentialSpec(v0=np.float64(1.2), rho=2, mass=np.float64(1.0))
+        assert validate(spec) is spec
+
+    def test_spec_is_checked_when_made(self):
+        with pytest.raises(ValueError, match="v0 must be positive"):
+            PotentialSpec(-1.0, 1.8)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            replace(PotentialSpec(1.2, 1.8), rho=0.0)
 
 
 # Published parameter columns (depth in eV/MeV, diffuseness and width in nm)
