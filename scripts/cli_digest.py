@@ -13,8 +13,11 @@ The set: the 47 scans recorded in ``bench/reference/scan.json.gz`` (read
 only), the README commands in CSV and JSON, ``table1``, ``verify`` at seeds
 20260810 and 7, two ``spectrum`` cases and one ``potential`` case beyond the
 README's, two scans that end in a det-S error (a degenerate point at
-E = 0.0625, and a window up to E = 1e14), and ``<command> --help`` for all
-six commands, so a usage change shows too.  The help text is formatted at
+E = 0.0625, and a window up to E = 1e14), the writer's edge cases (the
+empty outputs of ``spectrum --families none`` and of a ``ranges`` window
+that certifies nothing, in CSV and JSON; ``scan``, ``ranges`` and
+``spectrum`` with ``--units internal``; ``potential`` with three ``--x``),
+and ``<command> --help`` for all six commands, so a usage change shows too.  The help text is formatted at
 80 columns whatever the terminal.
 """
 
@@ -47,6 +50,14 @@ EXTRA = (
     "potential --v0 2 --rho 0.5 --x -1.5 --zmin -2 --zmax 3 --points 7",
     "scan --v0 0.5 --rho 1 --emin 0.0624999375 --emax 0.0625000625 --points 33",
     "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 1e14 --points 50",
+    "spectrum --v0 2 --rho 2 --families none",
+    "spectrum --v0 2 --rho 2 --families none --format json",
+    "ranges --v0 1.2 --rho 1.8 --criterion cpa --emin 0.5 --emax 0.6 --grid 256",
+    "ranges --v0 1.2 --rho 1.8 --criterion cpa --emin 0.5 --emax 0.6 --grid 256 --format json",
+    "scan --v0 1.2 --rho 1.8 --emin 0.05 --emax 6 --points 40 --units internal",
+    "ranges --v0 1 --rho 0.0006 --emin 3.0010 --emax 3.0030 --grid 256 --units internal",
+    "spectrum --v0 2 --rho 2 --max-count 3 --units internal",
+    "potential --v0 1.2 --rho 1.8 --x 0 --x -2.5 --x 1e-3 --points 9",
 )
 COMMANDS = ("scan", "spectrum", "ranges", "table1", "verify", "potential")
 

@@ -3,7 +3,9 @@ reference-table reproduction, and the invariant verification suite.
 
 Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
-invocations produce byte-identical output.  Exit codes: 0 success,
+invocations produce byte-identical output.  Every command hands its output
+to one writer, :func:`_emit`, as columns, and every CSV document is
+formatted by one function, :func:`_csv`.  Exit codes: 0 success,
 1 validation error (a flag or ``--config`` value that argparse refuses
 included), failed det-S cross-check or a grid too large for memory,
 2 acceptance mismatch (table1/verify).
@@ -80,28 +82,30 @@ def _cell(value):
     return value
 
 
-def _csv(columns, token_rows) -> str:
-    """CSV text: the header line, then one line per row of tokens (every
-    command's CSV but scan's, which :func:`_scan_csv` formats)."""
-    return "\n".join([",".join(columns), *map(",".join, token_rows)]) + "\n"
-
-
-# rows per formatting call of a scan's CSV: a large scan holds the boxed
+# rows per formatting call of a CSV document: a large scan holds the boxed
 # floats of one block at a time, never of the whole grid
-_SCAN_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 4096
 
 
-def _scan_csv(columns, values: np.ndarray, flags: list[str]) -> str:
-    """A scan's CSV text: the header line, then per grid energy its column
-    of ``values`` to 12 significant digits (``%.12g``, the bytes of
-    :func:`_fmt`) and its flags.  Each block of rows is one ``%`` call."""
-    line = "%.12g," * len(values) + "%s\n"
-    parts = [",".join(columns) + "\n"]
-    for start in range(0, len(flags), _SCAN_BLOCK_ROWS):
-        chunk = flags[start:start + _SCAN_BLOCK_ROWS]
-        block = np.empty((len(chunk), len(values) + 1), dtype=object)
-        block[:, :-1] = values[:, start:start + len(chunk)].T
-        block[:, -1] = chunk
+def _csv(names, columns) -> str:
+    """CSV text: the header line, then one line per row of the columns.
+
+    A float array's tokens are ``%.12g``, the bytes of :func:`_fmt`; a
+    list's floats go through :func:`_fmt` and its other values through
+    ``str()``.  Neither a float array nor a list of only str and int cells
+    (one C-level type pass finds those) takes per-cell work in Python.
+    Each block of rows is one ``%`` call."""
+    if np.isnan([c for c in columns if isinstance(c, np.ndarray)]).any():
+        raise ValueError("refusing to emit NaN")
+    columns = [c if isinstance(c, np.ndarray) or {str, int}.issuperset(map(type, c))
+               else [_fmt(v) if isinstance(v, float) else v for v in c] for c in columns]
+    line = ",".join("%.12g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    parts = [",".join(names) + "\n"]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, len(columns[0]))
+        block = np.empty((stop - start, len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            block[:, j] = column[start:stop]
         parts.append(line * len(block) % tuple(block.ravel().tolist()))
     return "".join(parts)
 
@@ -115,23 +119,22 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, columns, rows, meta):
-    """Write rows of output values as CSV or JSON.
+def _emit(args, names, columns, meta):
+    """Write a command's output, one column per name, as CSV or JSON.
 
-    A CSV token is a float to 12 significant digits (:func:`_fmt`) or the
-    value's str(); each JSON cell takes its type from the value, not the
-    token (:func:`_cell`)."""
+    Each column is a float array or a list (or tuple) of values, formatted
+    as :func:`_csv` says.  A JSON row zips the columns' values, and each
+    cell takes its type from the value, not the token (:func:`_cell`)."""
     if args.format == "json":
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         doc = {
             "command": meta["command"],
             "params": meta["params"],
-            "rows": [
-                {c: _cell(v) for c, v in zip(columns, row)} for row in rows
-            ],
+            "rows": [{n: _cell(v) for n, v in zip(names, row)} for row in zip(*cells)],
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _csv(columns, ([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows))
+        text = _csv(names, columns)
     _write(args, text)
 
 
@@ -174,23 +177,31 @@ def _display_column(unit: EnergyUnit) -> str:
             EnergyUnit.MEGA_ELECTRON_VOLT: "energy_mev"}[unit]
 
 
+def _display_factor(unit: EnergyUnit) -> float:
+    """The factor from internal energies to the display unit: the internal
+    unit's factor is 1, so ``energy * factor`` is convert_energy's value."""
+    return convert_energy(1.0, EnergyUnit.INTERNAL, unit)
+
+
 # -- flag annotation -----------------------------------------------------------
 
 
-# Scan flags per variant.  The a2 + a3 = M points are bidirectional absorbers
-# of the time-reversed potential and spectral singularities of the forward one.
+# Scan flags per variant, with the family whose points carry them.  The
+# a2 + a3 = M points are bidirectional absorbers of the time-reversed
+# potential and spectral singularities of the forward one.  CC_LEFT's row,
+# 2 a3 = n, is also CPA_FORWARD_A3's, so it is enumerated once for both
+# flags; CPA_FORWARD_A2 is 2 a2 = n + 1, offset from CC_RIGHT's row.
 _SCAN_FLAGS = {
     Variant.FORWARD: (
-        (SpectralFamily.CC_LEFT, "CC_L"),
-        (SpectralFamily.CPA_FORWARD_A3, "CPA"),
-        (SpectralFamily.CC_RIGHT, "CC_R"),
-        (SpectralFamily.CPA_FORWARD_A2, "CPA"),
-        (SpectralFamily.CPA_TIME_REVERSED, "SS"),
+        (SpectralFamily.CC_LEFT, ("CC_L", "CPA")),
+        (SpectralFamily.CC_RIGHT, ("CC_R",)),
+        (SpectralFamily.CPA_FORWARD_A2, ("CPA",)),
+        (SpectralFamily.CPA_TIME_REVERSED, ("SS",)),
     ),
     Variant.TIME_REVERSED: (
-        (SpectralFamily.SS_LEFT, "SS"),
-        (SpectralFamily.SS_RIGHT, "SS"),
-        (SpectralFamily.CPA_TIME_REVERSED, "CPA"),
+        (SpectralFamily.SS_LEFT, ("SS",)),
+        (SpectralFamily.SS_RIGHT, ("SS",)),
+        (SpectralFamily.CPA_TIME_REVERSED, ("CPA",)),
     ),
 }
 
@@ -199,8 +210,9 @@ def _flag_points(spec: PotentialSpec, emin: float, emax: float):
     """(flag, energy, energy_tolerance, degenerate) annotations for a window."""
     return [
         (flag, p.energy, snap_tolerance(spec, family, p.energy), p.degenerate)
-        for family, flag in _SCAN_FLAGS[spec.variant]
+        for family, flags in _SCAN_FLAGS[spec.variant]
         for p in critical_points(spec, family, window=(emin, emax))
+        for flag in flags
     ]
 
 
@@ -242,22 +254,13 @@ def cmd_scan(args) -> int:
     if points < 2:
         raise ValueError("--points must be at least 2")
     grid = np.linspace(emin, emax, points)
-    columns = ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
-               "log10_T", "log10_absdetS", "flags"]
     logs = log10_coefficients(spec, grid)
-    # one block of every numeric column: the display energy is one product
-    # (the internal unit's factor is 1, so it equals convert_energy's), and
     # log10 magnitudes flush to +-inf beyond 300 decades
-    values = np.vstack([grid, grid * convert_energy(1.0, EnergyUnit.INTERNAL, unit),
-                        np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)])
-    if np.isnan(values).any():
-        raise ValueError("refusing to emit NaN")
+    logs = np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)
     flags = _scan_flags(grid, _flag_points(spec, emin, emax))
-    if args.format == "csv":  # the hot path: one C-level format call per block of rows
-        _write(args, _scan_csv(columns, values, flags))
-        return 0
-    rows = [[*row, flag] for row, flag in zip(values.T.tolist(), flags)]
-    _emit(args, columns, rows, {
+    _emit(args, ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
+                 "log10_T", "log10_absdetS", "flags"],
+          [grid, grid * _display_factor(unit), *logs, flags], {
         "command": "scan",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "variant": spec.variant.value, "emin": emin, "emax": emax,
@@ -300,15 +303,12 @@ def cmd_spectrum(args) -> int:
     if max_count <= cap < total:
         raise ValueError(f"--max-count {max_count} over {len(families)} families asks for "
                          f"{total} points, more than {cap}")
-    points = [p for family in families for p in critical_points(spec, family, count=max_count)]
-
-    columns = ["family", "index", "energy_internal", _display_column(unit), "degenerate"]
-    rows = [
-        [p.kind.value, p.index, p.energy,
-         convert_energy(p.energy, EnergyUnit.INTERNAL, unit), str(p.degenerate).lower()]
-        for p in sorted(points, key=lambda p: (p.kind.value, p.index))
-    ]
-    _emit(args, columns, rows, {
+    points = sorted((p for family in families for p in critical_points(spec, family, count=max_count)),
+                    key=lambda p: (p.kind.value, p.index))
+    energies = np.array([p.energy for p in points], dtype=float)
+    _emit(args, ["family", "index", "energy_internal", _display_column(unit), "degenerate"],
+          [[p.kind.value for p in points], [p.index for p in points], energies,
+           energies * _display_factor(unit), [str(p.degenerate).lower() for p in points]], {
         "command": "spectrum",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "families": [token.replace("-", "_") for token in tokens],
@@ -324,25 +324,18 @@ def cmd_ranges(args) -> int:
     if args.emin is None or args.emax is None:
         raise ValueError("--emin and --emax are required")
     found = scan_ranges(spec, criterion, (args.emin, args.emax), args.threshold, args.grid)
-    columns = ["criterion", "lo_internal", "hi_internal",
-               "lo_" + _display_column(unit).split("_", 1)[1],
-               "hi_" + _display_column(unit).split("_", 1)[1],
-               "threshold", "ss_lo_family", "ss_lo_index", "ss_lo_internal",
-               "ss_hi_family", "ss_hi_index", "ss_hi_internal", "interior_zeros"]
-    rows = []
-    for r in found:
-        rows.append([
-            r.criterion.value, r.lo, r.hi,
-            convert_energy(r.lo, EnergyUnit.INTERNAL, unit),
-            convert_energy(r.hi, EnergyUnit.INTERNAL, unit),
-            r.threshold,
-            r.bracketing_ss[0].kind.value, r.bracketing_ss[0].index,
-            r.bracketing_ss[0].energy,
-            r.bracketing_ss[1].kind.value, r.bracketing_ss[1].index,
-            r.bracketing_ss[1].energy,
-            ";".join(_fmt(p.energy) for p in r.interior_zeros),
-        ])
-    _emit(args, columns, rows, {
+    display = _display_column(unit).split("_", 1)[1]
+    lo, hi = (np.array([getattr(r, end) for r in found], dtype=float) for end in ("lo", "hi"))
+    columns = [[r.criterion.value for r in found], lo, hi, lo * _display_factor(unit),
+               hi * _display_factor(unit), np.array([r.threshold for r in found], dtype=float)]
+    for side in (0, 1):
+        ss = [r.bracketing_ss[side] for r in found]
+        columns += [[p.kind.value for p in ss], [p.index for p in ss],
+                    np.array([p.energy for p in ss], dtype=float)]
+    columns.append([";".join(_fmt(p.energy) for p in r.interior_zeros) for r in found])
+    _emit(args, ["criterion", "lo_internal", "hi_internal", "lo_" + display, "hi_" + display,
+                 "threshold", "ss_lo_family", "ss_lo_index", "ss_lo_internal",
+                 "ss_hi_family", "ss_hi_index", "ss_hi_internal", "interior_zeros"], columns, {
         "command": "ranges",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "criterion": criterion.value, "emin": args.emin,
@@ -436,7 +429,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns, rows, {"command": "table1", "params": {"grid": args.grid}})
+    _emit(args, columns, list(zip(*rows)), {"command": "table1", "params": {"grid": args.grid}})
     return 2 if failed else 0
 
 
@@ -454,14 +447,13 @@ def cmd_verify(args) -> int:
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, columns, rows, {"command": "verify", "params": {"seed": args.seed}})
+    _emit(args, columns, list(zip(*rows)), {"command": "verify", "params": {"seed": args.seed}})
     return 2 if failed else 0
 
 
 def cmd_potential(args) -> int:
     spec = _spec_from_args(args)
-    given = args.x or ["2.0", "4.0"]
-    xs = [float(x) for x in given]
+    xs = args.x or [2.0, 4.0]
     zmin, zmax, points = args.zmin, args.zmax, args.points
     for name, value in [("--x", x) for x in xs] + [("--zmin", zmin), ("--zmax", zmax)]:
         if not math.isfinite(value):
@@ -472,18 +464,12 @@ def cmd_potential(args) -> int:
     tags = [f"{x:g}".replace("-", "m").replace(".", "p") for x in xs]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
-            raise ValueError(f"--x {given[tags.index(tag)]} and --x {given[i]} share the "
+            raise ValueError(f"--x {xs[tags.index(tag)]} and --x {xs[i]} share the "
                              f"columns re_V_x{tag}, im_V_x{tag}")
-    columns = ["zeta", *(f"{part}_V_x{tag}" for tag in tags for part in ("re", "im"))]
     zeta = np.linspace(zmin, zmax, points)
     profiles = [potential_profile(spec, x, zeta) for x in xs]
-    rows = []
-    for i, z in enumerate(zeta):
-        row = [float(z)]
-        for profile in profiles:
-            row += [float(profile[i].real), float(profile[i].imag)]
-        rows.append(row)
-    _emit(args, columns, rows, {
+    _emit(args, ["zeta", *(f"{part}_V_x{tag}" for tag in tags for part in ("re", "im"))],
+          [zeta, *(part for profile in profiles for part in (profile.real, profile.imag))], {
         "command": "potential",
         "params": {"v0": spec.v0, "rho": spec.rho, "x": xs,
                    "zmin": zmin, "zmax": zmax, "points": points},
@@ -553,7 +539,7 @@ def build_parser() -> _Parser:
 
     potential = subs.add_parser("potential", help="sample the complex potential")
     _add_common(potential, ("v0", "rho", "variant"), units_flag=False)
-    potential.add_argument("--x", action="append", default=None,
+    potential.add_argument("--x", type=float, action="append", default=None,
                            help="real offset; repeatable")
     potential.add_argument("--zmin", type=float, default=-4.0)
     potential.add_argument("--zmax", type=float, default=4.0)

@@ -208,9 +208,10 @@ def critical_points(
     a non-negative ``int`` (a bool is not one) or is above 10**6 raises
     ``ValueError`` the same way.  With neither, every
     point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
-    that is not finite and non-negative raises ``ValueError``; the ends may
-    come in either order, and a family that is not a ``SpectralFamily``
-    raises ``ValueError``.
+    that is not an ``int`` or ``float`` (a bool is neither) or is not
+    finite and non-negative raises ``ValueError``; the ends may come in
+    either order, and a family that is not a ``SpectralFamily`` raises
+    ``ValueError``.
     """
     row = _row(family)
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
@@ -227,6 +228,8 @@ def critical_points(
     else:
         stop = math.ceil(u0)
     if window is not None:
+        for end in window:
+            _check_number("window end", end)
         if not all(math.isfinite(e) and e >= 0.0 for e in window):
             raise ValueError(f"{family.value} window {window} needs finite non-negative ends")
         u_lo, u_hi = sorted(row.u(spec, e) for e in window)
@@ -440,13 +443,16 @@ def scan_ranges(
     crossings of all brackets bisect in lockstep, one kernel call per
     ``_LOOKAHEAD`` steps.
     An empty result means no sample beat the threshold.  A criterion that
-    is not a ``RangeCriterion``, a threshold that is not a finite positive
-    ``int`` or ``float``, or a ``grid_points`` that is not an ``int`` (a
-    bool is neither) raises ``ValueError``.
+    is not a ``RangeCriterion``, a window end or a threshold that is not an
+    ``int`` or ``float``, a threshold that is not finite and positive, or a
+    ``grid_points`` that is not an ``int`` (a bool is neither) raises
+    ``ValueError``.
     """
     if not isinstance(criterion, RangeCriterion):
         raise ValueError(f"criterion must be a RangeCriterion, got {criterion!r}")
     emin, emax = window
+    for end in window:
+        _check_number("window end", end)
     if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
         raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
     _check_number("threshold", threshold)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wsabsorb import cli, log10_coefficients
 from wsabsorb.cli import main
-from wsabsorb.spectral import SpectralFamily, critical_points
+from wsabsorb.spectral import SpectralFamily, critical_points, snap_tolerance
 from wsabsorb.units import PotentialSpec, Variant
 
 SCAN_SCHEMA = {
@@ -712,6 +713,42 @@ def test_degenerate_strategy_reaches_degenerate_rows(tmp_path):
     assert flags[1] == "CC_L|CC_R|CPA|DEGENERATE"
 
 
+# the (family, flag) pairs of the scan, one family per flag: CC_LEFT and
+# CPA_FORWARD_A3 name one table row, which the scan now enumerates once
+_PER_FAMILY_FLAGS = {
+    Variant.FORWARD: ((SpectralFamily.CC_LEFT, "CC_L"), (SpectralFamily.CPA_FORWARD_A3, "CPA"),
+                      (SpectralFamily.CC_RIGHT, "CC_R"), (SpectralFamily.CPA_FORWARD_A2, "CPA"),
+                      (SpectralFamily.CPA_TIME_REVERSED, "SS")),
+    Variant.TIME_REVERSED: ((SpectralFamily.SS_LEFT, "SS"), (SpectralFamily.SS_RIGHT, "SS"),
+                            (SpectralFamily.CPA_TIME_REVERSED, "CPA")),
+}
+
+
+def test_flag_points_equal_per_family_enumeration():
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(15):
+        spec = PotentialSpec(rng.uniform(0.3, 8.0), rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.0))
+        lo = rng.uniform(0.05, 10.0)
+        cases.append((spec, lo, lo * (1.0 + rng.uniform(0.01, 3.0))))
+        # 2 a2 = low and 2 a3 = low + gap at one energy: a degenerate point
+        low, gap = (int(n) for n in rng.integers(1, 12, 2))
+        rho, mass = rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.0)
+        scale = rho ** 2 / (16.0 * mass)
+        spec = PotentialSpec(scale * ((low + gap) ** 2 - low ** 2), rho, mass)
+        cases.append((spec, 0.5 * scale * low ** 2, 2.0 * scale * low ** 2))
+    degenerate = 0
+    for spec, emin, emax in cases:
+        for variant in Variant:
+            spec = replace(spec, variant=variant)
+            want = sorted((flag, p.energy, snap_tolerance(spec, family, p.energy), p.degenerate)
+                          for family, flag in _PER_FAMILY_FLAGS[variant]
+                          for p in critical_points(spec, family, window=(emin, emax)))
+            assert sorted(cli._flag_points(spec, emin, emax)) == want
+            degenerate += sum(point[3] for point in want)
+    assert degenerate > 0
+
+
 def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, capsys):
     def fake_log10(spec, energies):
         out = np.empty((4, len(energies)))
@@ -738,26 +775,30 @@ def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-def _per_token_csv(columns, values, flags):
-    """The per-token CSV the block formatter must reproduce byte for byte."""
-    rows = ([*map("{:.12g}".format, row), flag] for row, flag in zip(values.T.tolist(), flags))
-    return "".join(",".join(tokens) + "\n" for tokens in [columns, *rows])
+def _per_token_csv(names, columns):
+    """The per-token CSV the block formatter must reproduce byte for byte:
+    a float to 12 significant digits, any other value its str()."""
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    rows = (["{:.12g}".format(v) if isinstance(v, float) else str(v) for v in row]
+            for row in zip(*cells))
+    return "".join(",".join(tokens) + "\n" for tokens in [names, *rows])
 
 
-def _scan_csv_against_per_token(tmp_path, monkeypatch, argv):
-    """Run a CSV scan, check its text is the per-token CSV of the values and
-    flags it formatted, and return the text."""
-    seen, block_csv = [], cli._scan_csv
+def _csv_against_per_token(tmp_path, monkeypatch, argv):
+    """Run a CSV command, check its text is the per-token CSV of the columns
+    it formatted, and return the text and those columns."""
+    seen, block_csv = [], cli._csv
 
-    def spy(columns, values, flags):
-        seen.append((columns, values.copy(), list(flags)))
-        return block_csv(columns, values, flags)
+    def spy(names, columns):
+        seen.append((names, [column.copy() if isinstance(column, np.ndarray) else list(column)
+                             for column in columns]))
+        return block_csv(names, columns)
 
-    monkeypatch.setattr(cli, "_scan_csv", spy)
-    code, text = run(tmp_path, "scan", *argv)
+    monkeypatch.setattr(cli, "_csv", spy)
+    code, text = run(tmp_path, *argv)
     assert code == 0 and len(seen) == 1
     assert text == _per_token_csv(*seen[0])
-    return text
+    return text, seen[0][1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -768,10 +809,10 @@ def _scan_csv_against_per_token(tmp_path, monkeypatch, argv):
     pytest.param(("--v0", "1.2", "--rho", "1.8", "--variant", "time-reversed",
                   "--emin", "0.6225", "--emax", "2.04", "--points", "5671"), id="landing-inf"),
     pytest.param(("--v0", "2", "--rho", "2", "--emin", "0.05", "--emax", "8",
-                  "--points", str(cli._SCAN_BLOCK_ROWS + 1)), id="block-plus-one"),
+                  "--points", str(cli._CSV_BLOCK_ROWS + 1)), id="block-plus-one"),
 ])
 def test_scan_csv_blocks_equal_per_token_formatting(tmp_path, monkeypatch, argv):
-    text = _scan_csv_against_per_token(tmp_path, monkeypatch, argv)
+    text, _ = _csv_against_per_token(tmp_path, monkeypatch, ("scan", *argv))
     lines = text.split("\n")
     assert len(lines) == int(argv[-1]) + 2  # header, rows, and the final newline's ""
     if "time-reversed" in argv:
@@ -786,14 +827,14 @@ def test_scan_csv_blocks_equal_per_token_formatting_at_the_clip(tmp_path, monkey
         return np.resize(np.array(cells), (4, len(energies)))
 
     monkeypatch.setattr(cli, "log10_coefficients", fake_log10)
-    text = _scan_csv_against_per_token(tmp_path, monkeypatch, (
-        "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "1.5", "--points", "9"))
+    text, _ = _csv_against_per_token(tmp_path, monkeypatch, (
+        "scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.5", "--emax", "1.5", "--points", "9"))
     tokens = {token for line in text.split("\n")[1:-1] for token in line.split(",")[2:6]}
     assert {"inf", "-inf", "300", "-300", "-0"} <= tokens
 
 
-@pytest.mark.parametrize("rows", [1, 2, cli._SCAN_BLOCK_ROWS, cli._SCAN_BLOCK_ROWS + 1,
-                                  2 * cli._SCAN_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("rows", [1, 2, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1,
+                                  2 * cli._CSV_BLOCK_ROWS + 3])
 def test_scan_csv_special_floats_equal_per_token_formatting(rows):
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
                1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf,
@@ -805,9 +846,39 @@ def test_scan_csv_special_floats_equal_per_token_formatting(rows):
     shape = (6, (rows + 1) // 2)
     values[:, ::2] = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-320.0, 308.0, shape)
     flags = rng.choice(["", "CC_L", "CC_R|CPA", "CC_L|CC_R|CPA|DEGENERATE", "SS"], rows).tolist()
-    columns = ["energy_internal", "energy_ev", "log10_Rl", "log10_Rr", "log10_T",
-               "log10_absdetS", "flags"]
-    assert cli._scan_csv(columns, values, flags) == _per_token_csv(columns, values, flags)
+    names = ["energy_internal", "energy_ev", "log10_Rl", "log10_Rr", "log10_T",
+             "log10_absdetS", "flags"]
+    columns = [*values, flags]
+    assert cli._csv(names, columns) == _per_token_csv(names, columns)
+
+
+_VERIFY_STAND_INS = tuple((name, lambda rng, tol=tol: tol / 3.0, tol) for name, _, tol in cli.SUITES)
+
+
+@pytest.mark.parametrize("argv, empty", [
+    pytest.param(("spectrum", "--v0", "1.2", "--rho", "1.8", "--max-count", "4", "--units", "mev"),
+                 False, id="spectrum"),
+    pytest.param(("spectrum", "--v0", "2", "--rho", "2", "--families", "none"), True,
+                 id="spectrum-empty"),
+    pytest.param(("ranges", "--v0", "15", "--rho", "0.001", "--criterion", "cpa", "--emin",
+                  "14.9990", "--emax", "15.0035", "--grid", "256", "--units", "internal"),
+                 False, id="ranges"),
+    # no grid point of this window beats the threshold
+    pytest.param(("ranges", "--v0", "1.2", "--rho", "1.8", "--criterion", "cpa", "--emin", "0.5",
+                  "--emax", "0.6", "--grid", "256"), True, id="ranges-empty"),
+    pytest.param(("table1",), False, id="table1"),
+    pytest.param(("verify",), False, id="verify"),
+    pytest.param(("potential", "--v0", "1.2", "--rho", "1.8", "--x", "2", "--x", "-0.5",
+                  "--points", "9"), False, id="potential"),
+])
+def test_every_command_csv_equals_per_token_formatting(tmp_path, monkeypatch, argv, empty):
+    # verify's stand-in checks pass with deviations of 12 and more digits;
+    # tests/test_invariants.py runs the real ones
+    monkeypatch.setattr(cli, "SUITES", _VERIFY_STAND_INS)
+    text, columns = _csv_against_per_token(tmp_path, monkeypatch, argv)
+    assert len(text.splitlines()) == 1 + len(columns[0]) and (len(columns[0]) == 0) == empty
+    if argv[0] == "table1":  # columns that hold floats and text
+        assert any({float, str} <= set(map(type, column)) for column in columns)
 
 
 def _flag_cases():
@@ -1107,8 +1178,17 @@ def test_potential_offsets_sharing_columns_rejected(tmp_path, capsys, first, sec
     out = tmp_path / "out.txt"
     argv = _SMALL_CALLS["potential"] + ["--x", first, "--x", "3", "--x", second]
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: --x {first} and --x {second} share the columns re_V_x{tag}, im_V_x{tag}\n")
+    assert capsys.readouterr().err == (f"error: --x {float(first)} and --x {float(second)} "
+                                       f"share the columns re_V_x{tag}, im_V_x{tag}\n")
+    assert not out.exists()
+
+
+def test_potential_offset_must_be_a_float(tmp_path, capsys):
+    # the value was converted by hand, and its error named no option
+    out = tmp_path / "out.txt"
+    err = _usage_error(capsys, _SMALL_CALLS["potential"] + ["--x", "abc", "--out", str(out)])
+    assert err.startswith("usage: ")
+    assert err.endswith("error: argument --x: invalid float value: 'abc'\n")
     assert not out.exists()
 
 

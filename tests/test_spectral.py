@@ -567,6 +567,25 @@ class TestArgumentTypes:
         with pytest.raises(ValueError, match="family must be a SpectralFamily"):
             call(family)
 
+    # (True, 2.0) read the bool as E = 1 and returned 2122 points
+    @pytest.mark.parametrize("window", [(True, 2.0), (1.0, np.float32(2.0)), ("1.0", 2.0),
+                                        (1.0, False)])
+    def test_critical_points_window_ends_must_be_int_or_float(self, window):
+        with pytest.raises(ValueError, match="window end must be an int or float, got "):
+            critical_points(NARROW, SpectralFamily.CC_LEFT, window=window)
+        assert (critical_points(NARROW, SpectralFamily.CC_LEFT, window=(np.float64(1.0), 2))
+                == critical_points(NARROW, SpectralFamily.CC_LEFT, window=(1.0, 2.0)))
+
+    @pytest.mark.parametrize("window", [(True, 1.0001), (3.0010, np.float32(3.003)),
+                                        (3.0010, "3.0030"), (np.bool_(True), 3.0030)])
+    def test_scan_ranges_window_ends_must_be_int_or_float(self, window):
+        with pytest.raises(ValueError, match="window end must be an int or float, got "):
+            scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, window, grid_points=128)
+        assert (scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE,
+                            (np.float64(3.0010), np.float64(3.0030)), grid_points=128)
+                == scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, (3.0010, 3.0030),
+                               grid_points=128))
+
     @pytest.mark.parametrize("grid_points", [128.0, True, "128"])
     def test_grid_points_must_be_an_int(self, grid_points):
         with pytest.raises(ValueError, match="grid_points must be an int"):
