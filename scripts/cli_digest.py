@@ -17,8 +17,8 @@ E = 0.0625, and a window up to E = 1e14), the writer's edge cases (the
 empty outputs of ``spectrum --families none`` and of a ``ranges`` window
 that certifies nothing, in CSV and JSON; ``scan``, ``ranges`` and
 ``spectrum`` with ``--units internal``; ``potential`` with three ``--x``),
-and ``<command> --help`` for all six commands, so a usage change shows too.  The help text is formatted at
-80 columns whatever the terminal.
+and ``<command> --help`` for all six commands, so a usage change shows too.
+The help text is formatted at 80 columns whatever the terminal.
 """
 
 from __future__ import annotations

@@ -399,8 +399,8 @@ def _table1_ranges():
 
 
 def cmd_table1(args) -> int:
-    columns = ["row", "quantity", "params", "computed", "published", "unit",
-               "rel_dev", "status"]
+    names = ["row", "quantity", "params", "computed", "published", "unit",
+             "rel_dev", "status"]
     rows = []
     failed = False
     for family, label, spec, computed, ref, unit in _table1_rows():
@@ -429,7 +429,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, columns, list(zip(*rows)), {"command": "table1", "params": {"grid": args.grid}})
+    _emit(args, names, list(zip(*rows)), {"command": "table1", "params": {"grid": args.grid}})
     return 2 if failed else 0
 
 
@@ -439,7 +439,7 @@ def cmd_table1(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    columns = ["suite", "max_deviation", "tolerance", "status"]
+    names = ["suite", "max_deviation", "tolerance", "status"]
     rows = []
     failed = False
     for name, check, tol in SUITES:
@@ -447,7 +447,7 @@ def cmd_verify(args) -> int:
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, columns, list(zip(*rows)), {"command": "verify", "params": {"seed": args.seed}})
+    _emit(args, names, list(zip(*rows)), {"command": "verify", "params": {"seed": args.seed}})
     return 2 if failed else 0
 
 
