@@ -17,8 +17,15 @@ E = 0.0625, and a window up to E = 1e14), the writer's edge cases (the
 empty outputs of ``spectrum --families none`` and of a ``ranges`` window
 that certifies nothing, in CSV and JSON; ``scan``, ``ranges`` and
 ``spectrum`` with ``--units internal``; ``potential`` with three ``--x``),
-and ``<command> --help`` for all six commands, so a usage change shows too.
+1000-point scans at the paper's narrow rho 0.0006 over E = 0.05..50 in both
+variants, whose windows hold tens of thousands of flag points, and
+``<command> --help`` for all six commands, so a usage change shows too.
 The help text is formatted at 80 columns whatever the terminal.
+
+``scripts/cli_digest.txt`` holds the digest as committed; a byte change of
+any of these outputs is an edit of that file:
+
+    python scripts/cli_digest.py | diff scripts/cli_digest.txt -
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ EXTRA = (
     "ranges --v0 1 --rho 0.0006 --emin 3.0010 --emax 3.0030 --grid 256 --units internal",
     "spectrum --v0 2 --rho 2 --max-count 3 --units internal",
     "potential --v0 1.2 --rho 1.8 --x 0 --x -2.5 --x 1e-3 --points 9",
+    "scan --v0 1 --rho 0.0006 --emin 0.05 --emax 50 --points 1000",
+    "scan --v0 1 --rho 0.0006 --emin 0.05 --emax 50 --points 1000 --variant time-reversed",
 )
 COMMANDS = ("scan", "spectrum", "ranges", "table1", "verify", "potential")
 

@@ -43,7 +43,6 @@ from .spectral import (
     cpa_energies_time_reversed,
     critical_points,
     scan_ranges,
-    snap_tolerance,
 )
 from .units import (
     EnergyUnit,
@@ -189,8 +188,8 @@ def _display_factor(unit: EnergyUnit) -> float:
 # Scan flags per variant, with the family whose points carry them.  The
 # a2 + a3 = M points are bidirectional absorbers of the time-reversed
 # potential and spectral singularities of the forward one.  CC_LEFT's row,
-# 2 a3 = n, is also CPA_FORWARD_A3's, so it is enumerated once for both
-# flags; CPA_FORWARD_A2 is 2 a2 = n + 1, offset from CC_RIGHT's row.
+# 2 a3 = n, is also CPA_FORWARD_A3's, so it is read once for both flags;
+# CPA_FORWARD_A2 is 2 a2 = n + 1, offset from CC_RIGHT's row.
 _SCAN_FLAGS = {
     Variant.FORWARD: (
         (SpectralFamily.CC_LEFT, ("CC_L", "CPA")),
@@ -206,38 +205,17 @@ _SCAN_FLAGS = {
 }
 
 
-def _flag_points(spec: PotentialSpec, emin: float, emax: float):
-    """(flag, energy, energy_tolerance, degenerate) annotations for a window."""
-    return [
-        (flag, p.energy, snap_tolerance(spec, family, p.energy), p.degenerate)
-        for family, flags in _SCAN_FLAGS[spec.variant]
-        for p in critical_points(spec, family, window=(emin, emax))
-        for flag in flags
-    ]
-
-
-def _scan_flags(grid: np.ndarray, annotations) -> list[str]:
-    """'|'-joined flags of every annotation within its tolerance, per energy.
-
-    ``grid`` ascends (a linspace).  A row that passes ``abs(grid[i] - at) <=
-    tol`` lies within ``at -+ 2 tol`` even as rounded, since rounding is
-    monotone (an exact distance over ``2 tol`` rounds to at least ``2 tol``),
-    so two bisections give each annotation its candidate rows and only
-    those take the row test."""
-    centres = np.array([at for _, at, _, _ in annotations], dtype=float)
-    reach = 2.0 * np.array([tol for _, _, tol, _ in annotations], dtype=float)
-    spans = zip(np.searchsorted(grid, centres - reach, "left").tolist(),
-                np.searchsorted(grid, centres + reach, "right").tolist())
-    energies = grid.tolist()
+def _scan_flags(spec: PotentialSpec, grid: np.ndarray) -> list[str]:
+    """'|'-joined flags per grid energy: a family's flags where ``snap`` puts
+    the energy on one of its points, with DEGENERATE where that point is."""
     hits: dict[int, set[str]] = {}
-    for (flag, at, tol, degenerate), (lo, hi) in zip(annotations, spans):
-        for i in range(lo, hi):
-            if abs(energies[i] - at) <= tol:
-                hits.setdefault(i, set()).update((flag, "DEGENERATE") if degenerate else (flag,))
-    flags = [""] * len(grid)
-    for i, found in hits.items():
-        flags[i] = "|".join(sorted(found))
-    return flags
+    for family, flags in _SCAN_FLAGS[spec.variant]:
+        for i, point in spectral._grid_points(spec, family, grid).items():
+            hits.setdefault(i, set()).update((*flags, "DEGENERATE") if point.degenerate else flags)
+    found = [""] * len(grid)
+    for i, names in hits.items():
+        found[i] = "|".join(sorted(names))
+    return found
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -257,7 +235,7 @@ def cmd_scan(args) -> int:
     logs = log10_coefficients(spec, grid)
     # log10 magnitudes flush to +-inf beyond 300 decades
     logs = np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)
-    flags = _scan_flags(grid, _flag_points(spec, emin, emax))
+    flags = _scan_flags(spec, grid)
     _emit(args, ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
                  "log10_T", "log10_absdetS", "flags"],
           [grid, grid * _display_factor(unit), *logs, flags], {

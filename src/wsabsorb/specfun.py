@@ -29,10 +29,10 @@ import numpy as np
 #: :func:`snap` compares against it; every reader of the rule goes through
 #: ``snap``: Gamma poles (:func:`gamma_logs` and so the closed-form kernel in
 #: ``amplitudes``, :func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c``
-#: guard) and the threshold skip and degeneracy flags of
-#: ``spectral.critical_points``.  ``spectral.snap_tolerance`` and the
-#: ``300 * TAU_INT`` Laurent-term allowance of the kernel's det-S cross-check
-#: use it as a scale.
+#: guard), the threshold skip and degeneracy flags of
+#: ``spectral.critical_points`` and the scan flags, which snap each family's
+#: condition at the grid energies.  The ``300 * TAU_INT`` Laurent-term
+#: allowance of the kernel's det-S cross-check uses it as a scale.
 TAU_INT = 1e-9
 
 # term cap and |z| bound of the 2F1 series

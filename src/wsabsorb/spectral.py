@@ -28,8 +28,6 @@ rows (there 2*a2 + 2*a3 or 2*a3 - 2*a2 is an integer, so one implies the
 other).  CPA_TIME_REVERSED excludes such points, because a numerator residue
 cancels the intended zero of det S there, and every other family flags them.
 When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
-The energy-space snap tolerance of a point is the integer tolerance divided
-by ``|du/dE|``.
 
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
@@ -41,6 +39,7 @@ alone reaches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -49,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .amplitudes import log10_coefficients
-from .specfun import TAU_INT, snap
+from .specfun import snap
 from .units import PotentialSpec, Variant, _check_number
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "SpectralPoint",
     "AbsorptionRange",
     "critical_points",
-    "snap_tolerance",
     "cc_left_energies",
     "cc_right_energies",
     "ss_energies",
@@ -139,10 +137,12 @@ def _channel_energy(spec: PotentialSpec, n: int) -> float:
     return p * p / (spec.v0 + 2.0 * p)
 
 
-def _a2_a3(spec: PotentialSpec, energy: float) -> tuple[float, float]:
+def _a2_a3(spec: PotentialSpec, energy):
+    """(a2, a3) at a float energy, or as arrays at an array of energies."""
+    sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
     return (
-        2.0 * math.sqrt(spec.mass * energy) / spec.rho,
-        2.0 * math.sqrt(spec.mass * (energy + spec.v0)) / spec.rho,
+        2.0 * sqrt(spec.mass * energy) / spec.rho,
+        2.0 * sqrt(spec.mass * (energy + spec.v0)) / spec.rho,
     )
 
 
@@ -155,7 +155,7 @@ class _Row(NamedTuple):
     offset: int = 0
     exclude_degenerate: bool = False
 
-    def u(self, spec: PotentialSpec, energy: float) -> float:
+    def u(self, spec: PotentialSpec, energy):
         a2, a3 = _a2_a3(spec, energy)
         return self.c2 * a2 + self.c3 * a3
 
@@ -218,15 +218,7 @@ def critical_points(
         raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
     if count is not None and count > _MAX_WINDOW_INDICES:
         raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
-    u0 = row.u(spec, 0.0)
-    n0, at_threshold = snap(u0)
-    u0 = n0 if at_threshold else u0  # an integer u0 is the E = 0 threshold itself
-    first, stop = 1 + row.offset, math.inf
-    # da2/dE > da3/dE because k1 < k2, so u falls only where a2 enters negatively
-    if row.c2 >= 0:
-        first = max(first, math.floor(u0) + 1)
-    else:
-        stop = math.ceil(u0)
+    first, stop = _index_range(spec, row)
     if window is not None:
         for end in window:
             _check_number("window end", end)
@@ -240,34 +232,56 @@ def critical_points(
                              f"indices, more than {_MAX_WINDOW_INDICES}")
     elif count is None and stop == math.inf:
         raise ValueError(f"{family.value} has no last point: give a window or a count")
-    points: list[SpectralPoint] = []
-    n = first
-    while n < stop and (count is None or len(points) < count):
+    ns = itertools.count(first) if stop == math.inf else range(first, stop)
+    return list(itertools.islice(_points(spec, family, ns), count))
+
+
+def _index_range(spec: PotentialSpec, row: _Row) -> tuple[int, float]:
+    """The row's valid N as ``first <= N < stop``, ``stop`` possibly inf."""
+    u0 = row.u(spec, 0.0)
+    n0, at_threshold = snap(u0)
+    u0 = n0 if at_threshold else u0  # an integer u0 is the E = 0 threshold itself
+    first, stop = 1 + row.offset, math.inf
+    # da2/dE > da3/dE because k1 < k2, so u falls only where a2 enters negatively
+    if row.c2 >= 0:
+        first = max(first, math.floor(u0) + 1)
+    else:
+        stop = math.ceil(u0)
+    return first, stop
+
+
+def _points(spec: PotentialSpec, family: SpectralFamily, ns):
+    """The family's points at the integers ``ns``, in their order, lazily.
+
+    An N outside the row's valid range, or whose energy is not positive,
+    has no point; a degenerate N has a flagged one, or none on a row that
+    excludes degenerate points.
+    """
+    row = _TABLE[family]
+    first, stop = _index_range(spec, row)
+    for n in ns:
+        if not first <= n < stop:
+            continue
         energy = row.energy(spec, n)
         if energy > 0.0:
             # 2*a_i with c_i = 2 is N by construction; only the other one is tested
             others = [2.0 * a for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3)) if c != 2]
             degenerate = any(hit and m >= 1 for m, hit in map(snap, others))
             if not (row.exclude_degenerate and degenerate):
-                points.append(SpectralPoint(family, n - row.offset, energy, degenerate))
-        n += 1
-    return points
+                yield SpectralPoint(family, n - row.offset, energy, degenerate)
 
 
-def snap_tolerance(spec: PotentialSpec, family: SpectralFamily, energy: float) -> float:
-    """Energy distance over which the family's condition moves by TAU_INT:
-    TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and da3/dE = m / (rho k2).
-    An energy that is not a finite positive int or float, or a family that
-    is not a ``SpectralFamily``, raises ``ValueError``."""
-    row = _row(family)
-    _check_number("energy", energy)
-    if not (math.isfinite(energy) and energy > 0.0):
-        raise ValueError(f"{family.value} snap tolerance needs a finite positive energy, "
-                         f"got {energy!r}")
-    k1 = math.sqrt(spec.mass * energy)
-    k2 = math.sqrt(spec.mass * (energy + spec.v0))
-    du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
-    return TAU_INT / abs(du_de)
+def _grid_points(
+    spec: PotentialSpec, family: SpectralFamily, energies: np.ndarray
+) -> dict[int, SpectralPoint]:
+    """The family's points that ``snap`` puts on an energy array, by position:
+    where u(E) snaps to an integer N that has a point, that point."""
+    row = _TABLE[family]
+    n, hit = snap(row.u(spec, energies))
+    at = np.flatnonzero(hit)
+    ns = [int(m) for m in n[at].tolist()]
+    points = {p.index + row.offset: p for p in _points(spec, family, set(ns))}
+    return {i: points[m] for i, m in zip(at.tolist(), ns) if m in points}
 
 
 # -- public enumerators ----------------------------------------------------------

@@ -22,7 +22,6 @@ from wsabsorb.spectral import (
     p_intermediate,
     rprime_left_zeros,
     scan_ranges,
-    snap_tolerance,
     ss_energies,
 )
 from wsabsorb.units import EnergyUnit, PotentialSpec, Variant, convert_energy
@@ -513,23 +512,6 @@ class TestBadEnergies:
             assert (critical_points(SPEC_A, family, window=(4.0, 1.0))
                     == critical_points(SPEC_A, family, window=(1.0, 4.0)))
 
-    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
-    def test_snap_tolerance_needs_positive_energy(self, energy):
-        with pytest.raises(ValueError, match=rf"cc_right .*{energy}"):
-            snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, energy)
-
-    @pytest.mark.parametrize("energy", [True, np.int64(1), np.float32(1.0), "1.0"])
-    def test_snap_tolerance_energy_must_be_int_or_float(self, energy):
-        with pytest.raises(ValueError, match="energy must be an int or float, got "):
-            snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, energy)
-        assert (snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, np.float64(1.0))
-                == snap_tolerance(SPEC_A, SpectralFamily.CC_RIGHT, 1))
-
-    def test_snap_tolerance_of_a_bad_spec_cannot_be_asked(self):
-        # nothing on this path checked the spec, and it divided by zero
-        with pytest.raises(ValueError, match="v0 must be positive"):
-            snap_tolerance(PotentialSpec(-1.0, 1.8), SpectralFamily.CC_LEFT, 1.0)
-
 
 class TestThresholdValidation:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0])
@@ -561,8 +543,7 @@ class TestArgumentTypes:
     @pytest.mark.parametrize("family", ["cc_left", None, RangeCriterion.CC_LEFT_RANGE])
     @pytest.mark.parametrize("call", [
         lambda family: critical_points(SPEC_A, family, count=3),
-        lambda family: snap_tolerance(SPEC_A, family, 1.0),
-    ], ids=["critical_points", "snap_tolerance"])
+    ], ids=["critical_points"])
     def test_family_must_be_a_spectral_family(self, call, family):
         with pytest.raises(ValueError, match="family must be a SpectralFamily"):
             call(family)
