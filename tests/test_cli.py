@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -629,15 +630,17 @@ def _enumerated_annotations(spec, emin, emax):
     window, the tolerance being the energy over which the point's condition
     moves by TAU_INT: TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and
     da3/dE = m / (rho k2)."""
-    annotations = []
-    for family, flag in _PER_FAMILY_FLAGS[spec.variant]:
-        row = spectral._TABLE[family]
-        for p in critical_points(spec, family, window=(emin, emax)):
-            k1 = math.sqrt(spec.mass * p.energy)
-            k2 = math.sqrt(spec.mass * (p.energy + spec.v0))
-            du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
-            annotations.append((flag, p.energy, TAU_INT / abs(du_de), p.degenerate))
-    return annotations
+    return [(flag, p.energy, _flag_tolerance(spec, family, p.energy), p.degenerate)
+            for family, flag in _PER_FAMILY_FLAGS[spec.variant]
+            for p in critical_points(spec, family, window=(emin, emax))]
+
+
+def _flag_tolerance(spec, family, energy):
+    row = spectral._TABLE[family]
+    k1 = math.sqrt(spec.mass * energy)
+    k2 = math.sqrt(spec.mass * (energy + spec.v0))
+    du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
+    return TAU_INT / abs(du_de)
 
 
 def _per_row_flags(energy, annotations):
@@ -797,6 +800,70 @@ def test_scan_row_at_2a2_equal_1_is_cc_right_alone(tmp_path):
     assert code == 0
     energies = [float(line.split(",")[2]) for line in text.splitlines()[1:]]
     assert len(energies) == 6 and 0.2025 not in energies and min(energies) > 0.2025
+
+
+def _flag_cases():
+    """(id, spec, ascending grid) cases for the flags of chosen grids."""
+    spec = PotentialSpec(1.2, 1.8)
+    degenerate = PotentialSpec(2.0, 2.0, 1.0)
+    narrow = PotentialSpec(1.0, 0.0006)
+
+    def at(spec, family, count):
+        energy = critical_points(spec, family, count=count)[-1].energy
+        return energy, _flag_tolerance(spec, family, energy)
+
+    right, right_tol = at(spec, SpectralFamily.CC_RIGHT, 3)
+    next_right, next_tol = at(spec, SpectralFamily.CC_RIGHT, 4)
+    left, left_tol = at(spec, SpectralFamily.CC_LEFT, 3)
+    steps = (-2.0, -1.001, -0.999, -0.5, 0.0, 0.5, 0.999, 1.001, 2.0)
+    far = [p.energy for p in critical_points(narrow, SpectralFamily.CC_RIGHT, count=10**5 + 3)[-4:]]
+    return [
+        ("tolerance-over-many-steps", spec,
+         np.linspace(right - 3.0 * right_tol, right + 3.0 * right_tol, 101)),
+        ("rows-inside-and-outside-the-tolerance", spec,
+         np.array([left + k * left_tol for k in steps])),
+        ("repeated-grid-values", spec, np.linspace(right, math.nextafter(right, math.inf), 5)),
+        # points just beyond both ends, each within its tolerance of the end row
+        ("beyond-the-grid-ends", spec,
+         np.linspace(right + 0.5 * right_tol, next_right - 0.5 * next_tol, 11)),
+        ("no-points-near-the-rows", spec, np.linspace(1.0, 2.0, 7)),
+        # 2 a2 = 1 at E = 0.2025, the first CC_RIGHT point but below CPA_FORWARD_A2's
+        ("two-point-grid", spec,
+         np.array([0.2025, at(spec, SpectralFamily.CPA_TIME_REVERSED, 8)[0]])),
+        ("degenerate-row", degenerate, np.linspace(0.25 * (1 - 1e-3), 0.25 * (1 + 1e-3), 3)),
+        ("time-reversed-degenerate-row", replace(degenerate, variant=Variant.TIME_REVERSED),
+         np.linspace(0.25 * (1 - 1e-3), 0.25 * (1 + 1e-3), 3)),
+        ("far-up-the-spectrum", narrow, np.array(far)),
+    ]
+
+
+@pytest.mark.parametrize("spec, grid",
+                         [pytest.param(spec, grid, id=name) for name, spec, grid in _flag_cases()])
+def test_scan_flags_equal_brute_force_rule(spec, grid):
+    # the window's enumeration holds a point at or beyond each end, which
+    # flags the end row within its tolerance
+    annotations = _enumerated_annotations(spec, grid[0], grid[-1])
+    want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
+    assert cli._scan_flags(spec, grid) == want
+
+
+def test_flag_cases_reach_what_they_name():
+    cases = {name: (spec, grid, cli._scan_flags(spec, grid)) for name, spec, grid in _flag_cases()}
+    assert sum(map(bool, cases["tolerance-over-many-steps"][2])) > 30
+    assert [bool(f) for f in cases["rows-inside-and-outside-the-tolerance"][2]] == [
+        False, False, True, True, True, True, True, False, False]
+    spec, grid, flags = cases["repeated-grid-values"]
+    assert len(np.unique(grid)) < 5 and all(flags)
+    spec, grid, flags = cases["beyond-the-grid-ends"]
+    # 2 a2 = 3 and 4 there, so CPA_FORWARD_A2 flags both rows too
+    assert flags[0] == flags[-1] == "CC_R|CPA"
+    assert not any(grid[0] <= p.energy <= grid[-1]
+                   for p in critical_points(spec, SpectralFamily.CC_RIGHT, window=(grid[0], grid[-1])))
+    assert not any(cases["no-points-near-the-rows"][2])
+    assert cases["two-point-grid"][2] == ["CC_R", "SS"]
+    assert cases["degenerate-row"][2][1] == "CC_L|CC_R|CPA|DEGENERATE"
+    assert cases["time-reversed-degenerate-row"][2][1] == "DEGENERATE|SS"
+    assert all("CC_R" in f.split("|") for f in cases["far-up-the-spectrum"][2])
 
 
 def test_log10_tokens_clip_at_300_decades_and_refuse_nan(tmp_path, monkeypatch, capsys):
