@@ -95,16 +95,21 @@ class AmplitudeSet:
     det_s: SingularValue
 
 
-def _channel(spec: PotentialSpec, energy) -> ChannelParams:
-    """k1, k2 and the variant-signed a2, a3 at a float energy or an array."""
+def _channel_terms(spec: PotentialSpec, energy):
+    """k1, k2, a2 and the gap a3 - a2, unsigned, at a float energy or an
+    array.  The gap is formed from v0, since k2 - k1 = mass v0 / (k1 + k2),
+    so it does not cancel; every Gamma argument is c*a2 + c'*gap + c0."""
     sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
     k1 = sqrt(spec.mass * energy)
     k2 = sqrt(spec.mass * (energy + spec.v0))
+    return k1, k2, 2.0 * k1 / spec.rho, 2.0 * spec.mass * spec.v0 / spec.rho / (k1 + k2)
+
+
+def _channel(spec: PotentialSpec, energy) -> ChannelParams:
+    """k1, k2 and the variant-signed a2, a3, gap at a float energy or an array."""
+    k1, k2, a2, gap = _channel_terms(spec, energy)
     sign = 1.0 if spec.variant is Variant.FORWARD else -1.0
-    a2, a3 = sign * 2.0 * k1 / spec.rho, sign * 2.0 * k2 / spec.rho
-    # k2 - k1 = mass v0 / (k1 + k2)
-    gap = sign * 2.0 * spec.mass * spec.v0 / spec.rho / (k1 + k2)
-    return ChannelParams(energy, k1, k2, a2, a3, spec.mass, gap)
+    return ChannelParams(energy, k1, k2, sign * a2, sign * 2.0 * k2 / spec.rho, spec.mass, sign * gap)
 
 
 def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
@@ -314,6 +319,12 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
 
 
+def _amplitude_orders(spec: PotentialSpec, energies) -> list[tuple[int, int, int, int]]:
+    """The kernel's pole orders of (r_l, -r_r, t, det S) at each of a list
+    of positive energies: > 0 a zero, < 0 a pole."""
+    return list(map(tuple, _checked_logs(_channel(spec, np.array(energies, dtype=float)))[2].T.tolist()))
+
+
 def det_s(spec: PotentialSpec, energy: float) -> SingularValue:
     """det S as the closed-form Gamma ratio (G2/G3, or its inverse when
     the stored channel parameters are the time-reversed ones): the
@@ -326,9 +337,14 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
     """Complex potential sampled along the imaginary-shift direction.
 
     Returns -v0 / (1 + e^{rho*zeta} e^{i rho x}) per grid point; the
-    time-reversed variant is its complex conjugate.
+    time-reversed variant is its complex conjugate.  An ``x`` that is not a
+    finite ``int`` or ``float`` (a bool is neither), or a NaN in the grid,
+    raises ``ValueError``; zeta = +-inf gives the limits 0 and -v0.
     """
+    _check_number("x", x)
     zeta = np.asarray(zeta_grid, dtype=float)
+    if not math.isfinite(x) or np.isnan(zeta).any():
+        raise ValueError(f"x must be finite and zeta_grid free of NaN, got x={x!r}")
     phase = np.exp(1j * spec.rho * x)
     with np.errstate(over="ignore", invalid="ignore"):
         grow = np.exp(spec.rho * zeta)

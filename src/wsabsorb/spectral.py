@@ -15,19 +15,42 @@ condition             u(E)         inverse energy                      valid N
 ``a3 - a2 = n``       falling      ``p^2/(v0 + 2 p)``, ``p = p_n``     1 <= n < u(0)
 ====================  ===========  ==================================  ==========
 
-CC_LEFT, SS_LEFT and CPA_FORWARD_A3 sit on the first row; CC_RIGHT, SS_RIGHT
-and CPA_FORWARD_A2 (index ``N - 1``) on the second; CPA_TIME_REVERSED on the
-third; the zeros of the time-reversed left reflection (RPRIME_LEFT_ZERO) on
-the fourth.  ``_TABLE`` holds these rows, ``critical_points`` enumerates
-any of them, and ``integer_distance`` measures how far a pair (a2, a3) sits
-from the nearest of their conditions.  Every integer decision reads the one
-rule ``specfun.snap``.  A point is degenerate when the channel parameter its
-row does not fix also snaps 2*a2 or 2*a3 to a positive integer: 2*a2 on the
-``2 a3`` row, 2*a3 on the ``2 a2`` row, either one on the sum and difference
-rows (there 2*a2 + 2*a3 or 2*a3 - 2*a2 is an integer, so one implies the
-other).  CPA_TIME_REVERSED excludes such points, because a numerator residue
-cancels the intended zero of det S there, and every other family flags them.
+Each condition also says what happens at its points, in its signature: the
+pole orders of (r_l, -r_r, t, det S) there, forward and time-reversed, a
+positive order a zero and a negative one a pole.
+
+===============  ================  ===============  ================================
+condition        forward           time-reversed    families
+===============  ================  ===============  ================================
+``2 a3 = N``     (1, 0, 1, 1)      (-1, 0, 0, -1)   CC_LEFT, CPA_FORWARD_A3, SS_LEFT
+``2 a2 = N``     (0, 1, 1, 1)      (0, -1, 0, -1)   CC_RIGHT, CPA_FORWARD_A2, SS_RIGHT
+``a2 + a3 = M``  (-2, -2, -2, -2)  (0, 0, 0, 2)     CPA_TIME_REVERSED
+``a3 - a2 = n``  (0, 2, 0, 0)      (2, 0, 0, 0)     RPRIME_LEFT_ZERO
+===============  ================  ===============  ================================
+
+So the forward r_l, t and det S vanish where 2 a3 is an integer (critical
+coupling from the left and forward CPA) and the time-reversed r_l and det S
+diverge (left spectral singularities); the right side is the same at 2 a2
+(CPA_FORWARD_A2 takes index ``N - 1`` from N = 2); at a2 + a3 = M the
+time-reversed det S vanishes and every forward amplitude diverges; at
+a3 - a2 = n the time-reversed r_l vanishes.  ``_TABLE`` holds these rows,
+``critical_points`` enumerates any of them, and ``integer_distance``
+measures how far a pair (a2, a3) sits from the nearest of their conditions.
+u reads a2 and the gap a3 - a2 as the kernel does, ``u = (c2 + c3) a2 +
+c3 gap`` (``amplitudes._channel_terms``), so on the ``2 a3``, sum and
+difference rows u is, bit for bit, the magnitude of a Gamma argument whose
+pole the kernel snaps.  Every integer decision reads the one rule
+``specfun.snap``.  A point is degenerate when the channel parameter its
+row does not fix also snaps 2*a2 or 2*a3 (the u of its own row) to a
+positive integer: 2*a2 on the ``2 a3`` row, 2*a3 on the ``2 a2`` row,
+either one on the sum and difference rows (there 2*a2 + 2*a3 or
+2*a3 - 2*a2 is an integer, so one implies the other).  A second Gamma pole
+then enters, and the point does not show its row's signature.
+CPA_TIME_REVERSED excludes such points, because a numerator residue cancels
+the intended zero of det S there, and every other family flags them.
 When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
+``verify``'s ``family_signatures`` row checks both statements against the
+kernel.
 
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
@@ -47,7 +70,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import log10_coefficients
+from .amplitudes import _channel_terms, log10_coefficients
 from .specfun import snap
 from .units import PotentialSpec, Variant, _check_number
 
@@ -137,53 +160,50 @@ def _channel_energy(spec: PotentialSpec, n: int) -> float:
     return p * p / (spec.v0 + 2.0 * p)
 
 
-def _a2_a3(spec: PotentialSpec, energy):
-    """(a2, a3) at a float energy, or as arrays at an array of energies."""
-    sqrt = np.sqrt if isinstance(energy, np.ndarray) else math.sqrt
-    return (
-        2.0 * sqrt(spec.mass * energy) / spec.rho,
-        2.0 * sqrt(spec.mass * (energy + spec.v0)) / spec.rho,
-    )
-
-
 class _Row(NamedTuple):
-    """c2*a2 + c3*a3 = N at energy(spec, N); the family index is N - offset."""
+    """c2*a2 + c3*a3 = N at energy(spec, N); the family index is N - offset.
+
+    ``signatures`` are the pole orders of (r_l, -r_r, t, det S) at the
+    row's non-degenerate points, forward and time-reversed."""
 
     c2: int
     c3: int
     energy: Callable[[PotentialSpec, int], float]
+    signatures: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
     offset: int = 0
     exclude_degenerate: bool = False
 
     def u(self, spec: PotentialSpec, energy):
-        a2, a3 = _a2_a3(spec, energy)
-        return self.c2 * a2 + self.c3 * a3
+        _, _, a2, gap = _channel_terms(spec, energy)
+        return (self.c2 + self.c3) * a2 + self.c3 * gap
 
 
 def _left_energy(spec: PotentialSpec, n: int) -> float:
     return _well_energy(spec, n) - spec.v0
 
 
+_LEFT = _Row(0, 2, _left_energy, ((1, 0, 1, 1), (-1, 0, 0, -1)))
+_RIGHT = _Row(2, 0, _well_energy, ((0, 1, 1, 1), (0, -1, 0, -1)))
 _TABLE = {
-    SpectralFamily.CC_LEFT: _Row(0, 2, _left_energy),
-    SpectralFamily.SS_LEFT: _Row(0, 2, _left_energy),
-    SpectralFamily.CPA_FORWARD_A3: _Row(0, 2, _left_energy),
-    SpectralFamily.CC_RIGHT: _Row(2, 0, _well_energy),
-    SpectralFamily.SS_RIGHT: _Row(2, 0, _well_energy),
-    SpectralFamily.CPA_FORWARD_A2: _Row(2, 0, _well_energy, offset=1),
-    SpectralFamily.CPA_TIME_REVERSED: _Row(1, 1, _channel_energy, exclude_degenerate=True),
-    SpectralFamily.RPRIME_LEFT_ZERO: _Row(-1, 1, _channel_energy),
+    SpectralFamily.CC_LEFT: _LEFT,
+    SpectralFamily.SS_LEFT: _LEFT,
+    SpectralFamily.CPA_FORWARD_A3: _LEFT,
+    SpectralFamily.CC_RIGHT: _RIGHT,
+    SpectralFamily.SS_RIGHT: _RIGHT,
+    # det S vanishes at 2 a2 = 1 too, which is CC_RIGHT's first point, yet the
+    # family starts at 2 a2 = 2: the published row E_{n1=1} = 27.2 eV (v0 2,
+    # rho 2) is 2 a2 = 2.  Whether the paper's n1 starts at 0 waits for its
+    # text and for a re-recorded benchmark scan reference, which flags CC_R
+    # alone at 2 a2 = 1.
+    SpectralFamily.CPA_FORWARD_A2: _RIGHT._replace(offset=1),
+    SpectralFamily.CPA_TIME_REVERSED: _Row(1, 1, _channel_energy, ((-2, -2, -2, -2), (0, 0, 0, 2)),
+                                           exclude_degenerate=True),
+    SpectralFamily.RPRIME_LEFT_ZERO: _Row(-1, 1, _channel_energy, ((0, 2, 0, 0), (2, 0, 0, 0))),
 }
 
 
 # the distinct conditions (c2, c3) of the table
 _CONDITIONS = sorted({(row.c2, row.c3) for row in _TABLE.values()})
-
-
-def _row(family: SpectralFamily) -> _Row:
-    if not isinstance(family, SpectralFamily):
-        raise ValueError(f"family must be a SpectralFamily, got {family!r}")
-    return _TABLE[family]
 
 
 def integer_distance(a2: float, a3: float) -> float:
@@ -213,7 +233,9 @@ def critical_points(
     either order, and a family that is not a ``SpectralFamily`` raises
     ``ValueError``.
     """
-    row = _row(family)
+    if not isinstance(family, SpectralFamily):
+        raise ValueError(f"family must be a SpectralFamily, got {family!r}")
+    row = _TABLE[family]
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
         raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
     if count is not None and count > _MAX_WINDOW_INDICES:
@@ -264,8 +286,10 @@ def _points(spec: PotentialSpec, family: SpectralFamily, ns):
             continue
         energy = row.energy(spec, n)
         if energy > 0.0:
-            # 2*a_i with c_i = 2 is N by construction; only the other one is tested
-            others = [2.0 * a for a, c in zip(_a2_a3(spec, energy), (row.c2, row.c3)) if c != 2]
+            # 2*a_i with c_i = 2 is N by construction; only the other one is tested,
+            # as the u of its own row: 2*a2, or 2*a3 = 2*a2 + 2*gap
+            _, _, a2, gap = _channel_terms(spec, energy)
+            others = [u for u, c in ((2.0 * a2, row.c2), (2.0 * a2 + 2.0 * gap, row.c3)) if c != 2]
             degenerate = any(hit and m >= 1 for m, hit in map(snap, others))
             if not (row.exclude_degenerate and degenerate):
                 yield SpectralPoint(family, n - row.offset, energy, degenerate)

@@ -318,6 +318,21 @@ class TestPotentialProfile:
         values = potential_profile(SPEC, 0.5, [1000.0])
         assert values[0] == 0.0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan), True, "1.0",
+                                   None, np.float32(1.0)])
+    def test_bad_x_refused(self, x):
+        with pytest.raises(ValueError, match="^x must be"):
+            potential_profile(SPEC, x, [0.0])
+
+    def test_nan_in_grid_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            potential_profile(SPEC, 0.5, [0.0, math.nan, 1.0])
+
+    def test_infinite_zeta_gives_the_limits(self):
+        for variant in Variant:
+            values = potential_profile(replace(SPEC, variant=variant), 0.5, [math.inf, -math.inf])
+            assert values.tolist() == [0.0, -SPEC.v0]
+
 
 def test_assembly_is_singular_value_division_of_g_factors():
     # the one assembly gives, bit for bit, what dividing the G-factors as

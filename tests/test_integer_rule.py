@@ -11,6 +11,7 @@ across ``TAU_INT`` itself (within about 1e-16 of it); the inputs here stay
 off that seam.
 """
 
+import importlib
 import math
 
 import mpmath as mp
@@ -19,6 +20,7 @@ import pytest
 from scipy.special import gammaln, gammasgn, loggamma
 
 from wsabsorb import spectral
+from wsabsorb.amplitudes import _G_ARGS, _channel_terms
 from wsabsorb.specfun import (
     TAU_INT,
     PoleProximityError,
@@ -30,6 +32,9 @@ from wsabsorb.specfun import (
 )
 from wsabsorb.spectral import SpectralFamily, SpectralPoint, critical_points, integer_distance
 from wsabsorb.units import PotentialSpec, Variant
+
+# the module, which the package's ``amplitudes`` function shadows
+_AMPLITUDES = importlib.import_module("wsabsorb.amplitudes")
 
 FACTORS = (0.0, 0.5, 0.999999, 1.000001, 2.0)
 OFFSETS = [s * f * TAU_INT for f in FACTORS for s in (1, -1)] + [0.3, -0.3]
@@ -108,9 +113,10 @@ def ref_critical_points(spec, family, window=None, count=None):
     while n < stop and (count is None or len(points) < count):
         energy = row.energy(spec, n)
         if energy > 0.0:
+            _, _, a2, gap = _channel_terms(spec, energy)
             degenerate = any(
                 ref_near_positive_integer(2.0 * a)
-                for a, c in zip(spectral._a2_a3(spec, energy), (row.c2, row.c3))
+                for a, c in zip((a2, a2 + gap), (row.c2, row.c3))
                 if c != 2
             )
             if not (row.exclude_degenerate and degenerate):
@@ -283,6 +289,37 @@ def test_critical_points_are_the_old_enumeration(family):
     assert near_threshold > 0
     if family not in (SpectralFamily.CPA_TIME_REVERSED, SpectralFamily.RPRIME_LEFT_ZERO):
         assert degenerate > 0
+
+
+# -- u is the kernel's Gamma argument ---------------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("family", [SpectralFamily.CC_LEFT, SpectralFamily.CPA_TIME_REVERSED,
+                                    SpectralFamily.RPRIME_LEFT_ZERO], ids=lambda f: f.value)
+def test_row_u_is_the_gamma_argument_the_kernel_snaps(family, variant, monkeypatch):
+    # on the 2 a3, sum and difference rows u is, bit for bit, the magnitude
+    # of the kernel's arguments -(c2 a2 + c3 a3) and c2 a2 + c3 a3, so a
+    # scan flag and the kernel's pole are one snap of one number; the 2 a2
+    # row's argument is 1 - 2 a2, whose rounding differs
+    row = spectral._TABLE[family]
+    at = [_G_ARGS.index((s * row.c2, s * row.c3, 0)) for s in (1, -1)]
+    seen = []
+    gamma_logs = _AMPLITUDES.gamma_logs
+    monkeypatch.setattr(_AMPLITUDES, "gamma_logs", lambda z: seen.append(z.copy()) or gamma_logs(z))
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        spec = PotentialSpec(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 0.5),
+                             rng.uniform(0.5, 2.0), variant=variant)
+        energies = 10.0 ** rng.uniform(-3, 3, 2000)
+        with np.errstate(all="ignore"):
+            _AMPLITUDES._g_logs(_AMPLITUDES._channel(spec, energies))
+        u = row.u(spec, energies)
+        for i in at:
+            assert np.array_equal(np.abs(seen[-1][i]), u)
+        for energy in energies[:5].tolist():  # one energy at a time
+            _AMPLITUDES.g_factors(_AMPLITUDES.channel_params(spec, energy))
+            assert [abs(seen[-1][i, 0]) for i in at] == [row.u(spec, energy)] * 2
 
 
 # -- the count cap ---------------------------------------------------------------

@@ -140,6 +140,7 @@ def test_suite_passes(name, check, tolerance, seed):
 
 # the module, which the package's ``amplitudes`` function shadows
 _AMPLITUDES = importlib.import_module("wsabsorb.amplitudes")
+_ORACLE = importlib.import_module("wsabsorb.oracle")
 _FLIP = {Variant.FORWARD: Variant.TIME_REVERSED, Variant.TIME_REVERSED: Variant.FORWARD}
 
 
@@ -164,7 +165,7 @@ def _offset_by_one(family):
 SUITE_FAULTS = {
     "gamma_identity": _swap_g1_g2,
     "hermitian_unitarity": _swap_g1_g2,
-    "cc_ss_duality": _flip_variant_sign,
+    "family_signatures": _flip_variant_sign,
     "cc_spacing_laws": _offset_by_one(SpectralFamily.CC_LEFT),
     "rzero_spacing_corrected": _offset_by_one(SpectralFamily.RPRIME_LEFT_ZERO),
     "oracle_agreement": _flip_variant_sign,
@@ -179,6 +180,48 @@ def test_suite_fails_under_its_fault(name, check, tolerance, monkeypatch):
     except ArithmeticError:
         return
     assert not worst <= tolerance
+
+
+_CHECKS = {name: (check, tolerance) for name, check, tolerance in SUITES}
+
+
+def _row_fault(family, **change):
+    def fault(monkeypatch):
+        monkeypatch.setitem(spectral._TABLE, family, spectral._TABLE[family]._replace(**change))
+    return fault
+
+
+# faults that move a family's points off its row, or onto another row; the
+# family_signatures row must report each (an off-by-one offset or a flipped
+# exclude_degenerate moves no point off its row and keeps every signature,
+# so it is the index and exclusion tests that catch those)
+ROW_FAULTS = {
+    "cc_left_c3_1": _row_fault(SpectralFamily.CC_LEFT, c3=1),
+    "cc_right_c2_1": _row_fault(SpectralFamily.CC_RIGHT, c2=1),
+    "cpa_time_reversed_c2_2": _row_fault(SpectralFamily.CPA_TIME_REVERSED, c2=2),
+    "rprime_left_zero_c2_minus_2": _row_fault(SpectralFamily.RPRIME_LEFT_ZERO, c2=-2),
+    "ss_left_well_energy": _row_fault(SpectralFamily.SS_LEFT, energy=spectral._well_energy),
+    "cpa_forward_a2_left_energy": _row_fault(SpectralFamily.CPA_FORWARD_A2,
+                                             energy=spectral._left_energy),
+}
+
+
+@pytest.mark.parametrize("fault", list(ROW_FAULTS))
+def test_family_signatures_reports_a_moved_row(fault, monkeypatch):
+    check, tolerance = _CHECKS["family_signatures"]
+    ROW_FAULTS[fault](monkeypatch)
+    for seed in (0, 20260810):
+        assert not check(np.random.default_rng(seed)) <= tolerance
+
+
+def test_oracle_agreement_reports_forward_shapes_on_time_reversed_draws(monkeypatch):
+    # the time-reversed oracle swaps the roles of its two launches; given the
+    # forward order it reconstructs the wrong amplitudes
+    check, tolerance = _CHECKS["oracle_agreement"]
+    shapes = _ORACLE._shapes
+    monkeypatch.setattr(_ORACLE, "_shapes",
+                        lambda variant, *launches: shapes(Variant.FORWARD, *launches))
+    assert not check(np.random.default_rng(0)) <= tolerance
 
 
 def test_verify_rows_follow_the_suite_table(monkeypatch, capsys):

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wsabsorb import spectral
-from wsabsorb.amplitudes import amplitudes, det_s, log10_coefficients
+from wsabsorb import cli, spectral
+from wsabsorb.amplitudes import _G_ARGS, amplitudes, det_s, log10_coefficients
 from wsabsorb.cli import _table1_ranges
 from wsabsorb.spectral import (
     RangeCriterion,
@@ -260,6 +260,38 @@ class TestCriticalPoints:
             cc_left_energies(SPEC_A, count)
         with pytest.raises(ValueError, match="cpa_forward_a2 count must be"):
             cpa_energies_forward(SPEC_A, count)
+
+
+def _implied_flags(signature):
+    """The scan flags a signature of (r_l, -r_r, t, det S) pole orders names:
+    CC_L where r_l and t vanish, CC_R where r_r and t vanish, CPA where
+    det S vanishes, SS where it has a pole."""
+    rl, rr, t, det = signature
+    return {flag for flag, holds in (("CC_L", rl > 0 and t > 0), ("CC_R", rr > 0 and t > 0),
+                                     ("CPA", det > 0), ("SS", det < 0)) if holds}
+
+
+def test_scan_flags_and_gamma_poles_say_what_the_table_says():
+    # per variant and condition, the flags of its families in the scan
+    # table, unioned, are the flags its signature implies
+    signatures = {(row.c2, row.c3): row.signatures for row in spectral._TABLE.values()}
+    assert len(signatures) == 4
+    for v, variant in enumerate(Variant):
+        flagged = {condition: set() for condition in signatures}
+        for family, flags in cli._SCAN_FLAGS[variant]:
+            row = spectral._TABLE[family]
+            flagged[row.c2, row.c3].update(flags)
+        assert flagged == {c: _implied_flags(sig[v]) for c, sig in signatures.items()}
+    # Gamma(c2 a2 + c3 a3 + c0) has its poles on lines c2 a2 + c3 a3 = N, and
+    # each of the kernel's arguments reaches them for a2, a3 of one sign
+    # (0 < a2 < a3 forward, both negated time-reversed); the table's four
+    # conditions are those lines, up to the sign of (c2, c3)
+    channels = [(s * a2, s * (a2 + gap)) for a2 in (0.1, 1.0, 30.0) for gap in (0.01, 5.0)
+                for s in (1.0, -1.0)]
+    for c2, c3, c0 in _G_ARGS:
+        assert any(c2 * a2 + c3 * a3 + c0 < 0 for a2, a3 in channels)
+    assert {max((c2, c3), (-c2, -c3)) for c2, c3, _ in _G_ARGS} == (
+        {max((c2, c3), (-c2, -c3)) for c2, c3 in signatures})
 
 
 class TestScanRanges:
