@@ -338,10 +338,17 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
 
     Returns -v0 / (1 + e^{rho*zeta} e^{i rho x}) per grid point; the
     time-reversed variant is its complex conjugate.  An ``x`` that is not a
-    finite ``int`` or ``float`` (a bool is neither), or a NaN in the grid,
-    raises ``ValueError``; zeta = +-inf gives the limits 0 and -v0.
+    finite ``int`` or ``float`` (a bool is neither), a grid entry that is not
+    a real int or float (an array's dtype says it for every entry), or a NaN
+    in the grid, raises ``ValueError``; zeta = +-inf gives the limits 0 and -v0.
     """
     _check_number("x", x)
+    if isinstance(zeta_grid, np.ndarray):
+        if zeta_grid.dtype.kind not in "fiu":
+            raise ValueError(f"zeta_grid entries must be int or float, got dtype {zeta_grid.dtype}")
+    else:
+        for entry in np.asarray(zeta_grid, dtype=object).ravel():
+            _check_number("zeta_grid entry", entry)
     zeta = np.asarray(zeta_grid, dtype=float)
     if not math.isfinite(x) or np.isnan(zeta).any():
         raise ValueError(f"x must be finite and zeta_grid free of NaN, got x={x!r}")

@@ -5,7 +5,8 @@ shift, so scattering coefficients can be recovered by integrating the
 wave equation down a constant-x contour and decomposing the endpoint
 state into the two local plane-wave-normalized solutions.  Everything
 here is Gamma-function-free: local solutions come from the hypergeometric
-series (a direct power-series solution of the same ODE), the middle is
+series (a direct power-series solution of the same ODE), one series pass
+per fit for its two launches and its two-solution fit basis, the middle is
 bridged by high-order Taylor-series steps, and coefficients come from 2x2
 endpoint fits in closed form.  The bridge is the equation's own Taylor
 recurrence (the high-order Taylor method of Jorba & Zou, Experimental
@@ -50,7 +51,8 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from .specfun import hyp2f1
+from . import specfun
+from .specfun import SERIES_Z_MAX, PoleProximityError, SeriesError, snap
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant
 
@@ -126,30 +128,114 @@ _SHAPES = {
 }
 
 
-def _local_state(shape: str, a2: complex, a3: complex, u: float, phi: float):
-    """(psi, dpsi/du) of one Frobenius-normalized local solution.
+# A pass sums the Gauss series of all its rows together, _BLOCK terms at a time.
+_BLOCK = 64
+
+
+def _series_guard(a: complex, b: complex, c: complex, arg: complex) -> None:
+    """Refuse what specfun.hyp2f1 refuses, with its exception types."""
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(arg)):
+        raise ValueError(f"non-finite 2F1 input ({a}, {b}; {c}; {arg})")
+    if abs(arg) >= SERIES_Z_MAX:
+        raise ValueError(f"|z| = {abs(arg):.4f} outside series domain (< {SERIES_Z_MAX})")
+    n, hit = snap(c)
+    if hit and n <= 0:
+        raise PoleProximityError(f"c = {c} is a non-positive integer")
+
+
+def _gauss_sums(abc: np.ndarray, arg: np.ndarray) -> tuple[list[complex], list[complex]]:
+    """2F1(a, b; c; arg) and its arg-derivative per row, from one pass of the
+    rows' Gauss series; ``abc`` stacks a, b and c as (3, rows, 1) and ``arg``
+    is (rows, 1).
+
+    The terms t_k are cumulative products of the term ratios, a block of
+    _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read the
+    same terms, and each sum is exact (math.fsum of the real and imaginary
+    parts), so at the coefficient spikes of a c left of the origin, where
+    hyp2f1 compensates its sum, the sums add no rounding of their own.  A
+    row stops under hyp2f1's rule, at
+    the first block whose last three terms are below 1e-17 of its sum;
+    SeriesError past specfun's term cap.
+    """
+    cap = specfun._SERIES_MAX_TERMS
+    rows = arg.shape[0]
+    total = [1.0] * rows
+    stop = [0] * rows  # terms each row sums; 0 while it runs
+    blocks, n0 = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not all(stop):
+            if n0 >= cap:
+                raise SeriesError(f"2F1 series did not converge within {cap} terms")
+            n = np.arange(n0, min(n0 + _BLOCK, cap), dtype=float)
+            k = n + 1.0
+            p = abc + n
+            r = p[0] * p[1] / (p[2] * k) * arg
+            if blocks:
+                r[:, 0] *= blocks[-1][0, :, -1]
+            tk = np.empty((2, *r.shape), dtype=complex)  # the terms t_k and k t_k
+            np.cumprod(r, axis=1, out=tk[0])
+            np.multiply(tk[0], k, out=tk[1])
+            blocks.append(tk)
+            n0 += n.size
+            tail = np.abs(tk[0, :, -3:]).max(axis=1).tolist()
+            for i, part in enumerate(tk[0].sum(axis=1).tolist()):
+                total[i] += part
+                if not stop[i] and tail[i] <= 1e-17 * abs(total[i]):
+                    stop[i] = n0
+    # real and imaginary parts alternate along a row of the float view
+    t, kt = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)).view(float).tolist()
+    F, dF = [], []
+    for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
+        re = t[i][0:2 * m:2]
+        re.append(1.0)
+        F.append(complex(math.fsum(re), math.fsum(t[i][1:2 * m:2])))
+        slope = complex(math.fsum(kt[i][0:2 * m:2]), math.fsum(kt[i][1:2 * m:2]))
+        # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
+        dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
+    return F, dF
+
+
+def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: float) -> np.ndarray:
+    """(psi, dpsi/du) of the Frobenius-normalized local solutions named by
+    ``shapes``, each at its own u of ``us``, as rows of an array: one series
+    pass (_gauss_sums) for all of them.
 
     The solutions are z^{+-a2} (1-z)^{+-a3} 2F1(...) with the (1-z)-power
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
     along the whole contour and reduces to the exact plane-wave
-    normalization at the matching end.
+    normalization at the matching end.  Each row's series is refused where
+    specfun.hyp2f1 refuses it (ValueError, PoleProximityError, SeriesError);
+    a row whose state overflows raises ContourError.
     """
-    sgn2, sgn3, params, arg_is_omz = _SHAPES[shape]
-    al = sgn2 * a2
-    be = sgn3 * a3
-    w = cmath.exp(complex(u, phi))
-    z = 1.0 / (1.0 + w)
-    omz = w * z  # 1 - z, computed without cancellation
-    log_z = cmath.log(z)
-    log_omz = complex(u, phi) + log_z
-    a, b, c = params(a2, a3)
-    arg = omz if arg_is_omz else z
-    F = hyp2f1(a, b, c, arg)
-    dF = a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg)  # the contiguous relation for d/dz
-    darg_du = z * omz if arg_is_omz else -z * omz
-    pref = cmath.exp(al * log_z + be * log_omz)
-    psi = pref * F
-    dpsi = pref * ((-al * omz + be * z) * F + dF * darg_du)
+    rows = []
+    for shape, u in zip(shapes, us):
+        sgn2, sgn3, params, arg_is_omz = _SHAPES[shape]
+        al = sgn2 * a2
+        be = sgn3 * a3
+        try:
+            w = cmath.exp(complex(u, phi))
+            z = 1.0 / (1.0 + w)
+            omz = w * z  # 1 - z, computed without cancellation
+            log_z = cmath.log(z)
+            a, b, c = params(a2, a3)
+            arg = omz if arg_is_omz else z
+            _series_guard(a, b, c, arg)
+            pref = cmath.exp(al * log_z + be * (complex(u, phi) + log_z))
+        except OverflowError:
+            raise ContourError(
+                f"local solution {shape} overflows at u={u:.6g}; shrink the contour"
+            ) from None
+        darg_du = z * omz if arg_is_omz else -z * omz
+        rows.append((a, b, c, arg, pref, -al * omz + be * z, darg_du))
+    a, b, c, arg, pref, slope, darg_du = zip(*rows)
+    F, dF = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None])
+    return np.array([(p * f, p * (s * f + df * d))
+                     for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)])
+
+
+def _local_state(shape: str, a2: complex, a3: complex, u: float, phi: float):
+    """(psi, dpsi/du) of one local solution: a one-row _local_states."""
+    psi, dpsi = _local_states((shape,), a2, a3, (u,), phi)[0].tolist()
     return psi, dpsi
 
 
@@ -322,15 +408,19 @@ def _integrate_core(
     shapes: tuple[str, ...],
     u_top: float,
     u_bot: float,
+    launch: np.ndarray | None = None,
 ):
     """Carry the local solutions named by ``shapes`` from u_top to u_bot.
 
     The equation is linear and every launch sees the same q(u), so the
     launches ride one Taylor-series bridge of their stacked (psi, dpsi/du)
-    pairs.  Returns (launch state, end state, mesh point count), the
-    states laid out as (psi, dpsi/du) per launch.
+    pairs.  ``launch`` holds their rows at u_top when the caller has them.
+    Returns (launch state, end state, mesh point count), the states laid
+    out as (psi, dpsi/du) per launch.
     """
-    y0 = np.array([v for s in shapes for v in _local_state(s, a2, a3, u_top, phi)], dtype=complex)
+    if launch is None:
+        launch = _local_states(shapes, a2, a3, (u_top,) * len(shapes), phi)
+    y0 = launch.ravel()
     if np.abs(y0).max() > OVERFLOW_GUARD:
         raise ContourError(
             f"launch state magnitude {np.abs(y0).max():.3e} exceeds "
@@ -402,14 +492,16 @@ def integrate_contour(
     )
 
 
-def _basis_coefficients(a2, a3, phi, u_bot, variant, Y) -> tuple[np.ndarray, float]:
+def _basis_coefficients(a2, a3, phi, u_bot, variant, Y, basis=None) -> tuple[np.ndarray, float]:
     """Coefficients of the local solutions w+ and w- in the end states Y
     (rows psi, dpsi/du), as rows (c+, c-), and the fit's 2-norm condition
     number, both in closed form for the 2x2 basis matrix M: its singular
     values have squares summing to s = |M|_F^2 and product d = |det M|, and
-    the solve is Cramer's rule."""
-    wp, dwp = _local_state("w_plus", a2, a3, u_bot, phi)
-    wm, dwm = _local_state("w_minus", a2, a3, u_bot, phi)
+    the solve is Cramer's rule.  ``basis`` holds the rows of w+ and w- at
+    u_bot when the caller has them."""
+    if basis is None:
+        basis = _local_states(("w_plus", "w_minus"), a2, a3, (u_bot, u_bot), phi)
+    (wp, dwp), (wm, dwm) = basis.tolist()
     det = wp * dwm - wm * dwp
     s, d = abs(wp) ** 2 + abs(wm) ** 2 + abs(dwp) ** 2 + abs(dwm) ** 2, abs(det)
     cond = (s + math.sqrt(max(s - 2 * d, 0.0) * (s + 2 * d))) / (2 * d) if d else math.inf
@@ -422,9 +514,12 @@ def _basis_coefficients(a2, a3, phi, u_bot, variant, Y) -> tuple[np.ndarray, flo
 
 def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, complex]:
     """(G1, G2, G3, G4): local-basis fits of the PSI_ONE and PSI_TWO launches,
-    integrated together from uh to -uh."""
-    _, y_end, _ = _integrate_core(a2, a3, phi, _shapes(variant), uh, -uh)
-    C, _ = _basis_coefficients(a2, a3, phi, -uh, variant, y_end.reshape(2, 2).T)
+    integrated together from uh to -uh.  One series pass gives the launch
+    states at uh and the fit basis at -uh."""
+    shapes = _shapes(variant)
+    states = _local_states(shapes + ("w_plus", "w_minus"), a2, a3, (uh, uh, -uh, -uh), phi)
+    _, y_end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh, states[:2])
+    C, _ = _basis_coefficients(a2, a3, phi, -uh, variant, y_end.reshape(2, 2).T, states[2:])
     return complex(C[0, 0]), complex(C[1, 0]), complex(C[0, 1]), complex(C[1, 1])
 
 

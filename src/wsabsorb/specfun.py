@@ -385,12 +385,13 @@ def gamma_info(z: complex) -> SingularValue:
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1 by direct series summation.
 
-    Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``: this
-    evaluator backs the contour oracle's local solutions and must stay
-    independent of the Gamma-function connection identities, so no
-    continuation formulas.  Neumaier-compensated summation keeps accuracy
-    through the coefficient spikes that occur when c sits left of the
-    origin.
+    Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
+    no Gamma-function connection identities or continuation formulas.  It
+    no longer backs the contour oracle, which sums the Gauss series of a
+    fit's local solutions in one pass of its own; it is the single-series
+    reference the tests hold that pass to, and the pass refuses what it
+    refuses.  Neumaier-compensated summation keeps accuracy through the
+    coefficient spikes that occur when c sits left of the origin.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if not all(cmath.isfinite(x) for x in (a, b, c, z)):

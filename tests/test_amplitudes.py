@@ -324,6 +324,13 @@ class TestPotentialProfile:
         with pytest.raises(ValueError, match="^x must be"):
             potential_profile(SPEC, x, [0.0])
 
+    @pytest.mark.parametrize("grid", [[True], ["1.5"], [1j], [0.0, True], np.array([1j]),
+                                      np.array([True])])
+    def test_non_real_grid_entry_refused(self, grid):
+        # np.asarray(grid, dtype=float) would read [True] and ["1.5"] as 1.0 and 1.5
+        with pytest.raises(ValueError, match="^zeta_grid entr"):
+            potential_profile(SPEC, 0.5, grid)
+
     def test_nan_in_grid_refused(self):
         with pytest.raises(ValueError, match="NaN"):
             potential_profile(SPEC, 0.5, [0.0, math.nan, 1.0])

@@ -6,23 +6,29 @@ internal consistency: launch-state round trips, handoff and offset
 invariance, and the connection identity re-derived from fitted numbers.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from wsabsorb.amplitudes import amplitudes, channel_params, g_factors, potential_profile
 from wsabsorb.amplitudes import _hermitian_channel, hermitian_amplitudes
+from wsabsorb import specfun
 from wsabsorb.oracle import (
+    _SHAPES,
     ContourError,
     Launch,
     _basis_coefficients,
     _contour_setup,
+    _gauss_sums,
     _handoff,
     _integrate_core,
     _local_state,
+    _local_states,
     _shapes,
     hermitian_oracle_amplitudes,
     integrate_contour,
@@ -30,6 +36,7 @@ from wsabsorb.oracle import (
     oracle_domain_ok,
     oracle_g_factors,
 )
+from wsabsorb.specfun import PoleProximityError, SeriesError, hyp2f1
 from wsabsorb.units import PotentialSpec, Variant
 
 SPEC = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
@@ -406,3 +413,121 @@ def test_deviation_quantiles_on_the_domain_family():
         devs.append(_worst_deviation(v0, rho, energy))
     p50, p90 = np.quantile(devs, [0.5, 0.9])
     assert p50 <= 1e-11 and p90 <= 1e-9
+
+
+# -- the series pass of the local states ----------------------------------------
+
+LOCAL_SHAPES = ("psi1", "psi2", "w_plus", "w_minus")
+
+
+def _reference_state(shape, a2, a3, u, phi):
+    """(psi, dpsi/du) with one hyp2f1 sum per quantity: the value's Gauss
+    series, and (ab/c) 2F1(a+1, b+1; c+1) for the derivative (DLMF 15.5.1)."""
+    sgn2, sgn3, params, arg_is_omz = _SHAPES[shape]
+    al, be = sgn2 * a2, sgn3 * a3
+    w = cmath.exp(complex(u, phi))
+    z = 1.0 / (1.0 + w)
+    omz = w * z
+    log_z = cmath.log(z)
+    a, b, c = params(a2, a3)
+    arg = omz if arg_is_omz else z
+    F = hyp2f1(a, b, c, arg)
+    dF = a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg)
+    pref = cmath.exp(al * log_z + be * (complex(u, phi) + log_z))
+    darg_du = z * omz if arg_is_omz else -z * omz
+    return pref * F, pref * ((-al * omz + be * z) * F + dF * darg_du)
+
+
+def _domain_family_contours():
+    """(a2, a3, phi, u handoff) of the forward, time-reversed and Hermitian
+    contours of the 48 draws of test_deviation_quantiles_on_the_domain_family."""
+    rng = np.random.default_rng(61)
+    contours = []
+    while len(contours) < 3 * 48:
+        v0, rho, energy = rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), rng.uniform(0.1, 10.0)
+        if not oracle_domain_ok(PotentialSpec(v0, rho, 1.0), energy):
+            continue
+        herm = hermitian_amplitudes(v0, rho, 1.0, energy)
+        if min(herm.rl.magnitude, herm.rr.magnitude) < 1e-12:
+            continue
+        for variant in Variant:
+            contours.append(_contour_setup(PotentialSpec(v0, rho, 1.0, variant=variant),
+                                           energy, 0.0, None))
+        ch = _hermitian_channel(v0, rho, 1.0, energy)
+        contours.append((ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3)))
+    return contours
+
+
+@pytest.mark.parametrize("family", ["joint_draws", "domain_family"])
+def test_series_pass_matches_one_sum_per_quantity(family):
+    # a fit's four states from one pass, each shape at the end the fit reads it at
+    contours = ([d[:4] for d in _joint_draws()] if family == "joint_draws"
+                else _domain_family_contours())
+    for a2, a3, phi, uh in contours:
+        us = (uh, uh, -uh, -uh)
+        for shape, u, row in zip(LOCAL_SHAPES, us, _local_states(LOCAL_SHAPES, a2, a3, us, phi)):
+            for got, ref in zip(row, _reference_state(shape, a2, a3, u, phi)):
+                assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_series_pass_holds_the_rounding_bound_at_spikes():
+    # c = 1 - 2a2 (psi2) or 1 - 2a3 (w_minus) within 0.05 of -k + 1/2: the terms
+    # swell past |c| and cancel.  Either route's error is then its terms' rounding,
+    # up to about eps per ratio per term, so both the pass and hyp2f1 are held to
+    # 8 eps kappa against 40 digits, kappa = sum k |t_k| / |sum|, on F and dF/darg
+    rng = np.random.default_rng(67)
+    eps = 2.0 ** -53
+    for k in range(1, 7):
+        for shape in ("psi2", "w_minus"):
+            for _ in range(4):
+                x = (k + 0.5 - rng.uniform(-0.05, 0.05)) / 2
+                gap = rng.uniform(0.3, 2.0)
+                a2, a3 = (x, x + gap) if shape == "psi2" else (max(x - gap, 0.1), x)
+                _, _, params, arg_is_omz = _SHAPES[shape]
+                uh = _handoff(a2, a3)
+                w = cmath.exp(complex(uh if shape == "psi2" else -uh, rng.uniform(-2.5, 2.5)))
+                arg = w / (1.0 + w) if arg_is_omz else 1.0 / (1.0 + w)
+                a, b, c = (complex(v) for v in params(a2, a3))
+                assert abs(c - (0.5 - k)) <= 0.05
+                F, dF = _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[arg]]))
+                routes = {"pass": (F[0], dF[0]),
+                          "hyp2f1": (hyp2f1(a, b, c, arg), a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg))}
+                with mpmath.workdps(40):
+                    A, B, C, Z = (mpmath.mpc(v.real, v.imag) for v in (a, b, c, arg))
+                    exact = (mpmath.hyp2f1(A, B, C, Z), A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, Z))
+                    exact = [complex(v) for v in exact]
+                    errs = {name: [abs(mpmath.mpc(g.real, g.imag) - e) / abs(e)
+                                   for g, e in zip(got, exact)] for name, got in routes.items()}
+                term, swell = 1.0, [1.0, 0.0]
+                for n in range(400):
+                    term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * arg
+                    swell[0] += (n + 2) * abs(term)
+                    swell[1] += (n + 1) ** 2 * abs(term / arg)
+                for name in routes:
+                    for err, s, e in zip(errs[name], swell, exact):
+                        assert err <= 8 * eps * s / abs(e), (name, k, shape)
+
+
+@pytest.mark.parametrize("shape, a2, u, phi, cap, error, match", [
+    ("psi1", complex(math.nan), 0.5, 0.3, None, ValueError, "non-finite"),
+    ("psi1", 1.3 + 0j, 0.0, math.pi - 0.01, None, ValueError, "outside series domain"),
+    ("psi2", 0.5 + 5e-13 + 0j, 0.5, 0.3, None, PoleProximityError, "non-positive integer"),
+    ("psi1", 1.3 + 0j, 0.5, 0.3, 8, SeriesError, "within 8 terms"),
+], ids=["non_finite_a2", "outside_series_domain", "c_at_a_pole", "term_cap"])
+def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, u, phi, cap, error, match):
+    # phi = pi - 0.01 at u = 0 puts |z| near 100; 2a2 = 1 + 1e-12 puts psi2's c = 1 - 2a2
+    # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too
+    if cap is not None:
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", cap)
+    with pytest.raises(error, match=match):
+        _local_states((shape,), a2, 2.1 + 0j, (u,), phi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_contour(PotentialSpec(8.0, 0.6, 1.0), 2.2, Launch.PSI_TWO, Z=1500.0),
+    lambda: oracle_g_factors(PotentialSpec(8.0, 0.6, 1.0), 2.2, Z=120.0),
+], ids=["launch_past_exp_range", "fit_basis_past_exp_range"])
+def test_overflowing_local_state_is_a_contour_error(call):
+    # u = 900 at the launch; at u = -72 the fit basis w- reaches e^{72 a3}, a3 ~ 10.6
+    with pytest.raises(ContourError, match="overflows at u="):
+        call()
