@@ -6,12 +6,13 @@ wave equation down a constant-x contour and decomposing the endpoint
 state into the two local plane-wave-normalized solutions.  Everything
 here is Gamma-function-free: local solutions come from the hypergeometric
 series (a direct power-series solution of the same ODE), one series pass
-per fit for its two launches and its two-solution fit basis, the middle is
-bridged by high-order Taylor-series steps, and coefficients come from 2x2
-endpoint fits in closed form.  The bridge is the equation's own Taylor
-recurrence (the high-order Taylor method of Jorba & Zou, Experimental
-Mathematics 14, 2005): z(u) below obeys z' = z^2 - z, so z's coefficients
-about a mesh point follow from a Cauchy product, and psi's from one more.
+per fit for its two launches and its two-solution fit basis, the middle
+(if any) is bridged by high-order Taylor-series steps, and coefficients
+come from 2x2 endpoint fits in closed form.  The bridge is the equation's
+own Taylor recurrence (the high-order Taylor method of Jorba & Zou,
+Experimental Mathematics 14, 2005): z(u) below obeys z' = z^2 - z, so z's
+coefficients about a mesh point follow from a Cauchy product, and psi's
+from one more.
 Its mesh is read from the input alone, a fixed fraction of the distance to
 z's nearest pole and of 1/max(|a2|, |a3|), so the series of all steps run
 at once.  The wave equation is linear, so both launches of a fit ride the
@@ -21,9 +22,15 @@ Numerical design: a bare plane-wave launch/fit at a deeply flat contour
 depth is hopeless in double precision, because the subdominant
 coefficient is buried under the dominant one by a factor that grows
 exponentially with depth.  Launch and fit therefore happen at shallow
-handoff points using series-corrected local solutions, with the span
-shrunk adaptively as the channel parameters grow; this keeps the
-contamination of the buried coefficient near the integrator tolerance.
+handoff points using series-corrected local solutions.  For growing
+channel parameters (the complexified potential) the launch is at the
+shallowest u where the top series' argument z and the bottom series'
+argument 1 - z at -u both have modulus 1/2: u = log(sqrt(cos^2 phi + 3)
+- cos phi).  On the default contour (x0 = 0) that is u = 0, where z =
+1 - z = 1/2, so launch and fit meet at one point and no bridge runs; it
+grows to log 3 as phi nears a pole line.  Oscillating parameters (the
+Hermitian fit) launch at u = 1.4: a span costs them no conditioning, and
+their series cancel at modulus 1/2.
 
 Everything is computed in the scaled contour coordinate u = rho * zeta,
 where the wave equation reads
@@ -66,11 +73,6 @@ __all__ = [
     "oracle_amplitudes",
     "hermitian_oracle_amplitudes",
 ]
-
-#: Total exponential budget for the integration span: the handoff
-#: half-width is min(1.4, U_BUDGET / (a2 + a3)), which caps the
-#: dominant/subdominant dynamic range near e^(2*U_BUDGET).
-U_BUDGET = 5.0
 
 #: the bridge's accuracy target: its end states are held to an integrator
 #: run at this relative tolerance (the tests' DOP853 reference)
@@ -249,9 +251,11 @@ def _effective_phase(rho: float, x0: float) -> float:
     return phi
 
 
-def _handoff(a2: complex, a3: complex) -> float:
-    growth = max(a2.real + a3.real, 0.0)  # exponential rates; 0 for imaginary a's
-    return min(1.4, U_BUDGET / growth) if growth > 0 else 1.4
+def _handoff(a2: complex, a3: complex, phi: float) -> float:
+    """Default launch u, the fit being at -u (module docstring): for a
+    growing pair the u where |z(u)| = |1 - z(-u)| = 1/2, else 1.4."""
+    c = math.cos(phi)
+    return math.log(math.sqrt(c * c + 3.0) - c) if a2.real + a3.real > 0 else 1.4
 
 
 def oracle_domain_ok(spec: PotentialSpec, energy: float) -> bool:
@@ -453,7 +457,7 @@ def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | Non
         )
     phi = _effective_phase(spec.rho, x0)
     phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
-    uh = spec.rho * Z if Z is not None else _handoff(a2, a3)
+    uh = spec.rho * Z if Z is not None else _handoff(a2, a3, phi)
     return complex(a2), complex(a3), phi_eff, uh
 
 
@@ -467,9 +471,10 @@ def integrate_contour(
     """Integrate the wave equation along the constant-x contour.
 
     The launch state is the exact local solution (series-corrected plane
-    wave) at the top handoff point; by default the handoff half-width
-    shrinks as the channel parameters grow, keeping the oracle's local-basis
-    fit conditioned.
+    wave) at the top handoff point; by default that is the shallowest point
+    where the top series and the fit's bottom series both converge at
+    modulus 1/2, which on the default contour (x0 = 0) is zeta = 0, a
+    contour of one point.
     Passing Z overrides the half-width (in zeta units).  The energy must
     sit away from every integer critical condition, where the local
     solution bases degenerate and amplitude limits are the closed-form
@@ -578,5 +583,5 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
     end-to-end check.
     """
     ch = _hermitian_channel(v0, delta, m, energy)
-    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3), Variant.FORWARD)
+    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3, 0.0), Variant.FORWARD)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
