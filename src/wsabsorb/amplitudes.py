@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import TAU_INT, SingularValue, gamma_logs
-from .units import PotentialSpec, Variant, _check_number
+from .units import PotentialSpec, Variant, _check_number, _check_positive
 
 __all__ = [
     "ChannelParams",
@@ -114,11 +114,7 @@ def _channel(spec: PotentialSpec, energy) -> ChannelParams:
 
 def channel_params(spec: PotentialSpec, energy: float) -> ChannelParams:
     """Wavenumbers and channel parameters at a positive energy."""
-    _check_number("energy", energy)
-    if not math.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy!r}")
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
+    _check_positive("energy", energy)
     return _channel(spec, float(energy))
 
 

@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,14 +52,31 @@ from .units import (
     convert_energy,
 )
 
-_UNIT_CHOICES = {unit.value: unit for unit in EnergyUnit}
+# the --units choices: each display unit's column suffix and its factor from
+# internal energies (the internal unit's is 1, so energy * factor is
+# convert_energy's value)
+_DISPLAY_UNITS = {unit.value: (suffix, convert_energy(1.0, EnergyUnit.INTERNAL, unit))
+                  for unit, suffix in ((EnergyUnit.INTERNAL, "display_internal"),
+                                       (EnergyUnit.ELECTRON_VOLT, "ev"),
+                                       (EnergyUnit.MEGA_ELECTRON_VOLT, "mev"))}
 
 _SPEC_KEYS = ("v0", "rho", "mass", "variant", "emin", "emax", "points",
               "threshold", "units", "format", "grid", "max_count", "seed")
 
 
+# a negative number, exponent notation included: argparse's own pattern
+# leaves out "-1e-3", so "--x -1e-3" read it as a flag missing its value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1."""
+    """argparse variant whose usage errors exit with code 1 and which takes
+    a negative number in exponent notation as a flag's value.  Subparsers
+    are made of the same class, so they take it too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -170,18 +188,6 @@ def _spec_from_args(args) -> PotentialSpec:
     return PotentialSpec(args.v0, args.rho, getattr(args, "mass", 1.0), variant)
 
 
-def _display_column(unit: EnergyUnit) -> str:
-    return {EnergyUnit.INTERNAL: "energy_display_internal",
-            EnergyUnit.ELECTRON_VOLT: "energy_ev",
-            EnergyUnit.MEGA_ELECTRON_VOLT: "energy_mev"}[unit]
-
-
-def _display_factor(unit: EnergyUnit) -> float:
-    """The factor from internal energies to the display unit: the internal
-    unit's factor is 1, so ``energy * factor`` is convert_energy's value."""
-    return convert_energy(1.0, EnergyUnit.INTERNAL, unit)
-
-
 # -- flag annotation -----------------------------------------------------------
 
 
@@ -223,7 +229,7 @@ def _scan_flags(spec: PotentialSpec, grid: np.ndarray) -> list[str]:
 
 def cmd_scan(args) -> int:
     spec = _spec_from_args(args)
-    unit = _UNIT_CHOICES[args.units]
+    suffix, factor = _DISPLAY_UNITS[args.units]
     emin, emax, points = args.emin, args.emax, args.points
     if emin is None or emax is None:
         raise ValueError("--emin and --emax are required")
@@ -236,13 +242,13 @@ def cmd_scan(args) -> int:
     # log10 magnitudes flush to +-inf beyond 300 decades
     logs = np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)
     flags = _scan_flags(spec, grid)
-    _emit(args, ["energy_internal", _display_column(unit), "log10_Rl", "log10_Rr",
+    _emit(args, ["energy_internal", "energy_" + suffix, "log10_Rl", "log10_Rr",
                  "log10_T", "log10_absdetS", "flags"],
-          [grid, grid * _display_factor(unit), *logs, flags], {
+          [grid, grid * factor, *logs, flags], {
         "command": "scan",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "variant": spec.variant.value, "emin": emin, "emax": emax,
-                   "points": points, "units": unit.value},
+                   "points": points, "units": args.units},
     })
     return 0
 
@@ -260,7 +266,7 @@ _FAMILY_CHOICES = {
 
 def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    unit = _UNIT_CHOICES[args.units]
+    suffix, factor = _DISPLAY_UNITS[args.units]
     max_count, raw = args.max_count, args.families
     if max_count < 0:
         raise ValueError("max_count must be non-negative")
@@ -284,41 +290,40 @@ def cmd_spectrum(args) -> int:
     points = sorted((p for family in families for p in critical_points(spec, family, count=max_count)),
                     key=lambda p: (p.kind.value, p.index))
     energies = np.array([p.energy for p in points], dtype=float)
-    _emit(args, ["family", "index", "energy_internal", _display_column(unit), "degenerate"],
+    _emit(args, ["family", "index", "energy_internal", "energy_" + suffix, "degenerate"],
           [[p.kind.value for p in points], [p.index for p in points], energies,
-           energies * _display_factor(unit), [str(p.degenerate).lower() for p in points]], {
+           energies * factor, [str(p.degenerate).lower() for p in points]], {
         "command": "spectrum",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "families": [token.replace("-", "_") for token in tokens],
-                   "max_count": max_count, "units": unit.value},
+                   "max_count": max_count, "units": args.units},
     })
     return 0
 
 
 def cmd_ranges(args) -> int:
     spec = _spec_from_args(args)
-    unit = _UNIT_CHOICES[args.units]
+    suffix, factor = _DISPLAY_UNITS[args.units]
     criterion = RangeCriterion(args.criterion.replace("-", "_"))
     if args.emin is None or args.emax is None:
         raise ValueError("--emin and --emax are required")
     found = scan_ranges(spec, criterion, (args.emin, args.emax), args.threshold, args.grid)
-    display = _display_column(unit).split("_", 1)[1]
     lo, hi = (np.array([getattr(r, end) for r in found], dtype=float) for end in ("lo", "hi"))
-    columns = [[r.criterion.value for r in found], lo, hi, lo * _display_factor(unit),
-               hi * _display_factor(unit), np.array([r.threshold for r in found], dtype=float)]
+    columns = [[r.criterion.value for r in found], lo, hi, lo * factor, hi * factor,
+               np.array([r.threshold for r in found], dtype=float)]
     for side in (0, 1):
         ss = [r.bracketing_ss[side] for r in found]
         columns += [[p.kind.value for p in ss], [p.index for p in ss],
                     np.array([p.energy for p in ss], dtype=float)]
     columns.append([";".join(_fmt(p.energy) for p in r.interior_zeros) for r in found])
-    _emit(args, ["criterion", "lo_internal", "hi_internal", "lo_" + display, "hi_" + display,
+    _emit(args, ["criterion", "lo_internal", "hi_internal", "lo_" + suffix, "hi_" + suffix,
                  "threshold", "ss_lo_family", "ss_lo_index", "ss_lo_internal",
                  "ss_hi_family", "ss_hi_index", "ss_hi_internal", "interior_zeros"], columns, {
         "command": "ranges",
         "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
                    "criterion": criterion.value, "emin": args.emin,
                    "emax": args.emax, "threshold": args.threshold,
-                   "grid": args.grid, "units": unit.value},
+                   "grid": args.grid, "units": args.units},
     })
     return 0
 
@@ -466,7 +471,7 @@ def _add_common(sub, spec_flags=(), window_flags=False, units_flag=True):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="write output to PATH instead of stdout")
     if units_flag:
-        sub.add_argument("--units", choices=tuple(_UNIT_CHOICES), default="ev")
+        sub.add_argument("--units", choices=tuple(_DISPLAY_UNITS), default="ev")
     for name in spec_flags:
         if name == "variant":
             sub.add_argument("--variant", default="forward", help="forward or time-reversed")

@@ -58,8 +58,7 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from . import specfun
-from .specfun import SERIES_Z_MAX, PoleProximityError, SeriesError, snap
+from .specfun import _gauss_sums, _series_guard
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant
 
@@ -130,73 +129,6 @@ _SHAPES = {
 }
 
 
-# A pass sums the Gauss series of all its rows together, _BLOCK terms at a time.
-_BLOCK = 64
-
-
-def _series_guard(a: complex, b: complex, c: complex, arg: complex) -> None:
-    """Refuse what specfun.hyp2f1 refuses, with its exception types."""
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(arg)):
-        raise ValueError(f"non-finite 2F1 input ({a}, {b}; {c}; {arg})")
-    if abs(arg) >= SERIES_Z_MAX:
-        raise ValueError(f"|z| = {abs(arg):.4f} outside series domain (< {SERIES_Z_MAX})")
-    n, hit = snap(c)
-    if hit and n <= 0:
-        raise PoleProximityError(f"c = {c} is a non-positive integer")
-
-
-def _gauss_sums(abc: np.ndarray, arg: np.ndarray) -> tuple[list[complex], list[complex]]:
-    """2F1(a, b; c; arg) and its arg-derivative per row, from one pass of the
-    rows' Gauss series; ``abc`` stacks a, b and c as (3, rows, 1) and ``arg``
-    is (rows, 1).
-
-    The terms t_k are cumulative products of the term ratios, a block of
-    _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read the
-    same terms, and each sum is exact (math.fsum of the real and imaginary
-    parts), so at the coefficient spikes of a c left of the origin, where
-    hyp2f1 compensates its sum, the sums add no rounding of their own.  A
-    row stops under hyp2f1's rule, at
-    the first block whose last three terms are below 1e-17 of its sum;
-    SeriesError past specfun's term cap.
-    """
-    cap = specfun._SERIES_MAX_TERMS
-    rows = arg.shape[0]
-    total = [1.0] * rows
-    stop = [0] * rows  # terms each row sums; 0 while it runs
-    blocks, n0 = [], 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not all(stop):
-            if n0 >= cap:
-                raise SeriesError(f"2F1 series did not converge within {cap} terms")
-            n = np.arange(n0, min(n0 + _BLOCK, cap), dtype=float)
-            k = n + 1.0
-            p = abc + n
-            r = p[0] * p[1] / (p[2] * k) * arg
-            if blocks:
-                r[:, 0] *= blocks[-1][0, :, -1]
-            tk = np.empty((2, *r.shape), dtype=complex)  # the terms t_k and k t_k
-            np.cumprod(r, axis=1, out=tk[0])
-            np.multiply(tk[0], k, out=tk[1])
-            blocks.append(tk)
-            n0 += n.size
-            tail = np.abs(tk[0, :, -3:]).max(axis=1).tolist()
-            for i, part in enumerate(tk[0].sum(axis=1).tolist()):
-                total[i] += part
-                if not stop[i] and tail[i] <= 1e-17 * abs(total[i]):
-                    stop[i] = n0
-    # real and imaginary parts alternate along a row of the float view
-    t, kt = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)).view(float).tolist()
-    F, dF = [], []
-    for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
-        re = t[i][0:2 * m:2]
-        re.append(1.0)
-        F.append(complex(math.fsum(re), math.fsum(t[i][1:2 * m:2])))
-        slope = complex(math.fsum(kt[i][0:2 * m:2]), math.fsum(kt[i][1:2 * m:2]))
-        # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
-        dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
-    return F, dF
-
-
 def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: float) -> np.ndarray:
     """(psi, dpsi/du) of the Frobenius-normalized local solutions named by
     ``shapes``, each at its own u of ``us``, as rows of an array: one series
@@ -206,8 +138,9 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
     along the whole contour and reduces to the exact plane-wave
     normalization at the matching end.  Each row's series is refused where
-    specfun.hyp2f1 refuses it (ValueError, PoleProximityError, SeriesError);
-    a row whose state overflows raises ContourError.
+    specfun.hyp2f1 refuses it, by the one guard both read
+    (specfun._series_guard: ValueError, PoleProximityError) and the one term
+    cap (SeriesError); a row whose state overflows raises ContourError.
     """
     rows = []
     for shape, u in zip(shapes, us):

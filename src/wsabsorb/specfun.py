@@ -1,4 +1,4 @@
-"""Complex log-gamma with pole bookkeeping and a series-only 2F1 evaluator.
+"""Complex log-gamma with pole bookkeeping and the series-only 2F1 evaluators.
 
 Everything downstream (connection coefficients, scattering amplitudes,
 critical-energy classification) reduces to products and ratios of Gamma
@@ -12,7 +12,10 @@ complex arrays alike.  One integer rule, :func:`snap`, decides every "is this an
 package, and :func:`gamma_logs` is the one pole-aware Gamma evaluation:
 the closed-form kernel in ``amplitudes`` applies it to all twelve Gamma
 arguments of a whole energy grid at once, and :func:`gamma_info` and
-:func:`log_gamma` read it at one argument.
+:func:`log_gamma` read it at one argument.  Both Gauss 2F1 evaluators live
+here: :func:`hyp2f1` sums one series, :func:`_gauss_sums` the series of
+many rows in one pass (the contour oracle's local states), and one guard,
+:func:`_series_guard`, states what both refuse.
 """
 
 from __future__ import annotations
@@ -382,25 +385,32 @@ def gamma_info(z: complex) -> SingularValue:
     return SingularValue(-int(pole[0]), w.real, w.imag)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Gauss hypergeometric 2F1 by direct series summation.
-
-    Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
-    no Gamma-function connection identities or continuation formulas.  It
-    no longer backs the contour oracle, which sums the Gauss series of a
-    fit's local solutions in one pass of its own; it is the single-series
-    reference the tests hold that pass to, and the pass refuses what it
-    refuses.  Neumaier-compensated summation keeps accuracy through the
-    coefficient spikes that occur when c sits left of the origin.
-    """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if not all(cmath.isfinite(x) for x in (a, b, c, z)):
+def _series_guard(a: complex, b: complex, c: complex, z: complex) -> None:
+    """What both 2F1 evaluators refuse: non-finite input and |z| >=
+    ``SERIES_Z_MAX`` (ValueError), and a c that :func:`snap` puts on a
+    non-positive integer (PoleProximityError)."""
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
         raise ValueError(f"non-finite 2F1 input ({a}, {b}; {c}; {z})")
     if abs(z) >= SERIES_Z_MAX:
         raise ValueError(f"|z| = {abs(z):.4f} outside series domain (< {SERIES_Z_MAX})")
     n, hit = snap(c)
     if hit and n <= 0:
         raise PoleProximityError(f"c = {c} is a non-positive integer")
+
+
+def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
+    """Gauss hypergeometric 2F1 by direct series summation.
+
+    Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
+    no Gamma-function connection identities or continuation formulas.  The
+    contour oracle sums the Gauss series of a fit's local solutions in one
+    pass, :func:`_gauss_sums`; this is the single-series reference the
+    tests hold that pass to, and both refuse what :func:`_series_guard`
+    refuses.  Neumaier-compensated summation keeps accuracy through the
+    coefficient spikes that occur when c sits left of the origin.
+    """
+    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    _series_guard(a, b, c, z)
     if z == 0:
         return 1.0 + 0.0j
 
@@ -427,3 +437,56 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         f"2F1({a}, {b}; {c}; {z}) did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
+
+# _gauss_sums sums the Gauss series of all its rows together, _BLOCK terms at a time.
+_BLOCK = 64
+
+
+def _gauss_sums(abc: np.ndarray, arg: np.ndarray) -> tuple[list[complex], list[complex]]:
+    """2F1(a, b; c; arg) and its arg-derivative per row, from one pass of the
+    rows' Gauss series; ``abc`` stacks a, b and c as (3, rows, 1) and ``arg``
+    is (rows, 1).  The caller guards each row (:func:`_series_guard`).
+
+    The terms t_k are cumulative products of the term ratios, a block of
+    _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read the
+    same terms, and each sum is exact (math.fsum of the real and imaginary
+    parts), so at the coefficient spikes of a c left of the origin, where
+    :func:`hyp2f1` compensates its sum, the sums add no rounding of their
+    own.  A row stops under hyp2f1's rule, at the first block whose last
+    three terms are below 1e-17 of its sum; SeriesError past the term cap.
+    """
+    rows = arg.shape[0]
+    total = [1.0] * rows
+    stop = [0] * rows  # terms each row sums; 0 while it runs
+    blocks, n0 = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not all(stop):
+            if n0 >= _SERIES_MAX_TERMS:
+                raise SeriesError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms")
+            n = np.arange(n0, min(n0 + _BLOCK, _SERIES_MAX_TERMS), dtype=float)
+            k = n + 1.0
+            p = abc + n
+            r = p[0] * p[1] / (p[2] * k) * arg
+            if blocks:
+                r[:, 0] *= blocks[-1][0, :, -1]
+            tk = np.empty((2, *r.shape), dtype=complex)  # the terms t_k and k t_k
+            np.cumprod(r, axis=1, out=tk[0])
+            np.multiply(tk[0], k, out=tk[1])
+            blocks.append(tk)
+            n0 += n.size
+            tail = np.abs(tk[0, :, -3:]).max(axis=1).tolist()
+            for i, part in enumerate(tk[0].sum(axis=1).tolist()):
+                total[i] += part
+                if not stop[i] and tail[i] <= 1e-17 * abs(total[i]):
+                    stop[i] = n0
+    # real and imaginary parts alternate along a row of the float view
+    t, kt = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)).view(float).tolist()
+    F, dF = [], []
+    for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
+        re = t[i][0:2 * m:2]
+        re.append(1.0)
+        F.append(complex(math.fsum(re), math.fsum(t[i][1:2 * m:2])))
+        slope = complex(math.fsum(kt[i][0:2 * m:2]), math.fsum(kt[i][1:2 * m:2]))
+        # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
+        dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
+    return F, dF

@@ -95,7 +95,7 @@ __all__ = [
 DEFAULT_MAX_COUNT = 10
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_THRESHOLD = 1e-6
-# the most indices critical_points enumerates for one window or count
+# the most indices critical_points walks, in any mode
 _MAX_WINDOW_INDICES = 10**6
 
 
@@ -220,14 +220,19 @@ def critical_points(
 ) -> list[SpectralPoint]:
     """Points of one family, in ascending index.
 
-    With a window, the points whose N lies between floor(u) and ceil(u) + 1
-    of the window ends, so the list covers the window with one point at or
-    beyond each end where the family has one; a window spanning more than
-    10**6 indices raises ``ValueError`` before any point is enumerated.
-    With a count, at most the first ``count`` points; a count that is not
-    a non-negative ``int`` (a bool is not one) or is above 10**6 raises
-    ``ValueError`` the same way.  With neither, every
-    point, which only the finite RPRIME_LEFT_ZERO family has.  A window end
+    No mode walks more than 10**6 indices.  With a window, the points whose
+    N lies between floor(u) and ceil(u) + 1 of the window ends, so the list
+    covers the window with one point at or beyond each end where the family
+    has one; a window spanning more than 10**6 indices raises
+    ``ValueError`` before any point is enumerated.  With a count, at most
+    the first ``count`` points; a count that is not a non-negative ``int``
+    (a bool is not one) or is above 10**6 raises ``ValueError`` the same
+    way, and so does, after the walk, a family that goes on past its first
+    10**6 indices yet has fewer than ``count`` points in them (points at
+    E <= 0 and excluded degenerate ones are skipped).  With neither, every
+    point, which only the finite RPRIME_LEFT_ZERO family has; one spanning
+    more than 10**6 indices raises ``ValueError`` before any point is
+    enumerated.  A window end
     that is not an ``int`` or ``float`` (a bool is neither) or is not
     finite and non-negative raises ``ValueError``; the ends may come in
     either order, and a family that is not a ``SpectralFamily`` raises
@@ -254,8 +259,16 @@ def critical_points(
                              f"indices, more than {_MAX_WINDOW_INDICES}")
     elif count is None and stop == math.inf:
         raise ValueError(f"{family.value} has no last point: give a window or a count")
-    ns = itertools.count(first) if stop == math.inf else range(first, stop)
-    return list(itertools.islice(_points(spec, family, ns), count))
+    elif count is None and stop - first > _MAX_WINDOW_INDICES:
+        raise ValueError(f"{family.value} spans {stop - first:.3g} indices, more than "
+                         f"{_MAX_WINDOW_INDICES}")
+    cut = stop - first > _MAX_WINDOW_INDICES  # only a count's walk gets here cut
+    ns = range(first, first + _MAX_WINDOW_INDICES if cut else stop)
+    points = list(itertools.islice(_points(spec, family, ns), count))
+    if cut and len(points) < count:
+        raise ValueError(f"{family.value} has {len(points)} of {count} points in its first "
+                         f"{_MAX_WINDOW_INDICES} indices")
+    return points
 
 
 def _index_range(spec: PotentialSpec, row: _Row) -> tuple[int, float]:
@@ -344,7 +357,8 @@ def rprime_left_zeros(spec: PotentialSpec) -> list[SpectralPoint]:
     """Exact zeros of the time-reversed left reflection: a2 - a3 = -n.
 
     k2 - k1 decreases from sqrt(m v0) to 0, so solvable n satisfy
-    1 <= n < (2/rho) sqrt(m v0); the list is complete and may be empty.
+    1 <= n < (2/rho) sqrt(m v0); the list is complete and may be empty.  A
+    family of more than 10**6 zeros raises ``ValueError``.
     """
     return critical_points(spec, SpectralFamily.RPRIME_LEFT_ZERO)
 

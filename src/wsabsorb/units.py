@@ -109,18 +109,23 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be an int or float, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value passes :func:`_check_number` and is
+    finite and positive."""
+    _check_number(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def validate(spec: PotentialSpec) -> PotentialSpec:
     """Return spec unchanged if its invariants hold, else raise ValueError.
 
     ``PotentialSpec`` calls it when a spec is made, so a spec that exists
     has passed it."""
     for name in ("v0", "rho", "mass"):
-        value = getattr(spec, name)
-        _check_number(name, value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        _check_positive(name, getattr(spec, name))
     if not isinstance(spec.variant, Variant):
         raise ValueError(f"variant must be a Variant, got {spec.variant!r}")
     return spec

@@ -1226,6 +1226,19 @@ def test_potential_offset_must_be_a_float(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--x", "-1e-3"), ("--zmin", "-1e1"), ("--x", "-2.5E+0"),
+                                   ("--x", "-.5e1")])
+def test_negative_flag_value_in_exponent_notation(capsys, flags):
+    # argparse's own negative-number pattern has no exponent, so "--x -1e-3"
+    # once ended in "argument --x: expected one argument"
+    flag, value = flags
+    assert main(_SMALL_CALLS["potential"] + [flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert main(_SMALL_CALLS["potential"] + [f"{flag}={value}"]) == 0
+    assert capsys.readouterr() == spaced
+    assert spaced.err == ""
+
+
 @pytest.mark.parametrize("families", ["cc-left,cc-left", "cc-left,ss-right,cc-left"])
 def test_repeated_family_rejected(tmp_path, capsys, families):
     out = tmp_path / "out.txt"

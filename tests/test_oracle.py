@@ -606,11 +606,22 @@ def test_series_pass_holds_the_rounding_bound_at_spikes():
 ], ids=["non_finite_a2", "outside_series_domain", "c_at_a_pole", "term_cap"])
 def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, u, phi, cap, error, match):
     # phi = pi - 0.01 at u = 0 puts |z| near 100; 2a2 = 1 + 1e-12 puts psi2's c = 1 - 2a2
-    # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too
+    # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too.  hyp2f1 on
+    # the row's own (a, b, c, z) raises the same type, with the same message
+    # where the one guard refuses (both name the cap where the series runs out)
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", cap)
-    with pytest.raises(error, match=match):
-        _local_states((shape,), a2, 2.1 + 0j, (u,), phi)
+    a3 = 2.1 + 0j
+    _, _, params, arg_is_omz = _SHAPES[shape]
+    w = cmath.exp(complex(u, phi))
+    z = 1.0 / (1.0 + w)
+    with pytest.raises(error, match=match) as by_pass:
+        _local_states((shape,), a2, a3, (u,), phi)
+    with pytest.raises(error, match=match) as by_hyp2f1:
+        hyp2f1(*params(a2, a3), w * z if arg_is_omz else z)
+    assert type(by_hyp2f1.value) is type(by_pass.value)
+    if cap is None:
+        assert str(by_hyp2f1.value) == str(by_pass.value)
 
 
 @pytest.mark.parametrize("call", [

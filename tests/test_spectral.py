@@ -1,7 +1,12 @@
 """Critical-energy enumeration, spacing laws, and range certification."""
 
+import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -623,3 +628,83 @@ class TestRunawayWindow:
         # shipped window, still below the bound
         points = critical_points(SPEC_A, SpectralFamily.CC_LEFT, window=(0.05, 5e8))
         assert len(points) > 40_000
+
+
+# every M from 5 to about 1.4e7 is degenerate under the 1e-9 snap here, and
+# CPA_TIME_REVERSED excludes degenerate points, so the family's first 10**6
+# indices hold 4 points
+SHALLOW = PotentialSpec(1e-9, 1.0)
+# every CC_LEFT energy underflows to -v0 here, and a point at E <= 0 is skipped
+UNDERFLOWING = PotentialSpec(1.2, 1e-300)
+
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's sources, cut after 60 s."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _fail_past(monkeypatch, family: SpectralFamily, limit: int) -> None:
+    """Fail at once, instead of walking on, once the family's row computes
+    more than ``limit`` energies."""
+    row = spectral._TABLE[family]
+    calls = itertools.count(1)
+
+    def energy(spec, n):
+        if next(calls) > limit:
+            raise AssertionError(f"the walk passed {limit} indices")
+        return row.energy(spec, n)
+    monkeypatch.setitem(spectral._TABLE, family, row._replace(energy=energy))
+
+
+class TestBoundedWalk:
+    # no mode of critical_points walks more than _MAX_WINDOW_INDICES indices
+
+    @pytest.mark.parametrize("call, family, message", [
+        (lambda: cpa_energies_time_reversed(SHALLOW, 6), SpectralFamily.CPA_TIME_REVERSED,
+         "cpa_time_reversed has 4 of 6"),
+        (lambda: critical_points(UNDERFLOWING, SpectralFamily.CC_LEFT, count=2),
+         SpectralFamily.CC_LEFT, "cc_left has 0 of 2"),
+    ], ids=["degenerate_points_excluded", "energies_underflow"])
+    def test_count_walk_is_refused_at_the_cap(self, monkeypatch, call, family, message):
+        monkeypatch.setattr("wsabsorb.spectral._MAX_WINDOW_INDICES", 8)
+        _fail_past(monkeypatch, family, 100)
+        with pytest.raises(ValueError, match=f"^{message} points in its first 8 indices$"):
+            call()
+
+    def test_count_met_or_family_ended_within_the_cap_returns(self, monkeypatch):
+        monkeypatch.setattr("wsabsorb.spectral._MAX_WINDOW_INDICES", 8)
+        assert [p.index for p in cpa_energies_time_reversed(SHALLOW, 4)] == [1, 2, 3, 4]
+        assert len(cc_left_energies(SPEC_A, 8)) == 8
+        # 2 sqrt(5) = 4.47: the four zeros n = 1..4, fewer than the count asks
+        zeros = critical_points(PotentialSpec(5.0, 1.0), SpectralFamily.RPRIME_LEFT_ZERO, count=6)
+        assert [p.index for p in zeros] == [1, 2, 3, 4]
+
+    def test_rprime_family_past_the_cap_is_refused_before_enumerating(self, monkeypatch, no_points):
+        monkeypatch.setattr("wsabsorb.spectral._MAX_WINDOW_INDICES", 3)
+        with pytest.raises(ValueError, match="^rprime_left_zero spans 4 indices, more than 3$"):
+            rprime_left_zeros(PotentialSpec(5.0, 1.0))
+
+    def test_rprime_family_at_the_cap_is_complete(self, monkeypatch):
+        monkeypatch.setattr("wsabsorb.spectral._MAX_WINDOW_INDICES", 4)
+        assert [p.index for p in rprime_left_zeros(PotentialSpec(5.0, 1.0))] == [1, 2, 3, 4]
+
+    def test_cli_reproducer_ends_in_one_error_line(self):
+        # under the real cap, in a fresh interpreter: an unbounded walk fails
+        # the timeout instead of hanging the suite
+        done = _fresh("-m", "wsabsorb.cli", "spectrum", "--v0", "1e-9", "--rho", "1",
+                      "--families", "cpa-time-reversed", "--max-count", "10")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: cpa_time_reversed has 4 of 10 points in its first 1000000 indices\n")
+
+    def test_underflow_reproducer_raises(self):
+        done = _fresh("-c", "from wsabsorb.spectral import SpectralFamily, critical_points\n"
+                            "from wsabsorb.units import PotentialSpec\n"
+                            "critical_points(PotentialSpec(1.2, 1e-300), SpectralFamily.CC_LEFT, "
+                            "count=2)\n")
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "ValueError: cc_left has 0 of 2 points in its first 1000000 indices")
