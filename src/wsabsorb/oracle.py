@@ -60,7 +60,7 @@ from .amplitudes import (
 )
 from .specfun import _gauss_sums, _series_guard
 from .spectral import integer_distance
-from .units import PotentialSpec, Variant
+from .units import PotentialSpec, Variant, _check_number
 
 __all__ = [
     "Launch",
@@ -137,10 +137,10 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
     The solutions are z^{+-a2} (1-z)^{+-a3} 2F1(...) with the (1-z)-power
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
     along the whole contour and reduces to the exact plane-wave
-    normalization at the matching end.  Each row's series is refused where
-    specfun.hyp2f1 refuses it, by the one guard both read
-    (specfun._series_guard: ValueError, PoleProximityError) and the one term
-    cap (SeriesError); a row whose state overflows raises ContourError.
+    normalization at the matching end.  Each row's series goes through
+    the package's one 2F1 guard (specfun._series_guard: ValueError,
+    PoleProximityError) and term cap (SeriesError); a row whose state
+    overflows raises ContourError.
     """
     rows = []
     for shape, u in zip(shapes, us):
@@ -166,12 +166,6 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
     F, dF = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None])
     return np.array([(p * f, p * (s * f + df * d))
                      for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)])
-
-
-def _local_state(shape: str, a2: complex, a3: complex, u: float, phi: float):
-    """(psi, dpsi/du) of one local solution: a one-row _local_states."""
-    psi, dpsi = _local_states((shape,), a2, a3, (u,), phi)[0].tolist()
-    return psi, dpsi
 
 
 def _effective_phase(rho: float, x0: float) -> float:
@@ -338,25 +332,14 @@ def _bridge(a2: complex, a3: complex, phi: float, Y: np.ndarray, t: float, t_end
     return Y, points
 
 
-def _integrate_core(
-    a2: complex,
-    a3: complex,
-    phi: float,
-    shapes: tuple[str, ...],
-    u_top: float,
-    u_bot: float,
-    launch: np.ndarray | None = None,
-):
-    """Carry the local solutions named by ``shapes`` from u_top to u_bot.
+def _integrate_core(a2: complex, a3: complex, phi: float, launch: np.ndarray, u_top: float, u_bot: float):
+    """Carry the launches, rows (psi, dpsi/du) at u_top, to u_bot.
 
     The equation is linear and every launch sees the same q(u), so the
     launches ride one Taylor-series bridge of their stacked (psi, dpsi/du)
-    pairs.  ``launch`` holds their rows at u_top when the caller has them.
-    Returns (launch state, end state, mesh point count), the states laid
-    out as (psi, dpsi/du) per launch.
+    pairs.  Returns (launch state, end state, mesh point count), the states
+    laid out as (psi, dpsi/du) per launch.
     """
-    if launch is None:
-        launch = _local_states(shapes, a2, a3, (u_top,) * len(shapes), phi)
     y0 = launch.ravel()
     if np.abs(y0).max() > OVERFLOW_GUARD:
         raise ContourError(
@@ -367,20 +350,23 @@ def _integrate_core(
     return y0, y_end.T.ravel(), points
 
 
-def _shapes(variant: Variant, launches=(Launch.PSI_ONE, Launch.PSI_TWO)) -> tuple[str, ...]:
-    """Local solution each launch starts from.  The conjugated potential on
-    the same contour is the forward core with opposite phase, so for the
-    time-reversed variant the incoming/outgoing exponential roles swap."""
-    order = ("psi2", "psi1") if variant is Variant.TIME_REVERSED else ("psi1", "psi2")
-    return tuple(order[launch is Launch.PSI_TWO] for launch in launches)
+def _shapes(variant: Variant) -> tuple[str, str]:
+    """Local solutions the PSI_ONE and PSI_TWO launches start from.  The
+    conjugated potential on the same contour is the forward core with
+    opposite phase, so for the time-reversed variant the incoming/outgoing
+    exponential roles swap."""
+    return ("psi2", "psi1") if variant is Variant.TIME_REVERSED else ("psi1", "psi2")
 
 
 def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
     """(a2, a3, phi_eff, handoff u) of the contour at x0, validated."""
+    _check_number("x0", x0)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    if Z is not None and not (math.isfinite(Z) and Z > 0.0):
-        raise ValueError(f"Z must be finite and positive, got {Z!r}")
+    if Z is not None:
+        _check_number("Z", Z)
+        if not (math.isfinite(Z) and Z > 0.0):
+            raise ValueError(f"Z must be finite and positive, got {Z!r}")
     ch = channel_params(spec, energy)
     a2, a3 = abs(ch.a2), abs(ch.a3)
     if integer_distance(a2, a3) < CRITICAL_MARGIN:
@@ -411,12 +397,15 @@ def integrate_contour(
     Passing Z overrides the half-width (in zeta units).  The energy must
     sit away from every integer critical condition, where the local
     solution bases degenerate and amplitude limits are the closed-form
-    module's job.
+    module's job.  A launch that is not a :class:`Launch` raises ValueError.
     """
+    if not isinstance(launch, Launch):
+        raise ValueError(f"launch must be a Launch, got {launch!r}")
     a2, a3, phi_eff, uh = _contour_setup(spec, energy, x0, Z)
     rho = spec.rho
-    shapes = _shapes(spec.variant, (launch,))
-    y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, shapes, uh, -uh)
+    shape = _shapes(spec.variant)[launch is Launch.PSI_TWO]
+    start = _local_states((shape,), a2, a3, (uh,), phi_eff)
+    y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, start, uh, -uh)
     return ContourSolution(
         x0=x0,
         zeta_start=uh / rho,
@@ -430,15 +419,13 @@ def integrate_contour(
     )
 
 
-def _basis_coefficients(a2, a3, phi, u_bot, variant, Y, basis=None) -> tuple[np.ndarray, float]:
-    """Coefficients of the local solutions w+ and w- in the end states Y
-    (rows psi, dpsi/du), as rows (c+, c-), and the fit's 2-norm condition
-    number, both in closed form for the 2x2 basis matrix M: its singular
-    values have squares summing to s = |M|_F^2 and product d = |det M|, and
-    the solve is Cramer's rule.  ``basis`` holds the rows of w+ and w- at
-    u_bot when the caller has them."""
-    if basis is None:
-        basis = _local_states(("w_plus", "w_minus"), a2, a3, (u_bot, u_bot), phi)
+def _basis_coefficients(variant: Variant, Y: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients of the local solutions w+ and w-, whose (psi, dpsi/du)
+    at the fit point are the rows of ``basis``, in the end states Y (rows
+    psi, dpsi/du), as rows (c+, c-), and the fit's 2-norm condition number,
+    both in closed form for the 2x2 basis matrix M: its singular values have
+    squares summing to s = |M|_F^2 and product d = |det M|, and the solve is
+    Cramer's rule."""
     (wp, dwp), (wm, dwm) = basis.tolist()
     det = wp * dwm - wm * dwp
     s, d = abs(wp) ** 2 + abs(wm) ** 2 + abs(dwp) ** 2 + abs(dwm) ** 2, abs(det)
@@ -454,10 +441,9 @@ def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, comp
     """(G1, G2, G3, G4): local-basis fits of the PSI_ONE and PSI_TWO launches,
     integrated together from uh to -uh.  One series pass gives the launch
     states at uh and the fit basis at -uh."""
-    shapes = _shapes(variant)
-    states = _local_states(shapes + ("w_plus", "w_minus"), a2, a3, (uh, uh, -uh, -uh), phi)
-    _, y_end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh, states[:2])
-    C, _ = _basis_coefficients(a2, a3, phi, -uh, variant, y_end.reshape(2, 2).T, states[2:])
+    states = _local_states(_shapes(variant) + ("w_plus", "w_minus"), a2, a3, (uh, uh, -uh, -uh), phi)
+    _, y_end, _ = _integrate_core(a2, a3, phi, states[:2], uh, -uh)
+    C, _ = _basis_coefficients(variant, y_end.reshape(2, 2).T, states[2:])
     return complex(C[0, 0]), complex(C[1, 0]), complex(C[0, 1]), complex(C[1, 1])
 
 

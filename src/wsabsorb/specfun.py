@@ -12,10 +12,10 @@ complex arrays alike.  One integer rule, :func:`snap`, decides every "is this an
 package, and :func:`gamma_logs` is the one pole-aware Gamma evaluation:
 the closed-form kernel in ``amplitudes`` applies it to all twelve Gamma
 arguments of a whole energy grid at once, and :func:`gamma_info` and
-:func:`log_gamma` read it at one argument.  Both Gauss 2F1 evaluators live
-here: :func:`hyp2f1` sums one series, :func:`_gauss_sums` the series of
-many rows in one pass (the contour oracle's local states), and one guard,
-:func:`_series_guard`, states what both refuse.
+:func:`log_gamma` read it at one argument.  The one Gauss 2F1 summation
+lives here: :func:`_gauss_sums` sums the series of many rows in one pass
+(the contour oracle's local states), :func:`hyp2f1` is one such row, and
+one guard, :func:`_series_guard`, states what every row refuses.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ def gamma_info(z: complex) -> SingularValue:
 
 
 def _series_guard(a: complex, b: complex, c: complex, z: complex) -> None:
-    """What both 2F1 evaluators refuse: non-finite input and |z| >=
+    """What every 2F1 series refuses: non-finite input and |z| >=
     ``SERIES_Z_MAX`` (ValueError), and a c that :func:`snap` puts on a
     non-positive integer (PoleProximityError)."""
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(z)):
@@ -402,40 +402,12 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1 by direct series summation.
 
     Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
-    no Gamma-function connection identities or continuation formulas.  The
-    contour oracle sums the Gauss series of a fit's local solutions in one
-    pass, :func:`_gauss_sums`; this is the single-series reference the
-    tests hold that pass to, and both refuse what :func:`_series_guard`
-    refuses.  Neumaier-compensated summation keeps accuracy through the
-    coefficient spikes that occur when c sits left of the origin.
+    no Gamma-function connection identities or continuation formulas: one
+    row of :func:`_gauss_sums`, behind :func:`_series_guard`.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     _series_guard(a, b, c, z)
-    if z == 0:
-        return 1.0 + 0.0j
-
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    quiet = 0
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        # term-ratio tail bound once the ratio has settled below 1
-        if abs(term) <= 1e-17 * (abs(total) + abs(comp)):
-            quiet += 1
-            if quiet >= 3:
-                return total + comp
-        else:
-            quiet = 0
-    raise SeriesError(
-        f"2F1({a}, {b}; {c}; {z}) did not converge within {_SERIES_MAX_TERMS} terms"
-    )
+    return _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[z]]))[0][0]
 
 
 # _gauss_sums sums the Gauss series of all its rows together, _BLOCK terms at a time.
@@ -450,9 +422,8 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray) -> tuple[list[complex], list[c
     The terms t_k are cumulative products of the term ratios, a block of
     _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read the
     same terms, and each sum is exact (math.fsum of the real and imaginary
-    parts), so at the coefficient spikes of a c left of the origin, where
-    :func:`hyp2f1` compensates its sum, the sums add no rounding of their
-    own.  A row stops under hyp2f1's rule, at the first block whose last
+    parts), so at the coefficient spikes of a c left of the origin the sums
+    add no rounding of their own.  A row stops at the first block whose last
     three terms are below 1e-17 of its sum; SeriesError past the term cap.
     """
     rows = arg.shape[0]

@@ -349,6 +349,8 @@ def ss_energies(
     sets: the left family diverges in R'_l where the forward left
     coefficients vanish, and likewise on the right.
     """
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
     family = SpectralFamily.SS_LEFT if side is Side.LEFT else SpectralFamily.SS_RIGHT
     return critical_points(spec, family, count=max_count)
 

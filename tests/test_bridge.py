@@ -21,7 +21,7 @@ from wsabsorb.oracle import (
     _taylor_coefficients,
 )
 
-from test_oracle import _joint_draws
+from test_oracle import _joint_draws, _states
 
 
 @pytest.mark.parametrize("u", [0.3 + 0.4j, -1.1 - 0.7j, 2.0 + 2.5j])
@@ -62,7 +62,7 @@ def _scipy_bridge(a2, a3, phi, Y, t, t_end):
 def test_end_states_match_scipy(draw, launches):
     a2, a3, phi, uh, variant = draw
     for shapes in ([(s,) for s in _shapes(variant)] if launches == 1 else [_shapes(variant)]):
-        start, end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh)
+        start, end, _ = _integrate_core(a2, a3, phi, _states(shapes, a2, a3, uh, phi), uh, -uh)
         ref_end, _ = _scipy_bridge(a2, a3, phi, start.reshape(-1, 2).T, uh, -uh)
         assert np.abs(end - ref_end.T.ravel()).max() <= 5e-13 * np.abs(ref_end).max()
 
@@ -70,7 +70,7 @@ def test_end_states_match_scipy(draw, launches):
 @pytest.mark.parametrize("draw", _joint_draws())
 def test_mesh_at_most_half_of_scipy(draw):
     a2, a3, phi, uh, variant = draw
-    start, _, points = _integrate_core(a2, a3, phi, _shapes(variant), uh, -uh)
+    start, _, points = _integrate_core(a2, a3, phi, _states(_shapes(variant), a2, a3, uh, phi), uh, -uh)
     _, ref_points = _scipy_bridge(a2, a3, phi, start.reshape(-1, 2).T, uh, -uh)
     assert 2 * points <= ref_points
 

@@ -219,8 +219,7 @@ def test_oracle_agreement_reports_forward_shapes_on_time_reversed_draws(monkeypa
     # forward order it reconstructs the wrong amplitudes
     check, tolerance = _CHECKS["oracle_agreement"]
     shapes = _ORACLE._shapes
-    monkeypatch.setattr(_ORACLE, "_shapes",
-                        lambda variant, *launches: shapes(Variant.FORWARD, *launches))
+    monkeypatch.setattr(_ORACLE, "_shapes", lambda variant: shapes(Variant.FORWARD))
     assert not check(np.random.default_rng(0)) <= tolerance
 
 

@@ -28,7 +28,6 @@ from wsabsorb.oracle import (
     _gauss_sums,
     _handoff,
     _integrate_core,
-    _local_state,
     _local_states,
     _shapes,
     hermitian_oracle_amplitudes,
@@ -47,6 +46,11 @@ E3 = 1.8 ** 2 * 9 / 16 - 1.2
 def analytic_g(spec, energy):
     gf = g_factors(channel_params(spec, energy))
     return tuple(g.to_complex() for g in (gf.g1, gf.g2, gf.g3, gf.g4))
+
+
+def _states(shapes, a2, a3, u, phi):
+    """Rows (psi, dpsi/du) of the local solutions named by shapes, all at u."""
+    return _local_states(shapes, a2, a3, (u,) * len(shapes), phi)
 
 
 class TestIntegrateContour:
@@ -90,7 +94,7 @@ class TestIntegrateContour:
     def test_launch_state_matches_local_solution(self):
         sol = integrate_contour(SPEC, 1.0, Launch.PSI_ONE)
         a2, a3, phi, uh = _contour_setup(SPEC, 1.0, 0.0, None)
-        psi, dpsi = _local_state("psi1", a2, a3, uh, phi)
+        psi, dpsi = _states(("psi1",), a2, a3, uh, phi)[0]
         assert abs(sol.psi_start - psi) < 1e-13 * abs(psi)
         assert abs(sol.dpsi_start - dpsi * SPEC.rho) < 1e-13 * abs(dpsi * SPEC.rho)
 
@@ -99,11 +103,11 @@ class TestLocalFit:
     def test_local_fit_resynthesis(self):
         a2, a3, phi, _ = _contour_setup(SPEC, 1.0, 0.0, None)
         uh = _bridged_span(a2, a3)
-        shapes = _shapes(Variant.FORWARD, (Launch.PSI_TWO,))
-        _, end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh)
-        (c_plus, c_minus), cond = _basis_coefficients(a2, a3, phi, -uh, Variant.FORWARD, end)
-        wp, dwp = _local_state("w_plus", a2, a3, -uh, phi)
-        wm, dwm = _local_state("w_minus", a2, a3, -uh, phi)
+        launch = _states(_shapes(Variant.FORWARD)[1:], a2, a3, uh, phi)  # PSI_TWO
+        _, end, _ = _integrate_core(a2, a3, phi, launch, uh, -uh)
+        basis = _states(("w_plus", "w_minus"), a2, a3, -uh, phi)
+        (c_plus, c_minus), cond = _basis_coefficients(Variant.FORWARD, end, basis)
+        (wp, dwp), (wm, dwm) = basis
         psi = c_plus * wp + c_minus * wm
         dpsi = c_plus * dwp + c_minus * dwm
         assert abs(psi - end[0]) <= 1e-8 * abs(end[0])
@@ -233,8 +237,8 @@ def series_residual(spec, energy, samples, step):
     sign = -1.0 if spec.variant is Variant.TIME_REVERSED else 1.0
     worst = largest = 0.0
     for x, zeta in samples:
-        psi = [_local_state("psi1", abs(ch.a2), abs(ch.a3), spec.rho * zeta,
-                            sign * spec.rho * (x + j * step))[0] for j in (-2, -1, 0, 1, 2)]
+        psi = [_states(("psi1",), abs(ch.a2), abs(ch.a3), spec.rho * zeta,
+                       sign * spec.rho * (x + j * step))[0, 0] for j in (-2, -1, 0, 1, 2)]
         largest = max(largest, *map(abs, psi))
         d2 = (-psi[0] + 16 * psi[1] - 30 * psi[2] + 16 * psi[3] - psi[4]) / (12 * step * step)
         v = potential_profile(spec, x, [zeta])[0]
@@ -341,6 +345,20 @@ class TestContourArguments:
         with pytest.raises(ValueError, match="Z must be finite and positive"):
             ORACLE_ENTRIES[entry](Z=value)
 
+    @pytest.mark.parametrize("entry", sorted(ORACLE_ENTRIES))
+    @pytest.mark.parametrize("name", ["x0", "Z"])
+    @pytest.mark.parametrize("value", [True, "0", 1j, np.float32(1.0)])
+    def test_non_number_rejected(self, entry, name, value):
+        # a bool would otherwise run as 0 or 1, and a string raise TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an int or float"):
+            ORACLE_ENTRIES[entry](**{name: value})
+
+    @pytest.mark.parametrize("launch", ["psi_two", "psi_one", None, 1])
+    def test_launch_that_is_not_a_launch_rejected(self, launch):
+        # anything but Launch.PSI_TWO would otherwise run the PSI_ONE launch
+        with pytest.raises(ValueError, match="launch must be a Launch"):
+            integrate_contour(SPEC, 1.0, launch)
+
 
 def _bridged_span(a2, a3):
     """u of a contour's launch (the fit is at -u) under the growth budget
@@ -376,9 +394,9 @@ def test_local_state_derivative_matches_finite_difference(draw, shape, end):
     # five-point stencil in u at the end of the contour the solution belongs to
     a2, a3, phi, uh, _ = draw
     u, step = end * uh, 1e-3
-    f = [_local_state(shape, a2, a3, u + j * step, phi)[0] for j in (-2, -1, 1, 2)]
+    f = [_states((shape,), a2, a3, u + j * step, phi)[0, 0] for j in (-2, -1, 1, 2)]
     fd = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * step)
-    dpsi = _local_state(shape, a2, a3, u, phi)[1]
+    dpsi = _states((shape,), a2, a3, u, phi)[0, 1]
     assert abs(fd - dpsi) <= 1e-8 * abs(dpsi)
 
 
@@ -386,12 +404,11 @@ def test_local_state_derivative_matches_finite_difference(draw, shape, end):
 def test_closed_form_fit_matches_linalg(draw):
     # the 2-norm condition number and Cramer's rule against SVD and LU
     a2, a3, phi, uh, variant = draw
-    _, end, _ = _integrate_core(a2, a3, phi, _shapes(variant), uh, -uh)
+    _, end, _ = _integrate_core(a2, a3, phi, _states(_shapes(variant), a2, a3, uh, phi), uh, -uh)
     Y = end.reshape(2, 2).T
-    C, cond = _basis_coefficients(a2, a3, phi, -uh, Variant.FORWARD, Y)
-    wp, dwp = _local_state("w_plus", a2, a3, -uh, phi)
-    wm, dwm = _local_state("w_minus", a2, a3, -uh, phi)
-    M = np.array([[wp, wm], [dwp, dwm]])
+    basis = _states(("w_plus", "w_minus"), a2, a3, -uh, phi)
+    C, cond = _basis_coefficients(Variant.FORWARD, Y, basis)
+    M = basis.T  # columns w+ and w-, rows psi and dpsi/du
     assert abs(cond - np.linalg.cond(M)) <= 1e-12 * np.linalg.cond(M)
     ref = np.linalg.solve(M, Y)
     assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -402,10 +419,10 @@ class TestJointIntegration:
     def test_joint_end_states_match_single_launches(self, draw):
         a2, a3, phi, uh, variant = draw
         shapes = _shapes(variant)
-        start, end, _ = _integrate_core(a2, a3, phi, shapes, uh, -uh)
+        start, end, _ = _integrate_core(a2, a3, phi, _states(shapes, a2, a3, uh, phi), uh, -uh)
         assert start.shape == end.shape == (4,)
         for i, shape in enumerate(shapes):
-            _, alone, _ = _integrate_core(a2, a3, phi, (shape,), uh, -uh)
+            _, alone, _ = _integrate_core(a2, a3, phi, _states((shape,), a2, a3, uh, phi), uh, -uh)
             joint = end[2 * i:2 * i + 2]
             assert np.abs(joint - alone).max() <= 1e-12 * np.abs(alone).max()
 
@@ -418,7 +435,7 @@ class TestJointIntegration:
         calls = []
 
         def counting(*args):
-            calls.append(args[3])
+            calls.append(args[3])  # the launch rows
             return _integrate_core(*args)
 
         monkeypatch.setattr("wsabsorb.oracle._integrate_core", counting)
@@ -517,8 +534,8 @@ LOCAL_SHAPES = ("psi1", "psi2", "w_plus", "w_minus")
 
 
 def _reference_state(shape, a2, a3, u, phi):
-    """(psi, dpsi/du) with one hyp2f1 sum per quantity: the value's Gauss
-    series, and (ab/c) 2F1(a+1, b+1; c+1) for the derivative (DLMF 15.5.1)."""
+    """(psi, dpsi/du) with 40-digit mpmath 2F1 values: 2F1(a, b; c) for the
+    value, and (ab/c) 2F1(a+1, b+1; c+1) for the derivative (DLMF 15.5.1)."""
     sgn2, sgn3, params, arg_is_omz = _SHAPES[shape]
     al, be = sgn2 * a2, sgn3 * a3
     w = cmath.exp(complex(u, phi))
@@ -527,8 +544,10 @@ def _reference_state(shape, a2, a3, u, phi):
     log_z = cmath.log(z)
     a, b, c = params(a2, a3)
     arg = omz if arg_is_omz else z
-    F = hyp2f1(a, b, c, arg)
-    dF = a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg)
+    with mpmath.workdps(40):
+        A, B, C, Z = (mpmath.mpc(v.real, v.imag) for v in map(complex, (a, b, c, arg)))
+        F = complex(mpmath.hyp2f1(A, B, C, Z))
+        dF = complex(A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, Z))
     pref = cmath.exp(al * log_z + be * (complex(u, phi) + log_z))
     darg_du = z * omz if arg_is_omz else -z * omz
     return pref * F, pref * ((-al * omz + be * z) * F + dF * darg_du)
@@ -549,7 +568,8 @@ def _domain_family_contours():
 
 @pytest.mark.parametrize("family", ["joint_draws", "domain_family"])
 def test_series_pass_matches_one_sum_per_quantity(family):
-    # a fit's four states from one pass, each shape at the end the fit reads it at
+    # a fit's four states from one pass, each shape at the end the fit reads it at,
+    # against the same states on exact 2F1 values
     contours = ([d[:4] for d in _joint_draws()] if family == "joint_draws"
                 else _domain_family_contours())
     for a2, a3, phi, uh in contours:
@@ -607,8 +627,7 @@ def test_series_pass_holds_the_rounding_bound_at_spikes():
 def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, u, phi, cap, error, match):
     # phi = pi - 0.01 at u = 0 puts |z| near 100; 2a2 = 1 + 1e-12 puts psi2's c = 1 - 2a2
     # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too.  hyp2f1 on
-    # the row's own (a, b, c, z) raises the same type, with the same message
-    # where the one guard refuses (both name the cap where the series runs out)
+    # the row's own (a, b, c, z) raises the same type with the same message
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", cap)
     a3 = 2.1 + 0j
@@ -620,8 +639,7 @@ def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, u, phi,
     with pytest.raises(error, match=match) as by_hyp2f1:
         hyp2f1(*params(a2, a3), w * z if arg_is_omz else z)
     assert type(by_hyp2f1.value) is type(by_pass.value)
-    if cap is None:
-        assert str(by_hyp2f1.value) == str(by_pass.value)
+    assert str(by_hyp2f1.value) == str(by_pass.value)
 
 
 @pytest.mark.parametrize("call", [

@@ -122,6 +122,12 @@ class TestSpectralSingularities:
                 1.8 ** 2 * (2 * a.index + 1) / 16, rel=1e-12
             )
 
+    @pytest.mark.parametrize("side", ["left", "right", None, SpectralFamily.SS_LEFT])
+    def test_side_that_is_not_a_side_rejected(self, side):
+        # every side but Side.LEFT would otherwise be read as the right side
+        with pytest.raises(ValueError, match="side must be a Side"):
+            ss_energies(SPEC_A, side, 4)
+
 
 class TestReflectionZeros:
     def test_single_zero_spec(self):
