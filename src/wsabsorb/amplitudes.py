@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import TAU_INT, SingularValue, gamma_logs
-from .units import PotentialSpec, Variant, _check_number, _check_positive
+from .units import PotentialSpec, Variant, _check_entries, _check_finite, _check_positive
 
 __all__ = [
     "ChannelParams",
@@ -306,8 +306,12 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     equals ``amplitudes(spec, E)``'s ``log10_magnitude`` values bit for
     bit: +-inf where a pole order is non-zero (the exact zeros and poles
     of pole-snapped energies), and a det-S ``ArithmeticError`` at the
-    first energy where :func:`amplitudes` raises.
+    first energy where :func:`amplitudes` raises.  An entry that is not an
+    ``int`` or ``float`` (a bool is neither; an array's dtype says it for
+    every entry), or energies that are not a 1-D array of finite positive
+    values, raise ``ValueError``.
     """
+    _check_entries("energies", energies)
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
@@ -338,16 +342,11 @@ def potential_profile(spec: PotentialSpec, x: float, zeta_grid) -> np.ndarray:
     a real int or float (an array's dtype says it for every entry), or a NaN
     in the grid, raises ``ValueError``; zeta = +-inf gives the limits 0 and -v0.
     """
-    _check_number("x", x)
-    if isinstance(zeta_grid, np.ndarray):
-        if zeta_grid.dtype.kind not in "fiu":
-            raise ValueError(f"zeta_grid entries must be int or float, got dtype {zeta_grid.dtype}")
-    else:
-        for entry in np.asarray(zeta_grid, dtype=object).ravel():
-            _check_number("zeta_grid entry", entry)
+    _check_finite("x", x)
+    _check_entries("zeta_grid", zeta_grid)
     zeta = np.asarray(zeta_grid, dtype=float)
-    if not math.isfinite(x) or np.isnan(zeta).any():
-        raise ValueError(f"x must be finite and zeta_grid free of NaN, got x={x!r}")
+    if np.isnan(zeta).any():
+        raise ValueError("zeta_grid must be free of NaN")
     phase = np.exp(1j * spec.rho * x)
     with np.errstate(over="ignore", invalid="ignore"):
         grow = np.exp(spec.rho * zeta)
@@ -363,12 +362,7 @@ def _hermitian_channel(v0: float, delta: float, m: float, energy: float) -> Chan
     """Channel parameters of the uncomplexified (Hermitian) potential:
     purely imaginary a2 = 2i k1/delta and a3 = 2i k2/delta."""
     for name, value in (("v0", v0), ("delta", delta), ("m", m), ("energy", energy)):
-        _check_number(name, value)
-    if not all(math.isfinite(x) and x > 0 for x in (v0, delta, m, energy)):
-        raise ValueError(
-            f"v0, delta, m and energy must be finite and positive, "
-            f"got {v0!r}, {delta!r}, {m!r}, {energy!r}"
-        )
+        _check_positive(name, value)
     k1 = math.sqrt(m * energy)
     k2 = math.sqrt(m * (energy + v0))
     return ChannelParams(

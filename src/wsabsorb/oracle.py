@@ -60,7 +60,7 @@ from .amplitudes import (
 )
 from .specfun import _gauss_sums, _series_guard
 from .spectral import integer_distance
-from .units import PotentialSpec, Variant, _check_number
+from .units import PotentialSpec, Variant, _check_finite, _check_member, _check_positive
 
 __all__ = [
     "Launch",
@@ -360,13 +360,9 @@ def _shapes(variant: Variant) -> tuple[str, str]:
 
 def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
     """(a2, a3, phi_eff, handoff u) of the contour at x0, validated."""
-    _check_number("x0", x0)
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    _check_finite("x0", x0)
     if Z is not None:
-        _check_number("Z", Z)
-        if not (math.isfinite(Z) and Z > 0.0):
-            raise ValueError(f"Z must be finite and positive, got {Z!r}")
+        _check_positive("Z", Z)
     ch = channel_params(spec, energy)
     a2, a3 = abs(ch.a2), abs(ch.a3)
     if integer_distance(a2, a3) < CRITICAL_MARGIN:
@@ -399,8 +395,7 @@ def integrate_contour(
     solution bases degenerate and amplitude limits are the closed-form
     module's job.  A launch that is not a :class:`Launch` raises ValueError.
     """
-    if not isinstance(launch, Launch):
-        raise ValueError(f"launch must be a Launch, got {launch!r}")
+    _check_member("launch", launch, Launch)
     a2, a3, phi_eff, uh = _contour_setup(spec, energy, x0, Z)
     rho = spec.rho
     shape = _shapes(spec.variant)[launch is Launch.PSI_TWO]

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .units import _check_number
+
 #: The width of the one snap rule deciding "is this argument an integer".
 #: The critical-point conditions are exact integer conditions; floating input
 #: needs an explicit snap rule.  Absolute, on the argument itself.  Only
@@ -374,8 +376,11 @@ def gamma_info(z: complex) -> SingularValue:
 
     :func:`gamma_logs` at one argument, taken as complex: Pole(1) with the
     residue coefficient (-1)^k / k! when z snaps to a non-positive integer
-    -k, otherwise a Finite value carrying log Gamma(z).
+    -k, otherwise a Finite value carrying log Gamma(z).  A z that is not an
+    ``int``, ``float`` or ``complex`` (a bool or str is none) raises
+    ``ValueError``.
     """
+    _check_number("z", z, (int, float, complex))
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite argument {z!r}")
@@ -403,8 +408,12 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
     Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
     no Gamma-function connection identities or continuation formulas: one
-    row of :func:`_gauss_sums`, behind :func:`_series_guard`.
+    row of :func:`_gauss_sums`, behind :func:`_series_guard`.  An argument
+    that is not an ``int``, ``float`` or ``complex`` (a bool or str is none)
+    raises ``ValueError``.
     """
+    for name, value in zip("abcz", (a, b, c, z)):
+        _check_number(name, value, (int, float, complex))
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     _series_guard(a, b, c, z)
     return _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[z]]))[0][0]

@@ -72,7 +72,7 @@ import numpy as np
 
 from .amplitudes import _channel_terms, log10_coefficients
 from .specfun import snap
-from .units import PotentialSpec, Variant, _check_number
+from .units import PotentialSpec, Variant, _check_member, _check_number, _check_positive
 
 __all__ = [
     "SpectralFamily",
@@ -238,8 +238,7 @@ def critical_points(
     either order, and a family that is not a ``SpectralFamily`` raises
     ``ValueError``.
     """
-    if not isinstance(family, SpectralFamily):
-        raise ValueError(f"family must be a SpectralFamily, got {family!r}")
+    _check_member("family", family, SpectralFamily)
     row = _TABLE[family]
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
         raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
@@ -349,8 +348,7 @@ def ss_energies(
     sets: the left family diverges in R'_l where the forward left
     coefficients vanish, and likewise on the right.
     """
-    if not isinstance(side, Side):
-        raise ValueError(f"side must be a Side, got {side!r}")
+    _check_member("side", side, Side)
     family = SpectralFamily.SS_LEFT if side is Side.LEFT else SpectralFamily.SS_RIGHT
     return critical_points(spec, family, count=max_count)
 
@@ -502,16 +500,13 @@ def scan_ranges(
     ``grid_points`` that is not an ``int`` (a bool is neither) raises
     ``ValueError``.
     """
-    if not isinstance(criterion, RangeCriterion):
-        raise ValueError(f"criterion must be a RangeCriterion, got {criterion!r}")
+    _check_member("criterion", criterion, RangeCriterion)
     emin, emax = window
     for end in window:
         _check_number("window end", end)
     if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
         raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
-    _check_number("threshold", threshold)
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    _check_positive("threshold", threshold)
     if isinstance(grid_points, bool) or not isinstance(grid_points, int):
         raise ValueError(f"grid_points must be an int, got {grid_points!r}")
     if grid_points < 100:

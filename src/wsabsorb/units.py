@@ -1,4 +1,5 @@
-"""Physical parameter records, validation, and display-unit conversions.
+"""Physical parameter records, validation, the argument rules that every
+entry point reads, and display-unit conversions.
 
 Internal units are atomic-style (Hartree-equivalent energies,
 bohr-equivalent lengths) under the dispersion convention k1 = sqrt(m E).
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 #: 1 internal energy unit in electron-volts.
 EV_PER_ENERGY_UNIT = 27.2114
@@ -52,8 +55,7 @@ def convert_energy(
     to_units: EnergyUnit = EnergyUnit.INTERNAL,
 ) -> float:
     """Convert an energy between units (pure arithmetic)."""
-    if not math.isfinite(value):
-        raise ValueError(f"energy must be finite, got {value!r}")
+    _check_finite("energy", value)
     return value / _EV_FACTOR[from_units] * _EV_FACTOR[to_units]
 
 
@@ -63,8 +65,7 @@ def convert_length(
     to_units: LengthUnit = LengthUnit.INTERNAL,
 ) -> float:
     """Convert a length between units."""
-    if not math.isfinite(value):
-        raise ValueError(f"length must be finite, got {value!r}")
+    _check_finite("length", value)
     return value / _NM_FACTOR[from_units] * _NM_FACTOR[to_units]
 
 
@@ -102,21 +103,49 @@ class PotentialSpec:
         return math.pi / self.rho
 
 
-def _check_number(name: str, value) -> None:
-    """Raise ValueError unless value is an int or a float (``np.float64`` is
-    one; a bool, ``np.int64`` or ``np.float32`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be an int or float, got {value!r}")
+# -- argument rules: each entry point reads these, and no module restates them --
 
 
-def _check_positive(name: str, value) -> None:
+def _check_number(name: str, value, kinds: tuple[type, ...] = (int, float)) -> None:
+    """Raise ValueError unless value is an instance of one of kinds, an int
+    or a float by default (``np.float64`` is a float and ``np.complex128`` a
+    complex; a bool, ``np.int64`` or ``np.float32`` is none of them)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be an {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
     """Raise ValueError unless value passes :func:`_check_number` and is
-    finite and positive."""
+    finite."""
     _check_number(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value passes :func:`_check_finite` and is
+    positive."""
+    _check_finite(name, value)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_entries(name: str, values) -> None:
+    """Raise ValueError unless every entry of values passes
+    :func:`_check_number`; an ndarray's dtype (kind f, i or u) says it for
+    every entry."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "fiu":
+            raise ValueError(f"{name} entries must be int or float, got dtype {values.dtype}")
+    else:
+        for entry in np.asarray(values, dtype=object).ravel():
+            _check_number(f"{name} entry", entry)
+
+
+def _check_member(name: str, value, kind: type) -> None:
+    """Raise ValueError unless value is a member of the enum kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def validate(spec: PotentialSpec) -> PotentialSpec:
@@ -126,6 +155,5 @@ def validate(spec: PotentialSpec) -> PotentialSpec:
     has passed it."""
     for name in ("v0", "rho", "mass"):
         _check_positive(name, getattr(spec, name))
-    if not isinstance(spec.variant, Variant):
-        raise ValueError(f"variant must be a Variant, got {spec.variant!r}")
+    _check_member("variant", spec.variant, Variant)
     return spec

@@ -230,3 +230,24 @@ class TestHyp2f1NonFinite:
         args[position] = bad
         with pytest.raises(ValueError, match="non-finite"):
             hyp2f1(*args)
+
+
+class TestArgumentKinds:
+    # complex() read True as 1 and "1" as 1: gamma_info("1") was Gamma(1)
+    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("fn, position, name", [
+        (gamma_info, 0, "z"), (log_gamma, 0, "z"),
+        *((hyp2f1, i, name) for i, name in enumerate("abcz")),
+    ])
+    def test_bool_and_str_refused(self, fn, position, name, value):
+        args = [0.6, 1.3, 2.2, 0.3][:4 if fn is hyp2f1 else 1]
+        args[position] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an int or float or complex, got {value!r}$"):
+            fn(*args)
+
+    @pytest.mark.parametrize("value", [2, 2.5, 2.5 + 0.5j, np.float64(2.5), np.complex128(2.5 + 0.5j)])
+    def test_numbers_accepted(self, value):
+        assert gamma_info(value) == gamma_info(complex(value))
+        assert log_gamma(value) == log_gamma(complex(value))
+        assert hyp2f1(value, 1.3, 2.2, 0.3) == hyp2f1(complex(value), 1.3, 2.2, 0.3)
+        assert hyp2f1(0.6, 1.3, 2.2, value / 10) == hyp2f1(0.6, 1.3, 2.2, complex(value) / 10)

@@ -8,6 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsabsorb import (
+    Launch,
+    RangeCriterion,
+    SpectralFamily,
+    amplitudes,
+    channel_params,
+    critical_points,
+    hermitian_amplitudes,
+    hermitian_oracle_amplitudes,
+    integrate_contour,
+    log10_coefficients,
+    oracle_amplitudes,
+    oracle_g_factors,
+    potential_profile,
+    scan_ranges,
+)
 from wsabsorb.units import (
     EnergyUnit,
     LengthUnit,
@@ -92,6 +108,56 @@ class TestValidate:
             PotentialSpec(-1.0, 1.8)
         with pytest.raises(ValueError, match="rho must be positive"):
             replace(PotentialSpec(1.2, 1.8), rho=0.0)
+
+
+SPEC = PotentialSpec(1.2, 1.8)
+CC_LEFT = RangeCriterion.CC_LEFT_RANGE
+
+ORACLE_CALLS = {
+    "integrate_contour": lambda energy, **kw: integrate_contour(SPEC, energy, Launch.PSI_TWO, **kw),
+    "oracle_g_factors": lambda energy, **kw: oracle_g_factors(SPEC, energy, **kw),
+    "oracle_amplitudes": lambda energy, **kw: oracle_amplitudes(SPEC, energy, **kw),
+}
+
+# (entry point, argument): a call that puts the value in that argument, and
+# the name the refusal gives it
+ARGUMENTS = {
+    ("PotentialSpec", "v0"): (lambda v: PotentialSpec(v, 1.8), "v0"),
+    ("PotentialSpec", "rho"): (lambda v: PotentialSpec(1.2, v), "rho"),
+    ("PotentialSpec", "mass"): (lambda v: PotentialSpec(1.2, 1.8, v), "mass"),
+    ("channel_params", "energy"): (lambda v: channel_params(SPEC, v), "energy"),
+    ("amplitudes", "energy"): (lambda v: amplitudes(SPEC, v), "energy"),
+    ("log10_coefficients", "energies"): (lambda v: log10_coefficients(SPEC, [1.0, v]), "energies"),
+    ("potential_profile", "x"): (lambda v: potential_profile(SPEC, v, [0.0]), "x"),
+    ("potential_profile", "zeta_grid"): (lambda v: potential_profile(SPEC, 0.5, [0.0, v]), "zeta_grid"),
+    **{(fn.__name__, arg): (lambda v, fn=fn, i=i: fn(*(v if j == i else 1.0 for j in range(4))), arg)
+       for fn in (hermitian_amplitudes, hermitian_oracle_amplitudes)
+       for i, arg in enumerate(("v0", "delta", "m", "energy"))},
+    **{(entry, arg): (lambda v, fn=fn, arg=arg: fn(**{"energy": 1.0, arg: v}), arg)
+       for entry, fn in ORACLE_CALLS.items() for arg in ("energy", "x0", "Z")},
+    ("critical_points", "window"): (
+        lambda v: critical_points(SPEC, SpectralFamily.CC_LEFT, window=(v, 4.0)), "window"),
+    ("scan_ranges", "window"): (lambda v: scan_ranges(SPEC, CC_LEFT, (0.5, v)), "window"),
+    ("scan_ranges", "threshold"): (lambda v: scan_ranges(SPEC, CC_LEFT, (0.5, 4.0), v), "threshold"),
+    ("convert_energy", "value"): (convert_energy, "energy"),
+    ("convert_length", "value"): (convert_length, "length"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARGUMENTS), ids="-".join)
+@pytest.mark.parametrize("value", [True, "1"])
+def test_every_entry_point_refuses_bool_and_str(entry, value):
+    # log10_coefficients read True and "1" as 1.0, and the converters True as
+    # 1.0; each numeric argument must read the number rule of units
+    call, name = ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} .*must be an int or float, got {value!r}$"):
+        call(value)
+
+
+def test_log10_coefficients_refuses_a_complex_entry():
+    # np.asarray(..., dtype=float) raised TypeError on it
+    with pytest.raises(ValueError, match=r"^energies entry must be an int or float, got \(2\.5\+0j\)$"):
+        log10_coefficients(SPEC, [2.5 + 0j])
 
 
 # Published parameter columns (depth in eV/MeV, diffuseness and width in nm)
