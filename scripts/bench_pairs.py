@@ -18,9 +18,14 @@ ones, and the last line of its standard output is read as the run's result.
 The output file holds, per workload and per end-to-end metric of this
 checkout's ``BENCHMARK.json``: each side's median and quartiles (the
 inclusive method, as ``numpy.percentile``), the pairs the change won and
-tied, and every run in pair order; per side the attempted and failed ops;
-and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric
-goes to standard output.
+tied, and every run in pair order; whether the claim rule holds
+(``claim_holds``: at least 10 pairs, the change better in at least 9 of
+every 10, ties counting for neither, and the change median better than the
+parent's by more than the parent's quartile spread); whether the change
+median is within the metric's ``bound`` of the parent's (``within_bound``:
+worse by at most that fraction of the parent median); per side the
+attempted and failed ops; and the sha256 of each side's ``src/wsabsorb``
+sources.  One line per metric goes to standard output.
 """
 
 from __future__ import annotations
@@ -78,17 +83,23 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "iqr": q3 - q1, "q1": q1, "q3": q3}
 
 
-def compare(runs: dict, name: str, better: str) -> dict:
-    """One metric's medians, quartiles and pair count; ``runs`` maps each
-    side to its results in pair order."""
+def compare(runs: dict, name: str, better: str, bound: float) -> dict:
+    """One metric's medians, quartiles, pair count, claim rule and bound;
+    ``runs`` maps each side to its results in pair order."""
     values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
+    sides = {side: summary(values[side]) for side in SIDES}
     sign = 1.0 if better == "higher" else -1.0
     diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+    won = sum(d > 0 for d in diffs)
+    gain = sign * (sides["change"]["median"] - sides["parent"]["median"])
     return {
-        **{side: summary(values[side]) for side in SIDES},
+        **sides,
         "better": better,
-        "change_better_pairs": sum(d > 0 for d in diffs),
+        "change_better_pairs": won,
         "tied_pairs": sum(d == 0 for d in diffs),
+        "claim_holds": len(diffs) >= 10 and 10 * won >= 9 * len(diffs)
+                       and gain > sides["parent"]["iqr"],
+        "within_bound": -gain <= bound * abs(sides["parent"]["median"]),
         **{f"{side}_runs": values[side] for side in SIDES},
     }
 
@@ -116,7 +127,11 @@ def main() -> int:
         "what": f"bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0 "
                 "on each side in alternating pairs (the parent first in even-numbered pairs); "
                 "quartiles by the inclusive method; change_better_pairs counts the pairs "
-                "the change won; *_runs list every run in pair order.",
+                "the change won; claim_holds: at least 10 pairs, at least 9 of every 10 won "
+                "(ties count for neither) and the median gain above the parent's IQR; "
+                "within_bound: the change median worse than the parent's by at most the "
+                "metric's BENCHMARK.json bound, as a fraction of the parent median; "
+                "*_runs list every run in pair order.",
         "sides": {side: {"dir": checkout.name, "src_sha256": src_digest(checkout)}
                   for side, checkout in dirs.items()},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
@@ -124,15 +139,15 @@ def main() -> int:
                     "numpy": importlib.metadata.version("numpy")},
         "workloads": {},
     }
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     try:
         for workload in args.workload:
             runs = {side: [] for side in SIDES}
             for k, seed in enumerate(args.seeds):
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_once(dirs[side], workload, seed, args.seconds))
-            metrics = {name: compare(runs, name, direction)
-                       for name, direction in better.items()}
+            metrics = {name: compare(runs, name, better, bound)
+                       for name, (better, bound) in rules.items()}
             doc["workloads"][workload] = {
                 "pairs": len(args.seeds), "seeds": args.seeds, "metrics": metrics,
                 **{key: {side: sum(run[key] for run in runs[side]) for side in SIDES}
@@ -143,7 +158,9 @@ def main() -> int:
                       f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
                       f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
                       f"{m['change']['q3']:.6g}], change better in "
-                      f"{m['change_better_pairs']} of {len(args.seeds)} pairs", flush=True)
+                      f"{m['change_better_pairs']} of {len(args.seeds)} pairs, claim rule "
+                      f"{'holds' if m['claim_holds'] else 'fails'}, "
+                      f"{'within' if m['within_bound'] else 'outside'} bound", flush=True)
     except (RuntimeError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -256,6 +256,7 @@ class SingularValue:
 
     @classmethod
     def from_complex(cls, w: complex) -> "SingularValue":
+        _check_number("w", w, (int, float, complex))
         w = complex(w)
         if w == 0:
             raise ValueError("exact zero has no log representation; give it a positive order")

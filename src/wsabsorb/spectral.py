@@ -54,10 +54,12 @@ kernel.
 
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, one kernel call per bracket, and
-refines the threshold crossings by bisection.  The crossings of all
-brackets bisect in lockstep, one kernel call per ``_LOOKAHEAD`` steps, each
-with its own stop rule, so every endpoint is the one a crossing bisected
-alone reaches.
+refines the threshold crossings by bisection, each with its own stop rule,
+so every endpoint is the one a crossing bisected alone reaches.  The grid
+samples around a crossing predict where it lies, and one kernel call
+evaluates, for every crossing at once, the midpoints of the bisection path
+toward that prediction beside the ``_LOOKAHEAD`` steps' full tree, so most
+scans resolve every crossing in one call.
 """
 
 from __future__ import annotations
@@ -146,8 +148,14 @@ def p_intermediate(spec: PotentialSpec, n: int) -> float:
 
     Satisfies v0 + 2 p_n = n^2 rho^2 / (4 m); both conditions then hold at
     E = p_n^2 / (v0 + 2 p_n), the sum for p_n > 0 and the difference for
-    p_n < 0.
+    p_n < 0.  An n that is not an ``int`` (a bool is not one) raises
+    ``ValueError``.
     """
+    _check_number("n", n, (int,))
+    return _p_intermediate(spec, n)
+
+
+def _p_intermediate(spec: PotentialSpec, n: int) -> float:
     return n * n * spec.rho * spec.rho / (8.0 * spec.mass) - spec.v0 / 2.0
 
 
@@ -156,7 +164,7 @@ def _well_energy(spec: PotentialSpec, n: int) -> float:
 
 
 def _channel_energy(spec: PotentialSpec, n: int) -> float:
-    p = p_intermediate(spec, n)
+    p = _p_intermediate(spec, n)
     return p * p / (spec.v0 + 2.0 * p)
 
 
@@ -240,10 +248,12 @@ def critical_points(
     """
     _check_member("family", family, SpectralFamily)
     row = _TABLE[family]
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
-        raise ValueError(f"{family.value} count must be a non-negative int, got {count!r}")
-    if count is not None and count > _MAX_WINDOW_INDICES:
-        raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
+    if count is not None:
+        _check_number(f"{family.value} count", count, (int,))
+        if count < 0:
+            raise ValueError(f"{family.value} count must be non-negative, got {count}")
+        if count > _MAX_WINDOW_INDICES:
+            raise ValueError(f"{family.value} count {count} is more than {_MAX_WINDOW_INDICES}")
     first, stop = _index_range(spec, row)
     if window is not None:
         for end in window:
@@ -409,71 +419,147 @@ def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies
     return np.maximum(rl, t) if criterion is RangeCriterion.CC_LEFT_RANGE else det
 
 
-# bisection steps one kernel call resolves: it evaluates the midpoints of the
-# next _LOOKAHEAD steps for either outcome of the steps before, 2**_LOOKAHEAD - 1
-# energies per open crossing, so that the calls' fixed cost is paid once per
-# _LOOKAHEAD steps
+# bisection steps that every kernel call resolves, whatever the prediction: it
+# evaluates the midpoints of the next _LOOKAHEAD steps for either outcome of
+# the steps before, 2**_LOOKAHEAD - 1 energies per open crossing
 _LOOKAHEAD = 4
+
+
+def _inverse_interpolation(ys: list[float], xs: list[float], y: float) -> float | None:
+    """x at y of the polynomial x(y) through the points (ys, xs), as in
+    Brent's root finder, or None where the ys are not distinct and finite."""
+    x = 0.0
+    for i, (yi, xi) in enumerate(zip(ys, xs)):
+        for j, yj in enumerate(ys):
+            if j != i:
+                if yi == yj:
+                    return None
+                xi *= (y - yj) / (yi - yj)
+        x += xi
+    return x if math.isfinite(x) else None
+
+
+def _predicted_crossing(
+    grid: np.ndarray, log10: np.ndarray, fail: int, step: int, log10_cap: float
+) -> float | None:
+    """Where log10 crosses log10_cap between the failing sample ``fail`` and
+    the passing one ``fail + step``, from the samples around them, or None.
+
+    Next to a pole (a failing sample at +inf) the fit is log10 = A -
+    k log10|E - E_pole| through the two samples beyond it, else E as the
+    cubic in log10 through the four samples around the cell."""
+    if log10[fail] == math.inf:
+        near, far = fail + step, fail + 2 * step
+        if not 0 <= far < len(grid):
+            return None
+        pole, e_near, e_far = grid[[fail, near, far]].tolist()
+        distance = [math.log10(abs(e - pole)) for e in (e_near, e_far)]
+        x = _inverse_interpolation(log10[[near, far]].tolist(), distance, log10_cap)
+        if x is None or x >= distance[0]:  # not between the pole and the passing sample
+            return None
+        return pole + math.copysign(10.0 ** x, e_near - pole)
+    first = min(max(min(fail, fail + step) - 1, 0), len(grid) - 4)
+    return _inverse_interpolation(log10[first:first + 4].tolist(), grid[first:first + 4].tolist(),
+                                  log10_cap)
+
+
+def _midpoint(e_fail: float, e_pass: float) -> float | None:
+    """The next bisection step's midpoint, or None once the bracket is within
+    1e-10 relative of it: the stop rule."""
+    mid = 0.5 * (e_fail + e_pass)
+    return mid if abs(e_pass - e_fail) > 1e-10 * mid else None
+
+
+def _midpoints(e_fail: float, e_pass: float, depth: int) -> list[float]:
+    """Midpoints of the open brackets that the next ``depth`` bisection steps
+    from (e_fail, e_pass) can reach, the first step's first."""
+    mids, level = [], [(e_fail, e_pass)]
+    for _ in range(depth):
+        below = []
+        for lo, hi in level:
+            if (mid := _midpoint(lo, hi)) is not None:
+                mids.append(mid)
+                below += [(lo, mid), (mid, hi)]
+        level = below
+    return mids
 
 
 def _bisect_crossing(
     tr_spec: PotentialSpec,
     criterion: RangeCriterion,
     log10_cap: float,
-    e_fail: np.ndarray,
-    e_pass: np.ndarray,
-) -> np.ndarray:
+    crossings: list[tuple[float, float, float, float, float | None]],
+) -> list[float]:
     """Refine threshold crossings between failing and passing energies.
 
-    The crossings bisect in lockstep, each stopping on its own once its
-    bracket is within 1e-10 relative of its midpoint or after 200 steps, so
-    every refined energy is the one a crossing bisected alone would reach.
-    One kernel call serves _LOOKAHEAD steps: the tree of midpoints the next
-    steps can reach is evaluated at once (every energy gets the bits it
-    would get alone), and the steps then read their outcomes from it.
-    Where that call raises, the steps evaluate one at a time, so an error
+    Each crossing is (e_fail, its log10, e_pass, its log10, a predicted
+    crossing energy or None).  Each stops on its own once its bracket is
+    within 1e-10 relative of its midpoint or after 200 steps, and each step
+    reads the kernel at the midpoint ``0.5 * (e_fail + e_pass)``, so every
+    refined energy is the one a crossing bisected alone reaches.
+
+    One kernel call serves every open crossing, and every energy in it gets
+    the bits it would get alone.  Per crossing it holds the midpoints of the
+    next _LOOKAHEAD steps for either outcome; those of the whole path of
+    steps toward the prediction, each with the midpoint that a miss there
+    would step on next; and those of the last _LOOKAHEAD steps of that path
+    for either outcome.  The steps then read their outcomes by energy.  A
+    crossing whose next midpoint was not evaluated predicts again, by the
+    secant through its bracket's ends, for the next call.  Where a call
+    raises, the next _LOOKAHEAD steps evaluate one at a time, so an error
     names the energy a lone step would.  Returns the refined passing
     energies.
     """
-    e_fail = np.array(e_fail, dtype=float)
-    e_pass = np.array(e_pass, dtype=float)
-    active = np.ones(e_pass.shape, dtype=bool)
-    steps = 0
-    while True:
-        # node k of a crossing's tree brackets the step after k passing
-        # (child 2k + 1) or failing (child 2k + 2)
-        lo, hi = [e_fail], [e_pass]
-        for k in range(2 ** (_LOOKAHEAD - 1) - 1):
-            mid = 0.5 * (lo[k] + hi[k])
-            lo += [lo[k], mid]
-            hi += [mid, hi[k]]
-        lo, hi = np.array(lo), np.array(hi)
-        mids = 0.5 * (lo + hi)
-        wanted = (np.abs(hi - lo) > 1e-10 * mids) & active
-        if not wanted[0].any():  # no crossing is open
-            return e_pass
+    # per crossing: e_fail, its log10, e_pass, its log10, prediction, steps taken
+    state = [[*crossing, 0] for crossing in crossings]
+
+    def next_mid(s):
+        return _midpoint(s[0], s[2]) if s[5] < 200 else None
+
+    def advance(energies):
+        values = dict(zip(energies, _log10_certified(tr_spec, criterion, np.array(energies)).tolist()))
+        for s in state:
+            while (mid := next_mid(s)) in values:
+                if values[mid] < log10_cap:
+                    s[2:4] = mid, values[mid]
+                else:
+                    s[0:2] = mid, values[mid]
+                s[5] += 1
+
+    while any(next_mid(s) is not None for s in state):
+        wanted = {}  # the call's energies, in order, once each
+        for s in state:
+            if next_mid(s) is None:
+                continue
+            e_fail, e_pass, c = s[0], s[2], s[4]
+            wanted.update(dict.fromkeys(_midpoints(e_fail, e_pass, _LOOKAHEAD)))
+            path = [(e_fail, e_pass)]  # the brackets that the steps toward c reach
+            while (c is not None and len(path) + s[5] <= 200
+                   and (mid := _midpoint(e_fail, e_pass)) is not None):
+                # c on the failing side of the midpoint: it passes, unless the prediction
+                # misses there, and the step after a miss reads the other half's midpoint
+                if (c < mid) == (e_fail < mid):
+                    e_pass, missed = mid, e_pass
+                else:
+                    e_fail, missed = mid, e_fail
+                wanted[mid] = None
+                if (after_miss := _midpoint(mid, missed)) is not None:
+                    wanted[after_miss] = None
+                path.append((e_fail, e_pass))
+            # a miss in the path's last _LOOKAHEAD steps still resolves in this call
+            wanted.update(dict.fromkeys(_midpoints(*path[max(len(path) - 1 - _LOOKAHEAD, 0)],
+                                                   _LOOKAHEAD)))
         try:
-            outcome = np.zeros(mids.shape, dtype=bool)
-            outcome[wanted] = _log10_certified(tr_spec, criterion, mids[wanted]) < log10_cap
+            advance(list(wanted))
         except ArithmeticError:
-            outcome = None
-        node = np.zeros(e_pass.shape, dtype=int)
-        for _ in range(_LOOKAHEAD):
-            mid = 0.5 * (e_fail + e_pass)
-            active &= np.abs(e_pass - e_fail) > 1e-10 * mid
-            if not active.any():
-                return e_pass
-            i = np.flatnonzero(active)
-            if outcome is None:
-                passing = _log10_certified(tr_spec, criterion, mid[i]) < log10_cap
-            else:
-                passing = outcome[node[i], i]
-            e_pass[i[passing]] = mid[i[passing]]
-            e_fail[i[~passing]] = mid[i[~passing]]
-            node[i] = 2 * node[i] + np.where(passing, 1, 2)
-            steps += 1
-            if steps == 200:
-                return e_pass
+            for _ in range(_LOOKAHEAD):
+                mids = [m for m in map(next_mid, state) if m is not None]
+                if not mids:
+                    break
+                advance(mids)
+        for s in state:
+            s[4] = _inverse_interpolation([s[1], s[3]], [s[0], s[2]], log10_cap)
+    return [s[2] for s in state]
 
 
 def scan_ranges(
@@ -492,8 +578,13 @@ def scan_ranges(
     bracket overlapping the window is sampled on a uniform grid, one kernel
     call per bracket; maximal sub-threshold runs are reported, with every
     endpoint that a failing grid point bounds refined by bisection.  The
-    crossings of all brackets bisect in lockstep, one kernel call per
-    ``_LOOKAHEAD`` steps.
+    samples around each such crossing predict it: the energy as a cubic in
+    log10 through the four samples around its cell (inverse interpolation,
+    as in Brent's root finder), or next to a pole (a failing sample at +inf)
+    the fit log10 = A - k log10|E - E_pole| through the two samples beyond
+    it.  The crossings of all brackets then bisect together, in one
+    kernel call where the predictions hold, and in at most one per
+    ``_LOOKAHEAD`` steps where they miss.
     An empty result means no sample beat the threshold.  A criterion that
     is not a ``RangeCriterion``, a window end or a threshold that is not an
     ``int`` or ``float``, a threshold that is not finite and positive, or a
@@ -507,8 +598,7 @@ def scan_ranges(
     if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
         raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
     _check_positive("threshold", threshold)
-    if isinstance(grid_points, bool) or not isinstance(grid_points, int):
-        raise ValueError(f"grid_points must be an int, got {grid_points!r}")
+    _check_number("grid_points", grid_points, (int,))
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
 
@@ -521,8 +611,9 @@ def scan_ranges(
     singularities = _ss_in_window(spec, families, emin, emax)
     log10_cap = math.log10(threshold)
     brackets: list[tuple[SpectralPoint, SpectralPoint]] = []
-    ends = []  # lo and hi of every sub-threshold run
-    beyond = []  # the failing grid point next to each end, or NaN
+    ends: list[float] = []  # lo and hi of every sub-threshold run
+    at: list[int] = []  # the ends that a failing grid point bounds
+    crossings = []  # their _bisect_crossing brackets
 
     for ss_lo, ss_hi in zip(singularities, singularities[1:]):
         lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
@@ -530,17 +621,20 @@ def scan_ranges(
         if hi <= lo:
             continue
         grid = np.linspace(lo, hi, grid_points)
-        passing = _log10_certified(tr_spec, criterion, grid) < log10_cap
-        edges = np.diff(passing.astype(np.int8), prepend=0, append=0)
-        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
+        log10 = _log10_certified(tr_spec, criterion, grid)
+        edges = np.diff((log10 < log10_cap).astype(np.int8), prepend=0, append=0)
+        for i, j in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
             brackets.append((ss_lo, ss_hi))
-            ends += [grid[i], grid[j]]
-            beyond += [grid[i - 1] if i > 0 else math.nan,
-                       grid[j + 1] if j + 1 < grid_points else math.nan]
+            for end, fail in ((i, i - 1), (j - 1, j)):
+                if 0 <= fail < grid_points:
+                    at.append(len(ends))
+                    crossings.append((grid[fail].item(), log10[fail].item(), grid[end].item(),
+                                      log10[end].item(),
+                                      _predicted_crossing(grid, log10, fail, end - fail, log10_cap)))
+                ends.append(grid[end].item())
 
-    ends, beyond = np.array(ends), np.array(beyond)
-    crossing = ~np.isnan(beyond)
-    ends[crossing] = _bisect_crossing(tr_spec, criterion, log10_cap, beyond[crossing], ends[crossing])
+    for k, e in zip(at, _bisect_crossing(tr_spec, criterion, log10_cap, crossings)):
+        ends[k] = e
     return [
         AbsorptionRange(
             lo=lo_e,
@@ -550,7 +644,7 @@ def scan_ranges(
             bracketing_ss=pair,
             interior_zeros=tuple(_interior_points(spec, criterion, lo_e, hi_e)),
         )
-        for pair, lo_e, hi_e in zip(brackets, ends[0::2].tolist(), ends[1::2].tolist())
+        for pair, lo_e, hi_e in zip(brackets, ends[0::2], ends[1::2])
     ]
 
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wsabsorb import cli, log10_coefficients, spectral
 from wsabsorb.cli import main
@@ -626,33 +626,55 @@ _PER_FAMILY_FLAGS = {
 
 
 def _enumerated_annotations(spec, emin, emax):
-    """(flag, energy, tolerance, degenerate) of every enumerated point of the
-    window, the tolerance being the energy over which the point's condition
-    moves by TAU_INT: TAU_INT / |du/dE|, with da2/dE = m / (rho k1) and
-    da3/dE = m / (rho k2)."""
-    return [(flag, p.energy, _flag_tolerance(spec, family, p.energy), p.degenerate)
+    """(flag, energy, |du/dE|, N, degenerate) of every enumerated point of
+    the window, u = N being its row's condition, with da2/dE = m / (rho k1)
+    and da3/dE = m / (rho k2)."""
+    return [(flag, p.energy, _du_de(spec, family, p.energy), p.index + spectral._TABLE[family].offset,
+             p.degenerate)
             for family, flag in _PER_FAMILY_FLAGS[spec.variant]
             for p in critical_points(spec, family, window=(emin, emax))]
 
 
-def _flag_tolerance(spec, family, energy):
+def _du_de(spec, family, energy):
     row = spectral._TABLE[family]
     k1 = math.sqrt(spec.mass * energy)
     k2 = math.sqrt(spec.mass * (energy + spec.v0))
-    du_de = (row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
-    return TAU_INT / abs(du_de)
+    return abs(row.c2 / k1 + row.c3 / k2) * spec.mass / spec.rho
+
+
+def _flag_tolerance(spec, family, energy):
+    """The energy over which the point's condition moves by TAU_INT."""
+    return TAU_INT / _du_de(spec, family, energy)
 
 
 def _per_row_flags(energy, annotations):
-    """The enumeration route's flags of one row: every annotation within its
-    tolerance of the row's energy."""
-    hits = []
-    for flag, at, tol, degenerate in annotations:
-        if abs(energy - at) <= tol:
-            hits.append(flag)
-            if degenerate:
-                hits.append("DEGENERATE")
-    return "|".join(sorted(set(hits)))
+    """The enumeration route's flags of one row, as (required, allowed).
+
+    A point's flag is required where its condition holds at the row's energy
+    by more than rounding, |u - N| <= TAU_INT - band, with |u - N| taken as
+    |du/dE| |E - E_N|, and allowed up to TAU_INT + band.  The band, 8 eps
+    max(N, 1), covers the rounding of the float u that ``snap`` reads and of
+    the enumerated E_N: a row inside it may go either way."""
+    required, allowed = set(), set()
+    for flag, at, du_de, n, degenerate in annotations:
+        distance, band = du_de * abs(energy - at), 8 * np.finfo(float).eps * max(n, 1)
+        names = {flag, "DEGENERATE"} if degenerate else {flag}
+        if distance <= TAU_INT - band:
+            required |= names
+        if distance <= TAU_INT + band:
+            allowed |= names
+    return required, allowed
+
+
+def _rows_off_the_rule(grid, column, annotations):
+    """(index, energy, flags) of every row whose flags are not between the
+    required and the allowed ones."""
+    wrong = []
+    for i, (energy, flags) in enumerate(zip(grid.tolist(), column)):
+        required, allowed = _per_row_flags(energy, annotations)
+        if not required <= set(flags.split("|")) - {""} <= allowed:
+            wrong.append((i, energy, flags))
+    return wrong
 
 
 def _scan_flags_column(tmp_path, spec, emin, emax, points):
@@ -681,8 +703,9 @@ def _assert_flags_follow_per_row_rule(tmp_path, spec, emin, emax, points):
         assert not out.exists()
         return
     annotations = _enumerated_annotations(spec, emin, emax)
-    want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
-    assert _scan_flags_column(tmp_path, spec, emin, emax, points) == want
+    column = _scan_flags_column(tmp_path, spec, emin, emax, points)
+    assert len(column) == points
+    assert _rows_off_the_rule(grid, column, annotations) == []
 
 
 def _landing_window(spec, family, lo, hi):
@@ -725,6 +748,10 @@ def test_scan_flags_equal_per_row_rule(tmp_path, v0, rho, mass, variant, family,
 )
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+# row 153 of 301, E = 0.06250000124999999, has u - N = +1.000e-9 in floats,
+# which snap leaves unflagged, while |du/dE| |E - E_N| reads 0.99999999392e-9
+@example(low=1, gap=9, rho=1.0, mass=1.0, variant=Variant.FORWARD, half_width=1e-06,
+         points=300)
 def test_scan_flags_at_degenerate_points(tmp_path, low, gap, rho, mass, variant,
                                           half_width, points):
     # 2 a2 = low and 2 a3 = low + gap at one energy: a degenerate point,
@@ -843,8 +870,9 @@ def test_scan_flags_equal_brute_force_rule(spec, grid):
     # the window's enumeration holds a point at or beyond each end, which
     # flags the end row within its tolerance
     annotations = _enumerated_annotations(spec, grid[0], grid[-1])
-    want = [_per_row_flags(energy, annotations) for energy in grid.tolist()]
-    assert cli._scan_flags(spec, grid) == want
+    column = cli._scan_flags(spec, grid)
+    assert len(column) == len(grid)
+    assert _rows_off_the_rule(grid, column, annotations) == []
 
 
 def test_flag_cases_reach_what_they_name():

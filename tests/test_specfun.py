@@ -131,6 +131,12 @@ class TestGammaInfo:
 
 
 class TestSingularValue:
+    @pytest.mark.parametrize("w", [True, "2"])
+    def test_from_complex_refuses_bool_and_str(self, w):
+        # complex() read "2" as 2 and True as 1, where gamma_info refuses both
+        with pytest.raises(ValueError, match=f"^w must be an int or float or complex, got {w!r}$"):
+            SingularValue.from_complex(w)
+
     def test_finite_reconstruction(self):
         w = 2.5 * cmath.exp(0.7j)
         sv = SingularValue.from_complex(w)

@@ -272,6 +272,11 @@ class TestCriticalPoints:
         with pytest.raises(ValueError, match="cpa_forward_a2 count must be"):
             cpa_energies_forward(SPEC_A, count)
 
+    @pytest.mark.parametrize("count, text", [(-1, "non-negative, got -1"), (2.5, "an int, got 2.5")])
+    def test_bad_count_text(self, count, text):
+        with pytest.raises(ValueError, match=f"^cc_left count must be {text}$"):
+            critical_points(SPEC_A, SpectralFamily.CC_LEFT, count=count)
+
 
 def _implied_flags(signature):
     """The scan flags a signature of (r_l, -r_r, t, det S) pole orders names:
@@ -541,6 +546,108 @@ class TestLockstepBisection:
         else:
             got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
             assert [(r.lo, r.hi) for r in got] == want
+
+
+def predicted_path_scenarios():
+    """cpa_range_wide, whose crossings lie next to the bracket ends' poles,
+    and the seeded two-bracket CPA windows."""
+    wide = [pytest.param(spec, crit, window, thr, id=label)
+            for label, spec, crit, window, thr, *_ in _table1_ranges() if label == "cpa_range_wide"]
+    return wide + [pytest.param(spec, RangeCriterion.CPA_RANGE, window, 1e-3, id=f"seeded{i}")
+                   for i, (spec, window) in enumerate(two_bracket_windows(2631, 8))]
+
+
+class TestPredictedPaths:
+    GRID = 1024
+
+    def bisection_calls(self, monkeypatch, spec, criterion, window, threshold):
+        """The (lo, hi) of every range scan_ranges finds, and the number of
+        kernel calls its bisection makes."""
+        calls, entered = [], []
+        bisect = spectral._bisect_crossing
+
+        def counting(tr_spec, energies):
+            calls.append(len(energies))
+            return log10_coefficients(tr_spec, energies)
+
+        def entering(*args):
+            entered.append(len(calls))
+            return bisect(*args)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", counting)
+        monkeypatch.setattr(spectral, "_bisect_crossing", entering)
+        found = scan_ranges(spec, criterion, window, threshold, self.GRID)
+        assert len(entered) == 1
+        return [(r.lo, r.hi) for r in found], len(calls) - entered[0]
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold", predicted_path_scenarios())
+    def test_at_most_two_bisection_calls(self, monkeypatch, spec, criterion, window, threshold):
+        # one kernel call per _LOOKAHEAD steps would take 4 to 6 here
+        try:
+            want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:  # the grid raises, so nothing bisects
+            with pytest.raises(ArithmeticError, match="det S"):
+                self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
+            return
+        got, calls = self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
+        assert got == want
+        assert math.ceil(max(steps) / spectral._LOOKAHEAD) >= 4
+        assert calls <= 2
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold", predicted_path_scenarios())
+    def test_without_a_prediction(self, monkeypatch, spec, criterion, window, threshold):
+        # the lookahead tree alone still resolves _LOOKAHEAD steps per call
+        monkeypatch.setattr(spectral, "_predicted_crossing", lambda *args: None)
+        try:
+            want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:
+            return  # the grid raises: test_at_most_two_bisection_calls checks it
+        got, calls = self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
+        assert got == want
+        assert calls <= math.ceil(max(steps) / spectral._LOOKAHEAD)
+
+    def test_raising_calls_leave_one_step_per_call(self, monkeypatch):
+        # every call that holds more than the two crossings' next midpoints
+        # raises, so every step evaluates alone, the last ones after a raising
+        # call whose steps the crossings' ends cut short
+        spec, window = next(two_bracket_windows(2631, 1))
+        want, steps = sequential_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        assert len(steps) == 2 and max(steps) % 5 != 0
+        sizes = []
+
+        def raising(tr_spec, energies):
+            sizes.append(len(energies))
+            if 2 < len(energies) < self.GRID:
+                raise ArithmeticError("det S cross-check failed")
+            return log10_coefficients(tr_spec, energies)
+
+        monkeypatch.setattr(spectral, "log10_coefficients", raising)
+        monkeypatch.setattr(spectral, "_LOOKAHEAD", 5)
+        got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+        assert [(r.lo, r.hi) for r in got] == want
+        assert sum(size <= 2 for size in sizes) == max(steps)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_predictions_are_exact_on_their_models(self, ascending):
+        # E a cubic in log10, which inverse interpolation through four
+        # samples reproduces, and log10 = A - k log10|E - E_pole| next to a
+        # pole (a failing sample at +inf) at the grid's first end
+        cap, crossing = -3.0, 1.4321
+        ys = [-6.1 + 0.5 * k for k in range(13)]  # passing below -3, failing above
+        grid = [crossing + 0.1 * (y - cap) + 0.01 * (y - cap) ** 3 for y in ys]
+        distances = [1e-4, 2e-4, 4e-4]
+        pole = [2.0] + [2.0 + d for d in distances]
+        pole_ys = [math.inf] + [-10.0 - 1.5 * math.log10(d) for d in distances]
+        pole_crossing = 2.0 + 10.0 ** (-7.0 / 1.5)
+        fail, step = 7, -1
+        if not ascending:
+            grid, ys, fail, step = grid[::-1], ys[::-1], len(ys) - 1 - fail, 1
+            pole, pole_crossing = [4.0 - e for e in pole], 4.0 - pole_crossing
+        assert ys[fail] >= cap > ys[fail + step]
+        predicted = spectral._predicted_crossing(np.array(grid), np.array(ys), fail, step, cap)
+        assert predicted == pytest.approx(crossing, abs=1e-13)
+        predicted = spectral._predicted_crossing(np.array(pole), np.array(pole_ys), 0, 1, cap)
+        assert predicted == pytest.approx(pole_crossing, abs=1e-13)
 
 
 class TestBadEnergies:

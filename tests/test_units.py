@@ -2,6 +2,7 @@
 columns."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from wsabsorb import (
     log10_coefficients,
     oracle_amplitudes,
     oracle_g_factors,
+    p_intermediate,
     potential_profile,
     scan_ranges,
 )
@@ -151,6 +153,27 @@ def test_every_entry_point_refuses_bool_and_str(entry, value):
     # 1.0; each numeric argument must read the number rule of units
     call, name = ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} .*must be an int or float, got {value!r}$"):
+        call(value)
+
+
+# (entry point, argument) that take an int alone: a call that puts the value
+# in that argument, and the name the refusal gives it
+INT_ARGUMENTS = {
+    ("p_intermediate", "n"): (lambda v: p_intermediate(SPEC, v), "n"),
+    ("critical_points", "count"): (
+        lambda v: critical_points(SPEC, SpectralFamily.CC_LEFT, count=v), "cc_left count"),
+    ("scan_ranges", "grid_points"): (
+        lambda v: scan_ranges(SPEC, CC_LEFT, (0.5, 4.0), grid_points=v), "grid_points"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ARGUMENTS), ids="-".join)
+@pytest.mark.parametrize("value", [True, "1", 1.5, np.int64(3)])
+def test_int_arguments_refuse_all_but_an_int(entry, value):
+    # p_intermediate read True as n = 1 and 1.5 as an index; each int
+    # argument must read the int rule of units
+    call, name = INT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
         call(value)
 
 
