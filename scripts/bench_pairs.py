@@ -24,8 +24,13 @@ every 10, ties counting for neither, and the change median better than the
 parent's by more than the parent's quartile spread); whether the change
 median is within the metric's ``bound`` of the parent's (``within_bound``:
 worse by at most that fraction of the parent median); per side the
-attempted and failed ops; and the sha256 of each side's ``src/wsabsorb``
-sources.  One line per metric goes to standard output.
+attempted and failed ops; per side the workload stats of every run, in pair
+order (``extra.workload_stats`` of the run's
+``bench/results/<workload>-seed<N>-trace0.json``); and the sha256 of each
+side's ``src/wsabsorb`` sources.  One line per metric goes to standard
+output, and one warning line per pair whose two sides' workload stats
+differ: those sides timed different mixes of ops (a ``ranges`` window
+redrawn on one side only, say).
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def src_digest(checkout: pathlib.Path) -> str:
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``; its last stdout line, parsed."""
+    """One benchmark run in ``checkout``; its last stdout line, parsed, with
+    the workload stats of its result file as ``workload_stats``."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -73,7 +79,21 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    record = checkout / "bench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    result["workload_stats"] = json.loads(record.read_text(encoding="utf-8"))["extra"][
+        "workload_stats"]
+    return result
+
+
+def stats_warnings(workload: str, seeds: list[int], runs: dict) -> list[str]:
+    """One line per pair whose two sides' workload stats differ; ``runs``
+    maps each side to its results in pair order."""
+    return [f"warning: {workload} seed {seed}: workload stats differ, parent {p} against "
+            f"change {c}, so the sides timed different mixes of ops"
+            for seed, p, c in zip(seeds, *([run["workload_stats"] for run in runs[side]]
+                                            for side in SIDES))
+            if p != c]
 
 
 def summary(values: list[float]) -> dict:
@@ -152,6 +172,8 @@ def main() -> int:
                 "pairs": len(args.seeds), "seeds": args.seeds, "metrics": metrics,
                 **{key: {side: sum(run[key] for run in runs[side]) for side in SIDES}
                    for key in ("attempted", "failed")},
+                "workload_stats": {side: [run["workload_stats"] for run in runs[side]]
+                                   for side in SIDES},
             }
             for name, m in metrics.items():
                 print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
@@ -161,6 +183,8 @@ def main() -> int:
                       f"{m['change_better_pairs']} of {len(args.seeds)} pairs, claim rule "
                       f"{'holds' if m['claim_holds'] else 'fails'}, "
                       f"{'within' if m['within_bound'] else 'outside'} bound", flush=True)
+            for line in stats_warnings(workload, args.seeds, runs):
+                print(line, flush=True)
     except (RuntimeError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

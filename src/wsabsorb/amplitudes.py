@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import TAU_INT, SingularValue, gamma_logs
+from .specfun import TAU_INT, SingularValue, _digamma, gamma_logs
 from .units import PotentialSpec, Variant, _check_entries, _check_finite, _check_positive
 
 __all__ = [
@@ -142,6 +142,11 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDING_LIMIT = 1e-6
 
 
+def _arguments(ch: ChannelParams) -> np.ndarray:
+    """The 12 distinct Gamma arguments, (12, n), at the energies of ``ch``."""
+    return _Z2 * ch.a2 + _C3 * ch.gap + _C0
+
+
 def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n)
     arrays, and the sum of |Re log Gamma| over the 12 arguments, as (n,).
@@ -156,7 +161,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     critical energy).  The sum sizes the rounding of the logs.  Callers
     silence numpy's floating-point warnings.
     """
-    z = _Z2 * ch.a2 + _C3 * ch.gap + _C0
+    z = _arguments(ch)
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
@@ -184,6 +189,45 @@ def _amplitude_logs(order: np.ndarray, lg: np.ndarray) -> tuple[np.ndarray, np.n
     -r_r = G1/G3, t = sqrt(k1/k2)/G3 and det S = G2/G3 as (4, n) arrays.
     """
     return order[_AMP_ROWS] - order[2], lg[_AMP_ROWS] - lg[2]
+
+
+def _log10_weights() -> np.ndarray:
+    """How each row of :func:`log10_coefficients` reads the logs of the 12
+    Gamma arguments and of sqrt(k1/k2), as (4, 13): the kernel's own
+    assembly, ``_G_ROWS`` through :func:`_amplitude_logs`, run on unit rows."""
+    unit = np.eye(len(_G_ARGS) + 1)
+    n1, n2, d1, d2 = unit[:-1][_G_ROWS]
+    g = np.concatenate([n1 + n2 - d1 - d2, unit[-1:]])
+    return _amplitude_logs(np.zeros(g.shape, dtype=int), g)[1] * _SQUARED / _LN10
+
+
+_LOG10_WEIGHTS = _log10_weights()
+
+
+def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
+    """What bounds the energy slope of each row of :func:`log10_coefficients`
+    between two of an array of energies, for real Gamma arguments (both
+    variants of the complexified potential).
+
+    Returns the 12 Gamma arguments z, (12, n); the two factors of each
+    log's slope d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th
+    rows are 1 and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the sum
+    of |Re log Gamma| that sizes the kernel's rounding (:func:`_g_logs`),
+    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0
+    every z and every factor is monotone in E between the poles of psi:
+    a2, a3 and a2 + a3 rise with falling slopes, and the gap a3 - a2 falls
+    with a slope rising toward 0.
+    """
+    ch = _channel(spec, energies)
+    with np.errstate(all="ignore"):  # psi is infinite at a pole
+        _, _, size = _g_logs(ch)
+        z = _arguments(ch)
+        psi = _digamma(z)
+    # a2 and a3 enter each argument with one sign, or as the gap, so no dz/dE cancels
+    dgap = -ch.gap * ch.mass / (2.0 * ch.k1 * ch.k2)
+    dz = np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
+    root = spec.v0 / (4.0 * energies * (energies + spec.v0))
+    return z, np.vstack([psi, np.ones_like(root)]), np.vstack([dz, root]), size
 
 
 def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ complex arrays alike.  One integer rule, :func:`snap`, decides every "is this an
 package, and :func:`gamma_logs` is the one pole-aware Gamma evaluation:
 the closed-form kernel in ``amplitudes`` applies it to all twelve Gamma
 arguments of a whole energy grid at once, and :func:`gamma_info` and
-:func:`log_gamma` read it at one argument.  The one Gauss 2F1 summation
+:func:`log_gamma` read it at one argument.  :func:`_digamma` is its
+derivative psi at real arguments, from the same series' tables, which bounds
+the slope of the kernel's logs between energies.  The one Gauss 2F1 summation
 lives here: :func:`_gauss_sums` sums the series of many rows in one pass
 (the contour oracle's local states), :func:`hyp2f1` is one such row, and
 one guard, :func:`_series_guard`, states what every row refuses.
@@ -77,6 +79,9 @@ _PADE_Q = (1.8333539938451355, 1.3454125045900527, 0.5037666463652358, 0.1014293
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
 _STIRLING_MIN = 8.0
+# B_2k / (2k) = (2k - 1) _STIRLING[k - 1], k = 1..8: the asymptotic series of
+# psi (DLMF 5.11.2) in 1/w^2, the derivative of Stirling's
+_DIGAMMA_SERIES = tuple((2 * k - 1) * c for k, c in enumerate(_STIRLING, 1))
 # P and Q as _estrin reads them: the coefficients of even and of odd powers
 _PADE = np.array([_PADE_P, _PADE_Q])[:, :, None]
 _PADE_EVEN, _PADE_ODD = _PADE[:, 0::2], _PADE[:, 1::2]
@@ -189,6 +194,28 @@ def _log_gamma(x: np.ndarray) -> np.ndarray:
     # Gamma(x) < 0 for x < 0 where floor(x) is odd
     out.imag[reflect] = math.pi * (np.floor(xr).astype(np.int64) & 1)
     return out
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) = d log|Gamma(x)| / dx at real x, elementwise, within 16 eps
+    of max(1, |psi|); +-inf at the poles, where the caller silences numpy's
+    division warning.
+
+    Left of 1/2, the reflection psi(x) = psi(1 - x) - pi cot(pi x) (DLMF
+    5.5.4), with x = k + f as in :func:`_log_gamma`, so cot(pi f) keeps its
+    digits near the poles; then psi(w) = psi(w + m) - sum_{j < m} 1/(w + j)
+    with w + m >= ``_STIRLING_MIN``, and the asymptotic series log v - 1/(2v)
+    - sum B_2k / (2k v^2k) there.
+    """
+    reflect = x < 0.5
+    w = np.where(reflect, 1.0 - x, x).ravel()
+    m = np.ceil(_STIRLING_MIN - w)
+    v = np.where(m > 0.0, w + m, w)
+    shift = np.where(m > _SHIFT_J, 1.0 / (w + _SHIFT_J), 0.0).sum(axis=0)
+    r2 = 1.0 / (v * v)
+    psi = (np.log(v) - 0.5 / v - r2 * _horner(_DIGAMMA_SERIES, r2) - shift).reshape(x.shape)
+    f = x - np.rint(x)
+    return np.where(reflect, psi - math.pi / np.tan(math.pi * f), psi)
 
 
 def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -53,13 +53,17 @@ When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
 kernel.
 
 Range scanning certifies the smallness of the relevant coefficients on a
-grid between consecutive singularities, one kernel call per bracket, and
-refines the threshold crossings by bisection, each with its own stop rule,
-so every endpoint is the one a crossing bisected alone reaches.  The grid
-samples around a crossing predict where it lies, and one kernel call
-evaluates, for every crossing at once, the midpoints of the bisection path
-toward that prediction beside the ``_LOOKAHEAD`` steps' full tree, so most
-scans resolve every crossing in one call.
+grid between consecutive singularities, and refines the threshold crossings
+by bisection, each with its own stop rule, so every endpoint is the one a
+crossing bisected alone reaches.  One kernel call evaluates every 32nd
+sample of all the brackets' grids, and psi at their Gamma arguments; a bound
+on the slope between two of them, from psi(z) dz/dE summed over the
+arguments, decides most samples in between without evaluating them, with
+the outcome that evaluating them gives, and a second call evaluates the
+rest.  The grid samples around a crossing predict where it lies, and one
+kernel call evaluates, for every crossing at once, the midpoints of the
+bisection path toward that prediction beside the ``_LOOKAHEAD`` steps' full
+tree, so most scans resolve every crossing in one call.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import _channel_terms, log10_coefficients
-from .specfun import snap
+from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _slope_terms,
+                         log10_coefficients)
+from .specfun import TAU_INT, snap
 from .units import PotentialSpec, Variant, _check_member, _check_number, _check_positive
 
 __all__ = [
@@ -413,10 +418,137 @@ def _ss_in_window(
     return points
 
 
+# the rows of log10_coefficients (|r_l|^2, T and |det S| of the time-reversed
+# potential) whose largest each criterion certifies
+_CERTIFIED_ROWS = {RangeCriterion.CC_LEFT_RANGE: [0, 2], RangeCriterion.CPA_RANGE: [3]}
+
+
 def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies) -> np.ndarray:
     """log10 of the certified quantity, max(R'_l, T') or |det S'|, per energy."""
-    rl, _, t, det = log10_coefficients(tr_spec, energies)
-    return np.maximum(rl, t) if criterion is RangeCriterion.CC_LEFT_RANGE else det
+    return log10_coefficients(tr_spec, energies)[_CERTIFIED_ROWS[criterion]].max(axis=0)
+
+
+# the grid stage evaluates every _STRIDE-th sample of each grid and its last
+# one, and decides the samples between them from a bound on the slope.  A
+# decided sample clears the threshold by _MARGIN decades besides its
+# arguments' rounding, and the slope bound widens by _SLOPE_SLACK of its
+# terms' sizes, far above the error of psi (16 eps of max(1, |psi|))
+_STRIDE = 32
+_MARGIN = 1e-5
+_SLOPE_SLACK = 1e-9
+# the brackets' grids go through the grid stage in groups of at most this many
+# samples (or one bracket), so that its memory does not grow with their count
+_GROUP_SAMPLES = 2**16
+
+
+def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
+    """Bounds on the certified rows of :func:`log10_coefficients` at every
+    sample of the grids (one a row), from one kernel call at their cells'
+    ends: every ``_STRIDE``-th sample and the last one.
+
+    Between two ends, a cell, every Gamma argument z and dz/dE are
+    monotone, and so is psi(z) unless z passes a pole
+    (:func:`~wsabsorb.amplitudes._slope_terms`).  So where no argument that
+    a row reads comes within 2 ``TAU_INT`` of a non-positive integer, each
+    term w psi(z) dz/dE of the row's slope lies between the products of its
+    end values, and their sum bounds the slope in [lo, hi] (interval
+    arithmetic, as in Moore's).  With q_a and q_b the row's values at the
+    cell's ends, the row at a sample E between them is at least max(q_a +
+    lo (E - E_a), q_b - hi (E_b - E)) and at most min(q_a + hi (E - E_a),
+    q_b - lo (E_b - E)), up to delta: ``_MARGIN`` plus 8 eps sum |w psi|
+    (|z| + 1), the argument rounding that psi amplifies, at either end and
+    at E.  The bounds do not hold on a cell with an infinite end value, and
+    are not used where either end's 8 eps sum |Re log Gamma| reaches half
+    the kernel's ``_ROUNDING_LIMIT``, so that the samples the kernel cannot
+    check are evaluated.
+
+    Returns the ends' indices, the rows' values there (rows, brackets,
+    ends), whether each cell's bounds hold (brackets, cells), each sample's
+    cell, and the lower and upper bounds and delta at every sample (rows,
+    brackets, samples).
+    """
+    n = grids.shape[1]
+    ends = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
+    e = grids[:, ends]
+    q = log10_coefficients(tr_spec, e.ravel())[rows].reshape(len(rows), *e.shape)
+    z, psi, dz, size = (x.reshape(x.shape[:-1] + e.shape) for x in _slope_terms(tr_spec, e.ravel()))
+
+    # per row, argument (the 12 and sqrt(k1/k2)'s log) and cell
+    w = _LOG10_WEIGHTS[rows][:, :, None, None]
+    reads = w != 0.0
+    a, b = np.s_[..., :-1], np.s_[..., 1:]  # each cell's two ends
+    with np.errstate(invalid="ignore", over="ignore"):  # psi is infinite at a pole
+        products = np.stack([psi[a] * dz[a], psi[a] * dz[b], psi[b] * dz[a], psi[b] * dz[b]])
+        low, high = w * products.min(axis=0), w * products.max(axis=0)
+        psi_max = np.maximum(abs(psi[a]), abs(psi[b]))
+        slack = np.where(reads, abs(w) * (psi_max + 1.0) * np.maximum(abs(dz[a]), abs(dz[b])), 0.0)
+        slack = _SLOPE_SLACK * slack.sum(axis=1)
+        lo = np.where(reads, np.minimum(low, high), 0.0).sum(axis=1) - slack
+        hi = np.where(reads, np.maximum(low, high), 0.0).sum(axis=1) + slack
+        z_lo, z_hi = np.minimum(z[a], z[b]) - 2.0 * TAU_INT, np.maximum(z[a], z[b]) + 2.0 * TAU_INT
+        rounding = abs(w[:, :-1]) * psi_max[:-1] * (np.maximum(abs(z_lo), abs(z_hi)) + 1.0)
+        delta = _MARGIN + 8.0 * _EPS * np.where(reads[:, :-1], rounding, 0.0).sum(axis=1)
+    near_pole = np.ceil(z_lo) <= np.minimum(np.floor(z_hi), 0.0)
+    holds = ~near_pole[reads[:, :-1, 0, 0].any(axis=0)].any(axis=0)
+    holds &= np.isfinite(q[a]).all(axis=0) & np.isfinite(q[b]).all(axis=0)
+    checkable = 8.0 * _EPS * size < 0.5 * _ROUNDING_LIMIT
+    holds &= checkable[a] & checkable[b]
+
+    cell = np.minimum(np.arange(n) // _STRIDE, len(ends) - 2)
+    past, before = grids - e[:, cell], e[:, cell + 1] - grids
+    q_a, q_b, lo, hi = (x[..., cell] for x in (q[a], q[b], lo, hi))
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = np.maximum(q_a + lo * past, q_b - hi * before)
+        upper = np.minimum(q_a + hi * past, q_b - lo * before)
+    return ends, q, holds, cell, lower, upper, delta[..., cell]
+
+
+def _grid_stage(
+    tr_spec: PotentialSpec, criterion: RangeCriterion, log10_cap: float, grids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """log10 of the certified quantity on every bracket's grid (one a row),
+    NaN where it is decided without evaluation, and which samples pass.
+
+    The first kernel call evaluates the cells' ends (:func:`_envelopes`).
+    A sample is decided where every certified row's upper bound is below
+    the threshold by delta (it passes) or some row's lower bound is above
+    it by delta (it fails).  A cell whose bounds hold and whose inner
+    samples are all decided alike is certified.  A second call evaluates
+    every inner sample of the other cells, and a third the samples that a
+    crossing reads (its four around it, :func:`_predicted_crossing`) where
+    neither call did.
+    """
+    ends, q, holds, cell, lower, upper, delta = _envelopes(
+        tr_spec, _CERTIFIED_ROWS[criterion], grids)
+    above = (lower > log10_cap + delta).any(axis=0)
+    below = (upper < log10_cap - delta).all(axis=0)
+    passes, fails = below & ~above, above & ~below
+
+    def inner(marked):  # per cell, how many of its inner samples are marked
+        count = np.cumsum(marked, axis=1)
+        return count[:, ends[1:] - 1] - count[:, ends[:-1]]
+
+    width = np.diff(ends) - 1
+    certified = holds & ((inner(passes) == width) | (inner(fails) == width))
+
+    log10 = np.full(grids.shape, np.nan)
+    evaluated = np.zeros(grids.shape, dtype=bool)
+    log10[:, ends], evaluated[:, ends] = q.max(axis=0), True
+
+    def evaluate(wanted):
+        wanted &= ~evaluated
+        if wanted.any():
+            log10[wanted] = _log10_certified(tr_spec, criterion, grids[wanted])
+            evaluated[wanted] = True
+
+    evaluate(~certified[:, cell])
+    passing = np.where(evaluated, log10 < log10_cap, passes)
+    # the four samples around each crossing, which _predicted_crossing reads
+    row, i = np.nonzero(passing[:, 1:] != passing[:, :-1])
+    read = np.zeros(grids.shape, dtype=bool)
+    read[row[:, None], np.clip(i - 1, 0, grids.shape[1] - 4)[:, None] + np.arange(4)] = True
+    evaluate(read)
+    return log10, np.where(evaluated, log10 < log10_cap, passes)
 
 
 # bisection steps that every kernel call resolves, whatever the prediction: it
@@ -562,6 +694,25 @@ def _bisect_crossing(
     return [s[2] for s in state]
 
 
+def _brackets(
+    spec: PotentialSpec, criterion: RangeCriterion, emin: float, emax: float
+) -> list[tuple[tuple[SpectralPoint, SpectralPoint], float, float]]:
+    """Each pair of consecutive singularities whose bracket overlaps the
+    window, with the ends of its grid."""
+    if criterion is RangeCriterion.CC_LEFT_RANGE:
+        families = (SpectralFamily.SS_LEFT,)
+    else:
+        families = (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT)
+    singularities = _ss_in_window(spec, families, emin, emax)
+    found = []
+    for ss_lo, ss_hi in zip(singularities, singularities[1:]):
+        lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
+        hi = min(ss_hi.energy * (1.0 - 1e-12), emax)
+        if hi > lo:
+            found.append(((ss_lo, ss_hi), lo, hi))
+    return found
+
+
 def scan_ranges(
     spec: PotentialSpec,
     criterion: RangeCriterion,
@@ -575,8 +726,16 @@ def scan_ranges(
     max(R'_l, T') for unidirectional ranges, |det S'| for bidirectional
     ones (whose brackets interleave both singularity families, so the
     right-reflection singular points are excluded by construction).  Each
-    bracket overlapping the window is sampled on a uniform grid, one kernel
-    call per bracket; maximal sub-threshold runs are reported, with every
+    bracket overlapping the window is sampled on a uniform grid.  One kernel
+    call evaluates every 32nd sample and the last one of all the grids, a
+    bound on the slope between two of them decides most samples in between,
+    and one or two more calls evaluate the rest (:func:`_grid_stage`), so
+    each sample has the outcome that evaluating it gives; brackets go
+    through in groups of up to 2**16 samples.  The det-S check of
+    :func:`~wsabsorb.amplitudes.log10_coefficients` runs where the kernel
+    evaluates, so a call that raises names the first refused energy among
+    those, and a window whose only refused samples are decided returns its
+    ranges.  Maximal sub-threshold runs are reported, with every
     endpoint that a failing grid point bounds refined by bisection.  The
     samples around each such crossing predict it: the energy as a cubic in
     log10 through the four samples around its cell (inverse interpolation,
@@ -603,35 +762,31 @@ def scan_ranges(
         raise ValueError("grid_points must be at least 100")
 
     tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
-    if criterion is RangeCriterion.CC_LEFT_RANGE:
-        families = (SpectralFamily.SS_LEFT,)
-    else:
-        families = (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT)
-
-    singularities = _ss_in_window(spec, families, emin, emax)
     log10_cap = math.log10(threshold)
     brackets: list[tuple[SpectralPoint, SpectralPoint]] = []
     ends: list[float] = []  # lo and hi of every sub-threshold run
     at: list[int] = []  # the ends that a failing grid point bounds
     crossings = []  # their _bisect_crossing brackets
 
-    for ss_lo, ss_hi in zip(singularities, singularities[1:]):
-        lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
-        hi = min(ss_hi.energy * (1.0 - 1e-12), emax)
-        if hi <= lo:
-            continue
-        grid = np.linspace(lo, hi, grid_points)
-        log10 = _log10_certified(tr_spec, criterion, grid)
-        edges = np.diff((log10 < log10_cap).astype(np.int8), prepend=0, append=0)
-        for i, j in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
-            brackets.append((ss_lo, ss_hi))
-            for end, fail in ((i, i - 1), (j - 1, j)):
-                if 0 <= fail < grid_points:
-                    at.append(len(ends))
-                    crossings.append((grid[fail].item(), log10[fail].item(), grid[end].item(),
-                                      log10[end].item(),
-                                      _predicted_crossing(grid, log10, fail, end - fail, log10_cap)))
-                ends.append(grid[end].item())
+    found = _brackets(spec, criterion, emin, emax)
+    group = max(1, _GROUP_SAMPLES // grid_points)
+    for first in range(0, len(found), group):
+        pairs, los, his = zip(*found[first:first + group])
+        grids = np.array([np.linspace(lo, hi, grid_points) for lo, hi in zip(los, his)])
+        log10, passing = _grid_stage(tr_spec, criterion, log10_cap, grids)
+        for pair, grid, values, passes in zip(pairs, grids, log10, passing):
+            edges = np.diff(passes.astype(np.int8), prepend=0, append=0)
+            for i, j in zip(np.flatnonzero(edges == 1).tolist(),
+                            np.flatnonzero(edges == -1).tolist()):
+                brackets.append(pair)
+                for end, fail in ((i, i - 1), (j - 1, j)):
+                    if 0 <= fail < grid_points:
+                        at.append(len(ends))
+                        crossings.append((grid[fail].item(), values[fail].item(), grid[end].item(),
+                                          values[end].item(),
+                                          _predicted_crossing(grid, values, fail, end - fail,
+                                                              log10_cap)))
+                    ends.append(grid[end].item())
 
     for k, e in zip(at, _bisect_crossing(tr_spec, criterion, log10_cap, crossings)):
         ends[k] = e

@@ -9,15 +9,18 @@ import pytest
 
 from wsabsorb.amplitudes import (
     _G_TABLE,
+    _LOG10_WEIGHTS,
     AmplitudeSet,
     ChannelParams,
     _g_logs,
     _hermitian_channel,
+    _slope_terms,
     amplitudes,
     channel_params,
     det_s,
     g_factors,
     hermitian_amplitudes,
+    log10_coefficients,
     potential_profile,
 )
 from wsabsorb.specfun import SingularValue
@@ -368,3 +371,19 @@ def test_assembly_is_singular_value_division_of_g_factors():
         root_k = SingularValue(0, 0.5 * math.log(ch.k1 / ch.k2), 0.0)
         got = hermitian_amplitudes(v0, rho, 1.0, ch.energy)
         assert repr([getattr(got, f) for f in fields]) == repr(divided(g_factors(ch), root_k))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_slope_terms_give_each_rows_slope(variant):
+    # the weighted sum of psi(z) dz/dE and d/dE log sqrt(k1/k2) is the energy
+    # slope of every log10 row, against a central difference; at small E the
+    # sqrt(k1/k2) term is of the Gamma terms' size
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        spec = PotentialSpec(rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0), rng.uniform(0.5, 2.0),
+                             variant=variant)
+        energy = np.array([np.exp(rng.uniform(math.log(0.05), math.log(20.0)))])
+        _, psi, dz, _ = _slope_terms(spec, energy)
+        h = 1e-7 * energy
+        difference = log10_coefficients(spec, energy + h) - log10_coefficients(spec, energy - h)
+        assert np.allclose(_LOG10_WEIGHTS @ (psi * dz), difference / (2 * h), rtol=1e-6, atol=1e-6)

@@ -1,7 +1,9 @@
 """``scripts/bench_pairs.py`` refuses checkouts whose paths differ in length,
-and reports per metric whether the claim rule holds and the bound is kept."""
+reports per metric whether the claim rule holds and the bound is kept, and
+warns of pairs whose sides' workload stats differ."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -79,3 +81,56 @@ def test_within_bound(better, factor, within):
     m = _bench_pairs().compare(_runs(_PARENT, [v * factor for v in _PARENT]), "op_p50_s",
                                better, 0.25)
     assert m["within_bound"] is within
+
+
+def test_a_warning_per_pair_whose_workload_stats_differ():
+    stats = {"parent": [{"redrawn_windows": 0}, {"redrawn_windows": 1}, {}, {"a": 1.0}],
+             "change": [{"redrawn_windows": 0}, {"redrawn_windows": 0}, {}, {"a": 2.0}]}
+    runs = {side: [{"workload_stats": s} for s in stats[side]] for side in stats}
+    lines = _bench_pairs().stats_warnings("ranges", [5, 6, 7, 8], runs)
+    assert lines == [
+        "warning: ranges seed 6: workload stats differ, parent {'redrawn_windows': 1} against "
+        "change {'redrawn_windows': 0}, so the sides timed different mixes of ops",
+        "warning: ranges seed 8: workload stats differ, parent {'a': 1.0} against "
+        "change {'a': 2.0}, so the sides timed different mixes of ops",
+    ]
+
+
+_FAKE_RUN = '''import json, pathlib, sys
+workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+results = pathlib.Path("bench/results")
+results.mkdir(exist_ok=True)
+stats = json.loads(pathlib.Path("stats.json").read_text())[seed]
+(results / f"{workload}-seed{seed}-trace0.json").write_text(
+    json.dumps({"extra": {"workload_stats": stats}}))
+names = json.loads(pathlib.Path("names.json").read_text())
+print(json.dumps({"attempted": 4, "failed": 0,
+                  "metrics": {name: {"value": 1.0, "unit": ""} for name in names}}))
+'''
+
+
+def test_each_run_keeps_its_result_files_workload_stats(tmp_path):
+    # two stand-in checkouts whose bench/run.py writes a result file with the
+    # given stats and prints a result line; no benchmark runs
+    benchmark = json.loads((_SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in benchmark["end_to_end"]]
+    sides = {"a": {"1": {"redrawn_windows": 0}, "2": {"redrawn_windows": 2}},
+             "b": {"1": {"redrawn_windows": 0}, "2": {"redrawn_windows": 0}}}
+    for name, stats in sides.items():
+        (tmp_path / name / "bench").mkdir(parents=True)
+        (tmp_path / name / "bench" / "run.py").write_text(_FAKE_RUN)
+        (tmp_path / name / "stats.json").write_text(json.dumps(stats))
+        (tmp_path / name / "names.json").write_text(json.dumps(names))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPT), str(tmp_path / "a"), str(tmp_path / "b"), "--workload",
+         "ranges", "--seeds", "1-2", "--seconds", "1", "--out", str(out)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["workloads"]["ranges"]["workload_stats"] == {
+        "parent": [{"redrawn_windows": 0}, {"redrawn_windows": 2}],
+        "change": [{"redrawn_windows": 0}, {"redrawn_windows": 0}]}
+    warnings = [line for line in proc.stdout.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: ranges seed 2: workload stats differ, parent "
+                        "{'redrawn_windows': 2} against change {'redrawn_windows': 0}, so the "
+                        "sides timed different mixes of ops"]

@@ -94,6 +94,22 @@ def test_accuracy_within_twice_scipy_or_four_eps(family):
     assert ours <= max(2.0 * theirs, 4.0 * EPS), (ours, theirs)
 
 
+# the kernel's real argument families, both variants, and the stretches where
+# psi's own series work: poles, large arguments, reflection and the shift
+PSI_FAMILIES = ("kernel, both variants", "near the poles", "large, either sign",
+                "reflection, [-30, 1/2]", "moderate, [1/2, 16]")
+
+
+@pytest.mark.parametrize("family", PSI_FAMILIES)
+def test_digamma_within_16_eps(family):
+    z = FAMILIES[family](np.random.default_rng(100 + PSI_FAMILIES.index(family)), 600).real
+    got = specfun._digamma(z)
+    with mp.workdps(40):
+        want = [mp.digamma(mp.mpf(x)) for x in z.tolist()]
+        errors = [float(abs(g - w) / max(1, abs(w))) for g, w in zip(got.tolist(), want)]
+    assert max(errors) <= 16.0 * EPS, max(errors)
+
+
 def test_series_tables_are_the_mpmath_values():
     with mp.workdps(60):
         taylor = [mp.mpf(0), 1 - mp.euler] + [(-1) ** k * (mp.zeta(k) - 1) / k for k in range(2, 17)]
@@ -102,6 +118,8 @@ def test_series_tables_are_the_mpmath_values():
         assert specfun._PADE_Q == tuple(float(c) for c in q[1:]) and q[0] == 1
         stirling = tuple(float(mp.bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 9))
         assert specfun._STIRLING == stirling
+        digamma = [mp.bernoulli(2 * k) / (2 * k) for k in range(1, 9)]
+        assert all(abs(c - d) <= EPS * abs(d) for c, d in zip(specfun._DIGAMMA_SERIES, digamma))
         # the Pade form on the disk |t| <= 1/2 of its use, and the first
         # Stirling term left out at the smallest argument that uses the series
         for j in range(48):

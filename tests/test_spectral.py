@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsabsorb import cli, spectral
 from wsabsorb.amplitudes import _G_ARGS, amplitudes, det_s, log10_coefficients
@@ -467,6 +468,28 @@ def range_scenarios():
     return table + [readme] + seeded
 
 
+def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
+    """The (lo, hi) of every range scan_ranges finds, and the energy counts
+    of the kernel calls of its grid stage and of its bisection, which begins
+    where scan_ranges enters _bisect_crossing."""
+    calls, entered = [], []
+    bisect = spectral._bisect_crossing
+
+    def counting(tr_spec, energies):
+        calls.append(len(energies))
+        return log10_coefficients(tr_spec, energies)
+
+    def entering(*args):
+        entered.append(len(calls))
+        return bisect(*args)
+
+    monkeypatch.setattr(spectral, "log10_coefficients", counting)
+    monkeypatch.setattr(spectral, "_bisect_crossing", entering)
+    found = scan_ranges(spec, criterion, window, threshold, grid_points)
+    assert len(entered) == 1
+    return [(r.lo, r.hi) for r in found], calls[:entered[0]], calls[entered[0]:]
+
+
 class TestLockstepBisection:
     GRID = 1024
 
@@ -483,35 +506,27 @@ class TestLockstepBisection:
         if bisects:
             assert steps, "a seeded window that never bisects tests nothing here"
 
-    def test_one_kernel_call_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    def test_three_grid_calls_then_one_call_per_step(self, monkeypatch, spec, criterion, window,
+                                                     threshold, bisects):
+        # whatever the bracket count, the grid stage makes at most three kernel
+        # calls, and the bisection no more than its longest crossing's steps
+        try:
+            want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:
+            return  # test_equals_sequential_bisection checks that both raise
+        got, grid_calls, bisection_calls = kernel_calls(monkeypatch, spec, criterion, window,
+                                                        threshold, self.GRID)
+        assert got == want
+        assert len(grid_calls) <= 3
+        assert len(bisection_calls) <= max(steps, default=0)
+
+    def test_no_crossing_makes_no_call_after_the_grid_stage(self, monkeypatch):
         spec, window = next(two_bracket_windows(2631, 1))
-        want, steps = sequential_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-        assert len(steps) >= 2 and min(steps) > 0
-        sizes = []
-
-        def counting(tr_spec, energies):
-            sizes.append(len(energies))
-            return log10_coefficients(tr_spec, energies)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", counting)
-        got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-        assert [(r.lo, r.hi) for r in got] == want
-        brackets = sizes.count(self.GRID)
-        assert brackets == 2
-        assert len(sizes) <= brackets + max(steps)
-
-
-    def test_no_crossing_makes_no_bisection_call(self, monkeypatch):
-        spec, window = next(two_bracket_windows(2631, 1))
-        sizes = []
-
-        def counting(tr_spec, energies):
-            sizes.append(len(energies))
-            return log10_coefficients(tr_spec, energies)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", counting)
-        assert scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-200, self.GRID) == []
-        assert sizes == [self.GRID] * 2
+        got, grid_calls, bisection_calls = kernel_calls(monkeypatch, spec, RangeCriterion.CPA_RANGE,
+                                                        window, 1e-200, self.GRID)
+        assert got == [] and bisection_calls == []
+        assert 1 <= len(grid_calls) <= 3
 
     @pytest.mark.parametrize("reached", [False, True], ids=["lookahead-only", "reached"])
     def test_a_raising_call_steps_one_at_a_time(self, monkeypatch, reached):
@@ -546,6 +561,101 @@ class TestLockstepBisection:
         else:
             got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
             assert [(r.lo, r.hi) for r in got] == want
+
+
+class TestGridStage:
+    GRID = 1024
+
+    @staticmethod
+    def grids(spec, criterion, window, grid_points):
+        return np.array([np.linspace(lo, hi, grid_points)
+                         for _, lo, hi in spectral._brackets(spec, criterion, *window)])
+
+    def stage(self, spec, criterion, window, log10_cap, grid_points):
+        """The brackets' grids, the grid stage's log10 (NaN where it decides a
+        sample without evaluating it) and its outcomes."""
+        tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+        grids = self.grids(spec, criterion, window, grid_points)
+        return grids, *spectral._grid_stage(tr_spec, criterion, log10_cap, grids)
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    def test_decided_samples_lie_on_their_side(self, spec, criterion, window, threshold, bisects):
+        # at the scenario's threshold, and at thresholds among the full grid's
+        # values, where cells next to the crossings are decided by small margins
+        tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+        grids = self.grids(spec, criterion, window, self.GRID)
+        try:
+            full = spectral._log10_certified(tr_spec, criterion, grids.ravel()).reshape(grids.shape)
+        except ArithmeticError:
+            return  # test_equals_sequential_bisection checks that both raise
+        values = full[np.isfinite(full)]
+        for cap in [math.log10(threshold), *np.quantile(values, [0.1, 0.5, 0.9]).tolist()]:
+            _, log10, passing = self.stage(spec, criterion, window, cap, self.GRID)
+            decided = np.isnan(log10)
+            assert np.array_equal(full[decided] < cap, passing[decided])
+            assert np.array_equal(full[~decided], log10[~decided])
+            if cap == math.log10(threshold):
+                assert decided.mean() > 0.5
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios() + [
+        # a bracket at small energy, where T's sqrt(k1/k2) term is of its Gamma terms' size
+        pytest.param(PotentialSpec(0.5, 3.0), RangeCriterion.CC_LEFT_RANGE, (0.07, 1.7), 1e-3, False,
+                     id="small_energy")])
+    def test_values_lie_within_their_bounds(self, spec, criterion, window, threshold, bisects):
+        # on every cell whose bounds hold, each certified row's full-grid
+        # value lies between its lower and upper bound, up to delta
+        tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+        grids = self.grids(spec, criterion, window, self.GRID)
+        rows = spectral._CERTIFIED_ROWS[criterion]
+        try:
+            full = np.array([log10_coefficients(tr_spec, grid)[rows] for grid in grids])
+        except ArithmeticError:
+            return  # test_equals_sequential_bisection checks that both raise
+        _, _, holds, cell, lower, upper, delta = spectral._envelopes(tr_spec, rows, grids)
+        inside = holds[:, cell]
+        assert inside.mean() > 0.5
+        full = full.transpose(1, 0, 2)[:, inside]
+        assert (lower[:, inside] - delta[:, inside] <= full).all()
+        assert (full <= upper[:, inside] + delta[:, inside]).all()
+
+    def test_most_samples_are_decided(self):
+        # the grid stage of the table scenarios, the README case and the seeded
+        # windows evaluates at most 15 % of their grid samples
+        evaluated = samples = 0
+        for param in range_scenarios():
+            spec, criterion, window, threshold, _ = param.values
+            try:
+                with pytest.MonkeyPatch.context() as patch:
+                    _, grid_calls, _ = kernel_calls(patch, spec, criterion, window, threshold,
+                                                    self.GRID)
+            except ArithmeticError:
+                continue
+            evaluated += sum(grid_calls)
+            samples += self.GRID * len(spectral._brackets(spec, criterion, *window))
+        assert evaluated <= 0.15 * samples
+
+    @given(st.floats(-2.0, 3.0), st.floats(-3.0, 1.0), st.floats(-2.0, 3.0), st.floats(-9.0, -2.0),
+           st.sampled_from(RangeCriterion))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_the_full_grid(self, log_v0, log_rho, log_e, log_threshold, criterion):
+        # windows (E, 1.2 E) of the moderate domain, cut where 2 a2 has risen by
+        # 3, so that a draw holds a few brackets
+        spec, threshold = PotentialSpec(10.0 ** log_v0, 10.0 ** log_rho), 10.0 ** log_threshold
+        e = 10.0 ** log_e
+        window = (e, min(1.2 * e, ((math.sqrt(e) + 0.75 * spec.rho) ** 2)))
+        try:
+            want, _ = sequential_ranges(spec, criterion, window, threshold, 256)
+        except ArithmeticError as exc:
+            refused = float(re.search(r"E=(\S+):", str(exc)).group(1))
+            try:
+                scan_ranges(spec, criterion, window, threshold, 256)
+            except ArithmeticError:
+                return
+            # it returns only where the grid stage decided the refused sample
+            grids, log10, _ = self.stage(spec, criterion, window, math.log10(threshold), 256)
+            assert np.isnan(log10[grids == refused]).all() and (grids == refused).any()
+            return
+        assert [(r.lo, r.hi) for r in scan_ranges(spec, criterion, window, threshold, 256)] == want
 
 
 def predicted_path_scenarios():
@@ -606,22 +716,29 @@ class TestPredictedPaths:
         assert got == want
         assert calls <= math.ceil(max(steps) / spectral._LOOKAHEAD)
 
-    def test_raising_calls_leave_one_step_per_call(self, monkeypatch):
-        # every call that holds more than the two crossings' next midpoints
-        # raises, so every step evaluates alone, the last ones after a raising
-        # call whose steps the crossings' ends cut short
+    def test_raising_bisection_calls_leave_one_step_per_call(self, monkeypatch):
+        # every bisection call that holds more than the two crossings' next
+        # midpoints raises, so every step evaluates alone, the last ones after a
+        # raising call whose steps the crossings' ends cut short
         spec, window = next(two_bracket_windows(2631, 1))
         want, steps = sequential_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
         assert len(steps) == 2 and max(steps) % 5 != 0
-        sizes = []
+        sizes, bisecting = [], []
+        bisect = spectral._bisect_crossing
 
         def raising(tr_spec, energies):
-            sizes.append(len(energies))
-            if 2 < len(energies) < self.GRID:
-                raise ArithmeticError("det S cross-check failed")
+            if bisecting:
+                sizes.append(len(energies))
+                if len(energies) > 2:
+                    raise ArithmeticError("det S cross-check failed")
             return log10_coefficients(tr_spec, energies)
 
+        def entering(*args):
+            bisecting.append(True)
+            return bisect(*args)
+
         monkeypatch.setattr(spectral, "log10_coefficients", raising)
+        monkeypatch.setattr(spectral, "_bisect_crossing", entering)
         monkeypatch.setattr(spectral, "_LOOKAHEAD", 5)
         got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
         assert [(r.lo, r.hi) for r in got] == want
