@@ -204,36 +204,47 @@ def _log10_weights() -> np.ndarray:
 _LOG10_WEIGHTS = _log10_weights()
 
 
-def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
-    """What bounds the energy slope of each row of :func:`log10_coefficients`
-    between two of an array of energies, for real Gamma arguments (both
-    variants of the complexified potential).
+def _log10_rows(order: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log10 of |r_l|^2, |r_r|^2, T and |det S| from the (4, n) orders and
+    logs of r_l, -r_r, t and det S: +-inf where an order is non-zero."""
+    return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
 
-    Returns the 12 Gamma arguments z, (12, n); the two factors of each
-    log's slope d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th
-    rows are 1 and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the sum
-    of |Re log Gamma| that sizes the kernel's rounding (:func:`_g_logs`),
-    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0
-    every z and every factor is monotone in E between the poles of psi:
-    a2, a3 and a2 + a3 rise with falling slopes, and the gap a3 - a2 falls
-    with a slope rising toward 0.
+
+def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
+    """The rows of :func:`log10_coefficients` over an array of energies,
+    and what bounds each row's energy slope between two of them, for real
+    Gamma arguments (both variants of the complexified potential), from
+    one :func:`_checked_logs` pass.
+
+    Returns the (4, n) rows, bit for bit those of
+    :func:`log10_coefficients` (which also validates the energies); the
+    12 Gamma arguments z, (12, n); the two factors of each log's slope
+    d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th rows are 1
+    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the sum of
+    |Re log Gamma| that sizes the kernel's rounding (:func:`_g_logs`),
+    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0 every z
+    and every factor is monotone in E between the poles of psi: a2, a3 and
+    a2 + a3 rise with falling slopes, and the gap a3 - a2 falls with a
+    slope rising toward 0.
     """
     ch = _channel(spec, energies)
+    _, _, order, logs, size = _checked_logs(ch)
     with np.errstate(all="ignore"):  # psi is infinite at a pole
-        _, _, size = _g_logs(ch)
         z = _arguments(ch)
         psi = _digamma(z)
     # a2 and a3 enter each argument with one sign, or as the gap, so no dz/dE cancels
     dgap = -ch.gap * ch.mass / (2.0 * ch.k1 * ch.k2)
     dz = np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
     root = spec.v0 / (4.0 * energies * (energies + spec.v0))
-    return z, np.vstack([psi, np.ones_like(root)]), np.vstack([dz, root]), size
+    return (_log10_rows(order, logs), z, np.vstack([psi, np.ones_like(root)]),
+            np.vstack([dz, root]), size)
 
 
-def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
     """:func:`_g_logs`, then the orders and logs of r_l, -r_r, t and det S
     by :func:`_amplitude_logs`, with tl*tr - rl*rr verified against the
-    closed-form det S = G2/G3 at every energy.
+    closed-form det S = G2/G3 at every energy; returns both pairs of
+    orders and logs, and the sum of |Re log Gamma|.
 
     The difference can cancel arbitrarily many digits (the Gamma identity
     makes the two products nearly equal wherever |det S| is small), so the
@@ -289,7 +300,7 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
         else:
             what, detail = "more singular via the sum route", f"orders {o_sum[i]} vs {o_det[i]}"
         raise ArithmeticError(f"det S {what} at E={float(np.ravel(ch.energy)[i])}: {detail}")
-    return order, lg, amp_order, amp
+    return order, lg, amp_order, amp, size
 
 
 def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
@@ -328,7 +339,7 @@ def _amplitude_set(energy: float, order: np.ndarray, lg: np.ndarray) -> Amplitud
 
 def _amplitudes(ch: ChannelParams) -> AmplitudeSet:
     """Closed-form amplitudes at one energy; det S = G2/G3, checked."""
-    order, lg, _, _ = _checked_logs(ch)
+    order, lg, *_ = _checked_logs(ch)
     return _amplitude_set(ch.energy, order, lg)
 
 
@@ -359,8 +370,8 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
-    _, _, order, logs = _checked_logs(_channel(spec, e))
-    return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
+    _, _, order, logs, _ = _checked_logs(_channel(spec, e))
+    return _log10_rows(order, logs)
 
 
 def _amplitude_orders(spec: PotentialSpec, energies) -> list[tuple[int, int, int, int]]:

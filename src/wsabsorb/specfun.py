@@ -210,8 +210,10 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     reflect = x < 0.5
     w = np.where(reflect, 1.0 - x, x).ravel()
     m = np.ceil(_STIRLING_MIN - w)
-    v = np.where(m > 0.0, w + m, w)
-    shift = np.where(m > _SHIFT_J, 1.0 / (w + _SHIFT_J), 0.0).sum(axis=0)
+    up = m > 0.0  # only these take the shift, summed in the order of j
+    v = np.where(up, w + m, w)
+    shift = np.zeros(w.shape)
+    shift[up] = np.where(m[up] > _SHIFT_J, 1.0 / (w[up] + _SHIFT_J), 0.0).sum(axis=0)
     r2 = 1.0 / (v * v)
     psi = (np.log(v) - 0.5 / v - r2 * _horner(_DIGAMMA_SERIES, r2) - shift).reshape(x.shape)
     f = x - np.rint(x)

@@ -56,11 +56,13 @@ Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities, and refines the threshold crossings
 by bisection, each with its own stop rule, so every endpoint is the one a
 crossing bisected alone reaches.  One kernel call evaluates every 32nd
-sample of all the brackets' grids, and psi at their Gamma arguments; a bound
-on the slope between two of them, from psi(z) dz/dE summed over the
-arguments, decides most samples in between without evaluating them, with
-the outcome that evaluating them gives, and a second call evaluates the
-rest.  The grid samples around a crossing predict where it lies, and one
+sample of all the brackets' grids, and in the same pass psi at their Gamma
+arguments; a bound on the slope between two of them, from psi(z) dz/dE
+summed over the arguments, puts each certified row between two envelopes
+on the cell between them.  Where the envelopes' extremes over a cell's
+inner samples clear the threshold, the cell is decided without evaluating
+them, with the outcome that evaluating them gives, and a second call
+evaluates the rest.  The grid samples around a crossing predict where it lies, and one
 kernel call evaluates, for every crossing at once, the midpoints of the
 bisection path toward that prediction beside the ``_LOOKAHEAD`` steps' full
 tree, so most scans resolve every crossing in one call.
@@ -442,8 +444,8 @@ _GROUP_SAMPLES = 2**16
 
 
 def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
-    """Bounds on the certified rows of :func:`log10_coefficients` at every
-    sample of the grids (one a row), from one kernel call at their cells'
+    """Lines that bound the certified rows of :func:`log10_coefficients` on
+    every cell of the grids (one a row), from one kernel call at the cells'
     ends: every ``_STRIDE``-th sample and the last one.
 
     Between two ends, a cell, every Gamma argument z and dz/dE are
@@ -453,25 +455,25 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     term w psi(z) dz/dE of the row's slope lies between the products of its
     end values, and their sum bounds the slope in [lo, hi] (interval
     arithmetic, as in Moore's).  With q_a and q_b the row's values at the
-    cell's ends, the row at a sample E between them is at least max(q_a +
-    lo (E - E_a), q_b - hi (E_b - E)) and at most min(q_a + hi (E - E_a),
-    q_b - lo (E_b - E)), up to delta: ``_MARGIN`` plus 8 eps sum |w psi|
-    (|z| + 1), the argument rounding that psi amplifies, at either end and
-    at E.  The bounds do not hold on a cell with an infinite end value, and
-    are not used where either end's 8 eps sum |Re log Gamma| reaches half
-    the kernel's ``_ROUNDING_LIMIT``, so that the samples the kernel cannot
-    check are evaluated.
+    cell's ends, the row at an energy E between them is at least lower(E) =
+    max(q_a + lo (E - E_a), q_b - hi (E_b - E)) and at most upper(E) =
+    min(q_a + hi (E - E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN``
+    plus 8 eps sum |w psi| (|z| + 1), the argument rounding that psi
+    amplifies, at either end and at E.  The bounds do not hold on a cell
+    with an infinite end value, and are not used where either end's 8 eps
+    sum |Re log Gamma| reaches half the kernel's ``_ROUNDING_LIMIT``, so
+    that the samples the kernel cannot check are evaluated.
 
     Returns the ends' indices, the rows' values there (rows, brackets,
-    ends), whether each cell's bounds hold (brackets, cells), each sample's
-    cell, and the lower and upper bounds and delta at every sample (rows,
-    brackets, samples).
+    ends), whether each cell's bounds hold (brackets, cells), and each
+    cell's lo, hi and delta (rows, brackets, cells).
     """
     n = grids.shape[1]
     ends = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
     e = grids[:, ends]
-    q = log10_coefficients(tr_spec, e.ravel())[rows].reshape(len(rows), *e.shape)
-    z, psi, dz, size = (x.reshape(x.shape[:-1] + e.shape) for x in _slope_terms(tr_spec, e.ravel()))
+    values, z, psi, dz, size = (x.reshape(x.shape[:-1] + e.shape)
+                                for x in _slope_terms(tr_spec, e.ravel()))
+    q = values[rows]
 
     # per row, argument (the 12 and sqrt(k1/k2)'s log) and cell
     w = _LOG10_WEIGHTS[rows][:, :, None, None]
@@ -493,14 +495,42 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     holds &= np.isfinite(q[a]).all(axis=0) & np.isfinite(q[b]).all(axis=0)
     checkable = 8.0 * _EPS * size < 0.5 * _ROUNDING_LIMIT
     holds &= checkable[a] & checkable[b]
+    return ends, q, holds, lo, hi, delta
 
-    cell = np.minimum(np.arange(n) // _STRIDE, len(ends) - 2)
-    past, before = grids - e[:, cell], e[:, cell + 1] - grids
-    q_a, q_b, lo, hi = (x[..., cell] for x in (q[a], q[b], lo, hi))
-    with np.errstate(invalid="ignore", over="ignore"):
-        lower = np.maximum(q_a + lo * past, q_b - hi * before)
-        upper = np.minimum(q_a + hi * past, q_b - lo * before)
-    return ends, q, holds, cell, lower, upper, delta[..., cell]
+
+def _cell_outcomes(grids, ends, q, lo, hi, delta, log10_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether every inner sample of each cell passes, and whether every one
+    fails, as (brackets, cells) arrays, by the lines of :func:`_envelopes`.
+
+    upper(E) is concave and lower(E) convex, so on the span [s, t] of a
+    cell's inner samples each takes its largest and its smallest value at
+    s, at t, or where its two lines cross.  The cell passes where every
+    row's largest upper value is below log10_cap by delta and no row's
+    lower value rises above log10_cap + delta, and fails where some row's
+    smallest lower value is above log10_cap by delta and some row's upper
+    value stays at or above log10_cap - delta.  A cell without inner
+    samples decides none.
+    """
+    q_a, q_b = q[..., :-1], q[..., 1:]
+    e_a, e_b, s, t = (grids[:, i] for i in (ends[:-1], ends[1:], ends[:-1] + 1, ends[1:] - 1))
+
+    def upper(x):
+        return np.minimum(q_a + hi * (x - e_a), q_b - lo * (e_b - x))
+
+    def lower(x):
+        return np.maximum(q_a + lo * (x - e_a), q_b - hi * (e_b - x))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the lines' crossings; parallel lines give NaN, which fmax and fmin skip
+        x_upper = np.clip(e_a + (q_b - q_a - lo * (e_b - e_a)) / (hi - lo), s, t)
+        x_lower = np.clip(e_a + (hi * (e_b - e_a) - (q_b - q_a)) / (hi - lo), s, t)
+        upper_s, upper_t, lower_s, lower_t = upper(s), upper(t), lower(s), lower(t)
+        upper_max = np.fmax(np.maximum(upper_s, upper_t), upper(x_upper))
+        lower_min = np.fmin(np.minimum(lower_s, lower_t), lower(x_lower))
+        below, above = log10_cap - delta, log10_cap + delta
+        passes = (upper_max < below).all(axis=0) & ~(np.maximum(lower_s, lower_t) > above).any(axis=0)
+        fails = (lower_min > above).any(axis=0) & ~(np.minimum(upper_s, upper_t) < below).all(axis=0)
+    return passes, fails
 
 
 def _grid_stage(
@@ -510,26 +540,17 @@ def _grid_stage(
     NaN where it is decided without evaluation, and which samples pass.
 
     The first kernel call evaluates the cells' ends (:func:`_envelopes`).
-    A sample is decided where every certified row's upper bound is below
-    the threshold by delta (it passes) or some row's lower bound is above
-    it by delta (it fails).  A cell whose bounds hold and whose inner
-    samples are all decided alike is certified.  A second call evaluates
-    every inner sample of the other cells, and a third the samples that a
+    A cell whose bounds hold is certified where its envelopes' extremes
+    over its inner samples decide them all alike (:func:`_cell_outcomes`),
+    and its inner samples take its outcome.  A second call evaluates every
+    inner sample of the other cells, and a third the samples that a
     crossing reads (its four around it, :func:`_predicted_crossing`) where
     neither call did.
     """
-    ends, q, holds, cell, lower, upper, delta = _envelopes(
-        tr_spec, _CERTIFIED_ROWS[criterion], grids)
-    above = (lower > log10_cap + delta).any(axis=0)
-    below = (upper < log10_cap - delta).all(axis=0)
-    passes, fails = below & ~above, above & ~below
-
-    def inner(marked):  # per cell, how many of its inner samples are marked
-        count = np.cumsum(marked, axis=1)
-        return count[:, ends[1:] - 1] - count[:, ends[:-1]]
-
-    width = np.diff(ends) - 1
-    certified = holds & ((inner(passes) == width) | (inner(fails) == width))
+    ends, q, holds, lo, hi, delta = _envelopes(tr_spec, _CERTIFIED_ROWS[criterion], grids)
+    passes, fails = _cell_outcomes(grids, ends, q, lo, hi, delta, log10_cap)
+    cell = np.minimum(np.arange(grids.shape[1]) // _STRIDE, len(ends) - 2)
+    certified, decided = (holds & (passes | fails))[:, cell], passes[:, cell]
 
     log10 = np.full(grids.shape, np.nan)
     evaluated = np.zeros(grids.shape, dtype=bool)
@@ -541,14 +562,14 @@ def _grid_stage(
             log10[wanted] = _log10_certified(tr_spec, criterion, grids[wanted])
             evaluated[wanted] = True
 
-    evaluate(~certified[:, cell])
-    passing = np.where(evaluated, log10 < log10_cap, passes)
+    evaluate(~certified)
+    passing = np.where(evaluated, log10 < log10_cap, decided)
     # the four samples around each crossing, which _predicted_crossing reads
     row, i = np.nonzero(passing[:, 1:] != passing[:, :-1])
     read = np.zeros(grids.shape, dtype=bool)
     read[row[:, None], np.clip(i - 1, 0, grids.shape[1] - 4)[:, None] + np.arange(4)] = True
     evaluate(read)
-    return log10, np.where(evaluated, log10 < log10_cap, passes)
+    return log10, np.where(evaluated, log10 < log10_cap, decided)
 
 
 # bisection steps that every kernel call resolves, whatever the prediction: it
@@ -728,10 +749,12 @@ def scan_ranges(
     right-reflection singular points are excluded by construction).  Each
     bracket overlapping the window is sampled on a uniform grid.  One kernel
     call evaluates every 32nd sample and the last one of all the grids, a
-    bound on the slope between two of them decides most samples in between,
-    and one or two more calls evaluate the rest (:func:`_grid_stage`), so
-    each sample has the outcome that evaluating it gives; brackets go
-    through in groups of up to 2**16 samples.  The det-S check of
+    bound on the slope between two of them decides most cells in between
+    whole, from the bound's extremes over the cell, and one or two more
+    calls evaluate the rest (:func:`_grid_stage`), so each sample has the
+    outcome that evaluating it gives; brackets go through in groups of up
+    to 2**16 samples, each group's grids built and its runs found in one
+    array operation.  The det-S check of
     :func:`~wsabsorb.amplitudes.log10_coefficients` runs where the kernel
     evaluates, so a call that raises names the first refused energy among
     those, and a window whose only refused samples are decided returns its
@@ -772,21 +795,20 @@ def scan_ranges(
     group = max(1, _GROUP_SAMPLES // grid_points)
     for first in range(0, len(found), group):
         pairs, los, his = zip(*found[first:first + group])
-        grids = np.array([np.linspace(lo, hi, grid_points) for lo, hi in zip(los, his)])
+        grids = np.linspace(los, his, grid_points, axis=1)
         log10, passing = _grid_stage(tr_spec, criterion, log10_cap, grids)
-        for pair, grid, values, passes in zip(pairs, grids, log10, passing):
-            edges = np.diff(passes.astype(np.int8), prepend=0, append=0)
-            for i, j in zip(np.flatnonzero(edges == 1).tolist(),
-                            np.flatnonzero(edges == -1).tolist()):
-                brackets.append(pair)
-                for end, fail in ((i, i - 1), (j - 1, j)):
-                    if 0 <= fail < grid_points:
-                        at.append(len(ends))
-                        crossings.append((grid[fail].item(), values[fail].item(), grid[end].item(),
-                                          values[end].item(),
-                                          _predicted_crossing(grid, values, fail, end - fail,
-                                                              log10_cap)))
-                    ends.append(grid[end].item())
+        edges = np.diff(passing.astype(np.int8), prepend=0, append=0, axis=1)
+        (row, start), stop = np.nonzero(edges == 1), np.nonzero(edges == -1)[1]
+        for b, i, j in zip(row.tolist(), start.tolist(), stop.tolist()):
+            grid, values = grids[b], log10[b]
+            brackets.append(pairs[b])
+            for end, fail in ((i, i - 1), (j - 1, j)):
+                if 0 <= fail < grid_points:
+                    at.append(len(ends))
+                    crossings.append((grid[fail].item(), values[fail].item(), grid[end].item(),
+                                      values[end].item(),
+                                      _predicted_crossing(grid, values, fail, end - fail, log10_cap)))
+                ends.append(grid[end].item())
 
     for k, e in zip(at, _bisect_crossing(tr_spec, criterion, log10_cap, crossings)):
         ends[k] = e

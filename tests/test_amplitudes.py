@@ -377,13 +377,15 @@ def test_assembly_is_singular_value_division_of_g_factors():
 def test_slope_terms_give_each_rows_slope(variant):
     # the weighted sum of psi(z) dz/dE and d/dE log sqrt(k1/k2) is the energy
     # slope of every log10 row, against a central difference; at small E the
-    # sqrt(k1/k2) term is of the Gamma terms' size
+    # sqrt(k1/k2) term is of the Gamma terms' size.  The rows that come with
+    # the slope terms are log10_coefficients' own, bit for bit
     rng = np.random.default_rng(31)
     for _ in range(20):
         spec = PotentialSpec(rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0), rng.uniform(0.5, 2.0),
                              variant=variant)
         energy = np.array([np.exp(rng.uniform(math.log(0.05), math.log(20.0)))])
-        _, psi, dz, _ = _slope_terms(spec, energy)
+        rows, _, psi, dz, _ = _slope_terms(spec, energy)
+        assert rows.tolist() == log10_coefficients(spec, energy).tolist()
         h = 1e-7 * energy
         difference = log10_coefficients(spec, energy + h) - log10_coefficients(spec, energy - h)
         assert np.allclose(_LOG10_WEIGHTS @ (psi * dz), difference / (2 * h), rtol=1e-6, atol=1e-6)

@@ -1,5 +1,6 @@
 """Critical-energy enumeration, spacing laws, and range certification."""
 
+import importlib
 import itertools
 import math
 import os
@@ -31,6 +32,8 @@ from wsabsorb.spectral import (
     ss_energies,
 )
 from wsabsorb.units import EnergyUnit, PotentialSpec, Variant, convert_energy
+
+_AMPLITUDES = importlib.import_module("wsabsorb.amplitudes")
 
 EV = EnergyUnit.ELECTRON_VOLT
 SPEC_A = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
@@ -468,6 +471,21 @@ def range_scenarios():
     return table + [readme] + seeded
 
 
+def count_kernel_calls(monkeypatch, calls):
+    """Append to ``calls`` the energy count of every kernel call that
+    scan_ranges makes: the grid stage's first through _slope_terms, which
+    gives the values with their slope terms, and the rest through
+    log10_coefficients."""
+    def counting(kernel):
+        def counted(tr_spec, energies):
+            calls.append(len(energies))
+            return kernel(tr_spec, energies)
+        return counted
+
+    monkeypatch.setattr(spectral, "log10_coefficients", counting(log10_coefficients))
+    monkeypatch.setattr(spectral, "_slope_terms", counting(spectral._slope_terms))
+
+
 def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
     """The (lo, hi) of every range scan_ranges finds, and the energy counts
     of the kernel calls of its grid stage and of its bisection, which begins
@@ -475,15 +493,11 @@ def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
     calls, entered = [], []
     bisect = spectral._bisect_crossing
 
-    def counting(tr_spec, energies):
-        calls.append(len(energies))
-        return log10_coefficients(tr_spec, energies)
-
     def entering(*args):
         entered.append(len(calls))
         return bisect(*args)
 
-    monkeypatch.setattr(spectral, "log10_coefficients", counting)
+    count_kernel_calls(monkeypatch, calls)
     monkeypatch.setattr(spectral, "_bisect_crossing", entering)
     found = scan_ranges(spec, criterion, window, threshold, grid_points)
     assert len(entered) == 1
@@ -528,6 +542,23 @@ class TestLockstepBisection:
         assert got == [] and bisection_calls == []
         assert 1 <= len(grid_calls) <= 3
 
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    def test_one_g_logs_pass_per_kernel_call(self, monkeypatch, spec, criterion, window, threshold,
+                                             bisects):
+        # every kernel call, the grid stage's first with its slope terms
+        # included, runs _g_logs once: inside its checked pass, and nowhere else
+        calls, checked, g_logs = [], [], []
+        checked_logs, g_logs_pass = _AMPLITUDES._checked_logs, _AMPLITUDES._g_logs
+        count_kernel_calls(monkeypatch, calls)
+        monkeypatch.setattr(_AMPLITUDES, "_checked_logs", lambda ch: checked.append(1) or checked_logs(ch))
+        monkeypatch.setattr(_AMPLITUDES, "_g_logs", lambda ch: g_logs.append(1) or g_logs_pass(ch))
+        try:
+            scan_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:
+            pass  # the raising call counts too
+        assert len(calls) >= 1
+        assert len(g_logs) == len(checked) == len(calls)
+
     @pytest.mark.parametrize("reached", [False, True], ids=["lookahead-only", "reached"])
     def test_a_raising_call_steps_one_at_a_time(self, monkeypatch, reached):
         # the kernel raises at one energy of the first lookahead call: one the
@@ -535,12 +566,18 @@ class TestLockstepBisection:
         # one-step-per-call bisection would
         spec, window = next(two_bracket_windows(2631, 1))
         calls = []
+        slope_terms = spectral._slope_terms
 
         def recording(tr_spec, energies):
             calls.append(np.asarray(energies).tolist())
             return log10_coefficients(tr_spec, energies)
 
+        def recording_call_1(tr_spec, energies):
+            calls.append(np.asarray(energies).tolist())
+            return slope_terms(tr_spec, energies)
+
         monkeypatch.setattr(spectral, "log10_coefficients", recording)
+        monkeypatch.setattr(spectral, "_slope_terms", recording_call_1)
         monkeypatch.setattr(spectral, "_LOOKAHEAD", 1)
         want = [(r.lo, r.hi) for r in scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)]
         stepped = {e for c in calls[2:] for e in c}
@@ -561,6 +598,41 @@ class TestLockstepBisection:
         else:
             got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
             assert [(r.lo, r.hi) for r in got] == want
+
+
+def sample_bounds(grids, ends, q, lo, hi, delta):
+    """Each sample's cell, and each certified row's lower and upper bound
+    and delta at every sample (rows, brackets, samples), from the per-cell
+    lines of _envelopes: the bounds that the per-sample rule compared."""
+    cell = np.minimum(np.searchsorted(ends, np.arange(grids.shape[1]), side="right") - 1,
+                      len(ends) - 2)
+    e = grids[:, ends]
+    past, before = grids - e[:, cell], e[:, cell + 1] - grids
+    q_a, q_b, lo, hi = (x[..., cell] for x in (q[..., :-1], q[..., 1:], lo, hi))
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = np.maximum(q_a + lo * past, q_b - hi * before)
+        upper = np.minimum(q_a + hi * past, q_b - lo * before)
+    return cell, lower, upper, delta[..., cell]
+
+
+def per_sample_outcomes(grids, ends, q, lo, hi, delta, log10_cap):
+    """The rule that spectral._cell_outcomes replaced, kept as its
+    reference: per cell (brackets, cells), whether every inner sample
+    passes, and whether every one fails.  A sample passes where every row's
+    upper bound is below log10_cap by delta and no row's lower bound is
+    above it by delta, and fails where some row's lower bound is above and
+    not every upper bound below."""
+    _, lower, upper, delta = sample_bounds(grids, ends, q, lo, hi, delta)
+    above = (lower > log10_cap + delta).any(axis=0)
+    below = (upper < log10_cap - delta).all(axis=0)
+    passes, fails = below & ~above, above & ~below
+
+    def inner(marked):  # per cell, how many of its inner samples are marked
+        count = np.cumsum(marked, axis=1)
+        return count[:, ends[1:] - 1] - count[:, ends[:-1]]
+
+    width = np.diff(ends) - 1
+    return inner(passes) == width, inner(fails) == width
 
 
 class TestGridStage:
@@ -611,12 +683,52 @@ class TestGridStage:
             full = np.array([log10_coefficients(tr_spec, grid)[rows] for grid in grids])
         except ArithmeticError:
             return  # test_equals_sequential_bisection checks that both raise
-        _, _, holds, cell, lower, upper, delta = spectral._envelopes(tr_spec, rows, grids)
+        ends, q, holds, lo, hi, delta = spectral._envelopes(tr_spec, rows, grids)
+        cell, lower, upper, delta = sample_bounds(grids, ends, q, lo, hi, delta)
         inside = holds[:, cell]
         assert inside.mean() > 0.5
         full = full.transpose(1, 0, 2)[:, inside]
         assert (lower[:, inside] - delta[:, inside] <= full).all()
         assert (full <= upper[:, inside] + delta[:, inside]).all()
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    def test_cells_certify_only_what_their_samples_would(self, spec, criterion, window, threshold,
+                                                         bisects):
+        # every cell whose bounds hold that the per-cell rule certifies, the
+        # per-sample rule certifies with the same outcome, at the scenario's
+        # threshold and at thresholds among the full grid's values
+        tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+        grids = self.grids(spec, criterion, window, self.GRID)
+        try:
+            full = spectral._log10_certified(tr_spec, criterion, grids.ravel())
+        except ArithmeticError:
+            return  # test_equals_sequential_bisection checks that both raise
+        ends, q, holds, lo, hi, delta = spectral._envelopes(
+            tr_spec, spectral._CERTIFIED_ROWS[criterion], grids)
+        ruled = holds & (np.diff(ends) > 1)  # a cell without inner samples decides none
+        for cap in [math.log10(threshold), *np.quantile(full[np.isfinite(full)], [0.1, 0.5, 0.9])]:
+            passes, fails = spectral._cell_outcomes(grids, ends, q, lo, hi, delta, cap)
+            want_passes, want_fails = per_sample_outcomes(grids, ends, q, lo, hi, delta, cap)
+            assert want_passes[passes & ruled].all() and want_fails[fails & ruled].all()
+            assert not (passes & fails).any()
+
+    @given(st.lists(st.tuples(*[st.floats(-20.0, 20.0)] * 2, st.floats(-40.0, 40.0),
+                              st.floats(0.0, 40.0), st.floats(0.0, 1e-3)), min_size=1, max_size=2),
+           st.floats(1e-3, 1e3), st.floats(1e-6, 1.0), st.integers(3, 70), st.floats(-30.0, 30.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_cells_certify_only_what_their_samples_would_on_any_lines(self, rows, e_a, width, n,
+                                                                      cap):
+        # one cell of n samples and one or two rows of lines: values q_a and
+        # q_b at its ends, slopes lo <= hi (drawn as rises over the cell) and
+        # delta, consistent with its values or not
+        q_a, q_b, rise_lo, spread, delta = (np.array(x)[:, None, None] for x in zip(*rows))
+        grids = np.linspace(e_a, e_a * (1.0 + width), n)[None]
+        length = grids[0, -1] - grids[0, 0]
+        lo, hi = rise_lo / length, (rise_lo + spread) / length
+        ends, q = np.array([0, n - 1]), np.concatenate([q_a, q_b], axis=2)
+        passes, fails = spectral._cell_outcomes(grids, ends, q, lo, hi, delta, cap)
+        want_passes, want_fails = per_sample_outcomes(grids, ends, q, lo, hi, delta, cap)
+        assert want_passes[passes].all() and want_fails[fails].all()
 
     def test_most_samples_are_decided(self):
         # the grid stage of the table scenarios, the README case and the seeded
