@@ -222,10 +222,10 @@ def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
     d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th rows are 1
     and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the sum of
     |Re log Gamma| that sizes the kernel's rounding (:func:`_g_logs`),
-    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0 every z
-    and every factor is monotone in E between the poles of psi: a2, a3 and
-    a2 + a3 rise with falling slopes, and the gap a3 - a2 falls with a
-    slope rising toward 0.
+    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0
+    every z and every factor is monotone in E between the poles of psi:
+    a2, a3 and a2 + a3 rise with falling slopes, and the gap a3 - a2 falls
+    with a slope rising toward 0.
     """
     ch = _channel(spec, energies)
     _, _, order, logs, size = _checked_logs(ch)
