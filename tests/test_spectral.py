@@ -471,19 +471,19 @@ def range_scenarios():
     return table + [readme] + seeded
 
 
-def count_kernel_calls(monkeypatch, calls):
-    """Append to ``calls`` the energy count of every kernel call that
+def watch_kernel_calls(monkeypatch, record):
+    """Call ``record`` with the energies of every kernel call that
     scan_ranges makes: the grid stage's first through _slope_terms, which
     gives the values with their slope terms, and the rest through
     log10_coefficients."""
-    def counting(kernel):
-        def counted(tr_spec, energies):
-            calls.append(len(energies))
+    def watching(kernel):
+        def watched(tr_spec, energies):
+            record(energies)
             return kernel(tr_spec, energies)
-        return counted
+        return watched
 
-    monkeypatch.setattr(spectral, "log10_coefficients", counting(log10_coefficients))
-    monkeypatch.setattr(spectral, "_slope_terms", counting(spectral._slope_terms))
+    monkeypatch.setattr(spectral, "log10_coefficients", watching(log10_coefficients))
+    monkeypatch.setattr(spectral, "_slope_terms", watching(spectral._slope_terms))
 
 
 def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
@@ -497,7 +497,7 @@ def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
         entered.append(len(calls))
         return bisect(*args)
 
-    count_kernel_calls(monkeypatch, calls)
+    watch_kernel_calls(monkeypatch, lambda energies: calls.append(len(energies)))
     monkeypatch.setattr(spectral, "_bisect_crossing", entering)
     found = scan_ranges(spec, criterion, window, threshold, grid_points)
     assert len(entered) == 1
@@ -549,7 +549,7 @@ class TestLockstepBisection:
         # included, runs _g_logs once: inside its checked pass, and nowhere else
         calls, checked, g_logs = [], [], []
         checked_logs, g_logs_pass = _AMPLITUDES._checked_logs, _AMPLITUDES._g_logs
-        count_kernel_calls(monkeypatch, calls)
+        watch_kernel_calls(monkeypatch, calls.append)
         monkeypatch.setattr(_AMPLITUDES, "_checked_logs", lambda ch: checked.append(1) or checked_logs(ch))
         monkeypatch.setattr(_AMPLITUDES, "_g_logs", lambda ch: g_logs.append(1) or g_logs_pass(ch))
         try:
@@ -566,18 +566,7 @@ class TestLockstepBisection:
         # one-step-per-call bisection would
         spec, window = next(two_bracket_windows(2631, 1))
         calls = []
-        slope_terms = spectral._slope_terms
-
-        def recording(tr_spec, energies):
-            calls.append(np.asarray(energies).tolist())
-            return log10_coefficients(tr_spec, energies)
-
-        def recording_call_1(tr_spec, energies):
-            calls.append(np.asarray(energies).tolist())
-            return slope_terms(tr_spec, energies)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", recording)
-        monkeypatch.setattr(spectral, "_slope_terms", recording_call_1)
+        watch_kernel_calls(monkeypatch, lambda energies: calls.append(np.asarray(energies).tolist()))
         monkeypatch.setattr(spectral, "_LOOKAHEAD", 1)
         want = [(r.lo, r.hi) for r in scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)]
         stepped = {e for c in calls[2:] for e in c}
