@@ -26,8 +26,11 @@ median is within the metric's ``bound`` of the parent's (``within_bound``:
 worse by at most that fraction of the parent median); per side the
 attempted and failed ops; per side the workload stats of every run, in pair
 order (``extra.workload_stats`` of the run's
-``bench/results/<workload>-seed<N>-trace0.json``); and the sha256 of each
-side's ``src/wsabsorb`` sources.  One line per metric goes to standard
+``bench/results/<workload>-seed<N>-trace0.json``); per side and op label the
+median over that side's runs of each run's median as-timed op time
+(``extra.op_seconds``), which shows the ops that moved; per side each run's
+``extra.oracle_max_rel_dev``, in pair order, where every run reports it;
+and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric goes to standard
 output, and one warning line per pair whose two sides' workload stats
 differ: those sides timed different mixes of ops (a ``ranges`` window
 redrawn on one side only, say).
@@ -70,7 +73,9 @@ def src_digest(checkout: pathlib.Path) -> str:
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``; its last stdout line, parsed, with
-    the workload stats of its result file as ``workload_stats``."""
+    from its result file the workload stats as ``workload_stats``, each op
+    label's median as-timed seconds as ``op_seconds`` and the oracle's worst
+    deviation as ``oracle_max_rel_dev`` (None where the run has none)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -81,8 +86,11 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
                            f"{proc.stderr}")
     result = json.loads(lines[-1])
     record = checkout / "bench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    result["workload_stats"] = json.loads(record.read_text(encoding="utf-8"))["extra"][
-        "workload_stats"]
+    extra = json.loads(record.read_text(encoding="utf-8"))["extra"]
+    result["workload_stats"] = extra["workload_stats"]
+    result["op_seconds"] = {label: statistics.median(times)
+                            for label, times in extra["op_seconds"].items()}
+    result["oracle_max_rel_dev"] = extra.get("oracle_max_rel_dev")
     return result
 
 
@@ -94,6 +102,15 @@ def stats_warnings(workload: str, seeds: list[int], runs: dict) -> list[str]:
             for seed, p, c in zip(seeds, *([run["workload_stats"] for run in runs[side]]
                                             for side in SIDES))
             if p != c]
+
+
+def op_medians(runs: list[dict]) -> dict:
+    """Per op label, the median of its ``op_seconds`` over the runs that
+    timed it."""
+    labels = sorted({label for run in runs for label in run["op_seconds"]})
+    return {label: statistics.median(run["op_seconds"][label] for run in runs
+                                     if label in run["op_seconds"])
+            for label in labels}
 
 
 def summary(values: list[float]) -> dict:
@@ -151,7 +168,9 @@ def main() -> int:
                 "(ties count for neither) and the median gain above the parent's IQR; "
                 "within_bound: the change median worse than the parent's by at most the "
                 "metric's BENCHMARK.json bound, as a fraction of the parent median; "
-                "*_runs list every run in pair order.",
+                "*_runs list every run in pair order; op_seconds: per op label, the median "
+                "over a side's runs of each run's median as-timed seconds; "
+                "oracle_max_rel_dev: each run's, in pair order.",
         "sides": {side: {"dir": checkout.name, "src_sha256": src_digest(checkout)}
                   for side, checkout in dirs.items()},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
@@ -174,7 +193,13 @@ def main() -> int:
                    for key in ("attempted", "failed")},
                 "workload_stats": {side: [run["workload_stats"] for run in runs[side]]
                                    for side in SIDES},
+                "op_seconds": {side: op_medians(runs[side]) for side in SIDES},
             }
+            devs = {side: [run["oracle_max_rel_dev"] for run in runs[side]] for side in SIDES}
+            if None not in devs["parent"] + devs["change"]:
+                doc["workloads"][workload]["oracle_max_rel_dev"] = devs
+                print(f"{workload} oracle_max_rel_dev: parent max {max(devs['parent']):.3g}, "
+                      f"change max {max(devs['change']):.3g}", flush=True)
             for name, m in metrics.items():
                 print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                       f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "

@@ -6,7 +6,8 @@ wave equation down a constant-x contour and decomposing the endpoint
 state into the two local plane-wave-normalized solutions.  Everything
 here is Gamma-function-free: local solutions come from the hypergeometric
 series (a direct power-series solution of the same ODE), one series pass
-per fit for its two launches and its two-solution fit basis, the middle
+per fit for its two launches and its two-solution fit basis (a second where
+a Hermitian fit falls back to a span, below), the middle
 (if any) is bridged by high-order Taylor-series steps, and coefficients
 come from 2x2 endpoint fits in closed form.  The bridge is the equation's
 own Taylor recurrence (the high-order Taylor method of Jorba & Zou,
@@ -29,8 +30,11 @@ argument 1 - z at -u both have modulus 1/2: u = log(sqrt(cos^2 phi + 3)
 - cos phi).  On the default contour (x0 = 0) that is u = 0, where z =
 1 - z = 1/2, so launch and fit meet at one point and no bridge runs; it
 grows to log 3 as phi nears a pole line.  Oscillating parameters (the
-Hermitian fit) launch at u = 1.4: a span costs them no conditioning, and
-their series cancel at modulus 1/2.
+Hermitian fit) meet at u = 0 too where their series hold the digits there:
+the pass reports its rounding factor kappa, and where 8 eps kappa exceeds
+SERIES_ROUNDING_BUDGET (at large |a2| + |a3|, where the oscillating terms
+swell and cancel at modulus 1/2) the fit launches at u = 1.4 instead and
+bridges, a span that costs it no conditioning.
 
 Everything is computed in the scaled contour coordinate u = rho * zeta,
 where the wave equation reads
@@ -76,6 +80,11 @@ __all__ = [
 #: the bridge's accuracy target: its end states are held to an integrator
 #: run at this relative tolerance (the tests' DOP853 reference)
 DEFAULT_RTOL = 3e-14
+#: the most series rounding (8 eps kappa, _local_states) a Hermitian fit takes
+#: at u = 0 with no bridge; past it, it bridges from the 1.4 handoff.  Of the
+#: order of the bridged fit's own worst measured miss (5.7e-13 at |a2| + |a3|
+#: ~ 49) and 100x under the 1e-10 its tests hold the route to
+SERIES_ROUNDING_BUDGET = 1e-12
 OVERFLOW_GUARD = 1e120
 CONDITION_LIMIT = 1e8
 CRITICAL_MARGIN = 1e-8
@@ -129,10 +138,13 @@ _SHAPES = {
 }
 
 
-def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: float) -> np.ndarray:
+def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us,
+                  phi: float) -> tuple[np.ndarray, float]:
     """(psi, dpsi/du) of the Frobenius-normalized local solutions named by
     ``shapes``, each at its own u of ``us``, as rows of an array: one series
-    pass (_gauss_sums) for all of them.
+    pass (_gauss_sums) for all of them.  With them, the largest rounding
+    factor kappa of that pass over the rows' F and dF/darg: each is within
+    8 eps kappa of its exact value.
 
     The solutions are z^{+-a2} (1-z)^{+-a3} 2F1(...) with the (1-z)-power
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
@@ -163,9 +175,9 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
         darg_du = z * omz if arg_is_omz else -z * omz
         rows.append((a, b, c, arg, pref, -al * omz + be * z, darg_du))
     a, b, c, arg, pref, slope, darg_du = zip(*rows)
-    F, dF = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None])
+    F, dF, kappa = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None])
     return np.array([(p * f, p * (s * f + df * d))
-                     for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)])
+                     for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)]), max(map(max, kappa))
 
 
 def _effective_phase(rho: float, x0: float) -> float:
@@ -180,7 +192,9 @@ def _effective_phase(rho: float, x0: float) -> float:
 
 def _handoff(a2: complex, a3: complex, phi: float) -> float:
     """Default launch u, the fit being at -u (module docstring): for a
-    growing pair the u where |z(u)| = |1 - z(-u)| = 1/2, else 1.4."""
+    growing pair the u where |z(u)| = |1 - z(-u)| = 1/2, else 1.4, the
+    bridged span of an oscillating pair whose series at u = 0 exceed the
+    rounding budget."""
     c = math.cos(phi)
     return math.log(math.sqrt(c * c + 3.0) - c) if a2.real + a3.real > 0 else 1.4
 
@@ -399,7 +413,7 @@ def integrate_contour(
     a2, a3, phi_eff, uh = _contour_setup(spec, energy, x0, Z)
     rho = spec.rho
     shape = _shapes(spec.variant)[launch is Launch.PSI_TWO]
-    start = _local_states((shape,), a2, a3, (uh,), phi_eff)
+    start, _ = _local_states((shape,), a2, a3, (uh,), phi_eff)
     y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, start, uh, -uh)
     return ContourSolution(
         x0=x0,
@@ -432,11 +446,17 @@ def _basis_coefficients(variant: Variant, Y: np.ndarray, basis: np.ndarray) -> t
     return (C[::-1] if variant is Variant.TIME_REVERSED else C), cond
 
 
-def _fitted_g(a2, a3, phi, uh, variant) -> tuple[complex, complex, complex, complex]:
+def _fitted_g(a2, a3, phi, handoffs, variant) -> tuple[complex, complex, complex, complex]:
     """(G1, G2, G3, G4): local-basis fits of the PSI_ONE and PSI_TWO launches,
     integrated together from uh to -uh.  One series pass gives the launch
-    states at uh and the fit basis at -uh."""
-    states = _local_states(_shapes(variant) + ("w_plus", "w_minus"), a2, a3, (uh, uh, -uh, -uh), phi)
+    states at uh and the fit basis at -uh; uh is the first of ``handoffs``
+    whose pass keeps its rounding bound 8 eps kappa within
+    ``SERIES_ROUNDING_BUDGET``, else the last."""
+    for uh in handoffs:
+        states, kappa = _local_states(_shapes(variant) + ("w_plus", "w_minus"), a2, a3,
+                                      (uh, uh, -uh, -uh), phi)
+        if 8.0 * _ROUNDING * kappa <= SERIES_ROUNDING_BUDGET:
+            break
     _, y_end, _ = _integrate_core(a2, a3, phi, states[:2], uh, -uh)
     C, _ = _basis_coefficients(variant, y_end.reshape(2, 2).T, states[2:])
     return complex(C[0, 0]), complex(C[1, 0]), complex(C[0, 1]), complex(C[1, 1])
@@ -468,7 +488,8 @@ def oracle_g_factors(
     the same four constants the closed forms produce.
     """
     forward = PotentialSpec(v0=spec.v0, rho=spec.rho, mass=spec.mass)
-    return _fitted_g(*_contour_setup(forward, energy, x0, Z), Variant.FORWARD)
+    a2, a3, phi, uh = _contour_setup(forward, energy, x0, Z)
+    return _fitted_g(a2, a3, phi, (uh,), Variant.FORWARD)
 
 
 def oracle_amplitudes(
@@ -483,7 +504,8 @@ def oracle_amplitudes(
     r_r = -c+(psi1)/c+(psi2); the time-reversed variant integrates the
     conjugated potential.
     """
-    g1, _, g3, g4 = _fitted_g(*_contour_setup(spec, energy, x0, Z), spec.variant)
+    a2, a3, phi, uh = _contour_setup(spec, energy, x0, Z)
+    g1, _, g3, g4 = _fitted_g(a2, a3, phi, (uh,), spec.variant)
     ch = channel_params(spec, energy)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
@@ -494,8 +516,10 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
     The same two launches and local-basis fits with purely imaginary
     channel parameters; the contour coordinate becomes the real axis and
     the solutions oscillatory, so flux conservation (R + T = 1) is an
-    end-to-end check.
+    end-to-end check.  The fit is at u = 0 with no bridge where its
+    series' rounding bound there, 8 eps kappa, is within
+    SERIES_ROUNDING_BUDGET, and otherwise bridges from the 1.4 handoff.
     """
     ch = _hermitian_channel(v0, delta, m, energy)
-    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3, 0.0), Variant.FORWARD)
+    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, (0.0, _handoff(ch.a2, ch.a3, 0.0)), Variant.FORWARD)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)

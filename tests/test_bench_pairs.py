@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py`` refuses checkouts whose paths differ in length,
-reports per metric whether the claim rule holds and the bound is kept, and
-warns of pairs whose sides' workload stats differ."""
+reports per metric whether the claim rule holds and the bound is kept, warns
+of pairs whose sides' workload stats differ, and records each side's op
+times per label and the oracle's worst deviation per run."""
 
 import importlib.util
 import json
@@ -101,36 +102,71 @@ workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.i
 results = pathlib.Path("bench/results")
 results.mkdir(exist_ok=True)
 stats = json.loads(pathlib.Path("stats.json").read_text())[seed]
+extra = json.loads(pathlib.Path("extra.json").read_text())[seed]
 (results / f"{workload}-seed{seed}-trace0.json").write_text(
-    json.dumps({"extra": {"workload_stats": stats}}))
+    json.dumps({"extra": {"workload_stats": stats, **extra}}))
 names = json.loads(pathlib.Path("names.json").read_text())
 print(json.dumps({"attempted": 4, "failed": 0,
                   "metrics": {name: {"value": 1.0, "unit": ""} for name in names}}))
 '''
 
 
-def test_each_run_keeps_its_result_files_workload_stats(tmp_path):
-    # two stand-in checkouts whose bench/run.py writes a result file with the
-    # given stats and prints a result line; no benchmark runs
+def _fake_checkouts(tmp_path, sides):
+    """Stand-in checkouts named by ``sides``, each mapping seed to (workload
+    stats, further ``extra`` fields): their bench/run.py writes a result file
+    with those and prints a result line; no benchmark runs."""
     benchmark = json.loads((_SCRIPT.parents[1] / "BENCHMARK.json").read_text())
     names = [m["name"] for m in benchmark["end_to_end"]]
-    sides = {"a": {"1": {"redrawn_windows": 0}, "2": {"redrawn_windows": 2}},
-             "b": {"1": {"redrawn_windows": 0}, "2": {"redrawn_windows": 0}}}
-    for name, stats in sides.items():
+    for name, seeds in sides.items():
         (tmp_path / name / "bench").mkdir(parents=True)
         (tmp_path / name / "bench" / "run.py").write_text(_FAKE_RUN)
-        (tmp_path / name / "stats.json").write_text(json.dumps(stats))
+        (tmp_path / name / "stats.json").write_text(json.dumps({k: v[0] for k, v in seeds.items()}))
+        (tmp_path / name / "extra.json").write_text(json.dumps({k: v[1] for k, v in seeds.items()}))
         (tmp_path / name / "names.json").write_text(json.dumps(names))
+
+
+def _pairs(tmp_path, workload, seeds):
     out = tmp_path / "out.json"
     proc = subprocess.run(
         [sys.executable, str(_SCRIPT), str(tmp_path / "a"), str(tmp_path / "b"), "--workload",
-         "ranges", "--seeds", "1-2", "--seconds", "1", "--out", str(out)],
+         workload, "--seeds", seeds, "--seconds", "1", "--out", str(out)],
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["workloads"]["ranges"]["workload_stats"] == {
+    return json.loads(out.read_text())["workloads"][workload], proc.stdout
+
+
+def test_each_run_keeps_its_result_files_workload_stats(tmp_path):
+    times = {"op_seconds": {"r:0": [0.001]}}
+    _fake_checkouts(tmp_path, {"a": {"1": ({"redrawn_windows": 0}, times),
+                                     "2": ({"redrawn_windows": 2}, times)},
+                               "b": {"1": ({"redrawn_windows": 0}, times),
+                                     "2": ({"redrawn_windows": 0}, times)}})
+    result, stdout = _pairs(tmp_path, "ranges", "1-2")
+    assert result["workload_stats"] == {
         "parent": [{"redrawn_windows": 0}, {"redrawn_windows": 2}],
         "change": [{"redrawn_windows": 0}, {"redrawn_windows": 0}]}
-    warnings = [line for line in proc.stdout.splitlines() if line.startswith("warning:")]
+    warnings = [line for line in stdout.splitlines() if line.startswith("warning:")]
     assert warnings == ["warning: ranges seed 2: workload stats differ, parent "
                         "{'redrawn_windows': 2} against change {'redrawn_windows': 0}, so the "
                         "sides timed different mixes of ops"]
+    assert "oracle_max_rel_dev" not in result  # no run reports one
+
+
+def test_each_side_keeps_its_op_times_and_oracle_deviations(tmp_path):
+    # per label the median over runs of each run's median as-timed seconds, and
+    # each run's oracle_max_rel_dev in pair order
+    _fake_checkouts(tmp_path, {
+        "a": {"1": ({}, {"op_seconds": {"o:0": [1.0, 3.0, 2.0], "o:1": [5.0]},
+                         "oracle_max_rel_dev": 1e-12}),
+              "2": ({}, {"op_seconds": {"o:0": [4.0]}, "oracle_max_rel_dev": 3e-12}),
+              "3": ({}, {"op_seconds": {"o:0": [9.0], "o:1": [7.0]},
+                         "oracle_max_rel_dev": 2e-12})},
+        "b": {"1": ({}, {"op_seconds": {"o:0": [0.5]}, "oracle_max_rel_dev": 4e-12}),
+              "2": ({}, {"op_seconds": {"o:0": [0.25, 0.75]}, "oracle_max_rel_dev": 5e-12}),
+              "3": ({}, {"op_seconds": {"o:0": [0.1]}, "oracle_max_rel_dev": 6e-12})}})
+    result, stdout = _pairs(tmp_path, "oracle", "1-3")
+    assert result["op_seconds"] == {"parent": {"o:0": 4.0, "o:1": 6.0},
+                                    "change": {"o:0": 0.5}}
+    assert result["oracle_max_rel_dev"] == {"parent": [1e-12, 3e-12, 2e-12],
+                                            "change": [4e-12, 5e-12, 6e-12]}
+    assert "oracle oracle_max_rel_dev: parent max 3e-12, change max 6e-12" in stdout.splitlines()

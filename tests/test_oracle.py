@@ -50,7 +50,20 @@ def analytic_g(spec, energy):
 
 def _states(shapes, a2, a3, u, phi):
     """Rows (psi, dpsi/du) of the local solutions named by shapes, all at u."""
-    return _local_states(shapes, a2, a3, (u,) * len(shapes), phi)
+    return _local_states(shapes, a2, a3, (u,) * len(shapes), phi)[0]
+
+
+def _watch_mesh_points(monkeypatch):
+    """The mesh point count of every _integrate_core call, in call order."""
+    points = []
+
+    def counting(*args):
+        result = _integrate_core(*args)
+        points.append(result[2])
+        return result
+
+    monkeypatch.setattr("wsabsorb.oracle._integrate_core", counting)
+    return points
 
 
 class TestIntegrateContour:
@@ -275,6 +288,29 @@ class TestDomainGuard:
         assert oracle_domain_ok(SPEC, 1.0)
 
 
+def _closed_form_draws():
+    """(v0, delta, energy) of test_agrees_with_closed_form_on_every_amplitude's 30
+    draws."""
+    rng = np.random.default_rng(47)
+    return [(rng.uniform(0.3, 3.0), rng.uniform(0.6, 2.0), rng.uniform(0.2, 6.0))
+            for _ in range(30)]
+
+
+def _hermitian_sweep():
+    """(v0, delta, energy) of 120 draws: v0 in [0.5, 8], delta log-uniform in
+    [0.1, 3], E in [0.1, 15], kept where both reflections are at least 1e-12."""
+    rng = np.random.default_rng(71)
+    draws = []
+    while len(draws) < 120:
+        v0 = rng.uniform(0.5, 8.0)
+        delta = 10 ** rng.uniform(-1.0, math.log10(3.0))
+        energy = rng.uniform(0.1, 15.0)
+        ref = hermitian_amplitudes(v0, delta, 1.0, energy)
+        if min(ref.rl.magnitude, ref.rr.magnitude) >= 1e-12:
+            draws.append((v0, delta, energy))
+    return draws
+
+
 class TestHermitianOracle:
     def test_reflection_rounded_to_zero(self):
         # the fit rounds G1 to an exact zero here (closed form |r_r| ~ 1e-17)
@@ -288,11 +324,7 @@ class TestHermitianOracle:
             assert abs(got.to_complex() - getattr(ref, name).to_complex()) < 1e-7
 
     def test_agrees_with_closed_form_on_every_amplitude(self):
-        rng = np.random.default_rng(47)
-        for _ in range(30):
-            v0 = rng.uniform(0.3, 3.0)
-            delta = rng.uniform(0.6, 2.0)
-            energy = rng.uniform(0.2, 6.0)
+        for v0, delta, energy in _closed_form_draws():
             amps = hermitian_oracle_amplitudes(v0, delta, 1.0, energy)
             ref = hermitian_amplitudes(v0, delta, 1.0, energy)
             for name in ("rl", "rr", "tl", "det_s"):
@@ -308,6 +340,40 @@ class TestHermitianOracle:
         ref = hermitian_amplitudes(v0, delta, 1.0, energy)
         for name in ("rl", "rr", "tl", "det_s"):
             assert abs(getattr(amps, name).to_complex() - getattr(ref, name).to_complex()) < 1e-10
+
+    @pytest.mark.parametrize("v0, delta, energy", [(1.0, 1.0, 1.0), *_closed_form_draws()[:3]])
+    def test_default_fit_runs_no_bridge_step(self, monkeypatch, v0, delta, energy):
+        # where its series hold the rounding budget, the fit launches and fits at
+        # u = 0, where z = 1 - z = 1/2
+        points = _watch_mesh_points(monkeypatch)
+        hermitian_oracle_amplitudes(v0, delta, 1.0, energy)
+        assert points == [1]
+
+    @pytest.mark.parametrize("v0, delta, energy", [(2.0, 0.2, 5.0), (1.0, 0.15, 3.0)])
+    def test_large_parameters_keep_the_bridge(self, monkeypatch, v0, delta, energy):
+        # test_span_holds_at_large_parameters' draws: their series at u = 0 cancel
+        # past the budget, so the fit bridges from the 1.4 handoff
+        points = _watch_mesh_points(monkeypatch)
+        hermitian_oracle_amplitudes(v0, delta, 1.0, energy)
+        assert len(points) == 1 and points[0] > 1
+
+    def test_sweep_holds_each_route_to_its_bound(self, monkeypatch):
+        # every fit within 1e-10 on the unit scale, and every one-point fit within
+        # the rounding bound 8 eps kappa of its series at u = 0
+        points = _watch_mesh_points(monkeypatch)
+        routes = []
+        for v0, delta, energy in _hermitian_sweep():
+            amps = hermitian_oracle_amplitudes(v0, delta, 1.0, energy)
+            ref = hermitian_amplitudes(v0, delta, 1.0, energy)
+            dev = max(abs(getattr(amps, name).to_complex() - getattr(ref, name).to_complex())
+                      for name in ("rl", "rr", "tl", "det_s"))
+            assert dev < 1e-10
+            routes.append(points[-1] == 1)
+            if routes[-1]:
+                ch = _hermitian_channel(v0, delta, 1.0, energy)
+                _, kappa = _local_states(LOCAL_SHAPES, ch.a2, ch.a3, (0.0,) * 4, 0.0)
+                assert dev <= 8 * 2.0 ** -53 * kappa
+        assert len(routes) == 120 and 0 < sum(routes) < len(routes)
 
     def test_fit_conditioning_guarded(self, monkeypatch):
         monkeypatch.setattr("wsabsorb.oracle.CONDITION_LIMIT", 1.0)
@@ -447,14 +513,7 @@ class TestJointIntegration:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_default_contour_runs_no_bridge_step(self, monkeypatch, variant):
         # at x0 = 0 a growing pair launches and fits at u = 0, where z = 1 - z = 1/2
-        points = []
-
-        def counting(*args):
-            result = _integrate_core(*args)
-            points.append(result[2])
-            return result
-
-        monkeypatch.setattr("wsabsorb.oracle._integrate_core", counting)
+        points = _watch_mesh_points(monkeypatch)
         oracle_amplitudes(replace(SPEC, variant=variant), 1.37)
         assert points == [1]
 
@@ -576,18 +635,15 @@ def test_series_pass_matches_one_sum_per_quantity(family):
                 else _domain_family_contours())
     for a2, a3, phi, uh in contours:
         us = (uh, uh, -uh, -uh)
-        for shape, u, row in zip(LOCAL_SHAPES, us, _local_states(LOCAL_SHAPES, a2, a3, us, phi)):
+        for shape, u, row in zip(LOCAL_SHAPES, us, _local_states(LOCAL_SHAPES, a2, a3, us, phi)[0]):
             for got, ref in zip(row, _reference_state(shape, a2, a3, u, phi)):
                 assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-def test_series_pass_holds_the_rounding_bound_at_spikes():
-    # c = 1 - 2a2 (psi2) or 1 - 2a3 (w_minus) within 0.05 of -k + 1/2: the terms
-    # swell past |c| and cancel.  Either route's error is then its terms' rounding,
-    # up to about eps per ratio per term, so both the pass and hyp2f1 are held to
-    # 8 eps kappa against 40 digits, kappa = sum k |t_k| / |sum|, on F and dF/darg
+def _spike_rows():
+    """(k, shape, (a, b, c), arg) of the 48 series rows of
+    test_series_pass_holds_the_rounding_bound_at_spikes."""
     rng = np.random.default_rng(67)
-    eps = 2.0 ** -53
     for k in range(1, 7):
         for shape in ("psi2", "w_minus"):
             for _ in range(4):
@@ -599,25 +655,64 @@ def test_series_pass_holds_the_rounding_bound_at_spikes():
                 uh = _handoff(a2, a3, phi)
                 w = cmath.exp(complex(uh if shape == "psi2" else -uh, phi))
                 arg = w / (1.0 + w) if arg_is_omz else 1.0 / (1.0 + w)
-                a, b, c = (complex(v) for v in params(a2, a3))
-                assert abs(c - (0.5 - k)) <= 0.05
-                F, dF = _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[arg]]))
-                routes = {"pass": (F[0], dF[0]),
-                          "hyp2f1": (hyp2f1(a, b, c, arg), a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg))}
-                with mpmath.workdps(40):
-                    A, B, C, Z = (mpmath.mpc(v.real, v.imag) for v in (a, b, c, arg))
-                    exact = (mpmath.hyp2f1(A, B, C, Z), A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, Z))
-                    exact = [complex(v) for v in exact]
-                    errs = {name: [abs(mpmath.mpc(g.real, g.imag) - e) / abs(e)
-                                   for g, e in zip(got, exact)] for name, got in routes.items()}
-                term, swell = 1.0, [1.0, 0.0]
-                for n in range(400):
-                    term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * arg
-                    swell[0] += (n + 2) * abs(term)
-                    swell[1] += (n + 1) ** 2 * abs(term / arg)
-                for name in routes:
-                    for err, s, e in zip(errs[name], swell, exact):
-                        assert err <= 8 * eps * s / abs(e), (name, k, shape)
+                yield k, shape, tuple(complex(v) for v in params(a2, a3)), arg
+
+
+def _swell(a, b, c, arg):
+    """The spike test's sums over the first 400 terms t_k, one at a time:
+    1 + sum (k + 1) |t_k| and sum k^2 |t_k| / |arg|."""
+    term, swell = 1.0, [1.0, 0.0]
+    for n in range(400):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * arg
+        swell[0] += (n + 2) * abs(term)
+        swell[1] += (n + 1) ** 2 * abs(term / arg)
+    return swell
+
+
+def test_series_pass_holds_the_rounding_bound_at_spikes():
+    # c = 1 - 2a2 (psi2) or 1 - 2a3 (w_minus) within 0.05 of -k + 1/2: the terms
+    # swell past |c| and cancel.  Either route's error is then its terms' rounding,
+    # up to about eps per ratio per term, so both the pass and hyp2f1 are held to
+    # 8 eps kappa against 40 digits, kappa = sum k |t_k| / |sum|, on F and dF/darg
+    eps = 2.0 ** -53
+    for k, shape, (a, b, c), arg in _spike_rows():
+        assert abs(c - (0.5 - k)) <= 0.05
+        F, dF, _ = _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[arg]]))
+        routes = {"pass": (F[0], dF[0]),
+                  "hyp2f1": (hyp2f1(a, b, c, arg), a * b / c * hyp2f1(a + 1, b + 1, c + 1, arg))}
+        with mpmath.workdps(40):
+            A, B, C, Z = (mpmath.mpc(v.real, v.imag) for v in (a, b, c, arg))
+            exact = (mpmath.hyp2f1(A, B, C, Z), A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, Z))
+            exact = [complex(v) for v in exact]
+            errs = {name: [abs(mpmath.mpc(g.real, g.imag) - e) / abs(e)
+                           for g, e in zip(got, exact)] for name, got in routes.items()}
+        swell = _swell(a, b, c, arg)
+        for name in routes:
+            for err, s, e in zip(errs[name], swell, exact):
+                assert err <= 8 * eps * s / abs(e), (name, k, shape)
+
+
+def _domain_family_hermitian_rows():
+    """(a, b, c) and arg of the four series rows of each Hermitian fit of the
+    domain family at u = 0, where every row's argument is 1/2."""
+    for v0, rho, energy in _domain_family():
+        ch = _hermitian_channel(v0, rho, 1.0, energy)
+        yield [(_SHAPES[shape][2](ch.a2, ch.a3), 0.5) for shape in LOCAL_SHAPES]
+
+
+@pytest.mark.parametrize("family", ["spikes", "domain_family_hermitian"])
+def test_series_pass_reports_the_spike_tests_kappa(family):
+    # kappa on F and on dF/darg, as _gauss_sums reads it off its terms, against the
+    # spike test's sums over the same terms
+    passes = ([[(abc, arg)] for _, _, abc, arg in _spike_rows()] if family == "spikes"
+              else _domain_family_hermitian_rows())
+    for rows in passes:
+        abc, arg = zip(*rows)
+        F, dF, kappa = _gauss_sums(np.array(abc).T[:, :, None], np.array(arg)[:, None])
+        assert len(kappa) == len(rows)
+        for (a, b, c), z, f, df, got in zip(abc, arg, F, dF, kappa):
+            s_f, s_df = _swell(a, b, c, z)
+            assert got == pytest.approx([s_f / abs(f), s_df / abs(df)], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("shape, a2, u, phi, cap, error, match", [
