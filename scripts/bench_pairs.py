@@ -30,9 +30,10 @@ order (``extra.workload_stats`` of the run's
 median over that side's runs of each run's median as-timed op time
 (``extra.op_seconds``), which shows the ops that moved; per side each run's
 ``extra.oracle_max_rel_dev``, in pair order, where every run reports it;
-and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric goes to standard
-output, and one warning line per pair whose two sides' workload stats
-differ: those sides timed different mixes of ops (a ``ranges`` window
+and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric
+goes to standard output, one with each side's worst oracle deviation where
+the runs report it, and one warning line per pair whose two sides' workload
+stats differ: those sides timed different mixes of ops (a ``ranges`` window
 redrawn on one side only, say).
 """
 
