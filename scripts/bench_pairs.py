@@ -30,7 +30,10 @@ order (``extra.workload_stats`` of the run's
 median over that side's runs of each run's median as-timed op time
 (``extra.op_seconds``), which shows the ops that moved; per side each run's
 ``extra.oracle_max_rel_dev``, in pair order, where every run reports it;
-and the sha256 of each side's ``src/wsabsorb`` sources.  One line per metric
+and the sha256 of each side's ``src/wsabsorb`` sources.  The file is
+written again after each workload, so a run that fails (a timeout on a
+loaded machine, say) keeps the workloads done before it: the script then
+writes those with the failure as ``error`` and exits 1.  One line per metric
 goes to standard output, one with each side's worst oracle deviation where
 the runs report it, and one warning line per pair whose two sides' workload
 stats differ: those sides timed different mixes of ops (a ``ranges`` window
@@ -180,6 +183,10 @@ def main() -> int:
         "workloads": {},
     }
     rules = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+
+    def write() -> None:
+        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
     try:
         for workload in args.workload:
             runs = {side: [] for side in SIDES}
@@ -211,10 +218,12 @@ def main() -> int:
                       f"{'within' if m['within_bound'] else 'outside'} bound", flush=True)
             for line in stats_warnings(workload, args.seeds, runs):
                 print(line, flush=True)
+            write()
     except (RuntimeError, ValueError, KeyError) as exc:
+        doc["error"] = str(exc)
+        write()
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -254,7 +254,10 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
     that cancel exactly leave no digits to compare.  The tolerance also
     admits the rounding of large log-Gamma values, and an energy where that
     rounding passes ``_ROUNDING_LIMIT`` fails outright.  Raises
-    ``ArithmeticError`` at the first energy that fails.
+    ``ArithmeticError`` at the first energy that fails.  A call where no
+    energy has a non-zero order skips the order branches and the Laurent
+    allowance, which would keep the equal-order values at every energy:
+    each energy's result is the same either way.
     """
     with np.errstate(all="ignore"):
         order, lg, size = _g_logs(ch)
@@ -266,17 +269,26 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
         big = np.maximum(t2.real, m.real)
         e_t2, e_m = np.exp(t2 - big), np.exp(m - big)
         w = e_t2 + e_m
-        equal = o_t2 == o_m
-        o_sum = np.minimum(o_t2, o_m)
-        log_sum = np.where(equal, big + np.log(w), np.where(o_t2 < o_m, t2, m))
-        cancel = np.where(equal, big - log_sum.real, 0.0)
+        # the order branches only where an energy has a non-zero order: with
+        # none, every sum is of equal orders and o_sum is o_det
+        singular = amp_order.any()
+        if singular:
+            equal = o_t2 == o_m
+            o_sum = np.minimum(o_t2, o_m)
+            log_sum = np.where(equal, big + np.log(w), np.where(o_t2 < o_m, t2, m))
+            cancel = np.where(equal, big - log_sum.real, 0.0)
+        else:
+            equal, o_sum = True, o_det
+            log_sum = big + np.log(w)
+            cancel = big - log_sum.real
         rel = np.abs(np.exp(log_sum - det) - 1.0)
-        # at a snapped critical point the finite cofactors sit up to the snap
-        # tolerance away from the exact pole, so the two leading coefficients
-        # differ by the subleading Laurent term, bounded by TAU_INT times the
-        # digamma scale of the dozen Gamma factors
         tol = 1e-8 * np.maximum(1.0, np.exp(np.minimum(200.0, cancel)))
-        tol += 300.0 * TAU_INT * (o_det != 0)
+        if singular:
+            # at a snapped critical point the finite cofactors sit up to the snap
+            # tolerance away from the exact pole, so the two leading coefficients
+            # differ by the subleading Laurent term, bounded by TAU_INT times the
+            # digamma scale of the dozen Gamma factors
+            tol += 300.0 * TAU_INT * (o_det != 0)
         # each log Gamma carries about eps |log Gamma| of rounding, which
         # outgrows the 1e-8 floor once the arguments reach about 1e6; past
         # _ROUNDING_LIMIT the check (and the logs) no longer hold the digits
@@ -284,7 +296,8 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
         tol += rounding
         # equal orders compare coefficients; an exact higher-order zero of the
         # closed form needs 9 cancelled digits; a more singular sum always fails
-        fail = np.where(o_sum == o_det, rel > tol, (o_det < o_sum) | (cancel < 9.0 * _LN10))
+        fail = (np.where(o_sum == o_det, rel > tol, (o_det < o_sum) | (cancel < 9.0 * _LN10))
+                if singular else rel > tol)
         if fail.any():  # except where the leading coefficients cancel exactly
             fail &= ~(equal & (np.abs(w) < 4e-16 * (np.abs(e_t2) + np.abs(e_m))))
         fail |= rounding > _ROUNDING_LIMIT
@@ -321,8 +334,8 @@ def _amplitude_set(energy: float, order: np.ndarray, lg: np.ndarray) -> Amplitud
     [-pi, pi] first, as a :class:`SingularValue` folds it, so that each
     quotient's phase is the one SingularValue division gives: a phase of
     2 pi over one of pi gives -pi, not pi."""
-    folded = [[complex(w.real, math.remainder(w.imag, 2.0 * math.pi))] for w in lg[:, 0].tolist()]
-    rl, minus_rr, tl, det = _column(*_amplitude_logs(order[:, :1], np.array(folded)))
+    folded = np.array([complex(w.real, math.remainder(w.imag, 2.0 * math.pi)) for w in lg[:, 0].tolist()])
+    rl, minus_rr, tl, det = _column(*_amplitude_logs(order[:, :1], folded[:, None]))
     rr = -minus_rr
     return AmplitudeSet(
         energy=float(energy),

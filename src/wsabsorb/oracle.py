@@ -138,32 +138,35 @@ _SHAPES = {
 }
 
 
-def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us,
-                  phi: float) -> tuple[np.ndarray, float]:
+def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: float,
+                  kappa: bool = False) -> tuple[np.ndarray, float | None]:
     """(psi, dpsi/du) of the Frobenius-normalized local solutions named by
     ``shapes``, each at its own u of ``us``, as rows of an array: one series
-    pass (_gauss_sums) for all of them.  With them, the largest rounding
-    factor kappa of that pass over the rows' F and dF/darg: each is within
-    8 eps kappa of its exact value.
+    pass (_gauss_sums) for all of them.  With ``kappa``, also the largest
+    rounding factor kappa of that pass over the rows' F and dF/darg (each is
+    within 8 eps kappa of its exact value), else None: the states are the
+    same bits either way.
 
     The solutions are z^{+-a2} (1-z)^{+-a3} 2F1(...) with the (1-z)-power
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
     along the whole contour and reduces to the exact plane-wave
-    normalization at the matching end.  Each row's series goes through
-    the package's one 2F1 guard (specfun._series_guard: ValueError,
-    PoleProximityError) and term cap (SeriesError); a row whose state
-    overflows raises ContourError.
+    normalization at the matching end; z, 1 - z and Log z are formed once
+    per distinct u.  Each row's series goes through the package's one 2F1
+    guard (specfun._series_guard: ValueError, PoleProximityError) and term
+    cap (SeriesError); a row whose state overflows raises ContourError.
     """
+    points = {}
     rows = []
     for shape, u in zip(shapes, us):
         sgn2, sgn3, params, arg_is_omz = _SHAPES[shape]
         al = sgn2 * a2
         be = sgn3 * a3
         try:
-            w = cmath.exp(complex(u, phi))
-            z = 1.0 / (1.0 + w)
-            omz = w * z  # 1 - z, computed without cancellation
-            log_z = cmath.log(z)
+            if u not in points:
+                w = cmath.exp(complex(u, phi))
+                z = 1.0 / (1.0 + w)
+                points[u] = z, w * z, cmath.log(z)  # 1 - z = w z, without cancellation
+            z, omz, log_z = points[u]
             a, b, c = params(a2, a3)
             arg = omz if arg_is_omz else z
             _series_guard(a, b, c, arg)
@@ -175,9 +178,10 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us,
         darg_du = z * omz if arg_is_omz else -z * omz
         rows.append((a, b, c, arg, pref, -al * omz + be * z, darg_du))
     a, b, c, arg, pref, slope, darg_du = zip(*rows)
-    F, dF, kappa = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None])
-    return np.array([(p * f, p * (s * f + df * d))
-                     for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)]), max(map(max, kappa))
+    F, dF, kappas = _gauss_sums(np.array((a, b, c))[:, :, None], np.array(arg)[:, None], kappa)
+    states = np.array([(p * f, p * (s * f + df * d))
+                       for p, s, d, f, df in zip(pref, slope, darg_du, F, dF)])
+    return states, max(map(max, kappas)) if kappa else None
 
 
 def _effective_phase(rho: float, x0: float) -> float:
@@ -355,9 +359,10 @@ def _integrate_core(a2: complex, a3: complex, phi: float, launch: np.ndarray, u_
     laid out as (psi, dpsi/du) per launch.
     """
     y0 = launch.ravel()
-    if np.abs(y0).max() > OVERFLOW_GUARD:
+    big = max(map(abs, y0.tolist()))
+    if big > OVERFLOW_GUARD:
         raise ContourError(
-            f"launch state magnitude {np.abs(y0).max():.3e} exceeds "
+            f"launch state magnitude {big:.3e} exceeds "
             f"the {OVERFLOW_GUARD:.0e} overflow guard; shrink the contour"
         )
     y_end, points = _bridge(a2, a3, phi, y0.reshape(-1, 2).T, u_top, u_bot)
@@ -373,7 +378,8 @@ def _shapes(variant: Variant) -> tuple[str, str]:
 
 
 def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
-    """(a2, a3, phi_eff, handoff u) of the contour at x0, validated."""
+    """(a2, a3, phi_eff, handoff u) of the contour at x0, validated, and the
+    channel they are read from."""
     _check_finite("x0", x0)
     if Z is not None:
         _check_positive("Z", Z)
@@ -387,7 +393,7 @@ def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | Non
     phi = _effective_phase(spec.rho, x0)
     phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
     uh = spec.rho * Z if Z is not None else _handoff(a2, a3, phi)
-    return complex(a2), complex(a3), phi_eff, uh
+    return complex(a2), complex(a3), phi_eff, uh, ch
 
 
 def integrate_contour(
@@ -410,7 +416,7 @@ def integrate_contour(
     module's job.  A launch that is not a :class:`Launch` raises ValueError.
     """
     _check_member("launch", launch, Launch)
-    a2, a3, phi_eff, uh = _contour_setup(spec, energy, x0, Z)
+    a2, a3, phi_eff, uh, _ = _contour_setup(spec, energy, x0, Z)
     rho = spec.rho
     shape = _shapes(spec.variant)[launch is Launch.PSI_TWO]
     start, _ = _local_states((shape,), a2, a3, (uh,), phi_eff)
@@ -451,15 +457,18 @@ def _fitted_g(a2, a3, phi, handoffs, variant) -> tuple[complex, complex, complex
     integrated together from uh to -uh.  One series pass gives the launch
     states at uh and the fit basis at -uh; uh is the first of ``handoffs``
     whose pass keeps its rounding bound 8 eps kappa within
-    ``SERIES_ROUNDING_BUDGET``, else the last."""
-    for uh in handoffs:
-        states, kappa = _local_states(_shapes(variant) + ("w_plus", "w_minus"), a2, a3,
-                                      (uh, uh, -uh, -uh), phi)
-        if 8.0 * _ROUNDING * kappa <= SERIES_ROUNDING_BUDGET:
+    ``SERIES_ROUNDING_BUDGET``, else the last, whose pass computes no kappa
+    (nor does the pass of a single handoff)."""
+    shapes = _shapes(variant) + ("w_plus", "w_minus")
+    for i, uh in enumerate(handoffs, 1):
+        states, kappa = _local_states(shapes, a2, a3, (uh, uh, -uh, -uh), phi,
+                                      kappa=i < len(handoffs))
+        if kappa is None or 8.0 * _ROUNDING * kappa <= SERIES_ROUNDING_BUDGET:
             break
     _, y_end, _ = _integrate_core(a2, a3, phi, states[:2], uh, -uh)
     C, _ = _basis_coefficients(variant, y_end.reshape(2, 2).T, states[2:])
-    return complex(C[0, 0]), complex(C[1, 0]), complex(C[0, 1]), complex(C[1, 1])
+    (g1, g3), (g2, g4) = C.tolist()
+    return g1, g2, g3, g4
 
 
 def _fitted_amplitudes(
@@ -488,7 +497,7 @@ def oracle_g_factors(
     the same four constants the closed forms produce.
     """
     forward = PotentialSpec(v0=spec.v0, rho=spec.rho, mass=spec.mass)
-    a2, a3, phi, uh = _contour_setup(forward, energy, x0, Z)
+    a2, a3, phi, uh, _ = _contour_setup(forward, energy, x0, Z)
     return _fitted_g(a2, a3, phi, (uh,), Variant.FORWARD)
 
 
@@ -504,9 +513,8 @@ def oracle_amplitudes(
     r_r = -c+(psi1)/c+(psi2); the time-reversed variant integrates the
     conjugated potential.
     """
-    a2, a3, phi, uh = _contour_setup(spec, energy, x0, Z)
+    a2, a3, phi, uh, ch = _contour_setup(spec, energy, x0, Z)
     g1, _, g3, g4 = _fitted_g(a2, a3, phi, (uh,), spec.variant)
-    ch = channel_params(spec, energy)
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 

@@ -52,7 +52,8 @@ class PoleProximityError(ValueError):
 
 
 class SeriesError(RuntimeError):
-    """Hypergeometric series failed to converge within the term cap."""
+    """Hypergeometric series failed to converge within the term cap, or its
+    terms overflowed."""
 
 
 def snap(x):
@@ -150,20 +151,25 @@ def _log_gamma(x: np.ndarray) -> np.ndarray:
     near = n <= 8.0
     if complex_:
         near &= np.abs(w - n) <= 0.5
-    lg = np.empty(x.shape, dtype=w.dtype)
     # each stage runs on the arguments it serves, and not at all where it
-    # serves none
-    wn, n = w[near], n[near]
+    # serves none; where the Pade stage serves all, it gathers and scatters none
+    everywhere = near.all()
+    lg = np.empty(x.shape, dtype=w.dtype)
+    wn, n = (w.ravel(), n.ravel()) if everywhere else (w[near], n[near])
     if wn.size:
         t = wn - n
         p, q = _estrin(_PADE_EVEN, _PADE_ODD, t)
         rise = _RISE[:max(int(n.max()) - 2, 1)]
         ratio = _product(np.where(rise < n, t + rise, 1.0))
         ratio = np.where(n == 1.0, 1.0 / wn, ratio)  # Gamma(1 + t) = Gamma(2 + t) / w
-        lg[near] = t * p / (t * q + 1.0) + np.log(ratio)
-    far = ~near
-    v = w[far]
-    if v.size:
+        pade = t * p / (t * q + 1.0) + np.log(ratio)
+        if everywhere:
+            lg = pade.reshape(x.shape)
+        else:
+            lg[near] = pade
+    if not everywhere:
+        far = ~near
+        v = w[far]
         stirling = _STIRLING_CONST
         if complex_:
             m = np.ceil(_STIRLING_MIN - v.real) * (np.abs(v) < _STIRLING_MIN)
@@ -235,13 +241,14 @@ def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, hit = snap(z)
     pole = hit & (n <= 0)
-    x = np.where(pole, 1.0 - n, z)  # log k! at a pole
+    any_pole = pole.any()
+    x = np.where(pole, 1.0 - n, z) if any_pole else z  # log k! at a pole
     if x.size <= _PIECE:
         lg = _log_gamma(x)
     else:
         x = x.ravel()
         lg = np.concatenate([_log_gamma(x[i:i + _PIECE]) for i in range(0, x.size, _PIECE)]).reshape(z.shape)
-    if pole.any():
+    if any_pole:
         lg[pole] = 1j * math.pi * (n[pole] % 2) - lg[pole]
     return pole, lg
 
@@ -450,8 +457,13 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     return F[0]
 
 
-# _gauss_sums sums the Gauss series of all its rows together, _BLOCK terms at a time.
-_BLOCK = 64
+# _gauss_sums computes the terms of all its rows together, _BLOCK at a time,
+# and decides each row's stop every _STOP_STEP terms.  A row sums the same
+# terms whatever the block, a multiple of the step, so its F, dF/darg and
+# kappa keep their bits; most of the oracle's rows stop within 128 terms, one
+# block.
+_BLOCK = 128
+_STOP_STEP = 64
 
 
 def _swell_weights(terms: int) -> np.ndarray:
@@ -461,24 +473,26 @@ def _swell_weights(terms: int) -> np.ndarray:
     return np.array([k + 1.0, k * k]).T
 
 
-# the weights of the first 8 blocks, enough for the oracle's passes at |arg| =
+# the weights of the first 512 terms, enough for the oracle's passes at |arg| =
 # 1/2; a longer pass builds its own
-_SWELL_WEIGHTS = _swell_weights(8 * _BLOCK)
+_SWELL_WEIGHTS = _swell_weights(8 * _STOP_STEP)
 
 
-def _gauss_sums(abc: np.ndarray,
-                arg: np.ndarray) -> tuple[list[complex], list[complex], list[tuple[float, float]]]:
+def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
+                ) -> tuple[list[complex], list[complex], list[tuple[float, float]] | None]:
     """2F1(a, b; c; arg) and its arg-derivative per row, from one pass of the
-    rows' Gauss series, and each row's rounding factors kappa; ``abc`` stacks
-    a, b and c as (3, rows, 1) and ``arg`` is (rows, 1).  The caller guards
-    each row (:func:`_series_guard`).
+    rows' Gauss series, and with ``kappa`` each row's rounding factors kappa
+    (else None); ``abc`` stacks a, b and c as (3, rows, 1) and ``arg`` is
+    (rows, 1).  The caller guards each row (:func:`_series_guard`).
 
-    The terms t_k are cumulative products of the term ratios, a block of
-    _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read the
-    same terms, and each sum is exact (math.fsum of the real and imaginary
-    parts), so at the coefficient spikes of a c left of the origin the sums
-    add no rounding of their own.  A row stops at the first block whose last
-    three terms are below 1e-17 of its sum; SeriesError past the term cap.
+    The terms t_k are cumulative products of the term ratios, a numpy block
+    of _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read
+    the same terms, and each sum is exact (math.fsum of the real and
+    imaginary parts), so at the coefficient spikes of a c left of the origin
+    the sums add no rounding of their own.  A row stops at the first multiple
+    of _STOP_STEP terms whose last three terms are below 1e-17 of its sum;
+    SeriesError past the term cap, and at the first step where a running
+    row's terms stop being finite (they overflow).
 
     Each term then carries up to about eps of rounding per ratio, so F and
     dF/darg are within 8 eps kappa of exact, with per row the pair kappa =
@@ -490,45 +504,60 @@ def _gauss_sums(abc: np.ndarray,
     total = [1.0] * rows
     stop = [0] * rows  # terms each row sums; 0 while it runs
     blocks, n0 = [], 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # past its stop a row may overflow
         while not all(stop):
             if n0 >= _SERIES_MAX_TERMS:
                 raise SeriesError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms")
             n = np.arange(n0, min(n0 + _BLOCK, _SERIES_MAX_TERMS), dtype=float)
-            k = n + 1.0
             p = abc + n
-            r = p[0] * p[1] / (p[2] * k) * arg
-            if blocks:
-                r[:, 0] *= blocks[-1][0, :, -1]
-            tk = np.empty((2, *r.shape), dtype=complex)  # the terms t_k and k t_k
-            np.cumprod(r, axis=1, out=tk[0])
-            np.multiply(tk[0], k, out=tk[1])
-            blocks.append(tk)
+            r = p[0] * p[1] / (p[2] * (n + 1.0)) * arg
+            # the terms t_k, filled a step at a time, and below them k t_k
+            block = np.empty((2, *r.shape), dtype=complex)
+            blocks.append(block)
+            for s in range(0, n.size, _STOP_STEP):
+                # a step continues from the term before it by one product of
+                # that term and its ratio, in that order: numpy's complex
+                # products round by operand order
+                if n0 + s:
+                    r[:, s] *= block[0, :, s - 1] if s else blocks[-2][0, :, -1]
+                step = block[0, :, s:s + _STOP_STEP]
+                np.cumprod(r[:, s:s + _STOP_STEP], axis=1, out=step)
+                end = n0 + s + step.shape[1]
+                tail = np.abs(step[:, -3:]).max(axis=1).tolist()
+                for i, part in enumerate(step.sum(axis=1).tolist()):
+                    if stop[i]:
+                        continue
+                    if not cmath.isfinite(part):
+                        raise SeriesError(f"2F1 series terms overflow within {end} terms")
+                    total[i] += part
+                    if tail[i] <= 1e-17 * abs(total[i]):
+                        stop[i] = end
+                if all(stop):
+                    break
             n0 += n.size
-            tail = np.abs(tk[0, :, -3:]).max(axis=1).tolist()
-            for i, part in enumerate(tk[0].sum(axis=1).tolist()):
-                total[i] += part
-                if not stop[i] and tail[i] <= 1e-17 * abs(total[i]):
-                    stop[i] = n0
-        terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
-        size = np.abs(terms[0])  # |t_k|
-    n = size.shape[1]
-    for i, m in enumerate(stop):
-        if m < n:
-            size[i, m:] = 0.0  # past its stop a row may overflow
-    # per row, sum (k + 1) |t_k| and sum k^2 |t_k|
-    swell = (size @ (_SWELL_WEIGHTS[:n] if n <= len(_SWELL_WEIGHTS) else _swell_weights(n))).tolist()
+        # the terms summed: a block's steps past the last stop are never filled
+        n = max(stop)
+        terms = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2))[:, :, :n]
+        np.multiply(terms[0], np.arange(1.0, n + 1.0), out=terms[1])
+        size = np.abs(terms[0]) if kappa else None  # |t_k|
     # real and imaginary parts alternate along a row of the float view
     t, kt = terms.view(float).tolist()
-    F, dF, kappa = [], [], []
-    for i, (m, z, (s, s_slope)) in enumerate(zip(stop, arg[:, 0].tolist(), swell)):
+    F, dF, slopes = [], [], []
+    for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
         re = t[i][0:2 * m:2]
         re.append(1.0)
         F.append(complex(math.fsum(re), math.fsum(t[i][1:2 * m:2])))
         slope = complex(math.fsum(kt[i][0:2 * m:2]), math.fsum(kt[i][1:2 * m:2]))
         # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
         dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
-        # |arg dF/darg| = |slope|
-        kappa.append(((1.0 + s) / abs(F[-1]) if F[-1] else math.inf,
-                      s_slope / abs(slope) if slope else (math.inf if s_slope else 1.0)))
-    return F, dF, kappa
+        slopes.append(slope)
+    if not kappa:
+        return F, dF, None
+    for i, m in enumerate(stop):
+        if m < n:
+            size[i, m:] = 0.0  # past its stop a row may overflow
+    # per row, sum (k + 1) |t_k| and sum k^2 |t_k|; |arg dF/darg| = |slope|
+    swell = (size @ (_SWELL_WEIGHTS[:n] if n <= len(_SWELL_WEIGHTS) else _swell_weights(n))).tolist()
+    return F, dF, [((1.0 + s) / abs(f) if f else math.inf,
+                    s_slope / abs(slope) if slope else (math.inf if s_slope else 1.0))
+                   for f, slope, (s, s_slope) in zip(F, slopes, swell)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wsabsorb.amplitudes import _G_TABLE, amplitudes, det_s, log10_coefficients
-from wsabsorb.spectral import SpectralFamily, critical_points
+from wsabsorb.spectral import SpectralFamily, cc_left_energies, critical_points
 from wsabsorb.units import PotentialSpec, Variant
 
 # det-S cross-check failures of the scalar route, (v0, rho, E)
@@ -78,6 +78,53 @@ def test_landing_windows_hit_singular_rows():
     got = log10_coefficients(spec, energies)
     assert np.isneginf(got[0]).sum() >= 2
     assert np.array_equal(got, scalar_route(spec, energies))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_row_bits_do_not_depend_on_a_pole_elsewhere_in_the_call(variant):
+    # a call with no non-zero order skips the kernel's order branches; one with a
+    # landing energy takes them at every energy, and each row keeps its bits
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=variant)
+    landing = cc_left_energies(spec, 1)[0].energy
+    ordinary = np.linspace(0.5 * landing, 1.5 * landing, 9)
+    ordinary = ordinary[ordinary != landing]
+    alone = log10_coefficients(spec, ordinary)
+    beside = log10_coefficients(spec, np.append(ordinary, landing))
+    assert np.isfinite(alone).all() and np.isinf(beside[:, -1]).any()
+    assert alone.tobytes() == beside[:, :-1].tobytes()
+    assert alone.tobytes() == scalar_route(spec, ordinary).tobytes()
+
+
+# (spec, energy, message) of det-S refusals the tests pin: the reproducers, the
+# degenerate CLI scan point's neighbours (2 a2 = 1, 2 a3 = 3) and the
+# unresolvable energies
+_REFUSALS = [
+    *[((v0, rho, variant), energy, f"det S cross-check failed at E={energy!r}: rel diff {rel}")
+      for (v0, rho, energy), rel in zip(DET_S_REPRODUCERS, ("3.916e-07", "1.756e-06", "1.810e-06"))
+      for variant in Variant],
+    ((0.5, 1.0, Variant.FORWARD), 0.062499996093749996,
+     "det S cross-check failed at E=0.062499996093749996: rel diff 1.865e-08"),
+    ((0.5, 1.0, Variant.FORWARD), 0.06250000390624999,
+     "det S cross-check failed at E=0.06250000390624999: rel diff 2.665e-08"),
+    ((1.2, 1.8, Variant.FORWARD), 1e13,
+     "det S cannot be checked at E=10000000000000.0: log-Gamma rounding 1.475e-06 exceeds 1e-06"),
+    ((1.2, 1.8, Variant.FORWARD), 1e25,
+     "det S cannot be checked at E=1e+25: log-Gamma rounding 2.854e+00 exceeds 1e-06"),
+]
+
+
+@pytest.mark.parametrize("params, energy, message", _REFUSALS)
+def test_det_s_refusals_keep_their_messages(params, energy, message):
+    # by the scalar route, and by the array route with and without a landing
+    # energy before it, which puts the call on the kernel's order branches
+    v0, rho, variant = params
+    spec = PotentialSpec(v0=v0, rho=rho, mass=1.0, variant=variant)
+    landing = cc_left_energies(spec, 1)[0].energy
+    for call in (lambda: amplitudes(spec, energy), lambda: log10_coefficients(spec, [energy]),
+                 lambda: log10_coefficients(spec, [landing, energy])):
+        with pytest.raises(ArithmeticError) as refused:
+            call()
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("variant", list(Variant))

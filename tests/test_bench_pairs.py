@@ -1,7 +1,8 @@
 """``scripts/bench_pairs.py`` refuses checkouts whose paths differ in length,
 reports per metric whether the claim rule holds and the bound is kept, warns
-of pairs whose sides' workload stats differ, and records each side's op
-times per label and the oracle's worst deviation per run."""
+of pairs whose sides' workload stats differ, records each side's op times
+per label and the oracle's worst deviation per run, and keeps the workloads
+done before a run that fails."""
 
 import importlib.util
 import json
@@ -99,6 +100,8 @@ def test_a_warning_per_pair_whose_workload_stats_differ():
 
 _FAKE_RUN = '''import json, pathlib, sys
 workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+if pathlib.Path(f"fail-{workload}").exists():
+    sys.exit("timed out")
 results = pathlib.Path("bench/results")
 results.mkdir(exist_ok=True)
 stats = json.loads(pathlib.Path("stats.json").read_text())[seed]
@@ -125,14 +128,20 @@ def _fake_checkouts(tmp_path, sides):
         (tmp_path / name / "names.json").write_text(json.dumps(names))
 
 
-def _pairs(tmp_path, workload, seeds):
+def _pairs_run(tmp_path, workloads, seeds):
     out = tmp_path / "out.json"
     proc = subprocess.run(
-        [sys.executable, str(_SCRIPT), str(tmp_path / "a"), str(tmp_path / "b"), "--workload",
-         workload, "--seeds", seeds, "--seconds", "1", "--out", str(out)],
+        [sys.executable, str(_SCRIPT), str(tmp_path / "a"), str(tmp_path / "b"),
+         *[arg for w in workloads for arg in ("--workload", w)], "--seeds", seeds,
+         "--seconds", "1", "--out", str(out)],
         capture_output=True, text=True, check=False)
+    return proc, json.loads(out.read_text())
+
+
+def _pairs(tmp_path, workload, seeds):
+    proc, doc = _pairs_run(tmp_path, (workload,), seeds)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(out.read_text())["workloads"][workload], proc.stdout
+    return doc["workloads"][workload], proc.stdout
 
 
 def test_each_run_keeps_its_result_files_workload_stats(tmp_path):
@@ -170,3 +179,25 @@ def test_each_side_keeps_its_op_times_and_oracle_deviations(tmp_path):
     assert result["oracle_max_rel_dev"] == {"parent": [1e-12, 3e-12, 2e-12],
                                             "change": [4e-12, 5e-12, 6e-12]}
     assert "oracle oracle_max_rel_dev: parent max 3e-12, change max 6e-12" in stdout.splitlines()
+
+
+def test_a_failed_run_keeps_the_workloads_done_before_it(tmp_path):
+    # the change side's runs of the second workload fail: the file holds the
+    # first workload and the error, and the script exits 1
+    times = {"op_seconds": {"o:0": [0.001]}}
+    _fake_checkouts(tmp_path, {side: {"1": ({}, times), "2": ({}, times)} for side in "ab"})
+    (tmp_path / "b" / "fail-ranges").write_text("")
+    proc, doc = _pairs_run(tmp_path, ("scan", "ranges", "oracle"), "1-2")
+    assert proc.returncode == 1
+    assert list(doc["workloads"]) == ["scan"] and doc["workloads"]["scan"]["pairs"] == 2
+    assert doc["error"].startswith(f"{tmp_path / 'b'}: ranges seed 1 exited 1")
+    assert "timed out" in doc["error"]
+    assert proc.stderr == f"error: {doc['error']}\n"
+
+
+def test_every_workload_is_written_when_every_run_succeeds(tmp_path):
+    times = {"op_seconds": {"o:0": [0.001]}}
+    _fake_checkouts(tmp_path, {side: {"1": ({}, times)} for side in "ab"})
+    proc, doc = _pairs_run(tmp_path, ("scan", "ranges"), "1")
+    assert proc.returncode == 0, proc.stderr
+    assert list(doc["workloads"]) == ["scan", "ranges"] and "error" not in doc

@@ -106,7 +106,7 @@ class TestIntegrateContour:
 
     def test_launch_state_matches_local_solution(self):
         sol = integrate_contour(SPEC, 1.0, Launch.PSI_ONE)
-        a2, a3, phi, uh = _contour_setup(SPEC, 1.0, 0.0, None)
+        a2, a3, phi, uh, _ = _contour_setup(SPEC, 1.0, 0.0, None)
         psi, dpsi = _states(("psi1",), a2, a3, uh, phi)[0]
         assert abs(sol.psi_start - psi) < 1e-13 * abs(psi)
         assert abs(sol.dpsi_start - dpsi * SPEC.rho) < 1e-13 * abs(dpsi * SPEC.rho)
@@ -114,7 +114,7 @@ class TestIntegrateContour:
 
 class TestLocalFit:
     def test_local_fit_resynthesis(self):
-        a2, a3, phi, _ = _contour_setup(SPEC, 1.0, 0.0, None)
+        a2, a3, phi, _, _ = _contour_setup(SPEC, 1.0, 0.0, None)
         uh = _bridged_span(a2, a3)
         launch = _states(_shapes(Variant.FORWARD)[1:], a2, a3, uh, phi)  # PSI_TWO
         _, end, _ = _integrate_core(a2, a3, phi, launch, uh, -uh)
@@ -371,7 +371,7 @@ class TestHermitianOracle:
             routes.append(points[-1] == 1)
             if routes[-1]:
                 ch = _hermitian_channel(v0, delta, 1.0, energy)
-                _, kappa = _local_states(LOCAL_SHAPES, ch.a2, ch.a3, (0.0,) * 4, 0.0)
+                _, kappa = _local_states(LOCAL_SHAPES, ch.a2, ch.a3, (0.0,) * 4, 0.0, kappa=True)
                 assert dev <= 8 * 2.0 ** -53 * kappa
         assert len(routes) == 120 and 0 < sum(routes) < len(routes)
 
@@ -447,7 +447,7 @@ def _joint_draws():
                                  variant=variant)
             energy = rng.uniform(0.1, 10.0)
             if oracle_domain_ok(spec, energy):
-                a2, a3, phi, _ = _contour_setup(spec, energy, rng.uniform(0.0, 1.0), None)
+                a2, a3, phi, _, _ = _contour_setup(spec, energy, rng.uniform(0.0, 1.0), None)
                 draws.append((a2, a3, phi, _bridged_span(a2, a3), variant))
     for _ in range(4):
         ch = _hermitian_channel(rng.uniform(0.3, 3.0), rng.uniform(0.6, 2.0), 1.0,
@@ -522,7 +522,7 @@ class TestJointIntegration:
         # the one-point match at u = 0 against launches the bridge carries across
         # the growth-budget span, to test_handoff_invariance's 1e-7
         spec = replace(SPEC, variant=variant)
-        a2, a3, _, uh = _contour_setup(spec, 1.37, 0.0, None)
+        a2, a3, _, uh, _ = _contour_setup(spec, 1.37, 0.0, None)
         assert uh == 0.0
         base = oracle_amplitudes(spec, 1.37)
         bridged = oracle_amplitudes(spec, 1.37, Z=_bridged_span(a2, a3) / spec.rho)
@@ -621,7 +621,7 @@ def _domain_family_contours():
     for v0, rho, energy in _domain_family():
         for variant in Variant:
             contours.append(_contour_setup(PotentialSpec(v0, rho, 1.0, variant=variant),
-                                           energy, 0.0, None))
+                                           energy, 0.0, None)[:4])
         ch = _hermitian_channel(v0, rho, 1.0, energy)
         contours.append((ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3, 0.0)))
     return contours
@@ -708,26 +708,114 @@ def test_series_pass_reports_the_spike_tests_kappa(family):
               else _domain_family_hermitian_rows())
     for rows in passes:
         abc, arg = zip(*rows)
-        F, dF, kappa = _gauss_sums(np.array(abc).T[:, :, None], np.array(arg)[:, None])
+        F, dF, kappa = _gauss_sums(np.array(abc).T[:, :, None], np.array(arg)[:, None], kappa=True)
         assert len(kappa) == len(rows)
         for (a, b, c), z, f, df, got in zip(abc, arg, F, dF, kappa):
             s_f, s_df = _swell(a, b, c, z)
             assert got == pytest.approx([s_f / abs(f), s_df / abs(df)], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("shape, a2, u, phi, cap, error, match", [
-    ("psi1", complex(math.nan), 0.5, 0.3, None, ValueError, "non-finite"),
-    ("psi1", 1.3 + 0j, 0.0, math.pi - 0.01, None, ValueError, "outside series domain"),
-    ("psi2", 0.5 + 5e-13 + 0j, 0.5, 0.3, None, PoleProximityError, "non-positive integer"),
-    ("psi1", 1.3 + 0j, 0.5, 0.3, 8, SeriesError, "within 8 terms"),
-], ids=["non_finite_a2", "outside_series_domain", "c_at_a_pole", "term_cap"])
-def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, u, phi, cap, error, match):
+# single rows (a, b, c, arg) that stop after 64 terms, after 128, and after 192
+# and 448, past one block of 128
+_STOPPING_ROWS = {64: ((2.1, 1.1, 1.6), 0.2), 128: ((6.0, 5.0, 5.0), 0.5),
+                  192: ((4.0, 3.0, 3.0), 0.7), 448: ((2.5, 1.5, 1.8), 0.9)}
+
+
+def _fit_rows(a2, a3, phi, uh):
+    """(abc, arg) of a fit's four series rows, as _local_states forms them."""
+    rows = []
+    for shape, u in zip(LOCAL_SHAPES, (uh, uh, -uh, -uh)):
+        _, _, params, arg_is_omz = _SHAPES[shape]
+        w = cmath.exp(complex(u, phi))
+        z = 1.0 / (1.0 + w)
+        rows.append((tuple(map(complex, params(a2, a3))), w * z if arg_is_omz else z))
+    return rows
+
+
+def _block_span_passes():
+    """(abc, arg) of the passes test_series_pass_bits_do_not_depend_on_the_block
+    runs: each stopping row alone and the four in one pass, in both orders, the
+    spike test's rows, the domain family's four-row Hermitian passes at u = 0,
+    and the four-row passes of the joint draws' fits (complex rows off x0 = 0)
+    and the domain family's, and of both tries of the Hermitian fits that
+    bridge, whose rows at u = 0 swell and cancel (at |a2| + |a3| ~ 49)."""
+    stopping = [(tuple(map(complex, abc)), complex(arg)) for abc, arg in _STOPPING_ROWS.values()]
+    passes = [[row] for row in stopping] + [stopping, stopping[::-1]]
+    passes += [[(abc, arg)] for _, _, abc, arg in _spike_rows()]
+    passes += list(_domain_family_hermitian_rows())
+    passes += [_fit_rows(*d[:4]) for d in _joint_draws()]
+    passes += [_fit_rows(*c) for c in _domain_family_contours()]
+    for v0, delta, energy in ((2.0, 0.2, 5.0), (1.0, 0.15, 3.0)):
+        ch = _hermitian_channel(v0, delta, 1.0, energy)
+        passes += [_fit_rows(ch.a2, ch.a3, 0.0, uh) for uh in (0.0, 1.4)]
+    return [(np.array(abc).T[:, :, None], np.array(arg)[:, None])
+            for abc, arg in (zip(*rows) for rows in passes)]
+
+
+def test_stopping_rows_stop_where_named(monkeypatch):
+    # each converges within its named count of terms and not within 64 fewer
+    for stop, (abc, arg) in _STOPPING_ROWS.items():
+        args = np.array(abc, dtype=complex)[:, None, None], np.array([[arg]], dtype=complex)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", stop)
+        _gauss_sums(*args)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", stop - 64)
+        with pytest.raises(SeriesError, match=f"within {stop - 64} terms"):
+            _gauss_sums(*args)
+
+
+def test_series_pass_bits_do_not_depend_on_the_block(monkeypatch):
+    # the terms come a numpy block at a time, but each row's stop is decided every
+    # 64 terms and each step continues from the last term before it as before, so
+    # F, dF/darg and kappa keep every bit whatever the block
+    assert specfun._STOP_STEP == 64
+    for abc, arg in _block_span_passes():
+        results = set()
+        for block in (64, 128, 192):
+            monkeypatch.setattr(specfun, "_BLOCK", block)
+            results.add(repr(_gauss_sums(abc, arg, kappa=True)))
+        assert len(results) == 1
+    # and a row whose terms overflow is refused at the same step
+    for block in (64, 128, 192):
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        with pytest.raises(SeriesError, match="^2F1 series terms overflow within 960 terms$"):
+            hyp2f1(401, 400, 401, 0.9)
+
+
+@pytest.mark.parametrize("family", ["joint_draws", "domain_family", "hermitian_at_0"])
+def test_local_states_are_the_same_bits_with_and_without_kappa(family):
+    if family == "joint_draws":
+        contours = [d[:4] for d in _joint_draws()]
+    elif family == "domain_family":
+        contours = _domain_family_contours()
+    else:
+        contours = [(a2, a3, 0.0, 0.0) for a2, a3, phi, _ in _domain_family_contours() if phi == 0.0
+                    and a2.real == 0.0]
+    assert contours
+    for a2, a3, phi, uh in contours:
+        us = (uh, uh, -uh, -uh)
+        states, kappa = _local_states(LOCAL_SHAPES, a2, a3, us, phi, kappa=True)
+        plain, none = _local_states(LOCAL_SHAPES, a2, a3, us, phi)
+        assert none is None and kappa >= 1.0
+        assert plain.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("shape, a2, a3, u, phi, cap, error, match", [
+    ("psi1", complex(math.nan), 2.1 + 0j, 0.5, 0.3, None, ValueError, "non-finite"),
+    ("psi1", 1.3 + 0j, 2.1 + 0j, 0.0, math.pi - 0.01, None, ValueError, "outside series domain"),
+    ("psi2", 0.5 + 5e-13 + 0j, 2.1 + 0j, 0.5, 0.3, None, PoleProximityError,
+     "non-positive integer"),
+    ("psi1", 1.3 + 0j, 2.1 + 0j, 0.5, 0.3, 8, SeriesError, "within 8 terms"),
+    ("psi1", 200 + 0j, 200 + 0j, math.log(1 / 9), 0.0, None, SeriesError,
+     "terms overflow within 960 terms"),
+], ids=["non_finite_a2", "outside_series_domain", "c_at_a_pole", "term_cap", "terms_overflow"])
+def test_series_pass_refuses_what_hyp2f1_refuses(monkeypatch, shape, a2, a3, u, phi, cap, error,
+                                                 match):
     # phi = pi - 0.01 at u = 0 puts |z| near 100; 2a2 = 1 + 1e-12 puts psi2's c = 1 - 2a2
-    # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too.  hyp2f1 on
-    # the row's own (a, b, c, z) raises the same type with the same message
+    # within TAU_INT of 0; the cap is the term cap hyp2f1 reads too; 2F1(401, 400;
+    # 401; 0.9) = 10^400, whose terms overflow long before the cap.  hyp2f1 on the
+    # row's own (a, b, c, z) raises the same type with the same message
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", cap)
-    a3 = 2.1 + 0j
     _, _, params, arg_is_omz = _SHAPES[shape]
     w = cmath.exp(complex(u, phi))
     z = 1.0 / (1.0 + w)
