@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -488,8 +489,9 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     The terms t_k are cumulative products of the term ratios, a numpy block
     of _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read
     the same terms, and each sum is exact (math.fsum of the real and
-    imaginary parts), so at the coefficient spikes of a c left of the origin
-    the sums add no rounding of their own.  A row stops at the first multiple
+    imaginary parts, read from the term array's buffer with no list between),
+    so at the coefficient spikes of a c left of the origin the sums add no
+    rounding of their own.  A row stops at the first multiple
     of _STOP_STEP terms whose last three terms are below 1e-17 of its sum;
     SeriesError past the term cap, and at the first step where a running
     row's terms stop being finite (they overflow).
@@ -521,7 +523,7 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
                 if n0 + s:
                     r[:, s] *= block[0, :, s - 1] if s else blocks[-2][0, :, -1]
                 step = block[0, :, s:s + _STOP_STEP]
-                np.cumprod(r[:, s:s + _STOP_STEP], axis=1, out=step)
+                r[:, s:s + _STOP_STEP].cumprod(axis=1, out=step)
                 end = n0 + s + step.shape[1]
                 tail = np.abs(step[:, -3:]).max(axis=1).tolist()
                 for i, part in enumerate(step.sum(axis=1).tolist()):
@@ -537,17 +539,20 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
             n0 += n.size
         # the terms summed: a block's steps past the last stop are never filled
         n = max(stop)
-        terms = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2))[:, :, :n]
-        np.multiply(terms[0], np.arange(1.0, n + 1.0), out=terms[1])
-        size = np.abs(terms[0]) if kappa else None  # |t_k|
-    # real and imaginary parts alternate along a row of the float view
-    t, kt = terms.view(float).tolist()
+        terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        np.multiply(terms[0, :, :n], np.arange(1.0, n + 1.0), out=terms[1, :, :n])
+        size = np.abs(terms[0, :, :n]) if kappa else None  # |t_k|
+    # math.fsum reads each row's parts straight from the buffer, where real and
+    # imaginary parts alternate: row i's t_k from i * width on, its k t_k from
+    # (rows + i) * width
+    width = 2 * terms.shape[2]
+    flat = memoryview(terms.view(float).reshape(-1))
     F, dF, slopes = [], [], []
     for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
-        re = t[i][0:2 * m:2]
-        re.append(1.0)
-        F.append(complex(math.fsum(re), math.fsum(t[i][1:2 * m:2])))
-        slope = complex(math.fsum(kt[i][0:2 * m:2]), math.fsum(kt[i][1:2 * m:2]))
+        t, kt = i * width, (rows + i) * width
+        F.append(complex(math.fsum(chain(flat[t:t + 2 * m:2], (1.0,))),
+                         math.fsum(flat[t + 1:t + 2 * m:2])))
+        slope = complex(math.fsum(flat[kt:kt + 2 * m:2]), math.fsum(flat[kt + 1:kt + 2 * m:2]))
         # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
         dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
         slopes.append(slope)
