@@ -264,7 +264,6 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
         amp_order, amp = _amplitude_logs(order, lg)
         (o_rl, o_rr, o_t, o_det), (rl, rr, t, det) = amp_order, amp
         # det S = t^2 + m with m = -r_l r_r
-        o_t2, o_m = 2 * o_t, o_rl + o_rr
         t2, m = 2.0 * t, rl + rr
         big = np.maximum(t2.real, m.real)
         e_t2, e_m = np.exp(t2 - big), np.exp(m - big)
@@ -273,6 +272,7 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
         # none, every sum is of equal orders and o_sum is o_det
         singular = amp_order.any()
         if singular:
+            o_t2, o_m = 2 * o_t, o_rl + o_rr
             equal = o_t2 == o_m
             o_sum = np.minimum(o_t2, o_m)
             log_sum = np.where(equal, big + np.log(w), np.where(o_t2 < o_m, t2, m))

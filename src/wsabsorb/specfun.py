@@ -525,14 +525,14 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
                 step = block[0, :, s:s + _STOP_STEP]
                 r[:, s:s + _STOP_STEP].cumprod(axis=1, out=step)
                 end = n0 + s + step.shape[1]
-                tail = np.abs(step[:, -3:]).max(axis=1).tolist()
+                tail = np.abs(step[:, -3:]).tolist()
                 for i, part in enumerate(step.sum(axis=1).tolist()):
                     if stop[i]:
                         continue
                     if not cmath.isfinite(part):
                         raise SeriesError(f"2F1 series terms overflow within {end} terms")
                     total[i] += part
-                    if tail[i] <= 1e-17 * abs(total[i]):
+                    if max(tail[i]) <= 1e-17 * abs(total[i]):  # the tail is finite here
                         stop[i] = end
                 if all(stop):
                     break
