@@ -286,8 +286,14 @@ class SingularValue:
     log_magnitude: float
     phase: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase", math.remainder(self.phase, 2.0 * math.pi))
+    def __init__(self, order: int, log_magnitude: float, phase: float):
+        # the fields as the dataclass's own frozen __init__ sets them, the phase
+        # folded into [-pi, pi], written in one pass: each amplitude set makes
+        # eight of these
+        fields = self.__dict__
+        fields["order"] = order
+        fields["log_magnitude"] = log_magnitude
+        fields["phase"] = math.remainder(phase, 2.0 * math.pi)
 
     # -- constructors ------------------------------------------------------
 
