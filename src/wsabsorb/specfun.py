@@ -548,6 +548,10 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
         terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
         np.multiply(terms[0, :, :n], np.arange(1.0, n + 1.0), out=terms[1, :, :n])
         size = np.abs(terms[0, :, :n]) if kappa else None  # |t_k|
+        # whether a row's t_k, or its k t_k, has an imaginary part that is not
+        # zero; where none has (a real row's), math.fsum would sum zeros, which
+        # it keeps out of its partials, so the sum is +0.0 and is not formed
+        imaginary = terms[:, :, :n].imag.any(axis=2).tolist()
     # math.fsum reads each row's parts straight from the buffer, where real and
     # imaginary parts alternate: row i's t_k from i * width on, its k t_k from
     # (rows + i) * width
@@ -557,8 +561,9 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     for i, (m, z) in enumerate(zip(stop, arg[:, 0].tolist())):
         t, kt = i * width, (rows + i) * width
         F.append(complex(math.fsum(chain(flat[t:t + 2 * m:2], (1.0,))),
-                         math.fsum(flat[t + 1:t + 2 * m:2])))
-        slope = complex(math.fsum(flat[kt:kt + 2 * m:2]), math.fsum(flat[kt + 1:kt + 2 * m:2]))
+                         math.fsum(flat[t + 1:t + 2 * m:2]) if imaginary[0][i] else 0.0))
+        slope = complex(math.fsum(flat[kt:kt + 2 * m:2]),
+                        math.fsum(flat[kt + 1:kt + 2 * m:2]) if imaginary[1][i] else 0.0)
         # arg = 0 where 1 - z underflows (u below about -745): dF/darg is ab/c
         dF.append(slope / z if z else complex(abc[0, i, 0] * abc[1, i, 0] / abc[2, i, 0]))
         slopes.append(slope)

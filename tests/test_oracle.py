@@ -781,6 +781,21 @@ def test_series_pass_bits_do_not_depend_on_the_block(monkeypatch):
             hyp2f1(401, 400, 401, 0.9)
 
 
+def test_series_pass_sums_a_real_rows_zero_imaginary_parts_as_fsum_does():
+    # the pass forms no sum of a part whose terms are all zero, and gives it +0.0:
+    # math.fsum keeps zeros out of its partials, so zeros of either sign sum to +0.0.
+    # A row with c < 0 has imaginary parts -0.0 (psi2 and w_minus of a forward fit)
+    assert math.copysign(1.0, math.fsum([-0.0] * 5)) == 1.0
+    assert math.copysign(1.0, math.fsum([0.0, -0.0, -0.0])) == 1.0
+    a2, a3, phi, uh, _ = _contour_setup(SPEC, 3.0, 0.0, None)
+    rows = _fit_rows(a2, a3, phi, uh)
+    abc, arg = zip(*rows)
+    assert not np.array(abc).imag.any() and not np.array(arg).imag.any()
+    assert any(c.real < 0 for _, _, c in abc)
+    F, _, _ = _gauss_sums(np.array(abc).T[:, :, None], np.array(arg)[:, None])
+    assert all(math.copysign(1.0, f.imag) == 1.0 and f.imag == 0.0 for f in F)
+
+
 @pytest.mark.parametrize("family", ["joint_draws", "domain_family", "hermitian_at_0"])
 def test_local_states_are_the_same_bits_with_and_without_kappa(family):
     if family == "joint_draws":
