@@ -18,8 +18,11 @@ empty outputs of ``spectrum --families none`` and of a ``ranges`` window
 that certifies nothing, in CSV and JSON; ``scan``, ``ranges`` and
 ``spectrum`` with ``--units internal``; ``potential`` with three ``--x``),
 1000-point scans at the paper's narrow rho 0.0006 over E = 0.05..50 in both
-variants, whose windows hold tens of thousands of flag points, and
-``<command> --help`` for all six commands, so a usage change shows too.
+variants, whose windows hold tens of thousands of flag points, two ``ranges``
+windows that end in a det-S error (one refused in the grid stage, one in
+the bisection, where the error names the energy that bisecting the crossings
+one after another reads), and ``<command> --help`` for all six commands, so
+a usage change shows too.
 The help text is formatted at 80 columns whatever the terminal.
 
 ``scripts/cli_digest.txt`` holds the digest as committed; a byte change of
@@ -67,6 +70,11 @@ EXTRA = (
     "potential --v0 1.2 --rho 1.8 --x 0 --x -2.5 --x 1e-3 --points 9",
     "scan --v0 1 --rho 0.0006 --emin 0.05 --emax 50 --points 1000",
     "scan --v0 1 --rho 0.0006 --emin 0.05 --emax 50 --points 1000 --variant time-reversed",
+    "ranges --v0 2.9918303100607826 --rho 0.0031742263359435313 --criterion cpa"
+    " --emin 2.533582260940835 --emax 3.040298713 --units internal",
+    "ranges --v0 34.82446890288701 --rho 0.18833926610267235 --criterion cpa"
+    " --emin 1.3856124670348917 --emax 1.4986784443449388 --threshold 0.03074863798154165"
+    " --grid 1024 --units internal",
 )
 COMMANDS = ("scan", "spectrum", "ranges", "table1", "verify", "potential")
 

@@ -220,15 +220,14 @@ def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
     :func:`log10_coefficients` (which also validates the energies); the
     12 Gamma arguments z, (12, n); the two factors of each log's slope
     d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th rows are 1
-    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the sum of
-    |Re log Gamma| that sizes the kernel's rounding (:func:`_g_logs`),
-    (n,).  ``_LOG10_WEIGHTS`` sums the slopes into each row's.  On E > 0
-    every z and every factor is monotone in E between the poles of psi:
-    a2, a3 and a2 + a3 rise with falling slopes, and the gap a3 - a2 falls
-    with a slope rising toward 0.
+    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the kernel's
+    log-Gamma rounding (:func:`_det_s_checks`), (n,).  ``_LOG10_WEIGHTS``
+    sums the slopes into each row's.  On E > 0 every z and every factor is
+    monotone in E between the poles of psi: a2, a3 and a2 + a3 rise with
+    falling slopes, and the gap a3 - a2 falls with a slope rising toward 0.
     """
     ch = _channel(spec, energies)
-    _, _, order, logs, size = _checked_logs(ch)
+    _, _, order, logs, rounding = _checked_logs(ch)
     with np.errstate(all="ignore"):  # psi is infinite at a pole
         z = _arguments(ch)
         psi = _digamma(z)
@@ -237,14 +236,16 @@ def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
     dz = np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
     root = spec.v0 / (4.0 * energies * (energies + spec.v0))
     return (_log10_rows(order, logs), z, np.vstack([psi, np.ones_like(root)]),
-            np.vstack([dz, root]), size)
+            np.vstack([dz, root]), rounding)
 
 
-def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
+def _det_s_checks(ch: ChannelParams) -> tuple:
     """:func:`_g_logs`, then the orders and logs of r_l, -r_r, t and det S
-    by :func:`_amplitude_logs`, with tl*tr - rl*rr verified against the
+    by :func:`_amplitude_logs`, with tl*tr - rl*rr checked against the
     closed-form det S = G2/G3 at every energy; returns both pairs of
-    orders and logs, and the sum of |Re log Gamma|.
+    orders and logs, each energy's log-Gamma rounding 8 eps sum |Re log
+    Gamma|, (n,), and the refusals: each energy that fails, in the order
+    of the call, mapped to the ``ArithmeticError`` that names it.
 
     The difference can cancel arbitrarily many digits (the Gamma identity
     makes the two products nearly equal wherever |det S| is small), so the
@@ -253,11 +254,12 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
     resolve, only the cancellation depth is asserted.  Leading coefficients
     that cancel exactly leave no digits to compare.  The tolerance also
     admits the rounding of large log-Gamma values, and an energy where that
-    rounding passes ``_ROUNDING_LIMIT`` fails outright.  Raises
-    ``ArithmeticError`` at the first energy that fails.  A call where no
-    energy has a non-zero order skips the order branches and the Laurent
-    allowance, which would keep the equal-order values at every energy:
-    each energy's result is the same either way.
+    rounding passes ``_ROUNDING_LIMIT`` fails outright.  Nothing here
+    raises: :func:`_checked_logs` raises the first refusal for the callers
+    that read every energy they ask for.  A call where no energy has a
+    non-zero order skips the order branches and the Laurent allowance,
+    which would keep the equal-order values at every energy: each energy's
+    result is the same either way.
     """
     with np.errstate(all="ignore"):
         order, lg, size = _g_logs(ch)
@@ -301,8 +303,8 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
         if fail.any():  # except where the leading coefficients cancel exactly
             fail &= ~(equal & (np.abs(w) < 4e-16 * (np.abs(e_t2) + np.abs(e_m))))
         fail |= rounding > _ROUNDING_LIMIT
-    if fail.any():
-        i = np.flatnonzero(fail)[0]
+    refused = {}
+    for i, energy in zip(np.flatnonzero(fail).tolist(), np.ravel(ch.energy)[fail].tolist()):
         if rounding[i] > _ROUNDING_LIMIT:
             what, detail = "cannot be checked", f"log-Gamma rounding {rounding[i]:.3e}"
             detail += f" exceeds {_ROUNDING_LIMIT:g}"
@@ -312,8 +314,18 @@ def _checked_logs(ch: ChannelParams) -> tuple[np.ndarray, ...]:
             what, detail = "zero not reproduced", f"only {cancel[i] / _LN10:.1f} digits cancelled"
         else:
             what, detail = "more singular via the sum route", f"orders {o_sum[i]} vs {o_det[i]}"
-        raise ArithmeticError(f"det S {what} at E={float(np.ravel(ch.energy)[i])}: {detail}")
-    return order, lg, amp_order, amp, size
+        refused[energy] = ArithmeticError(f"det S {what} at E={energy}: {detail}")
+    return order, lg, amp_order, amp, rounding, refused
+
+
+def _checked_logs(ch: ChannelParams) -> list[np.ndarray]:
+    """:func:`_det_s_checks` for a caller that reads every energy it asks
+    for: raises the first refused energy's ``ArithmeticError``, else
+    returns both pairs of orders and logs and each energy's rounding."""
+    *logs, refused = _det_s_checks(ch)
+    if refused:
+        raise next(iter(refused.values()))
+    return logs
 
 
 def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
@@ -385,6 +397,15 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
         raise ValueError("energies must be a 1-D array of finite positive values")
     _, _, order, logs, _ = _checked_logs(_channel(spec, e))
     return _log10_rows(order, logs)
+
+
+def _log10_refusals(spec: PotentialSpec, energies: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows of :func:`log10_coefficients` at an array of positive
+    energies, unvalidated, and its det-S refusals by energy
+    (:func:`_det_s_checks`) in place of its raise, for a caller that reads
+    only some of the energies it asks for."""
+    _, _, order, logs, _, refused = _det_s_checks(_channel(spec, energies))
+    return _log10_rows(order, logs), refused
 
 
 def _amplitude_orders(spec: PotentialSpec, energies) -> list[tuple[int, int, int, int]]:

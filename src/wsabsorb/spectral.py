@@ -65,7 +65,10 @@ them, with the outcome that evaluating them gives, and a second call
 evaluates the rest.  The grid samples around a crossing predict where it lies, and one
 kernel call evaluates, for every crossing at once, the midpoints of the
 bisection path toward that prediction beside the ``_LOOKAHEAD`` steps' full
-tree, so most scans resolve every crossing in one call.
+tree, so most scans resolve every crossing in one call.  The bisection reads
+the kernel's det-S refusals by energy: a refused energy that no step reads
+does not matter, and a scan whose steps read one raises at the energy where
+bisecting the crossings one after another would.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _slope_terms,
-                         log10_coefficients)
+from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _log10_refusals,
+                         _slope_terms, log10_coefficients)
 from .specfun import TAU_INT, snap
 from .units import PotentialSpec, Variant, _check_member, _check_number, _check_positive
 
@@ -460,9 +463,10 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     min(q_a + hi (E - E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN``
     plus 8 eps sum |w psi| (|z| + 1), the argument rounding that psi
     amplifies, at either end and at E.  The bounds do not hold on a cell
-    with an infinite end value, and are not used where either end's 8 eps
-    sum |Re log Gamma| reaches half the kernel's ``_ROUNDING_LIMIT``, so
-    that the samples the kernel cannot check are evaluated.
+    with an infinite end value, and are not used where either end's
+    log-Gamma rounding, as the kernel reports it, reaches half its
+    ``_ROUNDING_LIMIT``, so that the samples the kernel cannot check are
+    evaluated.
 
     Returns the ends' indices, the rows' values there (rows, brackets,
     ends), whether each cell's bounds hold (brackets, cells), and each
@@ -471,8 +475,8 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     n = grids.shape[1]
     ends = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
     e = grids[:, ends]
-    values, z, psi, dz, size = (x.reshape(x.shape[:-1] + e.shape)
-                                for x in _slope_terms(tr_spec, e.ravel()))
+    values, z, psi, dz, lg_rounding = (x.reshape(x.shape[:-1] + e.shape)
+                                       for x in _slope_terms(tr_spec, e.ravel()))
     q = values[rows]
 
     # per row, argument (the 12 and sqrt(k1/k2)'s log) and cell
@@ -493,7 +497,7 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     near_pole = np.ceil(z_lo) <= np.minimum(np.floor(z_hi), 0.0)
     holds = ~near_pole[reads[:, :-1, 0, 0].any(axis=0)].any(axis=0)
     holds &= np.isfinite(q[a]).all(axis=0) & np.isfinite(q[b]).all(axis=0)
-    checkable = 8.0 * _EPS * size < 0.5 * _ROUNDING_LIMIT
+    checkable = lg_rounding < 0.5 * _ROUNDING_LIMIT
     holds &= checkable[a] & checkable[b]
     return ends, q, holds, lo, hi, delta
 
@@ -658,10 +662,14 @@ def _bisect_crossing(
     would step on next; and those of the last _LOOKAHEAD steps of that path
     for either outcome.  The steps then read their outcomes by energy.  A
     crossing whose next midpoint was not evaluated predicts again, by the
-    secant through its bracket's ends, for the next call.  Where a call
-    raises, the next _LOOKAHEAD steps evaluate one at a time, so an error
-    names the energy a lone step would.  Returns the refined passing
-    energies.
+    secant through its bracket's ends, for the next call.  The kernel does
+    not raise here: it returns its det-S refusals by energy
+    (:func:`~wsabsorb.amplitudes._log10_refusals`).  A crossing stops at a
+    refused midpoint, and once the first crossing not yet resolved is one
+    that stopped, that midpoint's ``ArithmeticError`` is raised.  So the
+    error names the energy that bisecting the crossings one after another
+    reads, whatever the lookahead and the predictions.  Returns the refined
+    passing energies.
     """
     # per crossing: e_fail, its log10, e_pass, its log10, prediction, steps taken
     state = [[*crossing, 0] for crossing in crossings]
@@ -669,21 +677,13 @@ def _bisect_crossing(
     def next_mid(s):
         return _midpoint(s[0], s[2]) if s[5] < 200 else None
 
-    def advance(energies):
-        values = dict(zip(energies, _log10_certified(tr_spec, criterion, np.array(energies)).tolist()))
-        for s in state:
-            while (mid := next_mid(s)) in values:
-                if values[mid] < log10_cap:
-                    s[2:4] = mid, values[mid]
-                else:
-                    s[0:2] = mid, values[mid]
-                s[5] += 1
-
-    while any(next_mid(s) is not None for s in state):
+    refused = {}  # the last call's refusals, by energy
+    while unresolved := [s for s in state if next_mid(s) is not None]:
+        # bisected one after another, the crossings raise at the first unresolved one's refusal
+        if (first := next_mid(unresolved[0])) in refused:
+            raise refused[first]
         wanted = {}  # the call's energies, in order, once each
-        for s in state:
-            if next_mid(s) is None:
-                continue
+        for s in unresolved:
             e_fail, e_pass, c = s[0], s[2], s[4]
             wanted.update(dict.fromkeys(_midpoints(e_fail, e_pass, _LOOKAHEAD)))
             path = [(e_fail, e_pass)]  # the brackets that the steps toward c reach
@@ -702,15 +702,15 @@ def _bisect_crossing(
             # a miss in the path's last _LOOKAHEAD steps still resolves in this call
             wanted.update(dict.fromkeys(_midpoints(*path[max(len(path) - 1 - _LOOKAHEAD, 0)],
                                                    _LOOKAHEAD)))
-        try:
-            advance(list(wanted))
-        except ArithmeticError:
-            for _ in range(_LOOKAHEAD):
-                mids = [m for m in map(next_mid, state) if m is not None]
-                if not mids:
-                    break
-                advance(mids)
-        for s in state:
+        rows, refused = _log10_refusals(tr_spec, np.array(list(wanted)))
+        values = dict(zip(wanted, rows[_CERTIFIED_ROWS[criterion]].max(axis=0).tolist()))
+        for s in unresolved:  # a crossing stops at a refused midpoint, and asks for it again
+            while (mid := next_mid(s)) in values and mid not in refused:
+                if values[mid] < log10_cap:
+                    s[2:4] = mid, values[mid]
+                else:
+                    s[0:2] = mid, values[mid]
+                s[5] += 1
             s[4] = _inverse_interpolation([s[1], s[3]], [s[0], s[2]], log10_cap)
     return [s[2] for s in state]
 
@@ -766,7 +766,10 @@ def scan_ranges(
     the fit log10 = A - k log10|E - E_pole| through the two samples beyond
     it.  The crossings of all brackets then bisect together, in one
     kernel call where the predictions hold, and in at most one per
-    ``_LOOKAHEAD`` steps where they miss.
+    ``_LOOKAHEAD`` steps where they miss.  A refused energy that only the
+    lookahead evaluates does not matter; one that a step reads raises, and
+    the error names the energy that bisecting the crossings one after
+    another would refuse first.
     An empty result means no sample beat the threshold.  A criterion that
     is not a ``RangeCriterion``, a window end or a threshold that is not an
     ``int`` or ``float``, a threshold that is not finite and positive, or a

@@ -228,6 +228,41 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, -2.0, 0.5)
 
 
+def direct_gauss_sum(a: float, b: float, c: float, z: float, terms: int = 4000) -> float:
+    """2F1(a, b; c; z) as its Gauss series summed term by term at 80 digits,
+    on the floats given, run far past the spike of the term ratio near
+    k = -Re c (where c < 0 the terms keep growing until k is about
+    -c / (1 - |z|)), so that the tail it leaves out is negligible."""
+    with mp.workdps(80):
+        a, b, c, z = (mp.mpf(x) for x in (a, b, c, z))
+        term = total = mp.mpf(1)
+        for k in range(terms):
+            term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
+            total += term
+        return float(total)
+
+
+# rows whose early terms fall below the stop rule before the spike of the
+# term ratio near k = -c, with the direct sums' values; ROADMAP item 28
+EARLY_STOPS = [
+    pytest.param((1.0, 1.0, -70.5, 0.5), -448.254741786655, id="c-70.5"),
+    pytest.param((1.122, 0.1222, -111.7, 0.5), 3.00320455861467, id="c-111.7"),
+    pytest.param((2.0, 3.0, -200.25, 0.5), -59764100221.3589, id="c-200.25"),
+]
+
+
+class TestHyp2f1PastTheSpike:
+    @pytest.mark.parametrize("args, value", EARLY_STOPS)
+    def test_direct_sums(self, args, value):
+        assert direct_gauss_sum(*args) == pytest.approx(value, rel=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 28: the Gauss series stops before the "
+                       "spike of its term ratio near k = -Re c")
+    @pytest.mark.parametrize("args, value", EARLY_STOPS)
+    def test_hyp2f1_sums_past_the_spike(self, args, value):
+        assert hyp2f1(*args) == pytest.approx(direct_gauss_sum(*args), rel=1e-12)
+
+
 class TestHyp2f1NonFinite:
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan), complex(math.inf, 0.0)])

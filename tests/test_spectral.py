@@ -471,19 +471,32 @@ def range_scenarios():
     return table + [readme] + seeded
 
 
+# CPA windows at mass 1 whose bisection steps read det-S refused energies on
+# two crossings: the error names the one that the sequential reference reads
+REFUSED_BISECTIONS = [
+    pytest.param(PotentialSpec(34.82446890288701, 0.18833926610267235, 1.0), RangeCriterion.CPA_RANGE,
+                 (1.3856124670348917, 1.4986784443449388), 0.03074863798154165, True,
+                 id="refused_bisection0"),
+    pytest.param(PotentialSpec(45.79413540484319, 0.5268116398037207, 1.0), RangeCriterion.CPA_RANGE,
+                 (0.8499371679875983, 1.1101220153307407), 0.00038017663013441896, True,
+                 id="refused_bisection1"),
+]
+
+
 def watch_kernel_calls(monkeypatch, record):
     """Call ``record`` with the energies of every kernel call that
     scan_ranges makes: the grid stage's first through _slope_terms, which
-    gives the values with their slope terms, and the rest through
-    log10_coefficients."""
+    gives the values with their slope terms, the rest of the grid stage's
+    through log10_coefficients, and the bisection's through
+    _log10_refusals."""
     def watching(kernel):
         def watched(tr_spec, energies):
             record(energies)
             return kernel(tr_spec, energies)
         return watched
 
-    monkeypatch.setattr(spectral, "log10_coefficients", watching(log10_coefficients))
-    monkeypatch.setattr(spectral, "_slope_terms", watching(spectral._slope_terms))
+    for name in ("log10_coefficients", "_slope_terms", "_log10_refusals"):
+        monkeypatch.setattr(spectral, name, watching(getattr(spectral, name)))
 
 
 def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
@@ -507,24 +520,28 @@ def kernel_calls(monkeypatch, spec, criterion, window, threshold, grid_points):
 class TestLockstepBisection:
     GRID = 1024
 
-    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects",
+                             range_scenarios() + REFUSED_BISECTIONS)
     def test_equals_sequential_bisection(self, spec, criterion, window, threshold, bisects):
         try:
             want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
-        except ArithmeticError:  # raised at the same energies either way
-            with pytest.raises(ArithmeticError, match="det S"):
+        except ArithmeticError as exc:  # raised at the same energy either way
+            with pytest.raises(ArithmeticError) as raised:
                 scan_ranges(spec, criterion, window, threshold, self.GRID)
+            assert str(raised.value) == str(exc)
             return
         got = scan_ranges(spec, criterion, window, threshold, self.GRID)
         assert [(r.lo, r.hi) for r in got] == want
         if bisects:
             assert steps, "a seeded window that never bisects tests nothing here"
 
-    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects",
+                             range_scenarios() + REFUSED_BISECTIONS)
     def test_three_grid_calls_then_one_call_per_step(self, monkeypatch, spec, criterion, window,
                                                      threshold, bisects):
         # whatever the bracket count, the grid stage makes at most three kernel
-        # calls, and the bisection no more than its longest crossing's steps
+        # calls, and the bisection at least one where a crossing steps, and no
+        # more than its longest crossing's steps
         try:
             want, steps = sequential_ranges(spec, criterion, window, threshold, self.GRID)
         except ArithmeticError:
@@ -533,6 +550,7 @@ class TestLockstepBisection:
                                                         threshold, self.GRID)
         assert got == want
         assert len(grid_calls) <= 3
+        assert bool(bisection_calls) == (max(steps, default=0) > 0)
         assert len(bisection_calls) <= max(steps, default=0)
 
     def test_no_crossing_makes_no_call_after_the_grid_stage(self, monkeypatch):
@@ -542,15 +560,16 @@ class TestLockstepBisection:
         assert got == [] and bisection_calls == []
         assert 1 <= len(grid_calls) <= 3
 
-    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects", range_scenarios())
+    @pytest.mark.parametrize("spec, criterion, window, threshold, bisects",
+                             range_scenarios() + REFUSED_BISECTIONS)
     def test_one_g_logs_pass_per_kernel_call(self, monkeypatch, spec, criterion, window, threshold,
                                              bisects):
         # every kernel call, the grid stage's first with its slope terms
-        # included, runs _g_logs once: inside its checked pass, and nowhere else
+        # included, runs _g_logs once: inside its det-S check, and nowhere else
         calls, checked, g_logs = [], [], []
-        checked_logs, g_logs_pass = _AMPLITUDES._checked_logs, _AMPLITUDES._g_logs
+        det_s_checks, g_logs_pass = _AMPLITUDES._det_s_checks, _AMPLITUDES._g_logs
         watch_kernel_calls(monkeypatch, calls.append)
-        monkeypatch.setattr(_AMPLITUDES, "_checked_logs", lambda ch: checked.append(1) or checked_logs(ch))
+        monkeypatch.setattr(_AMPLITUDES, "_det_s_checks", lambda ch: checked.append(1) or det_s_checks(ch))
         monkeypatch.setattr(_AMPLITUDES, "_g_logs", lambda ch: g_logs.append(1) or g_logs_pass(ch))
         try:
             scan_ranges(spec, criterion, window, threshold, self.GRID)
@@ -560,33 +579,39 @@ class TestLockstepBisection:
         assert len(g_logs) == len(checked) == len(calls)
 
     @pytest.mark.parametrize("reached", [False, True], ids=["lookahead-only", "reached"])
-    def test_a_raising_call_steps_one_at_a_time(self, monkeypatch, reached):
-        # the kernel raises at one energy of the first lookahead call: one the
-        # bisection never steps on, or one it does, which must raise as the
-        # one-step-per-call bisection would
+    def test_a_refusal_raises_only_where_a_step_reads_it(self, monkeypatch, reached):
+        # the kernel refuses one energy of the first bisection call: one that no
+        # step reads, which leaves the ranges as they are, or one that a step
+        # reads, which raises and names it
         spec, window = next(two_bracket_windows(2631, 1))
-        calls = []
-        watch_kernel_calls(monkeypatch, lambda energies: calls.append(np.asarray(energies).tolist()))
-        monkeypatch.setattr(spectral, "_LOOKAHEAD", 1)
-        want = [(r.lo, r.hi) for r in scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)]
-        stepped = {e for c in calls[2:] for e in c}
-        monkeypatch.setattr(spectral, "_LOOKAHEAD", 3)
+        refusals, calls = spectral._log10_refusals, []
+
+        def scan(refused=None):  # the bisection's calls go through _log10_refusals alone
+            def watched(tr_spec, energies):
+                calls.append(energies.tolist())
+                rows, found = refusals(tr_spec, energies)
+                if refused in calls[-1]:
+                    found[refused] = ArithmeticError(f"det S cross-check failed at E={refused!r}")
+                return rows, found
+
+            monkeypatch.setattr(spectral, "_log10_refusals", watched)
+            return [(r.lo, r.hi) for r in scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3,
+                                                      self.GRID)]
+
+        want, first_call = scan(), calls[0]
+        # without predictions and with one step per call, every energy is a step's
         calls.clear()
-        scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-        bad = next(e for e in calls[2] if (e in stepped) == reached)
-
-        def raising(tr_spec, energies):
-            if bad in np.asarray(energies).tolist():
-                raise ArithmeticError(f"det S cross-check failed at E={bad!r}")
-            return log10_coefficients(tr_spec, energies)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", raising)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_predicted_crossing", lambda *args: None)
+            patch.setattr(spectral, "_LOOKAHEAD", 1)
+            assert scan() == want
+        stepped = {e for c in calls for e in c}
+        bad = next(e for e in first_call if (e in stepped) == reached)
         if reached:
             with pytest.raises(ArithmeticError, match=re.escape(f"E={bad!r}")):
-                scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
+                scan(bad)
         else:
-            got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-            assert [(r.lo, r.hi) for r in got] == want
+            assert scan(bad) == want
 
 
 def sample_bounds(grids, ends, q, lo, hi, delta):
@@ -774,22 +799,9 @@ class TestPredictedPaths:
     def bisection_calls(self, monkeypatch, spec, criterion, window, threshold):
         """The (lo, hi) of every range scan_ranges finds, and the number of
         kernel calls its bisection makes."""
-        calls, entered = [], []
-        bisect = spectral._bisect_crossing
-
-        def counting(tr_spec, energies):
-            calls.append(len(energies))
-            return log10_coefficients(tr_spec, energies)
-
-        def entering(*args):
-            entered.append(len(calls))
-            return bisect(*args)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", counting)
-        monkeypatch.setattr(spectral, "_bisect_crossing", entering)
-        found = scan_ranges(spec, criterion, window, threshold, self.GRID)
-        assert len(entered) == 1
-        return [(r.lo, r.hi) for r in found], len(calls) - entered[0]
+        found, _, bisection_calls = kernel_calls(monkeypatch, spec, criterion, window, threshold,
+                                                 self.GRID)
+        return found, len(bisection_calls)
 
     @pytest.mark.parametrize("spec, criterion, window, threshold", predicted_path_scenarios())
     def test_at_most_two_bisection_calls(self, monkeypatch, spec, criterion, window, threshold):
@@ -803,7 +815,7 @@ class TestPredictedPaths:
         got, calls = self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
         assert got == want
         assert math.ceil(max(steps) / spectral._LOOKAHEAD) >= 4
-        assert calls <= 2
+        assert 1 <= calls <= 2
 
     @pytest.mark.parametrize("spec, criterion, window, threshold", predicted_path_scenarios())
     def test_without_a_prediction(self, monkeypatch, spec, criterion, window, threshold):
@@ -816,34 +828,6 @@ class TestPredictedPaths:
         got, calls = self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
         assert got == want
         assert calls <= math.ceil(max(steps) / spectral._LOOKAHEAD)
-
-    def test_raising_bisection_calls_leave_one_step_per_call(self, monkeypatch):
-        # every bisection call that holds more than the two crossings' next
-        # midpoints raises, so every step evaluates alone, the last ones after a
-        # raising call whose steps the crossings' ends cut short
-        spec, window = next(two_bracket_windows(2631, 1))
-        want, steps = sequential_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-        assert len(steps) == 2 and max(steps) % 5 != 0
-        sizes, bisecting = [], []
-        bisect = spectral._bisect_crossing
-
-        def raising(tr_spec, energies):
-            if bisecting:
-                sizes.append(len(energies))
-                if len(energies) > 2:
-                    raise ArithmeticError("det S cross-check failed")
-            return log10_coefficients(tr_spec, energies)
-
-        def entering(*args):
-            bisecting.append(True)
-            return bisect(*args)
-
-        monkeypatch.setattr(spectral, "log10_coefficients", raising)
-        monkeypatch.setattr(spectral, "_bisect_crossing", entering)
-        monkeypatch.setattr(spectral, "_LOOKAHEAD", 5)
-        got = scan_ranges(spec, RangeCriterion.CPA_RANGE, window, 1e-3, self.GRID)
-        assert [(r.lo, r.hi) for r in got] == want
-        assert sum(size <= 2 for size in sizes) == max(steps)
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_predictions_are_exact_on_their_models(self, ascending):
