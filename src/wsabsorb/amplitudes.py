@@ -245,7 +245,11 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
     closed-form det S = G2/G3 at every energy; returns both pairs of
     orders and logs, each energy's log-Gamma rounding 8 eps sum |Re log
     Gamma|, (n,), and the refusals: each energy that fails, in the order
-    of the call, mapped to the ``ArithmeticError`` that names it.
+    of the call, mapped to its record: the energy, its rounding, rel diff
+    and cancellation (natural log), and the orders of the sum and of det S.
+    A record holds the arguments of :func:`_det_s_error`, which builds the
+    ``ArithmeticError`` that names the energy only for a refusal that a
+    caller raises.
 
     The difference can cancel arbitrarily many digits (the Gamma identity
     makes the two products nearly equal wherever |det S| is small), so the
@@ -304,18 +308,25 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
             fail &= ~(equal & (np.abs(w) < 4e-16 * (np.abs(e_t2) + np.abs(e_m))))
         fail |= rounding > _ROUNDING_LIMIT
     refused = {}
-    for i, energy in zip(np.flatnonzero(fail).tolist(), np.ravel(ch.energy)[fail].tolist()):
-        if rounding[i] > _ROUNDING_LIMIT:
-            what, detail = "cannot be checked", f"log-Gamma rounding {rounding[i]:.3e}"
-            detail += f" exceeds {_ROUNDING_LIMIT:g}"
-        elif o_sum[i] == o_det[i]:
-            what, detail = "cross-check failed", f"rel diff {rel[i]:.3e}"
-        elif o_det[i] > o_sum[i]:
-            what, detail = "zero not reproduced", f"only {cancel[i] / _LN10:.1f} digits cancelled"
-        else:
-            what, detail = "more singular via the sum route", f"orders {o_sum[i]} vs {o_det[i]}"
-        refused[energy] = ArithmeticError(f"det S {what} at E={energy}: {detail}")
+    if fail.any():
+        at = np.flatnonzero(fail)
+        numbers = zip(*(x[at].tolist() for x in (np.ravel(ch.energy), rounding, rel, cancel, o_sum, o_det)))
+        refused = {n[0]: n for n in numbers}
     return order, lg, amp_order, amp, rounding, refused
+
+
+def _det_s_error(energy: float, rounding, rel, cancel, o_sum, o_det) -> ArithmeticError:
+    """The ``ArithmeticError`` that names a refused energy, from the numbers
+    that :func:`_det_s_checks` records for it."""
+    if rounding > _ROUNDING_LIMIT:
+        what, detail = "cannot be checked", f"log-Gamma rounding {rounding:.3e} exceeds {_ROUNDING_LIMIT:g}"
+    elif o_sum == o_det:
+        what, detail = "cross-check failed", f"rel diff {rel:.3e}"
+    elif o_det > o_sum:
+        what, detail = "zero not reproduced", f"only {cancel / _LN10:.1f} digits cancelled"
+    else:
+        what, detail = "more singular via the sum route", f"orders {o_sum} vs {o_det}"
+    return ArithmeticError(f"det S {what} at E={energy}: {detail}")
 
 
 def _checked_logs(ch: ChannelParams) -> list[np.ndarray]:
@@ -324,7 +335,7 @@ def _checked_logs(ch: ChannelParams) -> list[np.ndarray]:
     returns both pairs of orders and logs and each energy's rounding."""
     *logs, refused = _det_s_checks(ch)
     if refused:
-        raise next(iter(refused.values()))
+        raise _det_s_error(*next(iter(refused.values())))
     return logs
 
 

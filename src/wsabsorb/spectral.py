@@ -64,11 +64,12 @@ inner samples clear the threshold, the cell is decided without evaluating
 them, with the outcome that evaluating them gives, and a second call
 evaluates the rest.  The grid samples around a crossing predict where it lies, and one
 kernel call evaluates, for every crossing at once, the midpoints of the
-bisection path toward that prediction beside the ``_LOOKAHEAD`` steps' full
-tree, so most scans resolve every crossing in one call.  The bisection reads
-the kernel's det-S refusals by energy: a refused energy that no step reads
-does not matter, and a scan whose steps read one raises at the energy where
-bisecting the crossings one after another would.
+bisection path toward that prediction and the tree of ``_LOOKAHEAD`` steps
+rooted ``_LOOKAHEAD`` steps before that path's end, so most scans resolve
+every crossing in one call, and every call resolves at least one step of
+each.  The bisection reads the kernel's det-S refusals by energy: a refused
+energy that no step reads does not matter, and a scan whose steps read one
+raises at the energy where bisecting the crossings one after another would.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _log10_refusals,
-                         _slope_terms, log10_coefficients)
+from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _det_s_error,
+                         _log10_refusals, _slope_terms, log10_coefficients)
 from .specfun import TAU_INT, snap
 from .units import PotentialSpec, Variant, _check_member, _check_number, _check_positive
 
@@ -576,9 +577,10 @@ def _grid_stage(
     return log10, np.where(evaluated, log10 < log10_cap, decided)
 
 
-# bisection steps that every kernel call resolves, whatever the prediction: it
-# evaluates the midpoints of the next _LOOKAHEAD steps for either outcome of
-# the steps before, 2**_LOOKAHEAD - 1 energies per open crossing
+# the depth of the tree of bisection midpoints that a kernel call evaluates per
+# open crossing, 2**_LOOKAHEAD - 1 energies rooted _LOOKAHEAD steps before the
+# end of the path toward its prediction (at its bracket without one), so that a
+# miss in the path's last _LOOKAHEAD steps still resolves in the same call
 _LOOKAHEAD = 4
 
 
@@ -656,20 +658,25 @@ def _bisect_crossing(
     refined energy is the one a crossing bisected alone reaches.
 
     One kernel call serves every open crossing, and every energy in it gets
-    the bits it would get alone.  Per crossing it holds the midpoints of the
-    next _LOOKAHEAD steps for either outcome; those of the whole path of
-    steps toward the prediction, each with the midpoint that a miss there
-    would step on next; and those of the last _LOOKAHEAD steps of that path
-    for either outcome.  The steps then read their outcomes by energy.  A
-    crossing whose next midpoint was not evaluated predicts again, by the
-    secant through its bracket's ends, for the next call.  The kernel does
-    not raise here: it returns its det-S refusals by energy
+    the bits it would get alone.  Per crossing it holds two sets: the
+    midpoints of the whole path of steps toward the prediction, and those
+    that _LOOKAHEAD steps can reach for either outcome from the path's
+    bracket _LOOKAHEAD steps before its end, which without a prediction is
+    the crossing's bracket.  The steps then read their outcomes by energy.
+    So a call resolves at least one step of every open crossing, and
+    _LOOKAHEAD or all it has left where the crossing has no prediction or
+    its prediction holds until the path's last _LOOKAHEAD steps; a miss
+    earlier on the path is its last step in that call.  A crossing whose
+    next midpoint was not evaluated predicts again, by the secant through
+    its bracket's ends, for the next call.  The kernel does not raise here:
+    it returns its det-S refusals by energy
     (:func:`~wsabsorb.amplitudes._log10_refusals`).  A crossing stops at a
     refused midpoint, and once the first crossing not yet resolved is one
-    that stopped, that midpoint's ``ArithmeticError`` is raised.  So the
-    error names the energy that bisecting the crossings one after another
-    reads, whatever the lookahead and the predictions.  Returns the refined
-    passing energies.
+    that stopped, that midpoint's ``ArithmeticError`` is raised
+    (:func:`~wsabsorb.amplitudes._det_s_error`).  So the error names the
+    energy that bisecting the crossings one after another reads, whatever
+    the lookahead and the predictions.  Returns the refined passing
+    energies.
     """
     # per crossing: e_fail, its log10, e_pass, its log10, prediction, steps taken
     state = [[*crossing, 0] for crossing in crossings]
@@ -681,25 +688,22 @@ def _bisect_crossing(
     while unresolved := [s for s in state if next_mid(s) is not None]:
         # bisected one after another, the crossings raise at the first unresolved one's refusal
         if (first := next_mid(unresolved[0])) in refused:
-            raise refused[first]
+            raise _det_s_error(*refused[first])
         wanted = {}  # the call's energies, in order, once each
         for s in unresolved:
             e_fail, e_pass, c = s[0], s[2], s[4]
-            wanted.update(dict.fromkeys(_midpoints(e_fail, e_pass, _LOOKAHEAD)))
             path = [(e_fail, e_pass)]  # the brackets that the steps toward c reach
             while (c is not None and len(path) + s[5] <= 200
                    and (mid := _midpoint(e_fail, e_pass)) is not None):
-                # c on the failing side of the midpoint: it passes, unless the prediction
-                # misses there, and the step after a miss reads the other half's midpoint
+                # c on the failing side of the midpoint: it passes, unless the prediction misses
                 if (c < mid) == (e_fail < mid):
-                    e_pass, missed = mid, e_pass
+                    e_pass = mid
                 else:
-                    e_fail, missed = mid, e_fail
+                    e_fail = mid
                 wanted[mid] = None
-                if (after_miss := _midpoint(mid, missed)) is not None:
-                    wanted[after_miss] = None
                 path.append((e_fail, e_pass))
-            # a miss in the path's last _LOOKAHEAD steps still resolves in this call
+            # a miss in the path's last _LOOKAHEAD steps still resolves in this call; with no
+            # prediction this is the whole tree of the next _LOOKAHEAD steps
             wanted.update(dict.fromkeys(_midpoints(*path[max(len(path) - 1 - _LOOKAHEAD, 0)],
                                                    _LOOKAHEAD)))
         rows, refused = _log10_refusals(tr_spec, np.array(list(wanted)))
@@ -765,11 +769,14 @@ def scan_ranges(
     as in Brent's root finder), or next to a pole (a failing sample at +inf)
     the fit log10 = A - k log10|E - E_pole| through the two samples beyond
     it.  The crossings of all brackets then bisect together, in one
-    kernel call where the predictions hold, and in at most one per
-    ``_LOOKAHEAD`` steps where they miss.  A refused energy that only the
-    lookahead evaluates does not matter; one that a step reads raises, and
-    the error names the energy that bisecting the crossings one after
-    another would refuse first.
+    kernel call where the predictions hold.  A call resolves at least one
+    step of every open crossing, and ``_LOOKAHEAD`` or all it has left
+    where the crossing has no prediction or its prediction holds until the
+    last ``_LOOKAHEAD`` steps of the path toward it
+    (:func:`_bisect_crossing`).  A refused energy that no step reads does
+    not matter; one that a step reads raises, and the error names the
+    energy that bisecting the crossings one after another would refuse
+    first.
     An empty result means no sample beat the threshold.  A criterion that
     is not a ``RangeCriterion``, a window end or a threshold that is not an
     ``int`` or ``float``, a threshold that is not finite and positive, or a

@@ -590,8 +590,8 @@ class TestLockstepBisection:
             def watched(tr_spec, energies):
                 calls.append(energies.tolist())
                 rows, found = refusals(tr_spec, energies)
-                if refused in calls[-1]:
-                    found[refused] = ArithmeticError(f"det S cross-check failed at E={refused!r}")
+                if refused in calls[-1]:  # a cross-check failure, as _det_s_checks records it
+                    found[refused] = (refused, 0.0, 1.0, 0.0, 0, 0)
                 return rows, found
 
             monkeypatch.setattr(spectral, "_log10_refusals", watched)
@@ -828,6 +828,52 @@ class TestPredictedPaths:
         got, calls = self.bisection_calls(monkeypatch, spec, criterion, window, threshold)
         assert got == want
         assert calls <= math.ceil(max(steps) / spectral._LOOKAHEAD)
+
+    @pytest.mark.parametrize("spec, criterion, window, threshold", predicted_path_scenarios()
+                             + [pytest.param(*p.values[:4], id=p.id) for p in REFUSED_BISECTIONS])
+    def test_each_energy_is_on_a_predicted_path_or_its_tail_tree(self, monkeypatch, spec, criterion,
+                                                                 window, threshold):
+        # per open crossing, a bisection call evaluates the midpoints of the steps toward
+        # its prediction and the _LOOKAHEAD steps' tree rooted _LOOKAHEAD steps before
+        # that path's end (at the bracket, without a prediction); the crossings are
+        # followed here call by call, each step reading the kernel at its midpoint
+        calls, entered, lookahead = [], [], spectral._LOOKAHEAD
+        refusals, bisect = spectral._log10_refusals, spectral._bisect_crossing
+        watch_kernel_calls(monkeypatch, calls.append)
+        monkeypatch.setattr(spectral, "_bisect_crossing",
+                            lambda *args: entered.append((len(calls), args[3])) or bisect(*args))
+        try:
+            scan_ranges(spec, criterion, window, threshold, self.GRID)
+        except ArithmeticError:
+            pass  # the energies of the call that reads the refusal are checked too
+        if not entered:
+            return  # the grid stage raises, so nothing bisects
+        (first, crossings), = entered
+        tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
+        # per crossing: e_fail, its log10, e_pass, its log10, prediction, steps taken
+        state = [[*crossing, 0] for crossing in crossings]
+        for energies in calls[first:]:
+            allowed = set()
+            for e_fail, _, e_pass, _, c, steps in state:
+                path = [(e_fail, e_pass)]
+                while (c is not None and steps + len(path) <= 200
+                       and (mid := spectral._midpoint(*path[-1])) is not None):
+                    allowed.add(mid)
+                    lo, hi = path[-1]
+                    path.append((lo, mid) if (c < mid) == (lo < mid) else (mid, hi))
+                allowed.update(spectral._midpoints(*path[max(len(path) - 1 - lookahead, 0)], lookahead))
+            assert set(energies.tolist()) <= allowed
+            rows, refused = refusals(tr_spec, energies)
+            values = dict(zip(energies.tolist(),
+                              rows[spectral._CERTIFIED_ROWS[criterion]].max(axis=0).tolist()))
+            for s in state:
+                while (s[5] < 200 and (mid := spectral._midpoint(s[0], s[2])) in values
+                       and mid not in refused):
+                    s[slice(2, 4) if values[mid] < math.log10(threshold) else slice(0, 2)] = (
+                        mid, values[mid])
+                    s[5] += 1
+                s[4] = spectral._inverse_interpolation([s[1], s[3]], [s[0], s[2]],
+                                                       math.log10(threshold))
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_predictions_are_exact_on_their_models(self, ascending):
