@@ -4,8 +4,11 @@ reference-table reproduction, and the invariant verification suite.
 Output is CSV by default (12 significant digits, ``inf``/``-inf`` tokens
 for singular rows) or JSON mirroring the same fields; identical
 invocations produce byte-identical output.  Every command hands its output
-to one writer, :func:`_emit`, as columns, and every CSV document is
-formatted by one function, :func:`_csv`.  Exit codes: 0 success,
+to one writer, :func:`_emit`, as columns and a params dict; the writer reads
+the command's name from the parsed arguments, so a command is named once,
+by its subparser.  Every CSV document is formatted by one function,
+:func:`_csv`.  Table 1's published rows are data: the point rows
+``_TABLE1_POINTS`` and the range rows ``_table1_ranges``.  Exit codes: 0 success,
 1 validation error (a flag or ``--config`` value that argparse refuses
 included), failed det-S cross-check or a grid too large for memory,
 2 acceptance mismatch (table1/verify).
@@ -38,10 +41,6 @@ from .invariants import SUITES
 from .spectral import (
     RangeCriterion,
     SpectralFamily,
-    cc_left_energies,
-    cc_right_energies,
-    cpa_energies_forward,
-    cpa_energies_time_reversed,
     critical_points,
     scan_ranges,
 )
@@ -49,6 +48,7 @@ from .units import (
     EnergyUnit,
     PotentialSpec,
     Variant,
+    _check_window,
     convert_energy,
 )
 
@@ -136,17 +136,19 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, names, columns, meta):
+def _emit(args, names, columns, params):
     """Write a command's output, one column per name, as CSV or JSON.
 
     Each column is a float array or a list (or tuple) of values, formatted
-    as :func:`_csv` says.  A JSON row zips the columns' values, and each
-    cell takes its type from the value, not the token (:func:`_cell`)."""
+    as :func:`_csv` says.  A JSON document names the command as parsed
+    (``args.command``, the subcommand's name) and its ``params``; a JSON row
+    zips the columns' values, and each cell takes its type from the value,
+    not the token (:func:`_cell`)."""
     if args.format == "json":
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         doc = {
-            "command": meta["command"],
-            "params": meta["params"],
+            "command": args.command,
+            "params": params,
             "rows": [{n: _cell(v) for n, v in zip(names, row)} for row in zip(*cells)],
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -233,8 +235,7 @@ def cmd_scan(args) -> int:
     emin, emax, points = args.emin, args.emax, args.points
     if emin is None or emax is None:
         raise ValueError("--emin and --emax are required")
-    if not (emin > 0 and emax > emin and math.isfinite(emax)):
-        raise ValueError(f"invalid window [{emin}, {emax}]: need finite 0 < emin < emax")
+    _check_window((emin, emax))
     if points < 2:
         raise ValueError("--points must be at least 2")
     grid = np.linspace(emin, emax, points)
@@ -244,12 +245,9 @@ def cmd_scan(args) -> int:
     flags = _scan_flags(spec, grid)
     _emit(args, ["energy_internal", "energy_" + suffix, "log10_Rl", "log10_Rr",
                  "log10_T", "log10_absdetS", "flags"],
-          [grid, grid * factor, *logs, flags], {
-        "command": "scan",
-        "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
-                   "variant": spec.variant.value, "emin": emin, "emax": emax,
-                   "points": points, "units": args.units},
-    })
+          [grid, grid * factor, *logs, flags],
+          {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass, "variant": spec.variant.value,
+           "emin": emin, "emax": emax, "points": points, "units": args.units})
     return 0
 
 
@@ -292,12 +290,10 @@ def cmd_spectrum(args) -> int:
     energies = np.array([p.energy for p in points], dtype=float)
     _emit(args, ["family", "index", "energy_internal", "energy_" + suffix, "degenerate"],
           [[p.kind.value for p in points], [p.index for p in points], energies,
-           energies * factor, [str(p.degenerate).lower() for p in points]], {
-        "command": "spectrum",
-        "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
-                   "families": [token.replace("-", "_") for token in tokens],
-                   "max_count": max_count, "units": args.units},
-    })
+           energies * factor, [str(p.degenerate).lower() for p in points]],
+          {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
+           "families": [token.replace("-", "_") for token in tokens],
+           "max_count": max_count, "units": args.units})
     return 0
 
 
@@ -318,49 +314,32 @@ def cmd_ranges(args) -> int:
     columns.append([";".join(_fmt(p.energy) for p in r.interior_zeros) for r in found])
     _emit(args, ["criterion", "lo_internal", "hi_internal", "lo_" + suffix, "hi_" + suffix,
                  "threshold", "ss_lo_family", "ss_lo_index", "ss_lo_internal",
-                 "ss_hi_family", "ss_hi_index", "ss_hi_internal", "interior_zeros"], columns, {
-        "command": "ranges",
-        "params": {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass,
-                   "criterion": criterion.value, "emin": args.emin,
-                   "emax": args.emax, "threshold": args.threshold,
-                   "grid": args.grid, "units": args.units},
-    })
+                 "ss_hi_family", "ss_hi_index", "ss_hi_internal", "interior_zeros"], columns,
+          {"v0": spec.v0, "rho": spec.rho, "mass": spec.mass, "criterion": criterion.value,
+           "emin": args.emin, "emax": args.emax, "threshold": args.threshold,
+           "grid": args.grid, "units": args.units})
     return 0
 
 
 # -- reference table -------------------------------------------------------------
 
 
-def _table1_rows():
-    """Computed-vs-published rows; the published values carry their units."""
-    ev = EnergyUnit.ELECTRON_VOLT
-    rows = []
-
-    spec1 = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
-    ccl = cc_left_energies(spec1, 5)
-    for point, ref in zip(ccl[:3], (16.94, 55.50, 105.07)):
-        rows.append(("cc_left", f"E_{point.index}^l", spec1,
-                     convert_energy(point.energy, to_units=ev), ref, "eV"))
-    for point, ref in zip(cc_right_energies(spec1, 3), (5.51, 22.04, 49.58)):
-        rows.append(("cc_right", f"E_{point.index}^r", spec1,
-                     convert_energy(point.energy, to_units=ev), ref, "eV"))
-
-    spec5 = PotentialSpec(v0=2.0, rho=2.0, mass=1.0)
-    cpa_f = {(p.kind, p.index): p for p in cpa_energies_forward(spec5, 6)}
-    for (kind, index), ref in (
-        ((SpectralFamily.CPA_FORWARD_A2, 1), 27.2),
-        ((SpectralFamily.CPA_FORWARD_A3, 4), 54.4),
-        ((SpectralFamily.CPA_FORWARD_A2, 2), 61.2),
-    ):
-        point = cpa_f[(kind, index)]
-        label = f"E_n1={index}" if kind is SpectralFamily.CPA_FORWARD_A2 else f"E_n2={index}"
-        rows.append(("cpa_forward", label, spec5,
-                     convert_energy(point.energy, to_units=ev), ref, "eV"))
-    cpa_tr = {p.index: p for p in cpa_energies_time_reversed(spec5, 5)}
-    for index, ref in ((3, 37.03), (4, 83.32), (5, 143.92)):
-        rows.append(("cpa_time_reversed", f"E*_M={index}", spec5,
-                     convert_energy(cpa_tr[index].energy, to_units=ev), ref, "eV"))
-    return rows
+# Table 1's published point rows: (row, the paper's label, v0, rho, family,
+# index, published eV), each at mass 1
+_TABLE1_POINTS = (
+    ("cc_left", "E_3^l", 1.2, 1.8, SpectralFamily.CC_LEFT, 3, 16.94),
+    ("cc_left", "E_4^l", 1.2, 1.8, SpectralFamily.CC_LEFT, 4, 55.50),
+    ("cc_left", "E_5^l", 1.2, 1.8, SpectralFamily.CC_LEFT, 5, 105.07),
+    ("cc_right", "E_1^r", 1.2, 1.8, SpectralFamily.CC_RIGHT, 1, 5.51),
+    ("cc_right", "E_2^r", 1.2, 1.8, SpectralFamily.CC_RIGHT, 2, 22.04),
+    ("cc_right", "E_3^r", 1.2, 1.8, SpectralFamily.CC_RIGHT, 3, 49.58),
+    ("cpa_forward", "E_n1=1", 2.0, 2.0, SpectralFamily.CPA_FORWARD_A2, 1, 27.2),
+    ("cpa_forward", "E_n2=4", 2.0, 2.0, SpectralFamily.CPA_FORWARD_A3, 4, 54.4),
+    ("cpa_forward", "E_n1=2", 2.0, 2.0, SpectralFamily.CPA_FORWARD_A2, 2, 61.2),
+    ("cpa_time_reversed", "E*_M=3", 2.0, 2.0, SpectralFamily.CPA_TIME_REVERSED, 3, 37.03),
+    ("cpa_time_reversed", "E*_M=4", 2.0, 2.0, SpectralFamily.CPA_TIME_REVERSED, 4, 83.32),
+    ("cpa_time_reversed", "E*_M=5", 2.0, 2.0, SpectralFamily.CPA_TIME_REVERSED, 5, 143.92),
+)
 
 
 def _table1_ranges():
@@ -386,13 +365,16 @@ def cmd_table1(args) -> int:
              "rel_dev", "status"]
     rows = []
     failed = False
-    for family, label, spec, computed, ref, unit in _table1_rows():
-        dev = abs(computed - ref) / abs(ref)
+    for row, label, v0, rho, family, index, ref in _TABLE1_POINTS:
+        # the first `index` points hold point `index`: their indices are distinct and >= 1
+        point = next(p for p in critical_points(PotentialSpec(v0, rho, 1.0), family, count=index)
+                     if p.index == index)
+        computed = convert_energy(point.energy, to_units=EnergyUnit.ELECTRON_VOLT)
+        dev = abs(computed - ref) / ref
         ok = dev <= 0.005
         failed = failed or not ok
-        rows.append([family, label,
-                     f"v0={spec.v0:g} rho={spec.rho:g} m={spec.mass:g}",
-                     computed, float(ref), unit, dev, "PASS" if ok else "FAIL"])
+        rows.append([row, label, f"v0={v0:g} rho={rho:g} m=1", computed, ref, "eV", dev,
+                     "PASS" if ok else "FAIL"])
     for label, spec, criterion, window, threshold, plo, phi, unit in _table1_ranges():
         found = scan_ranges(spec, criterion, window, threshold, grid_points=args.grid)
         overlap = any(
@@ -412,7 +394,7 @@ def cmd_table1(args) -> int:
                       EnergyUnit.MEGA_ELECTRON_VOLT: "MeV"}[unit],
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
-    _emit(args, names, list(zip(*rows)), {"command": "table1", "params": {"grid": args.grid}})
+    _emit(args, names, list(zip(*rows)), {"grid": args.grid})
     return 2 if failed else 0
 
 
@@ -430,7 +412,7 @@ def cmd_verify(args) -> int:
         ok = worst <= tol
         failed = failed or not ok
         rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
-    _emit(args, names, list(zip(*rows)), {"command": "verify", "params": {"seed": args.seed}})
+    _emit(args, names, list(zip(*rows)), {"seed": args.seed})
     return 2 if failed else 0
 
 
@@ -452,11 +434,8 @@ def cmd_potential(args) -> int:
     zeta = np.linspace(zmin, zmax, points)
     profiles = [potential_profile(spec, x, zeta) for x in xs]
     _emit(args, ["zeta", *(f"{part}_V_x{tag}" for tag in tags for part in ("re", "im"))],
-          [zeta, *(part for profile in profiles for part in (profile.real, profile.imag))], {
-        "command": "potential",
-        "params": {"v0": spec.v0, "rho": spec.rho, "x": xs,
-                   "zmin": zmin, "zmax": zmax, "points": points},
-    })
+          [zeta, *(part for profile in profiles for part in (profile.real, profile.imag))],
+          {"v0": spec.v0, "rho": spec.rho, "x": xs, "zmin": zmin, "zmax": zmax, "points": points})
     return 0
 
 

@@ -491,14 +491,16 @@ def oracle_g_factors(
     x0: float = 0.0,
     Z: float | None = None,
 ) -> tuple[complex, complex, complex, complex]:
-    """Connection coefficients (G1, G2, G3, G4) from two contour launches.
+    """Connection coefficients (G1, G2, G3, G4) of the spec's variant from
+    two contour launches.
 
     No Gamma function enters: this is the independent numerical route to
-    the same four constants the closed forms produce.
+    the same four constants the closed forms produce,
+    ``g_factors(channel_params(spec, energy))``, whose time-reversed
+    variant swaps G1 with G4 and G2 with G3.
     """
-    forward = PotentialSpec(v0=spec.v0, rho=spec.rho, mass=spec.mass)
-    a2, a3, phi, uh, _ = _contour_setup(forward, energy, x0, Z)
-    return _fitted_g(a2, a3, phi, (uh,), Variant.FORWARD)
+    a2, a3, phi, uh, _ = _contour_setup(spec, energy, x0, Z)
+    return _fitted_g(a2, a3, phi, (uh,), spec.variant)
 
 
 def oracle_amplitudes(

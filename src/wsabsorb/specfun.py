@@ -301,6 +301,8 @@ class SingularValue:
     def from_complex(cls, w: complex) -> "SingularValue":
         _check_number("w", w, (int, float, complex))
         w = complex(w)
+        if not cmath.isfinite(w):
+            raise ValueError(f"non-finite value {w!r}")
         if w == 0:
             raise ValueError("exact zero has no log representation; give it a positive order")
         return cls(0, math.log(abs(w)), cmath.phase(w))

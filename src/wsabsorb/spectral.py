@@ -85,7 +85,8 @@ import numpy as np
 from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _det_s_error,
                          _log10_refusals, _slope_terms, log10_coefficients)
 from .specfun import TAU_INT, snap
-from .units import PotentialSpec, Variant, _check_member, _check_number, _check_positive
+from .units import (PotentialSpec, Variant, _check_member, _check_number, _check_positive,
+                    _check_window)
 
 __all__ = [
     "SpectralFamily",
@@ -747,10 +748,12 @@ def scan_ranges(
 ) -> list[AbsorptionRange]:
     """Certify absorption ranges between consecutive spectral singularities.
 
-    The certified quantities live on the time-reversed potential:
-    max(R'_l, T') for unidirectional ranges, |det S'| for bidirectional
-    ones (whose brackets interleave both singularity families, so the
-    right-reflection singular points are excluded by construction).  Each
+    ``spec`` is the forward potential, and a spec of another variant raises
+    ``ValueError`` naming it.  The certified quantities live on its
+    time-reversed partner: max(R'_l, T') for unidirectional ranges,
+    |det S'| for bidirectional ones (whose brackets interleave both
+    singularity families, so the right-reflection singular points are
+    excluded by construction).  Each
     bracket overlapping the window is sampled on a uniform grid.  One kernel
     call evaluates every 32nd sample and the last one of all the grids, a
     bound on the slope between two of them decides most cells in between
@@ -784,11 +787,10 @@ def scan_ranges(
     ``ValueError``.
     """
     _check_member("criterion", criterion, RangeCriterion)
+    if spec.variant is not Variant.FORWARD:
+        raise ValueError(f"scan_ranges takes a forward spec, got variant {spec.variant.value}")
+    _check_window(window)
     emin, emax = window
-    for end in window:
-        _check_number("window end", end)
-    if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
-        raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
     _check_positive("threshold", threshold)
     _check_number("grid_points", grid_points, (int,))
     if grid_points < 100:

@@ -130,6 +130,16 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _check_window(window) -> None:
+    """Raise ValueError unless window is (emin, emax), each end passing
+    :func:`_check_number`, with finite 0 < emin < emax."""
+    emin, emax = window
+    for end in window:
+        _check_number("window end", end)
+    if not (emin > 0.0 and emax > emin and math.isfinite(emax)):
+        raise ValueError(f"invalid window {window!r}: need finite 0 < emin < emax")
+
+
 def _check_entries(name: str, values) -> None:
     """Raise ValueError unless every entry of values passes
     :func:`_check_number`; an ndarray's dtype (kind f, i or u) says it for

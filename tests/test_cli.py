@@ -389,8 +389,8 @@ def test_infinite_window_exits_1(capsys, command):
     if command == "ranges":
         argv += ["--criterion", "cc-left", "--grid", "128"]
     assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "invalid window" in captured.err and "Warning" not in captured.err
+    # both commands read the one window rule of wsabsorb.units, and no warning
+    assert capsys.readouterr().err == "error: invalid window (1.0, inf): need finite 0 < emin < emax\n"
 
 
 def _fresh_interpreter(probe: str) -> subprocess.CompletedProcess:

@@ -191,10 +191,14 @@ class TestOracleAmplitudes:
             if not oracle_domain_ok(spec, energy):
                 continue
             done += 1
-            ref = analytic_g(spec, energy)
-            got = oracle_g_factors(spec, energy)
-            for a, b in zip(ref, got):
-                assert abs(a - b) <= 1e-6 * abs(a)
+            # each variant's G-factors against its own closed form: the
+            # time-reversed ones are the forward ones in reverse order
+            for variant in Variant:
+                spec = replace(spec, variant=variant)
+                ref = analytic_g(spec, energy)
+                got = oracle_g_factors(spec, energy)
+                for a, b in zip(ref, got):
+                    assert abs(a - b) <= 1e-6 * abs(a)
 
     @pytest.mark.parametrize("spec, energy, x0", [
         (PotentialSpec(0.677, 0.886, 1.0), 9.034, 2.554),

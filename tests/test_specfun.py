@@ -131,11 +131,19 @@ class TestGammaInfo:
 
 
 class TestSingularValue:
-    @pytest.mark.parametrize("w", [True, "2"])
-    def test_from_complex_refuses_bool_and_str(self, w):
-        # complex() read "2" as 2 and True as 1, where gamma_info refuses both
-        with pytest.raises(ValueError, match=f"^w must be an int or float or complex, got {w!r}$"):
+    @pytest.mark.parametrize("w, message", [
+        *((w, f"w must be an int or float or complex, got {w!r}") for w in (True, "2")),
+        *((w, f"non-finite value {complex(w)!r}")
+          for w in (math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(1.0, math.nan),
+                    complex(math.inf, 1.0), complex(-math.inf, 1.0), complex(1.0, math.inf),
+                    complex(1.0, -math.inf))),
+    ])
+    def test_from_complex_refuses_what_gamma_info_refuses(self, w, message):
+        # complex() read "2" as 2 and True as 1, and a NaN or infinite part gave
+        # a NaN or infinite log magnitude of order 0, where gamma_info refuses all
+        with pytest.raises(ValueError) as refused:
             SingularValue.from_complex(w)
+        assert str(refused.value) == message
 
     def test_finite_reconstruction(self):
         w = 2.5 * cmath.exp(0.7j)

@@ -391,6 +391,14 @@ class TestScanRanges:
         with pytest.raises(ValueError, match="invalid window"):
             scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, window, grid_points=128)
 
+    def test_refuses_a_time_reversed_spec(self):
+        # the spec is the forward potential, whose time-reversed partner the
+        # ranges are certified on; another variant is refused, not replaced
+        spec = PotentialSpec(1.2, 1.8, 1.0, Variant.TIME_REVERSED)
+        with pytest.raises(ValueError) as refused:
+            scan_ranges(spec, RangeCriterion.CPA_RANGE, (0.5, 0.6), grid_points=256)
+        assert str(refused.value) == "scan_ranges takes a forward spec, got variant time_reversed"
+
 
 
 def sequential_ranges(spec, criterion, window, threshold, grid_points):
