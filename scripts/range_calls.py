@@ -11,6 +11,11 @@ bisection (through ``_log10_refusals``), counted by wrappers in
 repeat exactly, where ``ranges`` timings cannot resolve a change in the
 bisection, which is about a sixth of an op.  The program is imported from
 the ``src/`` of the checkout this script sits in.
+
+``scripts/range_calls.txt`` holds the counts of seeds 1-10 as committed; a
+change in them is an edit of that file:
+
+    python scripts/range_calls.py --seeds 1-10 | diff scripts/range_calls.txt -
 """
 
 from __future__ import annotations

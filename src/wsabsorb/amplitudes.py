@@ -147,6 +147,16 @@ def _arguments(ch: ChannelParams) -> np.ndarray:
     return _Z2 * ch.a2 + _C3 * ch.gap + _C0
 
 
+def _arg_slopes(ch: ChannelParams) -> np.ndarray:
+    """dz/dE of the 12 Gamma arguments, (12, n), at the energies of ``ch``.
+
+    a2 and a3 enter each argument with one sign, or as the gap a3 - a2,
+    whose slope is formed from the gap itself, -gap m / (2 k1 k2), so that
+    no slope subtracts two nearly equal ones."""
+    dgap = -ch.gap * ch.mass / (2.0 * ch.k1 * ch.k2)
+    return np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
+
+
 def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n)
     arrays, and the sum of |Re log Gamma| over the 12 arguments, as (n,).
@@ -156,10 +166,10 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arguments: real ones for both variants of the complexified potential,
     imaginary ones for the Hermitian potential.  An argument that snaps to
     a pole is a pole of order 1 whose residue (-1)^k / k! is divided here
-    by the argument's energy derivative, so that coefficients of different
-    Gamma factors combine in a common limit variable (the offset from the
-    critical energy).  The sum sizes the rounding of the logs.  Callers
-    silence numpy's floating-point warnings.
+    by the argument's energy derivative (:func:`_arg_slopes`), so that
+    coefficients of different Gamma factors combine in a common limit
+    variable (the offset from the critical energy).  The sum sizes the
+    rounding of the logs.  Callers silence numpy's floating-point warnings.
     """
     z = _arguments(ch)
     finite = np.isfinite(z)
@@ -169,7 +179,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     size = np.abs(lg.real).sum(axis=0)
     order = np.zeros((5, z.shape[1]), dtype=int)
     if pole.any():
-        dz = (_C2 * ch.da2_denergy + _C3 * ch.da3_denergy)[pole] + 0j
+        dz = _arg_slopes(ch)[pole] + 0j
         dz[dz == 0] = 1.0  # stationary argument; leave the residue unscaled
         lg[pole] -= np.log(dz)
         p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
@@ -220,8 +230,9 @@ def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
     :func:`log10_coefficients` (which also validates the energies); the
     12 Gamma arguments z, (12, n); the two factors of each log's slope
     d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th rows are 1
-    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)); and the kernel's
-    log-Gamma rounding (:func:`_det_s_checks`), (n,).  ``_LOG10_WEIGHTS``
+    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)), with dz/dE the
+    :func:`_arg_slopes` that :func:`_g_logs` scales residues by; and the
+    kernel's log-Gamma rounding (:func:`_det_s_checks`), (n,).  ``_LOG10_WEIGHTS``
     sums the slopes into each row's.  On E > 0 every z and every factor is
     monotone in E between the poles of psi: a2, a3 and a2 + a3 rise with
     falling slopes, and the gap a3 - a2 falls with a slope rising toward 0.
@@ -231,12 +242,9 @@ def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
     with np.errstate(all="ignore"):  # psi is infinite at a pole
         z = _arguments(ch)
         psi = _digamma(z)
-    # a2 and a3 enter each argument with one sign, or as the gap, so no dz/dE cancels
-    dgap = -ch.gap * ch.mass / (2.0 * ch.k1 * ch.k2)
-    dz = np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
     root = spec.v0 / (4.0 * energies * (energies + spec.v0))
     return (_log10_rows(order, logs), z, np.vstack([psi, np.ones_like(root)]),
-            np.vstack([dz, root]), rounding)
+            np.vstack([_arg_slopes(ch), root]), rounding)
 
 
 def _det_s_checks(ch: ChannelParams) -> tuple:

@@ -48,6 +48,7 @@ from .units import (
     EnergyUnit,
     PotentialSpec,
     Variant,
+    _check_finite,
     _check_window,
     convert_energy,
 )
@@ -59,10 +60,6 @@ _DISPLAY_UNITS = {unit.value: (suffix, convert_energy(1.0, EnergyUnit.INTERNAL, 
                   for unit, suffix in ((EnergyUnit.INTERNAL, "display_internal"),
                                        (EnergyUnit.ELECTRON_VOLT, "ev"),
                                        (EnergyUnit.MEGA_ELECTRON_VOLT, "mev"))}
-
-_SPEC_KEYS = ("v0", "rho", "mass", "variant", "emin", "emax", "points",
-              "threshold", "units", "format", "grid", "max_count", "seed")
-
 
 # a negative number, exponent notation included: argparse's own pattern
 # leaves out "-1e-3", so "--x -1e-3" read it as a flag missing its value
@@ -157,8 +154,17 @@ def _emit(args, names, columns, params):
     _write(args, text)
 
 
-def _config_tokens(args) -> list[str]:
-    """One ``--key=value`` token per line of the ``--config`` file."""
+def _options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Each command's options by their keys (``max_count`` for
+    ``--max-count``), less ``--config`` and ``--help``."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in sub._actions if a.option_strings} - {"config", "help"}
+            for name, sub in commands.choices.items()}
+
+
+def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
+    """One ``--key=value`` token per line of the ``--config`` file, whose
+    keys must be options of the command."""
     loaded = []
     with open(args.config, encoding="utf-8") as handle:
         for raw in handle:
@@ -169,11 +175,11 @@ def _config_tokens(args) -> list[str]:
                 raise ValueError(f"config line {raw!r} is not 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             loaded.append((key.replace("-", "_"), value))
-    keys = {key for key, _ in loaded}
-    unknown = keys - set(_SPEC_KEYS)
+    keys, options = {key for key, _ in loaded}, _options(parser)
+    unknown = keys - set().union(*options.values())
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    foreign = sorted(key for key in keys if not hasattr(args, key))
+    foreign = sorted(keys - options[args.command])
     if foreign:
         raise ValueError(f"config keys {foreign} are not options of {args.command}")
     return [f"--{key.replace('_', '-')}={value}" for key, value in loaded]
@@ -421,8 +427,7 @@ def cmd_potential(args) -> int:
     xs = args.x or [2.0, 4.0]
     zmin, zmax, points = args.zmin, args.zmax, args.points
     for name, value in [("--x", x) for x in xs] + [("--zmin", zmin), ("--zmax", zmax)]:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        _check_finite(name, value)
     if points < 2 or zmax <= zmin:
         raise ValueError("need points >= 2 and zmax > zmin")
     # each profile needs columns of its own, or a JSON row keeps only one
@@ -523,7 +528,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # the command, the config's tokens, then the flags, which so win
-            args = parser.parse_args([argv[0], *_config_tokens(args), *argv[1:]])
+            args = parser.parse_args([argv[0], *_config_tokens(parser, args), *argv[1:]])
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # a MemoryError is a grid too large to allocate; a bare one has no text

@@ -499,10 +499,18 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     the same terms, and each sum is exact (math.fsum of the real and
     imaginary parts, read from the term array's buffer with no list between),
     so at the coefficient spikes of a c left of the origin the sums add no
-    rounding of their own.  A row stops at the first multiple
-    of _STOP_STEP terms whose last three terms are below 1e-17 of its sum;
-    SeriesError past the term cap, and at the first step where a running
-    row's terms stop being finite (they overflow).
+    rounding of their own.  A row stops at the first multiple of _STOP_STEP
+    terms k whose last three terms are below 1e-17 of its sum and which lies
+    past its proven tail: k >= max(-Re c, k^), with k^ the larger root of
+    (k + |a|)(k + |b|) |arg| = q (k + Re c)(k + 1) and q = (1 + |arg|)/2.
+    From there on every term ratio (a + k)(b + k) arg / ((c + k)(k + 1)) is
+    below q in modulus, so the terms left out sum to at most q/(1 - q) times
+    the last one.  Where c < 0 the ratio spikes near k = -Re c and stays
+    above 1 for a long stretch after it, so terms that fall below the rule
+    before then do not end the sum.  SeriesError before any term is summed
+    where a row's proven tail starts past the term cap, at the cap, and at
+    the first step where a running row's terms stop being finite (they
+    overflow).
 
     Each term then carries up to about eps of rounding per ratio, so F and
     dF/darg are within 8 eps kappa of exact, with per row the pair kappa =
@@ -511,6 +519,17 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     (arg = 0, say): dF/darg = ab/c then sums none.
     """
     rows = arg.shape[0]
+    tail_from = []  # per row, max(-Re c, k^): where its proven tail starts
+    for a, b, c, z in zip(*abc[:, :, 0].tolist(), arg[:, 0].tolist()):
+        a, b, c, z = abs(a), abs(b), c.real, abs(z)
+        # (q - z) k^2 + beta k + gamma = q (k + c)(k + 1) - z (k + a)(k + b); with no
+        # real root, the ratio bound holds at every k > -c
+        q = 0.5 * (1.0 + z)
+        beta, gamma = q * (c + 1.0) - z * (a + b), q * c - z * a * b
+        disc = beta * beta - 4.0 * (q - z) * gamma
+        tail_from.append(max(-c, (math.sqrt(disc) - beta) / (2.0 * (q - z))) if disc >= 0.0 else -c)
+    if max(tail_from) > _SERIES_MAX_TERMS:
+        raise SeriesError(f"2F1 series tail is not bounded within {_SERIES_MAX_TERMS} terms")
     total = [1.0] * rows
     stop = [0] * rows  # terms each row sums; 0 while it runs
     blocks, n0 = [], 0
@@ -540,7 +559,7 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
                     if not cmath.isfinite(part):
                         raise SeriesError(f"2F1 series terms overflow within {end} terms")
                     total[i] += part
-                    if max(tail[i]) <= 1e-17 * abs(total[i]):  # the tail is finite here
+                    if end >= tail_from[i] and max(tail[i]) <= 1e-17 * abs(total[i]):
                         stop[i] = end
                 if all(stop):
                     break

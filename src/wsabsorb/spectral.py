@@ -53,9 +53,11 @@ When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
 kernel.
 
 Range scanning certifies the smallness of the relevant coefficients on a
-grid between consecutive singularities, and refines the threshold crossings
-by bisection, each with its own stop rule, so every endpoint is the one a
-crossing bisected alone reaches.  One kernel call evaluates every 32nd
+grid between consecutive singularities (``_CRITERIA`` says, per criterion,
+which coefficients, between which singularities, and which exact-absorption
+points lie inside), and refines the threshold crossings by bisection,
+each with its own stop rule, so every endpoint is the one a crossing
+bisected alone reaches.  One kernel call evaluates every 32nd
 sample of all the brackets' grids, and in the same pass psi at their Gamma
 arguments; a bound on the slope between two of them, from psi(z) dz/dE
 summed over the arguments, puts each certified row between two envelopes
@@ -176,8 +178,11 @@ def _well_energy(spec: PotentialSpec, n: int) -> float:
 
 
 def _channel_energy(spec: PotentialSpec, n: int) -> float:
+    """p_n^2 / (v0 + 2 p_n), with v0 + 2 p_n taken as n^2 rho^2 / (4 m): the
+    sum cancels where p_n is near -v0/2, at the first a3 - a2 = n points of
+    a narrow rho, and the product does not."""
     p = _p_intermediate(spec, n)
-    return p * p / (spec.v0 + 2.0 * p)
+    return p * p / (n * n * spec.rho * spec.rho / (4.0 * spec.mass))
 
 
 class _Row(NamedTuple):
@@ -307,17 +312,14 @@ def _index_range(spec: PotentialSpec, row: _Row) -> tuple[int, float]:
 
 
 def _points(spec: PotentialSpec, family: SpectralFamily, ns):
-    """The family's points at the integers ``ns``, in their order, lazily.
+    """The family's points at the integers ``ns``, each in the row's valid
+    range (:func:`_index_range`), in their order, lazily.
 
-    An N outside the row's valid range, or whose energy is not positive,
-    has no point; a degenerate N has a flagged one, or none on a row that
-    excludes degenerate points.
+    An N whose energy is not positive has no point; a degenerate N has a
+    flagged one, or none on a row that excludes degenerate points.
     """
     row = _TABLE[family]
-    first, stop = _index_range(spec, row)
     for n in ns:
-        if not first <= n < stop:
-            continue
         energy = row.energy(spec, n)
         if energy > 0.0:
             # 2*a_i with c_i = 2 is N by construction; only the other one is tested,
@@ -335,8 +337,9 @@ def _grid_points(
     """The family's points that ``snap`` puts on an energy array, by position:
     where u(E) snaps to an integer N that has a point, that point."""
     row = _TABLE[family]
+    first, stop = _index_range(spec, row)
     n, hit = snap(row.u(spec, energies))
-    at = np.flatnonzero(hit)
+    at = np.flatnonzero(hit & (first <= n) & (n < stop))
     ns = [int(m) for m in n[at].tolist()]
     points = {p.index + row.offset: p for p in _points(spec, family, set(ns))}
     return {i: points[m] for i, m in zip(at.tolist(), ns) if m in points}
@@ -425,14 +428,31 @@ def _ss_in_window(
     return points
 
 
-# the rows of log10_coefficients (|r_l|^2, T and |det S| of the time-reversed
-# potential) whose largest each criterion certifies
-_CERTIFIED_ROWS = {RangeCriterion.CC_LEFT_RANGE: [0, 2], RangeCriterion.CPA_RANGE: [3]}
+class _Criterion(NamedTuple):
+    """What a range criterion certifies: the largest of the ``rows`` of
+    log10_coefficients on the time-reversed potential stays below the
+    threshold between consecutive points of the ``singularities`` families,
+    with the ``interior`` family's points inside."""
+
+    rows: list[int]
+    singularities: tuple[SpectralFamily, ...]
+    interior: SpectralFamily
+
+
+# max(R'_l, T') between left singularities, with the r'_l zeros inside, and
+# |det S'| between interleaved left and right ones, with the time-reversed CPA
+# points inside
+_CRITERIA = {
+    RangeCriterion.CC_LEFT_RANGE: _Criterion([0, 2], (SpectralFamily.SS_LEFT,),
+                                             SpectralFamily.RPRIME_LEFT_ZERO),
+    RangeCriterion.CPA_RANGE: _Criterion([3], (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT),
+                                         SpectralFamily.CPA_TIME_REVERSED),
+}
 
 
 def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies) -> np.ndarray:
     """log10 of the certified quantity, max(R'_l, T') or |det S'|, per energy."""
-    return log10_coefficients(tr_spec, energies)[_CERTIFIED_ROWS[criterion]].max(axis=0)
+    return log10_coefficients(tr_spec, energies)[_CRITERIA[criterion].rows].max(axis=0)
 
 
 # the grid stage evaluates every _STRIDE-th sample of each grid and its last
@@ -553,7 +573,7 @@ def _grid_stage(
     crossing reads (its four around it, :func:`_predicted_crossing`) where
     neither call did.
     """
-    ends, q, holds, lo, hi, delta = _envelopes(tr_spec, _CERTIFIED_ROWS[criterion], grids)
+    ends, q, holds, lo, hi, delta = _envelopes(tr_spec, _CRITERIA[criterion].rows, grids)
     passes, fails = _cell_outcomes(grids, ends, q, lo, hi, delta, log10_cap)
     cell = np.minimum(np.arange(grids.shape[1]) // _STRIDE, len(ends) - 2)
     certified, decided = (holds & (passes | fails))[:, cell], passes[:, cell]
@@ -708,7 +728,7 @@ def _bisect_crossing(
             wanted.update(dict.fromkeys(_midpoints(*path[max(len(path) - 1 - _LOOKAHEAD, 0)],
                                                    _LOOKAHEAD)))
         rows, refused = _log10_refusals(tr_spec, np.array(list(wanted)))
-        values = dict(zip(wanted, rows[_CERTIFIED_ROWS[criterion]].max(axis=0).tolist()))
+        values = dict(zip(wanted, rows[_CRITERIA[criterion].rows].max(axis=0).tolist()))
         for s in unresolved:  # a crossing stops at a refused midpoint, and asks for it again
             while (mid := next_mid(s)) in values and mid not in refused:
                 if values[mid] < log10_cap:
@@ -725,11 +745,7 @@ def _brackets(
 ) -> list[tuple[tuple[SpectralPoint, SpectralPoint], float, float]]:
     """Each pair of consecutive singularities whose bracket overlaps the
     window, with the ends of its grid."""
-    if criterion is RangeCriterion.CC_LEFT_RANGE:
-        families = (SpectralFamily.SS_LEFT,)
-    else:
-        families = (SpectralFamily.SS_LEFT, SpectralFamily.SS_RIGHT)
-    singularities = _ss_in_window(spec, families, emin, emax)
+    singularities = _ss_in_window(spec, _CRITERIA[criterion].singularities, emin, emax)
     found = []
     for ss_lo, ss_hi in zip(singularities, singularities[1:]):
         lo = max(ss_lo.energy * (1.0 + 1e-12), emin)
@@ -824,26 +840,14 @@ def scan_ranges(
 
     for k, e in zip(at, _bisect_crossing(tr_spec, criterion, log10_cap, crossings)):
         ends[k] = e
-    return [
-        AbsorptionRange(
-            lo=lo_e,
-            hi=hi_e,
-            criterion=criterion,
-            threshold=threshold,
-            bracketing_ss=pair,
-            interior_zeros=tuple(_interior_points(spec, criterion, lo_e, hi_e)),
-        )
-        for pair, lo_e, hi_e in zip(brackets, ends[0::2], ends[1::2])
-    ]
+    return [AbsorptionRange(lo=lo, hi=hi, criterion=criterion, threshold=threshold, bracketing_ss=pair,
+                            interior_zeros=tuple(_interior_points(spec, criterion, lo, hi)))
+            for pair, lo, hi in zip(brackets, ends[0::2], ends[1::2])]
 
 
 def _interior_points(
     spec: PotentialSpec, criterion: RangeCriterion, lo: float, hi: float
 ) -> list[SpectralPoint]:
     """Discrete exact-absorption points inside a certified range."""
-    family = (
-        SpectralFamily.RPRIME_LEFT_ZERO
-        if criterion is RangeCriterion.CC_LEFT_RANGE
-        else SpectralFamily.CPA_TIME_REVERSED
-    )
-    return [p for p in critical_points(spec, family, window=(lo, hi)) if lo <= p.energy <= hi]
+    points = critical_points(spec, _CRITERIA[criterion].interior, window=(lo, hi))
+    return [p for p in points if lo <= p.energy <= hi]

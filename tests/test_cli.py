@@ -271,11 +271,12 @@ class TestConfig:
                          "--emin", "0.5", "--emax", "1.5", "--points", "2")
         assert len(text.strip().split("\n")) == 3
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("velocity = 3\n")
+        cfg.write_text("velocity = 3\nconfig = other.cfg\n")
         code = main(["scan", "--config", str(cfg), "--emin", "1", "--emax", "2"])
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['config', 'velocity']\n"
 
     def test_config_format_applies(self, tmp_path, capsys):
         cfg = tmp_path / "json.cfg"
@@ -296,35 +297,45 @@ class TestConfig:
 # -- flags and config lines are one path ------------------------------------------
 
 
-# per command, two values of every config key it takes: the config gives the
-# first, and a flag after it gives the second
+# per command, two values of every option it takes but --config: the config
+# gives the first, and a flag after it gives the second.  The --out paths are
+# relative to the test's own directory
+_OUT = {"out": ("first.out", "second.out")}
 _KEY_VALUES = {
     "scan": {"v0": ("1.2", "2"), "rho": ("1.8", "2"), "mass": ("1.5", "1"),
              "variant": ("time-reversed", "forward"), "emin": ("0.5", "0.3"),
              "emax": ("2.5", "2"), "points": ("9", "4"), "units": ("mev", "internal"),
-             "format": ("json", "csv")},
+             "format": ("json", "csv"), **_OUT},
     "spectrum": {"v0": ("2", "1.2"), "rho": ("2", "1.8"), "mass": ("1.5", "1"),
-                 "max_count": ("3", "2"), "units": ("internal", "mev"),
-                 "format": ("json", "csv")},
+                 "families": ("cc-left,ss-right", "rprime-zeros"), "max_count": ("3", "2"),
+                 "units": ("internal", "mev"), "format": ("json", "csv"), **_OUT},
     "ranges": {"v0": ("15", "14"), "rho": ("0.001", "0.0012"), "mass": ("1", "1.1"),
                "emin": ("14.9990", "14.9995"), "emax": ("15.0035", "15.003"),
-               "threshold": ("1e-6", "1e-5"), "grid": ("128", "256"),
-               "units": ("mev", "internal"), "format": ("json", "csv")},
-    "table1": {"grid": ("128", "100"), "format": ("json", "csv")},
-    "verify": {"seed": ("7", "8"), "format": ("json", "csv")},
+               "criterion": ("cc-left", "cpa"), "threshold": ("1e-6", "1e-5"),
+               "grid": ("128", "256"), "units": ("mev", "internal"), "format": ("json", "csv"),
+               **_OUT},
+    "table1": {"grid": ("128", "100"), "format": ("json", "csv"), **_OUT},
+    "verify": {"seed": ("7", "8"), "format": ("json", "csv"), **_OUT},
     "potential": {"v0": ("1.2", "2"), "rho": ("1.8", "2"),
-                  "variant": ("time-reversed", "forward"), "points": ("5", "3"),
-                  "format": ("json", "csv")},
+                  "variant": ("time-reversed", "forward"), "x": ("2", "-1.5"),
+                  "zmin": ("-3", "-2"), "zmax": ("3", "2"), "points": ("5", "3"),
+                  "format": ("json", "csv"), **_OUT},
 }
+# an option that a repeated flag adds to, not replaces
+_REPEATABLE = {"x"}
 
 
 def _outcome(capsys, argv):
-    """(exit code, stdout, stderr) of one main() call."""
+    """(exit code, stdout, stderr, the --out files by name and text) of one
+    main() call in the working directory, whose files it removes."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    return (code, *capsys.readouterr())
+    written = {path.name: path.read_text() for path in sorted(pathlib.Path().glob("*.out"))}
+    for name in written:
+        pathlib.Path(name).unlink()
+    return (code, *capsys.readouterr(), written)
 
 
 def _flags(values):
@@ -340,19 +351,23 @@ def stand_in_suites(monkeypatch):
 
 
 @pytest.mark.parametrize("command", _KEY_VALUES)
-def test_config_equals_flags(tmp_path, capsys, stand_in_suites, command):
+def test_config_equals_flags(tmp_path, monkeypatch, capsys, stand_in_suites, command):
+    monkeypatch.chdir(tmp_path)
     values = _KEY_VALUES[command]
-    taken = vars(cli.build_parser().parse_args([command]))
-    assert set(values) == set(cli._SPEC_KEYS) & set(taken)
+    taken = vars(cli.build_parser().parse_args([command])).keys() - {"command", "func", "config"}
+    assert set(values) == taken
     config = tmp_path / "all.cfg"
     config.write_text("".join(f"{key} = {first}\n" for key, (first, _) in values.items()))
     firsts = {key: first for key, (first, _) in values.items()}
     from_flags = _outcome(capsys, [command, *_flags(firsts)])
-    assert from_flags[0] == 0 and from_flags[1]
+    assert from_flags[0] == 0 and from_flags[3]["first.out"]
     assert _outcome(capsys, [command, "--config", str(config)]) == from_flags
     for key, (_, second) in values.items():
         overridden = _outcome(capsys, [command, "--config", str(config), *_flags({key: second})])
-        assert overridden == _outcome(capsys, [command, *_flags({**firsts, key: second})]), key
+        # a flag wins over the config's line, and a repeated one adds to it
+        want = [*_flags(firsts), *_flags({key: second})] if key in _REPEATABLE else (
+            _flags({**firsts, key: second}))
+        assert overridden == _outcome(capsys, [command, *want]), key
         assert overridden[0] == 0 and overridden != from_flags, key  # the value was read
 
 

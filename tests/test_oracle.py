@@ -211,6 +211,16 @@ class TestOracleAmplitudes:
         for a, b in zip(analytic_g(spec, energy), oracle_g_factors(spec, energy, x0=x0)):
             assert abs(a - b) <= 1e-6 * abs(a)
 
+    @pytest.mark.parametrize("energy", [7.9, 9.3])
+    def test_out_of_domain_draw_past_the_series_spike(self, energy):
+        # a2 is about 56 and 61, so the psi2 row's c = 1 - 2 a2 is about -111: a series
+        # that stopped before the spike of its term ratio near k = -Re c gave G's off by
+        # 1.73 and 1.0 relative, with no error
+        spec = PotentialSpec(0.5, 0.1, 1.0)
+        assert not oracle_domain_ok(spec, energy)
+        for a, b in zip(analytic_g(spec, energy), oracle_g_factors(spec, energy)):
+            assert abs(a - b) <= 1e-6 * abs(a)
+
     def test_phase_band_sweep(self):
         # v0 in [0.5, 8], rho in [0.5, 3], E in [0.1, 15] kept by oracle_domain_ok, 16
         # draws per |phi| band up to pi - 0.21 (POLE_PHASE_MARGIN accepts them), each

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsabsorb.specfun import (
     PoleProximityError,
+    SeriesError,
     SingularValue,
     gamma_info,
     hyp2f1,
@@ -250,8 +251,8 @@ def direct_gauss_sum(a: float, b: float, c: float, z: float, terms: int = 4000) 
         return float(total)
 
 
-# rows whose early terms fall below the stop rule before the spike of the
-# term ratio near k = -c, with the direct sums' values; ROADMAP item 28
+# rows whose early terms fall below 1e-17 of their sums before the spike of
+# the term ratio near k = -c, with the direct sums' values
 EARLY_STOPS = [
     pytest.param((1.0, 1.0, -70.5, 0.5), -448.254741786655, id="c-70.5"),
     pytest.param((1.122, 0.1222, -111.7, 0.5), 3.00320455861467, id="c-111.7"),
@@ -264,11 +265,14 @@ class TestHyp2f1PastTheSpike:
     def test_direct_sums(self, args, value):
         assert direct_gauss_sum(*args) == pytest.approx(value, rel=1e-13)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 28: the Gauss series stops before the "
-                       "spike of its term ratio near k = -Re c")
     @pytest.mark.parametrize("args, value", EARLY_STOPS)
     def test_hyp2f1_sums_past_the_spike(self, args, value):
         assert hyp2f1(*args) == pytest.approx(direct_gauss_sum(*args), rel=1e-12)
+
+    def test_refused_where_the_spike_lies_past_the_term_cap(self):
+        # the proven tail starts near k = 200000, past the 100000-term cap
+        with pytest.raises(SeriesError, match="^2F1 series tail is not bounded within 100000 terms$"):
+            hyp2f1(1.0, 1.0, -200000.5, 0.5)
 
 
 class TestHyp2f1NonFinite:

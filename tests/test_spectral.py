@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,24 @@ class TestReflectionZeros:
             n = a.index
             ref = (2 * n + 1) * (1.0 / 16.0 - 50.0 ** 2 / (n ** 2 * (n + 1) ** 2))
             assert (b.energy - a.energy) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("v0, rho, count", [(15.0, 0.001, 3), (1.0, 0.0006, 4)])
+    def test_narrow_rho_energies_match_mpmath(self, v0, rho, count):
+        # the first points have p_n near -v0/2, where v0 + 2 p_n cancels; each
+        # energy is p_n^2 / (v0 + 2 p_n) at 60 digits on the same floats
+        points = critical_points(PotentialSpec(v0, rho), SpectralFamily.RPRIME_LEFT_ZERO, count=count)
+        assert [p.index for p in points] == list(range(1, count + 1))
+        with mp.workdps(60):
+            for point in points:
+                p = mp.mpf(point.index) ** 2 * mp.mpf(rho) ** 2 / 8 - mp.mpf(v0) / 2
+                want = p * p / (mp.mpf(v0) + 2 * p)
+                assert abs(point.energy - want) <= 4e-16 * want, point.index
+
+    def test_narrow_rho_degenerate_points(self):
+        # D = 4 m v0 / rho^2 = 6e7 at v0 15, rho 0.001, so 2 a2 = D/n - n is an integer
+        # at every n that divides 6e7: n = 1 and 2 are degenerate
+        points = rprime_left_zeros(PotentialSpec(15.0, 0.001))
+        assert points[0].degenerate and points[1].degenerate
 
     def test_intermediate_identities(self):
         rng = np.random.default_rng(31)
@@ -700,7 +719,7 @@ class TestGridStage:
         # value lies between its lower and upper bound, up to delta
         tr_spec = replace(spec, variant=Variant.TIME_REVERSED)
         grids = self.grids(spec, criterion, window, self.GRID)
-        rows = spectral._CERTIFIED_ROWS[criterion]
+        rows = spectral._CRITERIA[criterion].rows
         try:
             full = np.array([log10_coefficients(tr_spec, grid)[rows] for grid in grids])
         except ArithmeticError:
@@ -726,7 +745,7 @@ class TestGridStage:
         except ArithmeticError:
             return  # test_equals_sequential_bisection checks that both raise
         ends, q, holds, lo, hi, delta = spectral._envelopes(
-            tr_spec, spectral._CERTIFIED_ROWS[criterion], grids)
+            tr_spec, spectral._CRITERIA[criterion].rows, grids)
         ruled = holds & (np.diff(ends) > 1)  # a cell without inner samples decides none
         for cap in [math.log10(threshold), *np.quantile(full[np.isfinite(full)], [0.1, 0.5, 0.9])]:
             passes, fails = spectral._cell_outcomes(grids, ends, q, lo, hi, delta, cap)
@@ -873,7 +892,7 @@ class TestPredictedPaths:
             assert set(energies.tolist()) <= allowed
             rows, refused = refusals(tr_spec, energies)
             values = dict(zip(energies.tolist(),
-                              rows[spectral._CERTIFIED_ROWS[criterion]].max(axis=0).tolist()))
+                              rows[spectral._CRITERIA[criterion].rows].max(axis=0).tolist()))
             for s in state:
                 while (s[5] < 200 and (mid := spectral._midpoint(s[0], s[2])) in values
                        and mid not in refused):
