@@ -157,6 +157,16 @@ def _arg_slopes(ch: ChannelParams) -> np.ndarray:
     return np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
 
 
+def _g_orders(pole: np.ndarray) -> np.ndarray:
+    """The pole orders of G1..G4 and sqrt(k1/k2), (5, n), from a (12, n)
+    mask of the Gamma arguments that sit on a pole: each G's denominator
+    poles less its numerator's, and 0.  The kernel's mask is its snapped
+    arguments; the condition table's (``spectral``) is the exact pole count
+    on a condition's line."""
+    p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
+    return np.vstack([q1 + q2 - p1 - p2, np.zeros_like(p1)])
+
+
 def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n)
     arrays, and the sum of |Re log Gamma| over the 12 arguments, as (n,).
@@ -182,8 +192,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dz = _arg_slopes(ch)[pole] + 0j
         dz[dz == 0] = 1.0  # stationary argument; leave the residue unscaled
         lg[pole] -= np.log(dz)
-        p1, p2, q1, q2 = pole[_G_ROWS].astype(int)
-        order[:4] = q1 + q2 - p1 - p2
+        order = _g_orders(pole)
     n1, n2, d1, d2 = lg[_G_ROWS]
     # 0.5 * math.log, one energy at a time: the row keeps libm's bits, which
     # tests/test_amplitudes.py pins at one energy and at 2000

@@ -17,7 +17,10 @@ condition             u(E)         inverse energy                      valid N
 
 Each condition also says what happens at its points, in its signature: the
 pole orders of (r_l, -r_r, t, det S) there, forward and time-reversed, a
-positive order a zero and a negative one a pole.
+positive order a zero and a negative one a pole.  No table states them:
+``_Row.signatures`` counts the poles of the kernel's Gamma arguments on the
+row's line, and ``amplitudes._g_orders`` turns them into orders, as it
+turns the kernel's snapped poles.  The count gives:
 
 ===============  ================  ===============  ================================
 condition        forward           time-reversed    families
@@ -33,9 +36,12 @@ coupling from the left and forward CPA) and the time-reversed r_l and det S
 diverge (left spectral singularities); the right side is the same at 2 a2
 (CPA_FORWARD_A2 takes index ``N - 1`` from N = 2); at a2 + a3 = M the
 time-reversed det S vanishes and every forward amplitude diverges; at
-a3 - a2 = n the time-reversed r_l vanishes.  ``_TABLE`` holds these rows,
-``critical_points`` enumerates any of them, and ``integer_distance``
-measures how far a pair (a2, a3) sits from the nearest of their conditions.
+a3 - a2 = n the time-reversed r_l vanishes.  ``_TABLE`` maps each family
+to its row: c2, c3, the inverse energy, the index offset and whether the
+row excludes degenerate points.  ``critical_points`` enumerates any of
+them, and ``integer_distance`` measures how far a pair (a2, a3) sits from
+the nearest of the conditions, which are the directions of the Gamma
+arguments up to sign (``_CONDITIONS``).
 u reads a2 and the gap a3 - a2 as the kernel does, ``u = (c2 + c3) a2 +
 c3 gap`` (``amplitudes._channel_terms``), so on the ``2 a3``, sum and
 difference rows u is, bit for bit, the magnitude of a Gamma argument whose
@@ -50,7 +56,9 @@ CPA_TIME_REVERSED excludes such points, because a numerator residue cancels
 the intended zero of det S there, and every other family flags them.
 When u(0) snaps to an integer N, N is the E = 0 threshold and is skipped.
 ``verify``'s ``family_signatures`` row checks both statements against the
-kernel.
+kernel's orders on its snapped arguments; since the signatures and the
+kernel read one Gamma table, a test pins the published signatures, not
+that row.
 
 Range scanning certifies the smallness of the relevant coefficients on a
 grid between consecutive singularities (``_CRITERIA`` says, per criterion,
@@ -84,8 +92,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import (_EPS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _channel_terms, _det_s_error,
-                         _log10_refusals, _slope_terms, log10_coefficients)
+from .amplitudes import (_EPS, _G_ARGS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _amplitude_logs,
+                         _channel_terms, _det_s_error, _g_orders, _log10_refusals, _slope_terms,
+                         log10_coefficients)
 from .specfun import TAU_INT, snap
 from .units import (PotentialSpec, Variant, _check_member, _check_number, _check_positive,
                     _check_window)
@@ -186,15 +195,11 @@ def _channel_energy(spec: PotentialSpec, n: int) -> float:
 
 
 class _Row(NamedTuple):
-    """c2*a2 + c3*a3 = N at energy(spec, N); the family index is N - offset.
-
-    ``signatures`` are the pole orders of (r_l, -r_r, t, det S) at the
-    row's non-degenerate points, forward and time-reversed."""
+    """c2*a2 + c3*a3 = N at energy(spec, N); the family index is N - offset."""
 
     c2: int
     c3: int
     energy: Callable[[PotentialSpec, int], float]
-    signatures: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
     offset: int = 0
     exclude_degenerate: bool = False
 
@@ -202,33 +207,43 @@ class _Row(NamedTuple):
         _, _, a2, gap = _channel_terms(spec, energy)
         return (self.c2 + self.c3) * a2 + self.c3 * gap
 
+    @property
+    def signatures(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+        """The pole orders of (r_l, -r_r, t, det S) at the row's
+        non-degenerate points, forward and time-reversed, counted from the
+        kernel's Gamma arguments: with a2 and a3 carrying the variant sign s,
+        the argument d2*a2 + d3*a3 + d0 is d0 - N <= 0, a pole, on the line
+        c2*a2 + c3*a3 = N (N >= 1) exactly when (d2, d3) = -s*(c2, c3)."""
+        order = _g_orders(np.array([[(d2, d3) == (-s * self.c2, -s * self.c3) for s in (1, -1)]
+                                    for d2, d3, _ in _G_ARGS]))
+        return tuple(map(tuple, _amplitude_logs(order, np.zeros(order.shape))[0].T.tolist()))
+
 
 def _left_energy(spec: PotentialSpec, n: int) -> float:
     return _well_energy(spec, n) - spec.v0
 
 
-_LEFT = _Row(0, 2, _left_energy, ((1, 0, 1, 1), (-1, 0, 0, -1)))
-_RIGHT = _Row(2, 0, _well_energy, ((0, 1, 1, 1), (0, -1, 0, -1)))
+_LEFT = _Row(0, 2, _left_energy)
+_RIGHT = _Row(2, 0, _well_energy)
 _TABLE = {
     SpectralFamily.CC_LEFT: _LEFT,
     SpectralFamily.SS_LEFT: _LEFT,
     SpectralFamily.CPA_FORWARD_A3: _LEFT,
     SpectralFamily.CC_RIGHT: _RIGHT,
     SpectralFamily.SS_RIGHT: _RIGHT,
-    # det S vanishes at 2 a2 = 1 too, which is CC_RIGHT's first point, yet the
-    # family starts at 2 a2 = 2: the published row E_{n1=1} = 27.2 eV (v0 2,
-    # rho 2) is 2 a2 = 2.  Whether the paper's n1 starts at 0 waits for its
-    # text and for a re-recorded benchmark scan reference, which flags CC_R
-    # alone at 2 a2 = 1.
+    # the pole count gives the forward det S order +1 at every N >= 1 of the
+    # 2 a2 row, 2 a2 = 1 (CC_RIGHT's first point) included, so offset 1 is only
+    # the paper's label: its published row E_{n1=1} = 27.2 eV (v0 2, rho 2) is
+    # 2 a2 = 2.  Whether its n1 starts at 0 waits for its text (ROADMAP item 17)
     SpectralFamily.CPA_FORWARD_A2: _RIGHT._replace(offset=1),
-    SpectralFamily.CPA_TIME_REVERSED: _Row(1, 1, _channel_energy, ((-2, -2, -2, -2), (0, 0, 0, 2)),
-                                           exclude_degenerate=True),
-    SpectralFamily.RPRIME_LEFT_ZERO: _Row(-1, 1, _channel_energy, ((0, 2, 0, 0), (2, 0, 0, 0))),
+    SpectralFamily.CPA_TIME_REVERSED: _Row(1, 1, _channel_energy, exclude_degenerate=True),
+    SpectralFamily.RPRIME_LEFT_ZERO: _Row(-1, 1, _channel_energy),
 }
 
 
-# the distinct conditions (c2, c3) of the table
-_CONDITIONS = sorted({(row.c2, row.c3) for row in _TABLE.values()})
+# the distinct conditions (c2, c3): the directions of the Gamma arguments'
+# pole lines, up to sign
+_CONDITIONS = sorted({max((c2, c3), (-c2, -c3)) for c2, c3, _ in _G_ARGS})
 
 
 def integer_distance(a2: float, a3: float) -> float:

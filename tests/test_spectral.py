@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from wsabsorb import cli, spectral
 from wsabsorb.amplitudes import _G_ARGS, amplitudes, det_s, log10_coefficients
 from wsabsorb.cli import _table1_ranges
+from wsabsorb.specfun import snap
 from wsabsorb.spectral import (
     RangeCriterion,
     Side,
@@ -331,6 +332,54 @@ def test_scan_flags_and_gamma_poles_say_what_the_table_says():
         assert any(c2 * a2 + c3 * a3 + c0 < 0 for a2, a3 in channels)
     assert {max((c2, c3), (-c2, -c3)) for c2, c3, _ in _G_ARGS} == (
         {max((c2, c3), (-c2, -c3)) for c2, c3 in signatures})
+
+
+# README's condition table: the (forward, time-reversed) pole orders of
+# (r_l, -r_r, t, det S) on each condition c2*a2 + c3*a3 = N
+PUBLISHED_SIGNATURES = {
+    (0, 2): ((1, 0, 1, 1), (-1, 0, 0, -1)),
+    (2, 0): ((0, 1, 1, 1), (0, -1, 0, -1)),
+    (1, 1): ((-2, -2, -2, -2), (0, 0, 0, 2)),
+    (-1, 1): ((0, 2, 0, 0), (2, 0, 0, 0)),
+}
+
+
+def test_signatures_counted_from_the_gamma_arguments_are_the_published_table():
+    rows = spectral._TABLE.values()
+    assert {(row.c2, row.c3) for row in rows} == set(PUBLISHED_SIGNATURES)
+    for row in rows:
+        assert row.signatures == PUBLISHED_SIGNATURES[row.c2, row.c3]
+
+
+def test_kernel_orders_at_degenerate_points_are_the_exact_pole_count():
+    # at a degenerate point 2 a2 = n2 and 2 a3 = n3 are both integers, so the
+    # variant-signed Gamma argument d2 a2 + d3 a3 + d0 is exactly
+    # s (d2 n2 + d3 n3) / 2 + d0, a pole where that is an integer <= 0; the
+    # kernel's orders on its snapped arguments must be that mask's, through
+    # the same pole-to-order step.  The specs put 2 a2 and 2 a3 on integers
+    # at one energy, as verify's family_signatures row does on every second one
+    rng = np.random.default_rng(41)
+    seen = 0
+    for _ in range(40):
+        mass, rho = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.5)
+        n2, step = rng.integers(1, 6), rng.integers(1, 5)
+        spec = PotentialSpec(step * (2 * n2 + step) * rho * rho / (16.0 * mass), rho, mass)
+        energies = [p.energy for family in SpectralFamily
+                    for p in critical_points(spec, family, count=6) if p.degenerate]
+        if not energies:
+            continue
+        _, _, a2, gap = _AMPLITUDES._channel_terms(spec, np.array(energies))
+        (n2s, hit2), (n3s, hit3) = snap(2.0 * a2), snap(2.0 * (a2 + gap))
+        assert hit2.all() and hit3.all()
+        for s, variant in ((1, Variant.FORWARD), (-1, Variant.TIME_REVERSED)):
+            twice = [s * (d2 * n2s + d3 * n3s) + 2 * d0 for d2, d3, d0 in _G_ARGS]
+            pole = np.array([(t % 2 == 0) & (t <= 0) for t in twice])
+            order = _AMPLITUDES._g_orders(pole)
+            counted = _AMPLITUDES._amplitude_logs(order, np.zeros(order.shape))[0]
+            kernel = _AMPLITUDES._amplitude_orders(replace(spec, variant=variant), energies)
+            assert list(map(tuple, counted.T.tolist())) == kernel
+            seen += len(energies)
+    assert seen > 200
 
 
 class TestScanRanges:
