@@ -5,7 +5,7 @@
 For each seed, the ops of one ``ranges`` cycle are built by
 ``bench/workloads.py`` (read only) and each runs once.  One line per seed
 gives the kernel calls and the energies they evaluate in ``scan_ranges``'
-grid stage (through ``_slope_terms`` and ``log10_coefficients``) and in its
+grid stage (through ``_row_bounds`` and ``log10_coefficients``) and in its
 bisection (through ``_log10_refusals``), counted by wrappers in
 ``wsabsorb.spectral``'s namespace; a last line gives the totals.  The counts
 repeat exactly, where ``ranges`` timings cannot resolve a change in the
@@ -27,7 +27,7 @@ import sys
 from bench_pairs import seed_range
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-STAGES = {"_slope_terms": "grid", "log10_coefficients": "grid", "_log10_refusals": "bisection"}
+STAGES = {"_row_bounds": "grid", "log10_coefficients": "grid", "_log10_refusals": "bisection"}
 
 
 def line(counts: dict) -> str:
@@ -48,10 +48,10 @@ def main(argv: list[str]) -> int:
     counts = {}  # per stage, [calls, energies]
 
     def counted(stage, kernel):
-        def wrapped(tr_spec, energies):
+        def wrapped(tr_spec, *args):  # the energies come last
             counts[stage][0] += 1
-            counts[stage][1] += len(energies)
-            return kernel(tr_spec, energies)
+            counts[stage][1] += args[-1].size
+            return kernel(tr_spec, *args)
         return wrapped
 
     for name, stage in STAGES.items():

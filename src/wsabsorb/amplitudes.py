@@ -12,6 +12,11 @@ energy), and det S is cross-checked at every energy.  One function,
 :func:`_amplitude_logs`, forms r_l, r_r, t and det S from G-factor rows for
 every route: the kernel, the scalar functions (which read the kernel's
 one-energy column as :class:`SingularValue` values) and the contour oracle.
+One more, :func:`_row_bounds`, gives ``spectral``'s range certification the
+kernel's rows at the ends of grid cells together with lines that bound them
+in between, from psi at the Gamma arguments, so that every error term of
+the kernel (the det-S tolerance, the rounding limit and the margins of
+those lines) is stated in this module.
 """
 
 from __future__ import annotations
@@ -140,6 +145,12 @@ _LN10 = math.log(10.0)
 _EPS = float(np.finfo(float).eps)
 # largest log-Gamma rounding (relative, on det S) the cross-check admits
 _ROUNDING_LIMIT = 1e-6
+# a grid sample that _row_bounds' lines decide clears the threshold by _MARGIN
+# decades besides its arguments' rounding, and the slope bound widens by
+# _SLOPE_SLACK of its terms' sizes, far above the error of psi (16 eps of
+# max(1, |psi|))
+_MARGIN = 1e-5
+_SLOPE_SLACK = 1e-9
 
 
 def _arguments(ch: ChannelParams) -> np.ndarray:
@@ -229,31 +240,71 @@ def _log10_rows(order: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return np.where(order == 0, logs.real * _SQUARED / _LN10, np.where(order > 0, -np.inf, np.inf))
 
 
-def _slope_terms(spec: PotentialSpec, energies: np.ndarray):
-    """The rows of :func:`log10_coefficients` over an array of energies,
-    and what bounds each row's energy slope between two of them, for real
+def _row_bounds(spec: PotentialSpec, rows: list[int], energies: np.ndarray):
+    """Lines that bound the ``rows`` of :func:`log10_coefficients` between
+    consecutive energies of each row of a (brackets, ends) array, for real
     Gamma arguments (both variants of the complexified potential), from
-    one :func:`_checked_logs` pass.
+    one :func:`_checked_logs` pass that also gives psi at the arguments.
 
-    Returns the (4, n) rows, bit for bit those of
-    :func:`log10_coefficients` (which also validates the energies); the
-    12 Gamma arguments z, (12, n); the two factors of each log's slope
-    d/dE log|Gamma(z)| = psi(z) dz/dE, (13, n) each, whose 13th rows are 1
-    and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0)), with dz/dE the
-    :func:`_arg_slopes` that :func:`_g_logs` scales residues by; and the
-    kernel's log-Gamma rounding (:func:`_det_s_checks`), (n,).  ``_LOG10_WEIGHTS``
-    sums the slopes into each row's.  On E > 0 every z and every factor is
-    monotone in E between the poles of psi: a2, a3 and a2 + a3 rise with
-    falling slopes, and the gap a3 - a2 falls with a slope rising toward 0.
+    Each log's slope is d/dE log|Gamma(z)| = psi(z) dz/dE over the 12 Gamma
+    arguments z, with dz/dE the :func:`_arg_slopes` that :func:`_g_logs`
+    scales residues by, and d/dE log sqrt(k1/k2) = v0 / (4 E (E + v0));
+    ``_LOG10_WEIGHTS`` sums them into each row's.  On E > 0 every z and
+    every factor is monotone in E between the poles of psi: a2, a3 and
+    a2 + a3 rise with falling slopes, and the gap a3 - a2 falls with a slope
+    rising toward 0.  So between two consecutive energies, a cell, where no
+    argument that a row reads comes within 2 ``TAU_INT`` of a non-positive
+    integer, each term w psi(z) dz/dE of the row's slope lies between the
+    products of its end values, and their sum, widened by ``_SLOPE_SLACK``
+    of its terms' sizes, bounds the slope in [lo, hi] (interval arithmetic,
+    as in Moore's).  With q_a and q_b the row's values at the cell's ends,
+    the row at an energy E between them is at least lower(E) = max(q_a + lo
+    (E - E_a), q_b - hi (E_b - E)) and at most upper(E) = min(q_a + hi (E -
+    E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN`` plus 8 eps sum |w psi| (|z| + 1), the
+    argument rounding that psi amplifies, at either end and at E.  The
+    bounds do not hold on a cell with an infinite end value, and are not
+    used where either end's log-Gamma rounding (:func:`_det_s_checks`)
+    reaches half ``_ROUNDING_LIMIT``, so that the energies the kernel
+    cannot check are evaluated.
+
+    Returns the rows at the energies, bit for bit those of
+    :func:`log10_coefficients` (which also validates the energies), as
+    (rows, brackets, ends), whether each cell's bounds hold (brackets,
+    cells), and each cell's lo, hi and delta (rows, brackets, cells).
     """
-    ch = _channel(spec, energies)
-    _, _, order, logs, rounding = _checked_logs(ch)
+    ch = _channel(spec, energies.ravel())
+    _, _, order, logs, lg_rounding = _checked_logs(ch)
     with np.errstate(all="ignore"):  # psi is infinite at a pole
         z = _arguments(ch)
         psi = _digamma(z)
-    root = spec.v0 / (4.0 * energies * (energies + spec.v0))
-    return (_log10_rows(order, logs), z, np.vstack([psi, np.ones_like(root)]),
-            np.vstack([_arg_slopes(ch), root]), rounding)
+    root = spec.v0 / (4.0 * ch.energy * (ch.energy + spec.v0))
+    values, z, psi, dz, lg_rounding = (
+        x.reshape(x.shape[:-1] + energies.shape)
+        for x in (_log10_rows(order, logs), z, np.vstack([psi, np.ones_like(root)]),
+                  np.vstack([_arg_slopes(ch), root]), lg_rounding))
+    q = values[rows]
+
+    # per row, argument (the 12 and sqrt(k1/k2)'s log) and cell
+    w = _LOG10_WEIGHTS[rows][:, :, None, None]
+    reads = w != 0.0
+    a, b = np.s_[..., :-1], np.s_[..., 1:]  # each cell's two ends
+    with np.errstate(invalid="ignore", over="ignore"):  # psi is infinite at a pole
+        products = np.stack([psi[a] * dz[a], psi[a] * dz[b], psi[b] * dz[a], psi[b] * dz[b]])
+        low, high = w * products.min(axis=0), w * products.max(axis=0)
+        psi_max = np.maximum(abs(psi[a]), abs(psi[b]))
+        slack = np.where(reads, abs(w) * (psi_max + 1.0) * np.maximum(abs(dz[a]), abs(dz[b])), 0.0)
+        slack = _SLOPE_SLACK * slack.sum(axis=1)
+        lo = np.where(reads, np.minimum(low, high), 0.0).sum(axis=1) - slack
+        hi = np.where(reads, np.maximum(low, high), 0.0).sum(axis=1) + slack
+        z_lo, z_hi = np.minimum(z[a], z[b]) - 2.0 * TAU_INT, np.maximum(z[a], z[b]) + 2.0 * TAU_INT
+        rounding = abs(w[:, :-1]) * psi_max[:-1] * (np.maximum(abs(z_lo), abs(z_hi)) + 1.0)
+        delta = _MARGIN + 8.0 * _EPS * np.where(reads[:, :-1], rounding, 0.0).sum(axis=1)
+    near_pole = np.ceil(z_lo) <= np.minimum(np.floor(z_hi), 0.0)
+    holds = ~near_pole[reads[:, :-1, 0, 0].any(axis=0)].any(axis=0)
+    holds &= np.isfinite(q[a]).all(axis=0) & np.isfinite(q[b]).all(axis=0)
+    checkable = lg_rounding < 0.5 * _ROUNDING_LIMIT
+    holds &= checkable[a] & checkable[b]
+    return q, holds, lo, hi, delta
 
 
 def _det_s_checks(ch: ChannelParams) -> tuple:

@@ -69,7 +69,8 @@ bisected alone reaches.  One kernel call evaluates every 32nd
 sample of all the brackets' grids, and in the same pass psi at their Gamma
 arguments; a bound on the slope between two of them, from psi(z) dz/dE
 summed over the arguments, puts each certified row between two envelopes
-on the cell between them.  Where the envelopes' extremes over a cell's
+on the cell between them (``amplitudes._row_bounds``, which states every
+error term of those envelopes).  Where the envelopes' extremes over a cell's
 inner samples clear the threshold, the cell is decided without evaluating
 them, with the outcome that evaluating them gives, and a second call
 evaluates the rest.  The grid samples around a crossing predict where it lies, and one
@@ -92,10 +93,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .amplitudes import (_EPS, _G_ARGS, _LOG10_WEIGHTS, _ROUNDING_LIMIT, _amplitude_logs,
-                         _channel_terms, _det_s_error, _g_orders, _log10_refusals, _slope_terms,
-                         log10_coefficients)
-from .specfun import TAU_INT, snap
+from .amplitudes import (_G_ARGS, _amplitude_logs, _channel_terms, _det_s_error, _g_orders,
+                         _log10_refusals, _row_bounds, log10_coefficients)
+from .specfun import snap
 from .units import (PotentialSpec, Variant, _check_member, _check_number, _check_positive,
                     _check_window)
 
@@ -338,9 +338,8 @@ def _points(spec: PotentialSpec, family: SpectralFamily, ns):
         energy = row.energy(spec, n)
         if energy > 0.0:
             # 2*a_i with c_i = 2 is N by construction; only the other one is tested,
-            # as the u of its own row: 2*a2, or 2*a3 = 2*a2 + 2*gap
-            _, _, a2, gap = _channel_terms(spec, energy)
-            others = [u for u, c in ((2.0 * a2, row.c2), (2.0 * a2 + 2.0 * gap, row.c3)) if c != 2]
+            # as the u of its own row: 2*a2, or 2*a3
+            others = [r.u(spec, energy) for r, c in ((_RIGHT, row.c2), (_LEFT, row.c3)) if c != 2]
             degenerate = any(hit and m >= 1 for m, hit in map(snap, others))
             if not (row.exclude_degenerate and degenerate):
                 yield SpectralPoint(family, n - row.offset, energy, degenerate)
@@ -471,13 +470,8 @@ def _log10_certified(tr_spec: PotentialSpec, criterion: RangeCriterion, energies
 
 
 # the grid stage evaluates every _STRIDE-th sample of each grid and its last
-# one, and decides the samples between them from a bound on the slope.  A
-# decided sample clears the threshold by _MARGIN decades besides its
-# arguments' rounding, and the slope bound widens by _SLOPE_SLACK of its
-# terms' sizes, far above the error of psi (16 eps of max(1, |psi|))
+# one, and decides the samples between them from a bound on the slope
 _STRIDE = 32
-_MARGIN = 1e-5
-_SLOPE_SLACK = 1e-9
 # the brackets' grids go through the grid stage in groups of at most this many
 # samples (or one bracket), so that its memory does not grow with their count
 _GROUP_SAMPLES = 2**16
@@ -486,24 +480,8 @@ _GROUP_SAMPLES = 2**16
 def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     """Lines that bound the certified rows of :func:`log10_coefficients` on
     every cell of the grids (one a row), from one kernel call at the cells'
-    ends: every ``_STRIDE``-th sample and the last one.
-
-    Between two ends, a cell, every Gamma argument z and dz/dE are
-    monotone, and so is psi(z) unless z passes a pole
-    (:func:`~wsabsorb.amplitudes._slope_terms`).  So where no argument that
-    a row reads comes within 2 ``TAU_INT`` of a non-positive integer, each
-    term w psi(z) dz/dE of the row's slope lies between the products of its
-    end values, and their sum bounds the slope in [lo, hi] (interval
-    arithmetic, as in Moore's).  With q_a and q_b the row's values at the
-    cell's ends, the row at an energy E between them is at least lower(E) =
-    max(q_a + lo (E - E_a), q_b - hi (E_b - E)) and at most upper(E) =
-    min(q_a + hi (E - E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN``
-    plus 8 eps sum |w psi| (|z| + 1), the argument rounding that psi
-    amplifies, at either end and at E.  The bounds do not hold on a cell
-    with an infinite end value, and are not used where either end's
-    log-Gamma rounding, as the kernel reports it, reaches half its
-    ``_ROUNDING_LIMIT``, so that the samples the kernel cannot check are
-    evaluated.
+    ends, every ``_STRIDE``-th sample and the last one
+    (:func:`~wsabsorb.amplitudes._row_bounds`).
 
     Returns the ends' indices, the rows' values there (rows, brackets,
     ends), whether each cell's bounds hold (brackets, cells), and each
@@ -511,37 +489,13 @@ def _envelopes(tr_spec: PotentialSpec, rows: list[int], grids: np.ndarray):
     """
     n = grids.shape[1]
     ends = np.append(np.arange(0, n - 1, _STRIDE), n - 1)
-    e = grids[:, ends]
-    values, z, psi, dz, lg_rounding = (x.reshape(x.shape[:-1] + e.shape)
-                                       for x in _slope_terms(tr_spec, e.ravel()))
-    q = values[rows]
-
-    # per row, argument (the 12 and sqrt(k1/k2)'s log) and cell
-    w = _LOG10_WEIGHTS[rows][:, :, None, None]
-    reads = w != 0.0
-    a, b = np.s_[..., :-1], np.s_[..., 1:]  # each cell's two ends
-    with np.errstate(invalid="ignore", over="ignore"):  # psi is infinite at a pole
-        products = np.stack([psi[a] * dz[a], psi[a] * dz[b], psi[b] * dz[a], psi[b] * dz[b]])
-        low, high = w * products.min(axis=0), w * products.max(axis=0)
-        psi_max = np.maximum(abs(psi[a]), abs(psi[b]))
-        slack = np.where(reads, abs(w) * (psi_max + 1.0) * np.maximum(abs(dz[a]), abs(dz[b])), 0.0)
-        slack = _SLOPE_SLACK * slack.sum(axis=1)
-        lo = np.where(reads, np.minimum(low, high), 0.0).sum(axis=1) - slack
-        hi = np.where(reads, np.maximum(low, high), 0.0).sum(axis=1) + slack
-        z_lo, z_hi = np.minimum(z[a], z[b]) - 2.0 * TAU_INT, np.maximum(z[a], z[b]) + 2.0 * TAU_INT
-        rounding = abs(w[:, :-1]) * psi_max[:-1] * (np.maximum(abs(z_lo), abs(z_hi)) + 1.0)
-        delta = _MARGIN + 8.0 * _EPS * np.where(reads[:, :-1], rounding, 0.0).sum(axis=1)
-    near_pole = np.ceil(z_lo) <= np.minimum(np.floor(z_hi), 0.0)
-    holds = ~near_pole[reads[:, :-1, 0, 0].any(axis=0)].any(axis=0)
-    holds &= np.isfinite(q[a]).all(axis=0) & np.isfinite(q[b]).all(axis=0)
-    checkable = lg_rounding < 0.5 * _ROUNDING_LIMIT
-    holds &= checkable[a] & checkable[b]
-    return ends, q, holds, lo, hi, delta
+    return (ends, *_row_bounds(tr_spec, rows, grids[:, ends]))
 
 
 def _cell_outcomes(grids, ends, q, lo, hi, delta, log10_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Whether every inner sample of each cell passes, and whether every one
-    fails, as (brackets, cells) arrays, by the lines of :func:`_envelopes`.
+    fails, as (brackets, cells) arrays, by the lines of :func:`_envelopes`
+    (lower(E) and upper(E) of :func:`~wsabsorb.amplitudes._row_bounds`).
 
     upper(E) is concave and lower(E) convex, so on the span [s, t] of a
     cell's inner samples each takes its largest and its smallest value at

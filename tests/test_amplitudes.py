@@ -9,12 +9,11 @@ import pytest
 
 from wsabsorb.amplitudes import (
     _G_TABLE,
-    _LOG10_WEIGHTS,
     AmplitudeSet,
     ChannelParams,
     _g_logs,
     _hermitian_channel,
-    _slope_terms,
+    _row_bounds,
     amplitudes,
     channel_params,
     det_s,
@@ -152,6 +151,16 @@ class TestAmplitudes:
         assert amps.rl.is_zero and amps.tl.is_zero
         assert amps.rr.is_finite
         assert amps.Rl.magnitude == 0.0 and amps.T.magnitude == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="ROADMAP item 11: the det-S tolerance misses a near-pole argument")
+    def test_landing_point_with_a_near_pole_gap(self):
+        # 2 a2 = 4000 lands on the 2 a2 row, and the gap a3 - a2 is about 1e-7,
+        # so the arguments 1 - a2 - a3 and a2 + a3 sit 1e-7 from a pole: their
+        # rounding, eps |z| / |z - k| relative, is of order 1e-5 and beats the
+        # check's tolerance ("rel diff 2.961e-06")
+        amps = amplitudes(PotentialSpec(1e-4, 1.0, 1.0), 1e6)
+        assert (amps.rl.order, amps.rr.order, amps.tl.order, amps.det_s.order) == (0, 1, 1, 1)
 
     def test_time_reversed_divergence(self):
         amps = amplitudes(replace(SPEC, variant=Variant.TIME_REVERSED), E3)
@@ -374,18 +383,22 @@ def test_assembly_is_singular_value_division_of_g_factors():
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_slope_terms_give_each_rows_slope(variant):
-    # the weighted sum of psi(z) dz/dE and d/dE log sqrt(k1/k2) is the energy
-    # slope of every log10 row, against a central difference; at small E the
-    # sqrt(k1/k2) term is of the Gamma terms' size.  The rows that come with
-    # the slope terms are log10_coefficients' own, bit for bit
+def test_row_bounds_hold_each_rows_slope(variant):
+    # on a one-cell array [E - h, E + h], every log10 row's central difference
+    # lies in the cell's slope bounds [lo, hi], which sum psi(z) dz/dE and
+    # d/dE log sqrt(k1/k2) over the arguments; at small E the sqrt(k1/k2) term
+    # is of the Gamma terms' size.  The rows at the cell's ends are
+    # log10_coefficients' own, bit for bit
     rng = np.random.default_rng(31)
     for _ in range(20):
         spec = PotentialSpec(rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0), rng.uniform(0.5, 2.0),
                              variant=variant)
-        energy = np.array([np.exp(rng.uniform(math.log(0.05), math.log(20.0)))])
-        rows, _, psi, dz, _ = _slope_terms(spec, energy)
-        assert rows.tolist() == log10_coefficients(spec, energy).tolist()
+        energy = np.exp(rng.uniform(math.log(0.05), math.log(20.0)))
         h = 1e-7 * energy
-        difference = log10_coefficients(spec, energy + h) - log10_coefficients(spec, energy - h)
-        assert np.allclose(_LOG10_WEIGHTS @ (psi * dz), difference / (2 * h), rtol=1e-6, atol=1e-6)
+        cell = np.array([[energy - h, energy + h]])
+        q, holds, lo, hi, _ = _row_bounds(spec, [0, 1, 2, 3], cell)
+        assert q[:, 0].tolist() == log10_coefficients(spec, cell[0]).tolist()
+        assert holds.tolist() == [[True]]
+        difference = (q[:, 0, 1] - q[:, 0, 0]) / (2 * h)
+        tol = 1e-6 * (1.0 + abs(difference))
+        assert (lo[:, 0, 0] - tol <= difference).all() and (difference <= hi[:, 0, 0] + tol).all()

@@ -127,6 +127,16 @@ def test_det_s_refusals_keep_their_messages(params, energy, message):
         assert str(refused.value) == message
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="ROADMAP item 11: the check asks 9 cancelled digits whatever the rounding")
+def test_sum_row_point_at_narrow_rho():
+    # a2 + a3 = 10001 at the paper's narrow rho: every forward row diverges
+    # with order -2, and the sum route's order -4 must cancel to det S's -2,
+    # which it does to 7.1 digits, not the 9 the check asks for
+    rows = log10_coefficients(PotentialSpec(1.0, 0.0006, 1.0), [1.778222245555444])
+    assert rows[:, 0].tolist() == [np.inf] * 4
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("v0, rho, energy", DET_S_REPRODUCERS)
 def test_array_route_raises_where_scalar_raises(v0, rho, energy, variant):

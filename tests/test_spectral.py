@@ -284,6 +284,17 @@ class TestCriticalPoints:
         with pytest.raises(ValueError):
             critical_points(SPEC_A, SpectralFamily.CC_LEFT)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP items 1 and 25: 2 a2 snaps 9.2e-12 from an integer")
+    def test_time_reversed_cpa_points_near_an_integer_2a2(self):
+        # exactly, 2 a2 = M - D/M with D/M about 9.2e-12 at M = 1, so M = 1, 2
+        # and 3 are non-degenerate points; the snap puts 2 a2 on its integer and
+        # excludes all three
+        spec = PotentialSpec(1.23e-6, 242.5, 0.110)
+        window = (0.999 * spectral._channel_energy(spec, 1), 1.001 * spectral._channel_energy(spec, 3))
+        points = critical_points(spec, SpectralFamily.CPA_TIME_REVERSED, window=window)
+        assert [(p.index, p.degenerate) for p in points] == [(1, False), (2, False), (3, False)]
+
     @pytest.mark.parametrize("count", [-1, -3, 2.5, 3.0, True, False, np.int64(3), "3"])
     def test_bad_count_rejected(self, count, no_points):
         # a bad count is refused, naming the family, before any point is
@@ -459,6 +470,16 @@ class TestScanRanges:
         with pytest.raises(ValueError, match="invalid window"):
             scan_ranges(NARROW, RangeCriterion.CC_LEFT_RANGE, window, grid_points=128)
 
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="ROADMAP item 1: a bracket-end sample snaps 2 a3 to a pole")
+    def test_bracket_end_next_to_a_singularity_is_certified(self):
+        # the last sample of a bracket sits 7.5e-10 below 2 a3 = 3056, which the
+        # kernel snaps to the singularity itself; there the det-S check refuses
+        # it ("rel diff 8.964e-07"), where mpmath gives log10|det S'| = -64.11
+        spec = PotentialSpec(2.9918303100607826, 0.0031742263359435313)
+        ranges = scan_ranges(spec, RangeCriterion.CPA_RANGE, (2.533582260940835, 3.040298713))
+        assert any(r.lo <= 2.8893229670051994 <= r.hi for r in ranges)
+
     def test_refuses_a_time_reversed_spec(self):
         # the spec is the forward potential, whose time-reversed partner the
         # ranges are certified on; another variant is refused, not replaced
@@ -561,17 +582,18 @@ REFUSED_BISECTIONS = [
 
 def watch_kernel_calls(monkeypatch, record):
     """Call ``record`` with the energies of every kernel call that
-    scan_ranges makes: the grid stage's first through _slope_terms, which
-    gives the values with their slope terms, the rest of the grid stage's
-    through log10_coefficients, and the bisection's through
-    _log10_refusals."""
+    scan_ranges makes, as a flat array: the grid stage's first through
+    _row_bounds, which gives the values with the lines that bound them
+    (its energies, the cells' ends, are a (brackets, ends) array and come
+    last), the rest of the grid stage's through log10_coefficients, and the
+    bisection's through _log10_refusals."""
     def watching(kernel):
-        def watched(tr_spec, energies):
-            record(energies)
-            return kernel(tr_spec, energies)
+        def watched(tr_spec, *args):
+            record(np.ravel(args[-1]))
+            return kernel(tr_spec, *args)
         return watched
 
-    for name in ("log10_coefficients", "_slope_terms", "_log10_refusals"):
+    for name in ("log10_coefficients", "_row_bounds", "_log10_refusals"):
         monkeypatch.setattr(spectral, name, watching(getattr(spectral, name)))
 
 
