@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import TAU_INT, SingularValue, _digamma, gamma_logs
+from .specfun import _EPS, TAU_INT, SingularValue, _digamma, gamma_logs
 from .units import PotentialSpec, Variant, _check_entries, _check_finite, _check_positive
 
 __all__ = [
@@ -142,20 +142,14 @@ _G_ROWS = np.array([[_G_ARGS.index(arg) for arg in numer + denom] for numer, den
 _AMP_ROWS = np.array([3, 0, 4, 1])
 _SQUARED = np.array([[2.0], [2.0], [2.0], [1.0]])
 _LN10 = math.log(10.0)
-_EPS = float(np.finfo(float).eps)
 # largest log-Gamma rounding (relative, on det S) the cross-check admits
 _ROUNDING_LIMIT = 1e-6
 # a grid sample that _row_bounds' lines decide clears the threshold by _MARGIN
 # decades besides its arguments' rounding, and the slope bound widens by
 # _SLOPE_SLACK of its terms' sizes, far above the error of psi (16 eps of
-# max(1, |psi|))
+# max(1, |psi|), eps = 2^-52)
 _MARGIN = 1e-5
 _SLOPE_SLACK = 1e-9
-
-
-def _arguments(ch: ChannelParams) -> np.ndarray:
-    """The 12 distinct Gamma arguments, (12, n), at the energies of ``ch``."""
-    return _Z2 * ch.a2 + _C3 * ch.gap + _C0
 
 
 def _arg_slopes(ch: ChannelParams) -> np.ndarray:
@@ -178,9 +172,10 @@ def _g_orders(pole: np.ndarray) -> np.ndarray:
     return np.vstack([q1 + q2 - p1 - p2, np.zeros_like(p1)])
 
 
-def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pole orders and complex logs of G1..G4 and sqrt(k1/k2), as (5, n)
-    arrays, and the sum of |Re log Gamma| over the 12 arguments, as (n,).
+    arrays, the sum of |Re log Gamma| over the 12 arguments, as (n,), and
+    the 12 distinct Gamma arguments themselves, as (12, n).
 
     The fields of ``ch`` hold one energy or n of them.  One
     :func:`~wsabsorb.specfun.gamma_logs` call covers the 12 distinct Gamma
@@ -192,7 +187,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     variable (the offset from the critical energy).  The sum sizes the
     rounding of the logs.  Callers silence numpy's floating-point warnings.
     """
-    z = _arguments(ch)
+    z = _Z2 * ch.a2 + _C3 * ch.gap + _C0
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"non-finite argument {complex(z[~finite][0])!r}")
@@ -208,7 +203,7 @@ def _g_logs(ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # 0.5 * math.log, one energy at a time: the row keeps libm's bits, which
     # tests/test_amplitudes.py pins at one energy and at 2000
     root_k = 0.5 * np.fromiter(map(math.log, np.ravel(ch.k1 / ch.k2).tolist()), float)
-    return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size
+    return order, np.concatenate([n1 + n2 - d1 - d2, root_k[None]]), size, z
 
 
 def _amplitude_logs(order: np.ndarray, lg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +239,7 @@ def _row_bounds(spec: PotentialSpec, rows: list[int], energies: np.ndarray):
     """Lines that bound the ``rows`` of :func:`log10_coefficients` between
     consecutive energies of each row of a (brackets, ends) array, for real
     Gamma arguments (both variants of the complexified potential), from
-    one :func:`_checked_logs` pass that also gives psi at the arguments.
+    one :func:`_checked_logs` pass and psi at the arguments it forms.
 
     Each log's slope is d/dE log|Gamma(z)| = psi(z) dz/dE over the 12 Gamma
     arguments z, with dz/dE the :func:`_arg_slopes` that :func:`_g_logs`
@@ -260,12 +255,12 @@ def _row_bounds(spec: PotentialSpec, rows: list[int], energies: np.ndarray):
     as in Moore's).  With q_a and q_b the row's values at the cell's ends,
     the row at an energy E between them is at least lower(E) = max(q_a + lo
     (E - E_a), q_b - hi (E_b - E)) and at most upper(E) = min(q_a + hi (E -
-    E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN`` plus 8 eps sum |w psi| (|z| + 1), the
-    argument rounding that psi amplifies, at either end and at E.  The
-    bounds do not hold on a cell with an infinite end value, and are not
-    used where either end's log-Gamma rounding (:func:`_det_s_checks`)
-    reaches half ``_ROUNDING_LIMIT``, so that the energies the kernel
-    cannot check are evaluated.
+    E_a), q_b - lo (E_b - E)), up to delta: ``_MARGIN`` plus 8 eps sum |w psi|
+    (|z| + 1) with eps = 2^-52, the argument rounding that psi amplifies, at
+    either end and at E.  The bounds do not hold on a cell with an infinite
+    end value, and are not used where either end's log-Gamma rounding
+    (:func:`_det_s_checks`) reaches half ``_ROUNDING_LIMIT``, so that the
+    energies the kernel cannot check are evaluated.
 
     Returns the rows at the energies, bit for bit those of
     :func:`log10_coefficients` (which also validates the energies), as
@@ -273,9 +268,8 @@ def _row_bounds(spec: PotentialSpec, rows: list[int], energies: np.ndarray):
     cells), and each cell's lo, hi and delta (rows, brackets, cells).
     """
     ch = _channel(spec, energies.ravel())
-    _, _, order, logs, lg_rounding = _checked_logs(ch)
+    _, _, order, logs, lg_rounding, z = _checked_logs(ch)
     with np.errstate(all="ignore"):  # psi is infinite at a pole
-        z = _arguments(ch)
         psi = _digamma(z)
     root = spec.v0 / (4.0 * ch.energy * (ch.energy + spec.v0))
     values, z, psi, dz, lg_rounding = (
@@ -312,9 +306,10 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
     by :func:`_amplitude_logs`, with tl*tr - rl*rr checked against the
     closed-form det S = G2/G3 at every energy; returns both pairs of
     orders and logs, each energy's log-Gamma rounding 8 eps sum |Re log
-    Gamma|, (n,), and the refusals: each energy that fails, in the order
-    of the call, mapped to its record: the energy, its rounding, rel diff
-    and cancellation (natural log), and the orders of the sum and of det S.
+    Gamma| (eps = 2^-52), (n,), the 12 Gamma arguments, (12, n), and the
+    refusals: each energy that fails, in the order of the call, mapped to
+    its record: the energy, its rounding, rel diff and cancellation (natural
+    log), and the orders of the sum and of det S.
     A record holds the arguments of :func:`_det_s_error`, which builds the
     ``ArithmeticError`` that names the energy only for a refusal that a
     caller raises.
@@ -334,7 +329,7 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
     result is the same either way.
     """
     with np.errstate(all="ignore"):
-        order, lg, size = _g_logs(ch)
+        order, lg, size, z = _g_logs(ch)
         amp_order, amp = _amplitude_logs(order, lg)
         (o_rl, o_rr, o_t, o_det), (rl, rr, t, det) = amp_order, amp
         # det S = t^2 + m with m = -r_l r_r
@@ -380,7 +375,7 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
         at = np.flatnonzero(fail)
         numbers = zip(*(x[at].tolist() for x in (np.ravel(ch.energy), rounding, rel, cancel, o_sum, o_det)))
         refused = {n[0]: n for n in numbers}
-    return order, lg, amp_order, amp, rounding, refused
+    return order, lg, amp_order, amp, rounding, z, refused
 
 
 def _det_s_error(energy: float, rounding, rel, cancel, o_sum, o_det) -> ArithmeticError:
@@ -400,7 +395,8 @@ def _det_s_error(energy: float, rounding, rel, cancel, o_sum, o_det) -> Arithmet
 def _checked_logs(ch: ChannelParams) -> list[np.ndarray]:
     """:func:`_det_s_checks` for a caller that reads every energy it asks
     for: raises the first refused energy's ``ArithmeticError``, else
-    returns both pairs of orders and logs and each energy's rounding."""
+    returns both pairs of orders and logs, each energy's rounding and the
+    Gamma arguments."""
     *logs, refused = _det_s_checks(ch)
     if refused:
         raise _det_s_error(*next(iter(refused.values())))
@@ -415,7 +411,7 @@ def _column(order: np.ndarray, lg: np.ndarray) -> list[SingularValue]:
 def g_factors(ch: ChannelParams) -> GFactors:
     """The four connection coefficients, assembled in log space."""
     with np.errstate(all="ignore"):
-        order, lg, _ = _g_logs(ch)
+        order, lg, *_ = _g_logs(ch)
         return GFactors(*_column(order, lg)[:4])
 
 
@@ -474,7 +470,7 @@ def log10_coefficients(spec: PotentialSpec, energies) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or not (np.isfinite(e) & (e > 0.0)).all():
         raise ValueError("energies must be a 1-D array of finite positive values")
-    _, _, order, logs, _ = _checked_logs(_channel(spec, e))
+    _, _, order, logs, *_ = _checked_logs(_channel(spec, e))
     return _log10_rows(order, logs)
 
 
@@ -483,7 +479,7 @@ def _log10_refusals(spec: PotentialSpec, energies: np.ndarray) -> tuple[np.ndarr
     energies, unvalidated, and its det-S refusals by energy
     (:func:`_det_s_checks`) in place of its raise, for a caller that reads
     only some of the energies it asks for."""
-    _, _, order, logs, _, refused = _det_s_checks(_channel(spec, energies))
+    _, _, order, logs, *_, refused = _det_s_checks(_channel(spec, energies))
     return _log10_rows(order, logs), refused
 
 

@@ -31,10 +31,19 @@ argument 1 - z at -u both have modulus 1/2: u = log(sqrt(cos^2 phi + 3)
 1 - z = 1/2, so launch and fit meet at one point and no bridge runs; it
 grows to log 3 as phi nears a pole line.  Oscillating parameters (the
 Hermitian fit) meet at u = 0 too where their series hold the digits there:
-the pass reports its rounding factor kappa, and where 8 eps kappa exceeds
-SERIES_ROUNDING_BUDGET (at large |a2| + |a3|, where the oscillating terms
-swell and cancel at modulus 1/2) the fit launches at u = 1.4 instead and
-bridges, a span that costs it no conditioning.
+the pass reports its rounding factor kappa, and where 8 * 2^-53 * kappa
+(specfun's unit roundoff) exceeds SERIES_ROUNDING_BUDGET (at large |a2| +
+|a3|, where the oscillating terms swell and cancel at modulus 1/2) the fit
+launches at u = 1.4 instead and bridges, a span that costs it no
+conditioning.
+
+Every fit has one layout, whichever the variant: the PSI_ONE and PSI_TWO
+launches psi1 and psi2 at the top, the basis w+ and w- at the bottom, and
+(G1, G2, G3, G4) read off in that order.  The time-reversed potential
+(a2, a3 -> -a2, -a3, the complex conjugate) on the contour at phi is the
+forward one at -phi with incoming and outgoing exponentials swapped, so its
+G-factors are that forward fit's in reverse order, G4..G1, which one table
+(_VARIANT_ORDER) states for every public entry point.
 
 Everything is computed in the scaled contour coordinate u = rho * zeta,
 where the wave equation reads
@@ -62,7 +71,7 @@ from .amplitudes import (
     channel_params,
     g_factors,
 )
-from .specfun import _gauss_sums, _series_guard
+from .specfun import _UNIT_ROUNDOFF, _gauss_sums
 from .spectral import integer_distance
 from .units import PotentialSpec, Variant, _check_finite, _check_member, _check_positive
 
@@ -80,10 +89,11 @@ __all__ = [
 #: the bridge's accuracy target: its end states are held to an integrator
 #: run at this relative tolerance (the tests' DOP853 reference)
 DEFAULT_RTOL = 3e-14
-#: the most series rounding (8 eps kappa, _local_states) a Hermitian fit takes
-#: at u = 0 with no bridge; past it, it bridges from the 1.4 handoff.  Of the
-#: order of the bridged fit's own worst measured miss (5.7e-13 at |a2| + |a3|
-#: ~ 49) and 100x under the 1e-10 its tests hold the route to
+#: the most series rounding (8 * 2^-53 * kappa, _local_states) a Hermitian
+#: fit takes at u = 0 with no bridge; past it, it bridges from the 1.4
+#: handoff.  Of the order of the bridged fit's own worst measured miss
+#: (5.7e-13 at |a2| + |a3| ~ 49) and 100x under the 1e-10 its tests hold the
+#: route to
 SERIES_ROUNDING_BUDGET = 1e-12
 OVERFLOW_GUARD = 1e120
 CONDITION_LIMIT = 1e8
@@ -136,6 +146,18 @@ _SHAPES = {
     "w_plus": (1, 1, lambda a2, a3: (1 + a2 + a3, a2 + a3, 1 + 2 * a3), True),
     "w_minus": (1, -1, lambda a2, a3: (1 + a2 - a3, a2 - a3, 1 - 2 * a3), True),
 }
+# the one layout of every fit: the PSI_ONE and PSI_TWO launches at the top
+# handoff u, and the fit basis w+ and w- at -u
+_FIT_SHAPES = ("psi1", "psi2", "w_plus", "w_minus")
+# the order in which each variant reads the fit's (G1, G2, G3, G4) and its two
+# launches.  The conjugated potential (a2, a3 -> -a2, -a3) on the contour at
+# phi is the forward one at -phi (_contour_setup) with the incoming and
+# outgoing exponentials swapped: its G-factors are that fit's in reverse
+# order, G4..G1, and its PSI_ONE launch is the forward PSI_TWO
+_VARIANT_ORDER = {Variant.FORWARD: slice(None), Variant.TIME_REVERSED: slice(None, None, -1)}
+# the Hermitian fit's launch u where its series at u = 0 exceed
+# SERIES_ROUNDING_BUDGET: a span the bridge crosses at no cost in conditioning
+_BRIDGED_HANDOFF = 1.4
 
 
 def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: float,
@@ -144,16 +166,17 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
     ``shapes``, each at its own u of ``us``, as rows of an array: one series
     pass (_gauss_sums) for all of them.  With ``kappa``, also the largest
     rounding factor kappa of that pass over the rows' F and dF/darg (each is
-    within 8 eps kappa of its exact value), else None: the states are the
-    same bits either way.
+    within 8 * 2^-53 * kappa of its exact value), else None: the states
+    are the same bits either way.
 
     The solutions are z^{+-a2} (1-z)^{+-a3} 2F1(...) with the (1-z)-power
     taken on the branch exp(a3 (u + i phi) + a3 Log z), which is analytic
     along the whole contour and reduces to the exact plane-wave
     normalization at the matching end; z, 1 - z and Log z are formed once
-    per distinct u.  Each row's series goes through the package's one 2F1
-    guard (specfun._series_guard: ValueError, PoleProximityError) and term
-    cap (SeriesError); a row whose state overflows raises ContourError.
+    per distinct u.  A row whose prefactor overflows raises ContourError;
+    then the pass puts each row's series through the package's one 2F1 guard
+    (specfun._series_guard: ValueError, PoleProximityError) and term cap
+    (SeriesError).
     """
     points = {}
     rows = []
@@ -169,7 +192,6 @@ def _local_states(shapes: tuple[str, ...], a2: complex, a3: complex, us, phi: fl
             z, omz, log_z = points[u]
             a, b, c = params(a2, a3)
             arg = omz if arg_is_omz else z
-            _series_guard(a, b, c, arg)
             pref = cmath.exp(al * log_z + be * (complex(u, phi) + log_z))
         except OverflowError:
             raise ContourError(
@@ -194,13 +216,11 @@ def _effective_phase(rho: float, x0: float) -> float:
     return phi
 
 
-def _handoff(a2: complex, a3: complex, phi: float) -> float:
-    """Default launch u, the fit being at -u (module docstring): for a
-    growing pair the u where |z(u)| = |1 - z(-u)| = 1/2, else 1.4, the
-    bridged span of an oscillating pair whose series at u = 0 exceed the
-    rounding budget."""
+def _handoff(phi: float) -> float:
+    """Default launch u of a growing pair, the fit being at -u (module
+    docstring): the u where |z(u)| = |1 - z(-u)| = 1/2."""
     c = math.cos(phi)
-    return math.log(math.sqrt(c * c + 3.0) - c) if a2.real + a3.real > 0 else 1.4
+    return math.log(math.sqrt(c * c + 3.0) - c)
 
 
 def oracle_domain_ok(spec: PotentialSpec, energy: float) -> bool:
@@ -242,7 +262,6 @@ _POLE_FRACTION = 0.2
 _GROWTH_STEP = 0.5
 _MAX_ORDER = 32
 _CHUNK = 64
-_ROUNDING = 2.0 ** -53
 _ORDER = np.arange(_MAX_ORDER + 1)
 # rows: sum of the scaled coefficients (the value at the step's end) and of
 # k times them (h times the derivative there)
@@ -282,7 +301,7 @@ def _taylor_coefficients(a2: complex, a3: complex, phi: float, u: np.ndarray, h:
             new = rate[0, k] * np.matmul(z[..., :k + 1], W[:, k::-1])[:, 0] + rate[1, k] * W[:, k]
             W[:, k + 2, :2] = new[:, :2]
             W[:, k + 1, 2] = new[:, 2]
-            if k % 2 and (k + 2) * np.abs(W[:, k + 1:k + 3, :2]).max() <= _ROUNDING:
+            if k % 2 and (k + 2) * np.abs(W[:, k + 1:k + 3, :2]).max() <= _UNIT_ROUNDOFF:
                 return W[:, :k + 3]
     return None
 
@@ -369,14 +388,6 @@ def _integrate_core(a2: complex, a3: complex, phi: float, launch: np.ndarray, u_
     return y0, y_end.T.ravel(), points
 
 
-def _shapes(variant: Variant) -> tuple[str, str]:
-    """Local solutions the PSI_ONE and PSI_TWO launches start from.  The
-    conjugated potential on the same contour is the forward core with
-    opposite phase, so for the time-reversed variant the incoming/outgoing
-    exponential roles swap."""
-    return ("psi2", "psi1") if variant is Variant.TIME_REVERSED else ("psi1", "psi2")
-
-
 def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | None):
     """(a2, a3, phi_eff, handoff u) of the contour at x0, validated, and the
     channel they are read from."""
@@ -392,7 +403,7 @@ def _contour_setup(spec: PotentialSpec, energy: float, x0: float, Z: float | Non
         )
     phi = _effective_phase(spec.rho, x0)
     phi_eff = -phi if spec.variant is Variant.TIME_REVERSED else phi
-    uh = spec.rho * Z if Z is not None else _handoff(a2, a3, phi)
+    uh = spec.rho * Z if Z is not None else _handoff(phi)
     return complex(a2), complex(a3), phi_eff, uh, ch
 
 
@@ -418,7 +429,7 @@ def integrate_contour(
     _check_member("launch", launch, Launch)
     a2, a3, phi_eff, uh, _ = _contour_setup(spec, energy, x0, Z)
     rho = spec.rho
-    shape = _shapes(spec.variant)[launch is Launch.PSI_TWO]
+    shape = _FIT_SHAPES[:2][_VARIANT_ORDER[spec.variant]][launch is Launch.PSI_TWO]
     start, _ = _local_states((shape,), a2, a3, (uh,), phi_eff)
     y_start, y_end, nsteps = _integrate_core(a2, a3, phi_eff, start, uh, -uh)
     return ContourSolution(
@@ -434,7 +445,7 @@ def integrate_contour(
     )
 
 
-def _basis_coefficients(variant: Variant, Y: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+def _basis_coefficients(Y: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficients of the local solutions w+ and w-, whose (psi, dpsi/du)
     at the fit point are the rows of ``basis``, in the end states Y (rows
     psi, dpsi/du), as rows (c+, c-), and the fit's 2-norm condition number,
@@ -447,26 +458,24 @@ def _basis_coefficients(variant: Variant, Y: np.ndarray, basis: np.ndarray) -> t
     cond = (s + math.sqrt(max(s - 2 * d, 0.0) * (s + 2 * d))) / (2 * d) if d else math.inf
     if cond > CONDITION_LIMIT:
         raise ContourError(f"local-basis fit ill-conditioned: cond={cond:.3e}")
-    C = np.array([[dwm, -wm], [-dwp, wp]]) @ Y / det
-    # for the conjugated potential the fit basis roles swap
-    return (C[::-1] if variant is Variant.TIME_REVERSED else C), cond
+    return np.array([[dwm, -wm], [-dwp, wp]]) @ Y / det, cond
 
 
-def _fitted_g(a2, a3, phi, handoffs, variant) -> tuple[complex, complex, complex, complex]:
-    """(G1, G2, G3, G4): local-basis fits of the PSI_ONE and PSI_TWO launches,
-    integrated together from uh to -uh.  One series pass gives the launch
-    states at uh and the fit basis at -uh; uh is the first of ``handoffs``
-    whose pass keeps its rounding bound 8 eps kappa within
-    ``SERIES_ROUNDING_BUDGET``, else the last, whose pass computes no kappa
-    (nor does the pass of a single handoff)."""
-    shapes = _shapes(variant) + ("w_plus", "w_minus")
+def _fitted_g(a2, a3, phi, handoffs) -> tuple[complex, complex, complex, complex]:
+    """(G1, G2, G3, G4) of the forward layout at phase phi: local-basis fits
+    of the PSI_ONE and PSI_TWO launches, integrated together from uh to -uh.
+    One series pass gives the launch states at uh and the fit basis at -uh
+    (``_FIT_SHAPES``); uh is the first of ``handoffs`` whose pass keeps its
+    rounding bound 8 * 2^-53 * kappa within ``SERIES_ROUNDING_BUDGET``, else
+    the last, whose pass computes no kappa (nor does the pass of a single
+    handoff)."""
     for i, uh in enumerate(handoffs, 1):
-        states, kappa = _local_states(shapes, a2, a3, (uh, uh, -uh, -uh), phi,
+        states, kappa = _local_states(_FIT_SHAPES, a2, a3, (uh, uh, -uh, -uh), phi,
                                       kappa=i < len(handoffs))
-        if kappa is None or 8.0 * _ROUNDING * kappa <= SERIES_ROUNDING_BUDGET:
+        if kappa is None or 8.0 * _UNIT_ROUNDOFF * kappa <= SERIES_ROUNDING_BUDGET:
             break
     _, y_end, _ = _integrate_core(a2, a3, phi, states[:2], uh, -uh)
-    C, _ = _basis_coefficients(variant, y_end.reshape(2, 2).T, states[2:])
+    C, _ = _basis_coefficients(y_end.reshape(2, 2).T, states[2:])
     (g1, g3), (g2, g4) = C.tolist()
     return g1, g2, g3, g4
 
@@ -497,10 +506,11 @@ def oracle_g_factors(
     No Gamma function enters: this is the independent numerical route to
     the same four constants the closed forms produce,
     ``g_factors(channel_params(spec, energy))``, whose time-reversed
-    variant swaps G1 with G4 and G2 with G3.
+    variant swaps G1 with G4 and G2 with G3: its G-factors are the forward
+    fit's at -phi in reverse order.
     """
     a2, a3, phi, uh, _ = _contour_setup(spec, energy, x0, Z)
-    return _fitted_g(a2, a3, phi, (uh,), spec.variant)
+    return _fitted_g(a2, a3, phi, (uh,))[_VARIANT_ORDER[spec.variant]]
 
 
 def oracle_amplitudes(
@@ -511,12 +521,13 @@ def oracle_amplitudes(
 ) -> AmplitudeSet:
     """Scattering amplitudes reconstructed from two contour launches.
 
-    r_l = c-(psi2)/c+(psi2), t = sqrt(k1/k2)/c+(psi2),
-    r_r = -c+(psi1)/c+(psi2); the time-reversed variant integrates the
-    conjugated potential.
+    r_l = G4/G3, t = sqrt(k1/k2)/G3 and r_r = -G1/G3 from the G-factors
+    of :func:`oracle_g_factors`: G1 = c+(psi1), G3 = c+(psi2) and G4 =
+    c-(psi2) in the forward fit, whose G-factors at -phi in reverse order are
+    the time-reversed variant's.
     """
     a2, a3, phi, uh, ch = _contour_setup(spec, energy, x0, Z)
-    g1, _, g3, g4 = _fitted_g(a2, a3, phi, (uh,), spec.variant)
+    g1, _, g3, g4 = _fitted_g(a2, a3, phi, (uh,))[_VARIANT_ORDER[spec.variant]]
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)
 
 
@@ -527,9 +538,9 @@ def hermitian_oracle_amplitudes(v0: float, delta: float, m: float, energy: float
     channel parameters; the contour coordinate becomes the real axis and
     the solutions oscillatory, so flux conservation (R + T = 1) is an
     end-to-end check.  The fit is at u = 0 with no bridge where its
-    series' rounding bound there, 8 eps kappa, is within
+    series' rounding bound there, 8 * 2^-53 * kappa, is within
     SERIES_ROUNDING_BUDGET, and otherwise bridges from the 1.4 handoff.
     """
     ch = _hermitian_channel(v0, delta, m, energy)
-    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, (0.0, _handoff(ch.a2, ch.a3, 0.0)), Variant.FORWARD)
+    g1, _, g3, g4 = _fitted_g(ch.a2, ch.a3, 0.0, (0.0, _BRIDGED_HANDOFF))
     return _fitted_amplitudes(energy, ch.k1 / ch.k2, g1, g3, g4)

@@ -17,7 +17,8 @@ derivative psi at real arguments, from the same series' tables, which bounds
 the slope of the kernel's logs between energies.  The one Gauss 2F1 summation
 lives here: :func:`_gauss_sums` sums the series of many rows in one pass
 (the contour oracle's local states), :func:`hyp2f1` is one such row, and
-one guard, :func:`_series_guard`, states what every row refuses.
+one guard, :func:`_series_guard`, states what every row refuses; the pass
+puts each of its rows through it.
 """
 
 from __future__ import annotations
@@ -33,15 +34,27 @@ from .units import _check_number
 
 #: The width of the one snap rule deciding "is this argument an integer".
 #: The critical-point conditions are exact integer conditions; floating input
-#: needs an explicit snap rule.  Absolute, on the argument itself.  Only
-#: :func:`snap` compares against it; every reader of the rule goes through
-#: ``snap``: Gamma poles (:func:`gamma_logs` and so the closed-form kernel in
-#: ``amplitudes``, :func:`gamma_info`, :func:`log_gamma`, the 2F1 ``c``
-#: guard), the threshold skip and degeneracy flags of
-#: ``spectral.critical_points`` and the scan flags, which snap each family's
-#: condition at the grid energies.  The ``300 * TAU_INT`` Laurent-term
-#: allowance of the kernel's det-S cross-check uses it as a scale.
+#: needs an explicit snap rule.  Absolute, on the argument itself.  Two
+#: comparisons read it.  :func:`snap` is the rule, and every reader of the
+#: rule goes through it: Gamma poles (:func:`gamma_logs` and so the
+#: closed-form kernel in ``amplitudes``, :func:`gamma_info`,
+#: :func:`log_gamma`, the 2F1 ``c`` guard), the threshold skip and degeneracy
+#: flags of ``spectral.critical_points`` and the scan flags, which snap each
+#: family's condition at the grid energies.  ``amplitudes._row_bounds``'
+#: pole test widens each grid cell's span of a Gamma argument by 2 TAU_INT,
+#: so that its bounds decide no cell where the kernel could snap a pole.
+#: The ``300 * TAU_INT`` Laurent-term allowance of the kernel's det-S
+#: cross-check uses it as a scale.
 TAU_INT = 1e-9
+
+#: The two rounding units the package's error bounds are stated in.  eps =
+#: 2^-52 is the spacing of doubles at 1: :func:`gamma_logs`' 4 eps and
+#: :func:`_digamma`'s 16 eps, and the log-Gamma rounding and row-bound margin
+#: in ``amplitudes``.  u = 2^-53 = eps / 2 is the unit roundoff, the largest
+#: relative error of one rounding: :func:`_gauss_sums`' 8 u kappa, and in
+#: ``oracle`` the series rounding budget's test and the Taylor bridge's cut.
+_EPS = 2.0 ** -52
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 # term cap and |z| bound of the 2F1 series
 _SERIES_MAX_TERMS = 100_000
@@ -205,8 +218,8 @@ def _log_gamma(x: np.ndarray) -> np.ndarray:
 
 def _digamma(x: np.ndarray) -> np.ndarray:
     """psi(x) = d log|Gamma(x)| / dx at real x, elementwise, within 16 eps
-    of max(1, |psi|); +-inf at the poles, where the caller silences numpy's
-    division warning.
+    (``_EPS``) of max(1, |psi|); +-inf at the poles, where the caller
+    silences numpy's division warning.
 
     Left of 1/2, the reflection psi(x) = psi(1 - x) - pi cot(pi x) (DLMF
     5.5.4), with x = k + f as in :func:`_log_gamma`, so cot(pi f) keeps its
@@ -236,7 +249,8 @@ def gamma_logs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the residue (-1)^k / k!.  A real array gives log |Gamma| with the phase
     pi where Gamma < 0; a complex one a log of Gamma whose phase is right
     modulo 2 pi.  Off the poles, the real part and the phase are within
-    4 eps (real arguments) or 32 eps (complex ones) of max(1, |log Gamma|).
+    4 eps (real arguments) or 32 eps (complex ones) of max(1, |log Gamma|),
+    eps = ``_EPS``.
     The arguments must be finite.  Elementwise: an argument gives the same
     bits alone as anywhere in an array of any length.
     """
@@ -454,14 +468,13 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
     Deliberately series-only and restricted to ``|z| < SERIES_Z_MAX``, with
     no Gamma-function connection identities or continuation formulas: one
-    row of :func:`_gauss_sums`, behind :func:`_series_guard`.  An argument
-    that is not an ``int``, ``float`` or ``complex`` (a bool or str is none)
-    raises ``ValueError``.
+    row of :func:`_gauss_sums`, which guards it.  An argument that is not an
+    ``int``, ``float`` or ``complex`` (a bool or str is none) raises
+    ``ValueError``.
     """
     for name, value in zip("abcz", (a, b, c, z)):
         _check_number(name, value, (int, float, complex))
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    _series_guard(a, b, c, z)
     F, _, _ = _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[z]]))
     return F[0]
 
@@ -492,7 +505,8 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     """2F1(a, b; c; arg) and its arg-derivative per row, from one pass of the
     rows' Gauss series, and with ``kappa`` each row's rounding factors kappa
     (else None); ``abc`` stacks a, b and c as (3, rows, 1) and ``arg`` is
-    (rows, 1).  The caller guards each row (:func:`_series_guard`).
+    (rows, 1).  Each row first goes through :func:`_series_guard`, in row
+    order, before any term is summed.
 
     The terms t_k are cumulative products of the term ratios, a numpy block
     of _BLOCK at a time.  F = 1 + sum t_k and dF/darg = sum k t_k / arg read
@@ -512,15 +526,16 @@ def _gauss_sums(abc: np.ndarray, arg: np.ndarray, kappa: bool = False
     the first step where a running row's terms stop being finite (they
     overflow).
 
-    Each term then carries up to about eps of rounding per ratio, so F and
-    dF/darg are within 8 eps kappa of exact, with per row the pair kappa =
-    ((1 + sum (k + 1) |t_k|) / |F|, sum k^2 |t_k| / |arg| / |dF/darg|),
-    read off the summed terms.  kappa on dF/darg is 1 where every term is 0
+    Each term then carries up to about u of rounding per ratio, so F and
+    dF/darg are within 8 u kappa of exact (u = ``_UNIT_ROUNDOFF``), with per
+    row the pair kappa = ((1 + sum (k + 1) |t_k|) / |F|, sum k^2 |t_k| /
+    |arg| / |dF/darg|), read off the summed terms.  kappa on dF/darg is 1 where every term is 0
     (arg = 0, say): dF/darg = ab/c then sums none.
     """
     rows = arg.shape[0]
     tail_from = []  # per row, max(-Re c, k^): where its proven tail starts
     for a, b, c, z in zip(*abc[:, :, 0].tolist(), arg[:, 0].tolist()):
+        _series_guard(a, b, c, z)
         a, b, c, z = abs(a), abs(b), c.real, abs(z)
         # (q - z) k^2 + beta k + gamma = q (k + c)(k + 1) - z (k + a)(k + b); with no
         # real root, the ratio bound holds at every k > -c

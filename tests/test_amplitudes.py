@@ -271,7 +271,7 @@ class TestRealRoute:
     def test_g_factors_against_mpmath(self, sign):
         a2, a3 = self.draws(41)
         with np.errstate(all="ignore"):
-            order, lg, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
+            order, lg, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
         assert lg.dtype == complex and (order == 0).all()
         worst = 0.0
         with mp.workdps(40):
@@ -288,8 +288,8 @@ class TestRealRoute:
     def test_complex_route_agrees(self, sign):
         a2, a3 = self.draws(43)
         with np.errstate(all="ignore"):
-            _, real, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
-            _, cplx, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2 + 0j, sign * a3 + 0j, 1.0))
+            _, real, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
+            _, cplx, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2 + 0j, sign * a3 + 0j, 1.0))
         assert np.abs(np.exp(real[:4] - cplx[:4]) - 1.0).max() <= 1e-13
 
     def test_root_k_is_half_math_log(self):
@@ -298,7 +298,7 @@ class TestRealRoute:
         k2 = k1 + rng.uniform(1e-6, 50.0, 2000)
         want = [0.5 * math.log(r) for r in (k1 / k2).tolist()]
         with np.errstate(all="ignore"):
-            _, lg, _ = _g_logs(ChannelParams(k1, k1, k2, k1, k2, 1.0))
+            _, lg, _, _ = _g_logs(ChannelParams(k1, k1, k2, k1, k2, 1.0))
             assert lg[4].real.tolist() == want
             for j in range(20):  # and one energy at a time
                 ch = ChannelParams(k1[j], float(k1[j]), float(k2[j]), float(k1[j]), float(k2[j]), 1.0)

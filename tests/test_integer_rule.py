@@ -22,6 +22,7 @@ from scipy.special import gammaln, gammasgn, loggamma
 from wsabsorb import spectral
 from wsabsorb.amplitudes import _G_ARGS, _channel_terms
 from wsabsorb.specfun import (
+    _EPS,
     TAU_INT,
     PoleProximityError,
     SingularValue,
@@ -177,8 +178,7 @@ def gamma_draws(seed, n=2000):
 
 
 # the bound gamma_logs states, relative to max(1, |log Gamma|)
-EPS = float(np.finfo(float).eps)
-REAL_BOUND, COMPLEX_BOUND = 4 * EPS, 32 * EPS
+REAL_BOUND, COMPLEX_BOUND = 4 * _EPS, 32 * _EPS
 
 
 def mp_log_gamma(z, pole):

@@ -214,12 +214,12 @@ def test_family_signatures_reports_a_moved_row(fault, monkeypatch):
         assert not check(np.random.default_rng(seed)) <= tolerance
 
 
-def test_oracle_agreement_reports_forward_shapes_on_time_reversed_draws(monkeypatch):
-    # the time-reversed oracle swaps the roles of its two launches; given the
-    # forward order it reconstructs the wrong amplitudes
+def test_oracle_agreement_reports_forward_order_on_time_reversed_draws(monkeypatch):
+    # the time-reversed G-factors are the forward fit's at -phi in reverse order;
+    # read in the forward order, they give the wrong G-factors and amplitudes
     check, tolerance = _CHECKS["oracle_agreement"]
-    shapes = _ORACLE._shapes
-    monkeypatch.setattr(_ORACLE, "_shapes", lambda variant: shapes(Variant.FORWARD))
+    monkeypatch.setitem(_ORACLE._VARIANT_ORDER, Variant.TIME_REVERSED,
+                        _ORACLE._VARIANT_ORDER[Variant.FORWARD])
     assert not check(np.random.default_rng(0)) <= tolerance
 
 

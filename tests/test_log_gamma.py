@@ -11,10 +11,8 @@ from scipy.special import gammaln, gammasgn, loggamma
 
 from wsabsorb import specfun
 from wsabsorb.amplitudes import _C0, _C3, _Z2, _channel
-from wsabsorb.specfun import TAU_INT, gamma_logs
+from wsabsorb.specfun import _EPS as EPS, TAU_INT, gamma_logs
 from wsabsorb.units import PotentialSpec, Variant
-
-EPS = float(np.finfo(float).eps)
 
 
 def log_errors(got, z):

@@ -20,6 +20,8 @@ from wsabsorb.amplitudes import amplitudes, channel_params, g_factors, potential
 from wsabsorb.amplitudes import _hermitian_channel, hermitian_amplitudes
 from wsabsorb import specfun
 from wsabsorb.oracle import (
+    _BRIDGED_HANDOFF,
+    _FIT_SHAPES,
     _SHAPES,
     ContourError,
     Launch,
@@ -29,14 +31,13 @@ from wsabsorb.oracle import (
     _handoff,
     _integrate_core,
     _local_states,
-    _shapes,
     hermitian_oracle_amplitudes,
     integrate_contour,
     oracle_amplitudes,
     oracle_domain_ok,
     oracle_g_factors,
 )
-from wsabsorb.specfun import PoleProximityError, SeriesError, hyp2f1
+from wsabsorb.specfun import _UNIT_ROUNDOFF, PoleProximityError, SeriesError, hyp2f1
 from wsabsorb.units import PotentialSpec, Variant
 
 SPEC = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
@@ -116,10 +117,10 @@ class TestLocalFit:
     def test_local_fit_resynthesis(self):
         a2, a3, phi, _, _ = _contour_setup(SPEC, 1.0, 0.0, None)
         uh = _bridged_span(a2, a3)
-        launch = _states(_shapes(Variant.FORWARD)[1:], a2, a3, uh, phi)  # PSI_TWO
+        launch = _states(_FIT_SHAPES[1:2], a2, a3, uh, phi)  # PSI_TWO
         _, end, _ = _integrate_core(a2, a3, phi, launch, uh, -uh)
-        basis = _states(("w_plus", "w_minus"), a2, a3, -uh, phi)
-        (c_plus, c_minus), cond = _basis_coefficients(Variant.FORWARD, end, basis)
+        basis = _states(_FIT_SHAPES[2:], a2, a3, -uh, phi)
+        (c_plus, c_minus), cond = _basis_coefficients(end, basis)
         (wp, dwp), (wm, dwm) = basis
         psi = c_plus * wp + c_minus * wm
         dpsi = c_plus * dwp + c_minus * dwm
@@ -373,7 +374,7 @@ class TestHermitianOracle:
 
     def test_sweep_holds_each_route_to_its_bound(self, monkeypatch):
         # every fit within 1e-10 on the unit scale, and every one-point fit within
-        # the rounding bound 8 eps kappa of its series at u = 0
+        # the rounding bound 8 * 2^-53 * kappa of its series at u = 0
         points = _watch_mesh_points(monkeypatch)
         routes = []
         for v0, delta, energy in _hermitian_sweep():
@@ -385,8 +386,8 @@ class TestHermitianOracle:
             routes.append(points[-1] == 1)
             if routes[-1]:
                 ch = _hermitian_channel(v0, delta, 1.0, energy)
-                _, kappa = _local_states(LOCAL_SHAPES, ch.a2, ch.a3, (0.0,) * 4, 0.0, kappa=True)
-                assert dev <= 8 * 2.0 ** -53 * kappa
+                _, kappa = _local_states(_FIT_SHAPES, ch.a2, ch.a3, (0.0,) * 4, 0.0, kappa=True)
+                assert dev <= 8 * _UNIT_ROUNDOFF * kappa
         assert len(routes) == 120 and 0 < sum(routes) < len(routes)
 
     def test_fit_conditioning_guarded(self, monkeypatch):
@@ -470,6 +471,45 @@ def _joint_draws():
     return draws
 
 
+def _reversal_draws():
+    """(spec, energy, x0, Z) of 24 in-domain forward draws: v0 in [0.5, 5], rho
+    in [0.5, 3], E in [0.1, 10], x0 = 0 for the first 8 and |rho x0| <= 2.5
+    after them, and Z = None or a share in [0.2, 1] of _bridged_span."""
+    rng = np.random.default_rng(79)
+    draws = []
+    while len(draws) < 24:
+        spec = PotentialSpec(rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 1.0)
+        energy, x0, share = rng.uniform(0.1, 10.0), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 1.0)
+        if oracle_domain_ok(spec, energy):
+            ch = channel_params(spec, energy)
+            Z = share * _bridged_span(abs(ch.a2), abs(ch.a3)) / spec.rho
+            draws.append((spec, energy, x0 / spec.rho if len(draws) >= 8 else 0.0,
+                          Z if len(draws) % 2 else None))
+    return draws
+
+
+class TestTimeReversal:
+    # the conjugated potential at x0 is the forward one at -x0 with incoming and
+    # outgoing waves swapped: the same fit in reverse order, to the bit
+
+    @pytest.mark.parametrize("draw", _reversal_draws())
+    def test_g_factors_are_the_forward_ones_at_minus_x0_reversed(self, draw):
+        spec, energy, x0, Z = draw
+        tr = replace(spec, variant=Variant.TIME_REVERSED)
+        got = oracle_g_factors(tr, energy, x0=x0, Z=Z)
+        assert repr(got) == repr(oracle_g_factors(spec, energy, x0=-x0, Z=Z)[::-1])
+
+    @pytest.mark.parametrize("draw", _reversal_draws())
+    def test_psi_one_launch_is_the_forward_psi_two_at_minus_x0(self, draw):
+        spec, energy, x0, Z = draw
+        tr = replace(spec, variant=Variant.TIME_REVERSED)
+        got = integrate_contour(tr, energy, Launch.PSI_ONE, x0=x0, Z=Z)
+        want = integrate_contour(spec, energy, Launch.PSI_TWO, x0=-x0, Z=Z)
+        for name in ("zeta_start", "zeta_end", "psi", "dpsi", "psi_start", "dpsi_start",
+                     "step_count"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
 @pytest.mark.parametrize("shape, end", [("psi1", 1), ("psi2", 1), ("w_plus", -1), ("w_minus", -1)])
 @pytest.mark.parametrize("draw", _joint_draws())
 def test_local_state_derivative_matches_finite_difference(draw, shape, end):
@@ -485,11 +525,11 @@ def test_local_state_derivative_matches_finite_difference(draw, shape, end):
 @pytest.mark.parametrize("draw", _joint_draws())
 def test_closed_form_fit_matches_linalg(draw):
     # the 2-norm condition number and Cramer's rule against SVD and LU
-    a2, a3, phi, uh, variant = draw
-    _, end, _ = _integrate_core(a2, a3, phi, _states(_shapes(variant), a2, a3, uh, phi), uh, -uh)
+    a2, a3, phi, uh, _ = draw
+    _, end, _ = _integrate_core(a2, a3, phi, _states(_FIT_SHAPES[:2], a2, a3, uh, phi), uh, -uh)
     Y = end.reshape(2, 2).T
-    basis = _states(("w_plus", "w_minus"), a2, a3, -uh, phi)
-    C, cond = _basis_coefficients(Variant.FORWARD, Y, basis)
+    basis = _states(_FIT_SHAPES[2:], a2, a3, -uh, phi)
+    C, cond = _basis_coefficients(Y, basis)
     M = basis.T  # columns w+ and w-, rows psi and dpsi/du
     assert abs(cond - np.linalg.cond(M)) <= 1e-12 * np.linalg.cond(M)
     ref = np.linalg.solve(M, Y)
@@ -499,8 +539,8 @@ def test_closed_form_fit_matches_linalg(draw):
 class TestJointIntegration:
     @pytest.mark.parametrize("draw", _joint_draws())
     def test_joint_end_states_match_single_launches(self, draw):
-        a2, a3, phi, uh, variant = draw
-        shapes = _shapes(variant)
+        a2, a3, phi, uh, _ = draw
+        shapes = _FIT_SHAPES[:2]
         start, end, _ = _integrate_core(a2, a3, phi, _states(shapes, a2, a3, uh, phi), uh, -uh)
         assert start.shape == end.shape == (4,)
         for i, shape in enumerate(shapes):
@@ -605,9 +645,6 @@ def test_deviation_quantiles_on_the_domain_family_at_rounding_level():
 
 # -- the series pass of the local states ----------------------------------------
 
-LOCAL_SHAPES = ("psi1", "psi2", "w_plus", "w_minus")
-
-
 def _reference_state(shape, a2, a3, u, phi):
     """(psi, dpsi/du) with 40-digit mpmath 2F1 values: 2F1(a, b; c) for the
     value, and (ab/c) 2F1(a+1, b+1; c+1) for the derivative (DLMF 15.5.1)."""
@@ -637,7 +674,7 @@ def _domain_family_contours():
             contours.append(_contour_setup(PotentialSpec(v0, rho, 1.0, variant=variant),
                                            energy, 0.0, None)[:4])
         ch = _hermitian_channel(v0, rho, 1.0, energy)
-        contours.append((ch.a2, ch.a3, 0.0, _handoff(ch.a2, ch.a3, 0.0)))
+        contours.append((ch.a2, ch.a3, 0.0, _BRIDGED_HANDOFF))
     return contours
 
 
@@ -649,7 +686,7 @@ def test_series_pass_matches_one_sum_per_quantity(family):
                 else _domain_family_contours())
     for a2, a3, phi, uh in contours:
         us = (uh, uh, -uh, -uh)
-        for shape, u, row in zip(LOCAL_SHAPES, us, _local_states(LOCAL_SHAPES, a2, a3, us, phi)[0]):
+        for shape, u, row in zip(_FIT_SHAPES, us, _local_states(_FIT_SHAPES, a2, a3, us, phi)[0]):
             for got, ref in zip(row, _reference_state(shape, a2, a3, u, phi)):
                 assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -666,7 +703,7 @@ def _spike_rows():
                 a2, a3 = (x, x + gap) if shape == "psi2" else (max(x - gap, 0.1), x)
                 _, _, params, arg_is_omz = _SHAPES[shape]
                 phi = rng.uniform(-2.5, 2.5)
-                uh = _handoff(a2, a3, phi)
+                uh = _handoff(phi)
                 w = cmath.exp(complex(uh if shape == "psi2" else -uh, phi))
                 arg = w / (1.0 + w) if arg_is_omz else 1.0 / (1.0 + w)
                 yield k, shape, tuple(complex(v) for v in params(a2, a3)), arg
@@ -686,9 +723,9 @@ def _swell(a, b, c, arg):
 def test_series_pass_holds_the_rounding_bound_at_spikes():
     # c = 1 - 2a2 (psi2) or 1 - 2a3 (w_minus) within 0.05 of -k + 1/2: the terms
     # swell past |c| and cancel.  Either route's error is then its terms' rounding,
-    # up to about eps per ratio per term, so both the pass and hyp2f1 are held to
-    # 8 eps kappa against 40 digits, kappa = sum k |t_k| / |sum|, on F and dF/darg
-    eps = 2.0 ** -53
+    # up to about 2^-53 per ratio per term, so both the pass and hyp2f1 are held
+    # to 8 * 2^-53 * kappa against 40 digits, kappa = sum k |t_k| / |sum|, on F
+    # and dF/darg
     for k, shape, (a, b, c), arg in _spike_rows():
         assert abs(c - (0.5 - k)) <= 0.05
         F, dF, _ = _gauss_sums(np.array((a, b, c))[:, None, None], np.array([[arg]]))
@@ -703,7 +740,7 @@ def test_series_pass_holds_the_rounding_bound_at_spikes():
         swell = _swell(a, b, c, arg)
         for name in routes:
             for err, s, e in zip(errs[name], swell, exact):
-                assert err <= 8 * eps * s / abs(e), (name, k, shape)
+                assert err <= 8 * _UNIT_ROUNDOFF * s / abs(e), (name, k, shape)
 
 
 def _domain_family_hermitian_rows():
@@ -711,7 +748,7 @@ def _domain_family_hermitian_rows():
     domain family at u = 0, where every row's argument is 1/2."""
     for v0, rho, energy in _domain_family():
         ch = _hermitian_channel(v0, rho, 1.0, energy)
-        yield [(_SHAPES[shape][2](ch.a2, ch.a3), 0.5) for shape in LOCAL_SHAPES]
+        yield [(_SHAPES[shape][2](ch.a2, ch.a3), 0.5) for shape in _FIT_SHAPES]
 
 
 @pytest.mark.parametrize("family", ["spikes", "domain_family_hermitian"])
@@ -738,7 +775,7 @@ _STOPPING_ROWS = {64: ((2.1, 1.1, 1.6), 0.2), 128: ((6.0, 5.0, 5.0), 0.5),
 def _fit_rows(a2, a3, phi, uh):
     """(abc, arg) of a fit's four series rows, as _local_states forms them."""
     rows = []
-    for shape, u in zip(LOCAL_SHAPES, (uh, uh, -uh, -uh)):
+    for shape, u in zip(_FIT_SHAPES, (uh, uh, -uh, -uh)):
         _, _, params, arg_is_omz = _SHAPES[shape]
         w = cmath.exp(complex(u, phi))
         z = 1.0 / (1.0 + w)
@@ -822,8 +859,8 @@ def test_local_states_are_the_same_bits_with_and_without_kappa(family):
     assert contours
     for a2, a3, phi, uh in contours:
         us = (uh, uh, -uh, -uh)
-        states, kappa = _local_states(LOCAL_SHAPES, a2, a3, us, phi, kappa=True)
-        plain, none = _local_states(LOCAL_SHAPES, a2, a3, us, phi)
+        states, kappa = _local_states(_FIT_SHAPES, a2, a3, us, phi, kappa=True)
+        plain, none = _local_states(_FIT_SHAPES, a2, a3, us, phi)
         assert none is None and kappa >= 1.0
         assert plain.tobytes() == states.tobytes()
 

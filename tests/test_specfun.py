@@ -4,16 +4,20 @@ digits, frozen into the assertions."""
 
 import cmath
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsabsorb.specfun import (
+    _UNIT_ROUNDOFF,
     PoleProximityError,
     SeriesError,
     SingularValue,
+    _gauss_sums,
     gamma_info,
     hyp2f1,
     log_gamma,
@@ -237,18 +241,32 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, -2.0, 0.5)
 
 
-def direct_gauss_sum(a: float, b: float, c: float, z: float, terms: int = 4000) -> float:
-    """2F1(a, b; c; z) as its Gauss series summed term by term at 80 digits,
-    on the floats given, run far past the spike of the term ratio near
-    k = -Re c (where c < 0 the terms keep growing until k is about
-    -c / (1 - |z|)), so that the tail it leaves out is negligible."""
-    with mp.workdps(80):
-        a, b, c, z = (mp.mpf(x) for x in (a, b, c, z))
-        term = total = mp.mpf(1)
-        for k in range(terms):
+def direct_gauss_sum(a: complex, b: complex, c: complex, z: complex, dps: int = 80) -> complex:
+    """2F1(a, b; c; z), |z| < 1, as its Gauss series summed term by term at
+    ``dps`` digits on the numbers given: a float where all four are real.
+
+    The sum runs past the spike of the term ratio near k = -Re c (where
+    c < 0 the terms keep growing until k is about -c / (1 - |z|)) to the
+    proven tail that ``_gauss_sums`` uses, k >= max(-Re c, k^) with k^ the
+    larger root of (k + |a|)(k + |b|) |z| = q (k + Re c)(k + 1), q = (1 +
+    |z|) / 2, from which on every term ratio is below q in modulus; then on
+    until the tail, at most q / (1 - q) times the last term, is below
+    1e-30 of the sum."""
+    real = all(isinstance(x, (int, float)) for x in (a, b, c, z))
+    with mp.workdps(dps):
+        a, b, c, z = (mp.mpc(complex(x).real, complex(x).imag) for x in (a, b, c, z))
+        q = (1 + abs(z)) / 2
+        beta = q * (c.real + 1) - abs(z) * (abs(a) + abs(b))
+        gamma = q * c.real - abs(z) * abs(a) * abs(b)
+        disc = beta * beta - 4 * (q - abs(z)) * gamma
+        tail_from = max(-c.real, (mp.sqrt(disc) - beta) / (2 * (q - abs(z))) if disc >= 0 else -c.real)
+        term = total = mp.mpc(1)
+        k = 0
+        while k < tail_from or abs(term) * q / (1 - q) > mp.mpf(10) ** -30 * abs(total):
             term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
             total += term
-        return float(total)
+            k += 1
+        return float(total.real) if real else complex(total)
 
 
 # rows whose early terms fall below 1e-17 of their sums before the spike of
@@ -273,6 +291,63 @@ class TestHyp2f1PastTheSpike:
         # the proven tail starts near k = 200000, past the 100000-term cap
         with pytest.raises(SeriesError, match="^2F1 series tail is not bounded within 100000 terms$"):
             hyp2f1(1.0, 1.0, -200000.5, 0.5)
+
+
+def _part(lo: float, hi: float):
+    """A real number in [lo, hi], or a complex one with that real part and an
+    imaginary part in [-10, 10]."""
+    real = st.floats(lo, hi)
+    return st.one_of(real, st.builds(complex, real, st.floats(-10.0, 10.0)))
+
+
+# what hyp2f1 may refuse at |z| <= 0.9: a c that snaps to a non-positive
+# integer, and the SeriesError of a row whose tail or terms pass the cap
+_REFUSALS = {PoleProximityError: r"^c = .* is a non-positive integer$",
+             SeriesError: r"^2F1 series (tail is not bounded|did not converge|terms overflow) "
+                          r"within \d+ terms$"}
+
+
+class TestHyp2f1Property:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(a=1.0, b=1.0, c=-299.5, z=0.9)
+    @example(a=2.5 + 3.0j, b=-1.5j, c=-150.3 + 2.0j, z=0.9j)
+    @example(a=-20.0, b=19.5, c=-280.7, z=-0.9)
+    @example(a=7.0, b=-3.0 + 1.0j, c=300.0, z=0.6 - 0.6j)
+    @given(a=_part(-20.0, 20.0), b=_part(-20.0, 20.0), c=_part(-300.0, 300.0),
+           z=st.one_of(st.floats(-0.9, 0.9),
+                       st.builds(cmath.rect, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi))))
+    def test_within_its_rounding_bound_of_a_direct_sum(self, a, b, c, z):
+        # each result is within 8 u kappa (u = 2^-53) of the 40-digit sum, with
+        # kappa on F as the pass reports it, or it is a documented refusal
+        try:
+            got = hyp2f1(a, b, c, z)
+        except (PoleProximityError, SeriesError) as exc:
+            assert re.match(_REFUSALS[type(exc)], str(exc)), str(exc)
+            return
+        F, _, kappa = _gauss_sums(np.array((a, b, c), dtype=complex)[:, None, None],
+                                  np.array([[z]], dtype=complex), kappa=True)
+        assert repr(F[0]) == repr(got)
+        exact = direct_gauss_sum(complex(a), complex(b), complex(c), complex(z), dps=40)
+        with mp.workdps(40):
+            err = abs(mp.mpc(got.real, got.imag) - mp.mpc(exact.real, exact.imag))
+        assert err <= 8 * _UNIT_ROUNDOFF * kappa[0][0] * abs(got)
+
+
+@pytest.mark.parametrize("c, z, error, match", [
+    (-1.0, 0.3, PoleProximityError, "non-positive integer"),
+    (2.5, 0.999, ValueError, "outside series domain"),
+    (2.5, 1.0, ValueError, "outside series domain"),
+], ids=["c_at_a_pole", "z_past_the_bound", "z_at_1"])
+def test_gauss_sums_guards_its_rows(c, z, error, match):
+    # a direct pass refuses what hyp2f1 refuses, before any term.  Without the
+    # guard the first row's terms overflow after a divide-by-zero warning, the
+    # second sums to 1495.27 outside the series domain, and the third divides by
+    # zero in its tail bound.  A good row before the bad one does not hide it
+    abc = np.array([(0.6, 1.5), (1.3, 2.0), (2.2, c)], dtype=complex)[:, :, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            _gauss_sums(abc, np.array([[0.3], [z]], dtype=complex))
 
 
 class TestHyp2f1NonFinite:
