@@ -86,9 +86,6 @@ __all__ = [
     "hermitian_oracle_amplitudes",
 ]
 
-#: the bridge's accuracy target: its end states are held to an integrator
-#: run at this relative tolerance (the tests' DOP853 reference)
-DEFAULT_RTOL = 3e-14
 #: the most series rounding (8 * 2^-53 * kappa, _local_states) a Hermitian
 #: fit takes at u = 0 with no bridge; past it, it bridges from the 1.4
 #: handoff.  Of the order of the bridged fit's own worst measured miss

@@ -109,7 +109,9 @@ _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
 # past this |Im z|, log sin(pi z) is its asymptotic form to within e^(-40 pi)
 _SIN_ASYMPTOTIC = 20.0
 # gamma_logs hands longer arrays to _log_gamma in pieces of this many
-# arguments, whose temporaries stay in cache and come back from the heap
+# arguments, whose temporaries stay in cache and come back from the heap;
+# amplitudes sizes its pieces of energies from it (three of these pieces of
+# its 12 Gamma arguments each)
 _PIECE = 4096
 
 

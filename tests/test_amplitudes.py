@@ -11,6 +11,7 @@ from wsabsorb.amplitudes import (
     _G_TABLE,
     AmplitudeSet,
     ChannelParams,
+    _channel,
     _g_logs,
     _hermitian_channel,
     _row_bounds,
@@ -122,6 +123,13 @@ class TestGFactors:
         gf = g_factors(ch)
         assert gf.g3.is_pole and gf.g1.is_pole
         assert gf.g2.is_finite and gf.g4.is_finite
+
+    def test_g_logs_orders_are_five_rows(self):
+        # one order row per G and sqrt(k1/k2), with and without a snapped pole
+        for energies in ([1.0, 2.5], [1.0, E3]):
+            order, lg, _, _ = _g_logs(_channel(SPEC, np.array(energies)))
+            assert order.shape == lg.shape == (5, 2)
+        assert order[:, 1].any()
 
     def test_gamma_identity_sampled(self):
         rng = np.random.default_rng(7)

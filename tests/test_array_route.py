@@ -1,12 +1,15 @@
 """The array route of the closed form: ``log10_coefficients`` against the
 scalar ``amplitudes`` it stands in for, row by row and bit for bit."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsabsorb.amplitudes import _G_TABLE, amplitudes, det_s, log10_coefficients
+from wsabsorb.amplitudes import (_G_TABLE, _ROW_PIECE, _log10_refusals, amplitudes, det_s,
+                                 log10_coefficients)
 from wsabsorb.spectral import SpectralFamily, cc_left_energies, critical_points
 from wsabsorb.units import PotentialSpec, Variant
 
@@ -93,6 +96,53 @@ def test_row_bits_do_not_depend_on_a_pole_elsewhere_in_the_call(variant):
     assert np.isfinite(alone).all() and np.isinf(beside[:, -1]).any()
     assert alone.tobytes() == beside[:, :-1].tobytes()
     assert alone.tobytes() == scalar_route(spec, ordinary).tobytes()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_pieces_keep_every_bit(variant):
+    # landing energies on both sides of each seam between the kernel's pieces:
+    # every row, +-inf and the sign of zero included, is the one-energy call's
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0, variant=variant)
+    energies = np.linspace(0.05, 6.0, 2 * _ROW_PIECE + 7)
+    seams = [_ROW_PIECE - 1, _ROW_PIECE, 2 * _ROW_PIECE - 1, 2 * _ROW_PIECE]
+    energies[seams] = [p.energy for p in cc_left_energies(spec, 4)]
+    got = log10_coefficients(spec, energies)
+    assert np.isinf(got[:, seams]).any(axis=0).all()
+    want = np.hstack([log10_coefficients(spec, [energy]) for energy in energies.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_refusal_in_a_later_piece_keeps_its_message_and_order():
+    # the first refusal sits past the first piece; the error is the scalar
+    # route's, and _log10_refusals lists every refusal in the call's order
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
+    ordinary = np.linspace(0.05, 6.0, 1500)
+    energies = np.append(ordinary, [2e13, 1e13])
+    assert ordinary.size > _ROW_PIECE
+    with pytest.raises(ArithmeticError) as scalar:
+        amplitudes(spec, 2e13)
+    with pytest.raises(ArithmeticError) as array:
+        log10_coefficients(spec, energies)
+    assert str(array.value) == str(scalar.value)
+    rows, refused = _log10_refusals(spec, energies)
+    assert list(refused) == [2e13, 1e13]
+    for energy in refused:
+        assert refused[energy] == _log10_refusals(spec, np.array([energy]))[1][energy]
+    assert rows[:, :-2].tobytes() == log10_coefficients(spec, ordinary).tobytes()
+
+
+def test_kernel_memory_does_not_grow_with_the_grid():
+    # 20 000 energies hold 0.64 MB of rows; one kernel pass over all of them
+    # would hold about 15 MB of temporaries besides
+    energies = np.linspace(0.05, 6.0, 20_000)
+    spec = PotentialSpec(v0=1.2, rho=1.8, mass=1.0)
+    tracemalloc.start()
+    try:
+        log10_coefficients(spec, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # (spec, energy, message) of det-S refusals the tests pin: the reproducers, the
