@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _EPS, _PIECE, TAU_INT, SingularValue, _digamma, gamma_logs
+from .specfun import _CANCEL_FLOOR, _EPS, _PIECE, TAU_INT, SingularValue, _digamma, gamma_logs
 from .units import PotentialSpec, Variant, _check_entries, _check_finite, _check_positive
 
 __all__ = [
@@ -49,11 +49,10 @@ class ChannelParams:
 
     a2 and a3 carry the variant sign: the time-reversed potential has both
     negated, which is the whole content of the time-reversal map at the
-    amplitude level.  k1 and k2 stay positive.  ``gap`` is a3 - a2, and the
-    Gamma arguments read a2 and gap, never a3.  The constructors from a
-    potential form gap from v0 without cancellation (a2 and a3 agree to
-    ever more digits as the energy grows); left out, it is the float
-    difference of the given a2 and a3.
+    amplitude level.  k1 and k2 stay positive.  ``gap`` is a3 - a2, a field
+    of its own, and the Gamma arguments read a2 and gap, never a3.  The
+    constructors from a potential form gap from v0 without cancellation (a2
+    and a3 agree to ever more digits as the energy grows).
     """
 
     energy: float
@@ -62,19 +61,7 @@ class ChannelParams:
     a2: complex
     a3: complex
     mass: float
-    gap: complex | None = None
-
-    def __post_init__(self):
-        if self.gap is None:
-            object.__setattr__(self, "gap", self.a3 - self.a2)
-
-    @property
-    def da2_denergy(self) -> complex:
-        return self.a2 * self.mass / (2.0 * self.k1 * self.k1)
-
-    @property
-    def da3_denergy(self) -> complex:
-        return self.a3 * self.mass / (2.0 * self.k2 * self.k2)
+    gap: complex
 
 
 @dataclass(frozen=True)
@@ -167,7 +154,9 @@ def _arg_slopes(ch: ChannelParams) -> np.ndarray:
     whose slope is formed from the gap itself, -gap m / (2 k1 k2), so that
     no slope subtracts two nearly equal ones."""
     dgap = -ch.gap * ch.mass / (2.0 * ch.k1 * ch.k2)
-    return np.where(_Z2 == 0.0, _C3 * dgap, _C2 * ch.da2_denergy + _C3 * ch.da3_denergy)
+    da2 = ch.a2 * ch.mass / (2.0 * ch.k1 * ch.k1)
+    da3 = ch.a3 * ch.mass / (2.0 * ch.k2 * ch.k2)
+    return np.where(_Z2 == 0.0, _C3 * dgap, _C2 * da2 + _C3 * da3)
 
 
 def _g_orders(pole: np.ndarray) -> np.ndarray:
@@ -376,7 +365,7 @@ def _det_s_checks(ch: ChannelParams) -> tuple:
         fail = (np.where(o_sum == o_det, rel > tol, (o_det < o_sum) | (cancel < 9.0 * _LN10))
                 if singular else rel > tol)
         if fail.any():  # except where the leading coefficients cancel exactly
-            fail &= ~(equal & (np.abs(w) < 4e-16 * (np.abs(e_t2) + np.abs(e_m))))
+            fail &= ~(equal & (np.abs(w) < _CANCEL_FLOOR * (np.abs(e_t2) + np.abs(e_m))))
         fail |= rounding > _ROUNDING_LIMIT
     refused = {}
     if fail.any():

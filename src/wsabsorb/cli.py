@@ -101,14 +101,16 @@ def _cell(value):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv(names, columns) -> str:
-    """CSV text: the header line, then one line per row of the columns.
+def _csv(names, columns) -> list[str]:
+    """CSV text as a list of blocks: the header line, then the lines of
+    each block of rows of the columns.
 
     A float array's tokens are ``%.12g``, the bytes of :func:`_fmt`; a
     list's floats go through :func:`_fmt` and its other values through
     ``str()``.  Neither a float array nor a list of only str and int cells
     (one C-level type pass finds those) takes per-cell work in Python.
-    Each block of rows is one ``%`` call."""
+    Each block of rows is one ``%`` call, and the blocks are never joined,
+    so a large scan holds its text once."""
     if np.isnan([c for c in columns if isinstance(c, np.ndarray)]).any():
         raise ValueError("refusing to emit NaN")
     columns = [c if isinstance(c, np.ndarray) or {str, int}.issuperset(map(type, c))
@@ -121,26 +123,20 @@ def _csv(names, columns) -> str:
         for j, column in enumerate(columns):
             block[:, j] = column[start:stop]
         parts.append(line * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
-
-
-def _write(args, text: str) -> None:
-    """Write an output document to ``--out`` or stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    return parts
 
 
 def _emit(args, names, columns, params):
-    """Write a command's output, one column per name, as CSV or JSON.
+    """Write a command's output, one column per name, as CSV or JSON, to
+    ``--out`` or stdout.
 
     Each column is a float array or a list (or tuple) of values, formatted
-    as :func:`_csv` says.  A JSON document names the command as parsed
-    (``args.command``, the subcommand's name) and its ``params``; a JSON row
-    zips the columns' values, and each cell takes its type from the value,
-    not the token (:func:`_cell`)."""
+    as :func:`_csv` says, whose blocks are written as they are.  A JSON
+    document names the command as parsed (``args.command``, the
+    subcommand's name) and its ``params``; a JSON row zips the columns'
+    values, and each cell takes its type from the value, not the token
+    (:func:`_cell`).  The document is formatted whole before ``--out`` is
+    opened, so a refused document (a NaN) writes nothing."""
     if args.format == "json":
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         doc = {
@@ -148,10 +144,20 @@ def _emit(args, names, columns, params):
             "params": params,
             "rows": [{n: _cell(v) for n, v in zip(names, row)} for row in zip(*cells)],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        parts = [json.dumps(doc, indent=2), "\n"]
     else:
-        text = _csv(names, columns)
-    _write(args, text)
+        parts = _csv(names, columns)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+    else:
+        sys.stdout.writelines(parts)
+
+
+def _exit_code(rows) -> int:
+    """A table's exit code from its rows' last (status) column: 2 if any
+    row reads FAIL, else 0."""
+    return 2 if any(row[-1] == "FAIL" for row in rows) else 0
 
 
 def _options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
@@ -246,8 +252,8 @@ def cmd_scan(args) -> int:
         raise ValueError("--points must be at least 2")
     grid = np.linspace(emin, emax, points)
     logs = log10_coefficients(spec, grid)
-    # log10 magnitudes flush to +-inf beyond 300 decades
-    logs = np.where(np.abs(logs) >= 300.0, np.copysign(np.inf, logs), logs)
+    # log10 magnitudes flush to +-inf beyond 300 decades, in place
+    np.copysign(np.inf, logs, out=logs, where=np.abs(logs) >= 300.0)
     flags = _scan_flags(spec, grid)
     _emit(args, ["energy_internal", "energy_" + suffix, "log10_Rl", "log10_Rr",
                  "log10_T", "log10_absdetS", "flags"],
@@ -370,17 +376,14 @@ def cmd_table1(args) -> int:
     names = ["row", "quantity", "params", "computed", "published", "unit",
              "rel_dev", "status"]
     rows = []
-    failed = False
     for row, label, v0, rho, family, index, ref in _TABLE1_POINTS:
         # the first `index` points hold point `index`: their indices are distinct and >= 1
         point = next(p for p in critical_points(PotentialSpec(v0, rho, 1.0), family, count=index)
                      if p.index == index)
         computed = convert_energy(point.energy, to_units=EnergyUnit.ELECTRON_VOLT)
         dev = abs(computed - ref) / ref
-        ok = dev <= 0.005
-        failed = failed or not ok
         rows.append([row, label, f"v0={v0:g} rho={rho:g} m=1", computed, ref, "eV", dev,
-                     "PASS" if ok else "FAIL"])
+                     "PASS" if dev <= 0.005 else "FAIL"])
     for label, spec, criterion, window, threshold, plo, phi, unit in _table1_ranges():
         found = scan_ranges(spec, criterion, window, threshold, grid_points=args.grid)
         overlap = any(
@@ -388,7 +391,6 @@ def cmd_table1(args) -> int:
             and convert_energy(r.hi, to_units=unit) > plo
             for r in found
         )
-        failed = failed or not overlap
         span = "none" if not found else (
             f"{convert_energy(found[0].lo, to_units=unit):.6g}.."
             f"{convert_energy(found[-1].hi, to_units=unit):.6g}"
@@ -401,7 +403,7 @@ def cmd_table1(args) -> int:
                      "overlap" if overlap else "disjoint",
                      "PASS" if overlap else "FAIL"])
     _emit(args, names, list(zip(*rows)), {"grid": args.grid})
-    return 2 if failed else 0
+    return _exit_code(rows)
 
 
 # -- verification suite -----------------------------------------------------------
@@ -412,14 +414,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     names = ["suite", "max_deviation", "tolerance", "status"]
     rows = []
-    failed = False
     for name, check, tol in SUITES:
         worst = check(np.random.default_rng(args.seed))
-        ok = worst <= tol
-        failed = failed or not ok
-        rows.append([name, float(worst), float(tol), "PASS" if ok else "FAIL"])
+        rows.append([name, float(worst), float(tol), "PASS" if worst <= tol else "FAIL"])
     _emit(args, names, list(zip(*rows)), {"seed": args.seed})
-    return 2 if failed else 0
+    return _exit_code(rows)
 
 
 def cmd_potential(args) -> int:
@@ -489,7 +488,8 @@ def build_parser() -> _Parser:
 
     ranges = subs.add_parser("ranges", help="certified absorption ranges")
     _add_common(ranges, ("v0", "rho", "mass"), window_flags=True)
-    ranges.add_argument("--criterion", choices=("cc-left", "cpa"), default="cc-left")
+    ranges.add_argument("--criterion", choices=tuple(c.value.replace("_", "-") for c in RangeCriterion),
+                        default="cc-left")
     ranges.add_argument("--threshold", type=float, default=spectral.DEFAULT_THRESHOLD)
     ranges.add_argument("--grid", type=int, default=spectral.DEFAULT_GRID_POINTS)
     ranges.set_defaults(func=cmd_ranges)

@@ -32,7 +32,7 @@ def _suite_gamma_identity(rng, n=1000):
     worst = 0.0
     for _ in range(n):
         a2, a3 = _random_channel(rng)
-        ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0)
+        ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0, gap=a3 - a2)
         gf = g_factors(ch)
         lhs = gf.g4 * gf.g1 + SingularValue.from_complex(a2 / a3)
         worst = max(worst, lhs.relative_difference(gf.g2 * gf.g3))

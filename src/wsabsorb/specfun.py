@@ -56,6 +56,12 @@ TAU_INT = 1e-9
 _EPS = 2.0 ** -52
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+#: The floor below which two leading coefficients cancel: their sum w is
+#: refused, the next order unknown, where |w| < _CANCEL_FLOOR times the sum
+#: of their magnitudes (:meth:`SingularValue.__add__`, and the det-S check's
+#: equal-order sums in ``amplitudes``).
+_CANCEL_FLOOR = 4e-16
+
 # term cap and |z| bound of the 2F1 series
 _SERIES_MAX_TERMS = 100_000
 SERIES_Z_MAX = 0.95
@@ -374,7 +380,7 @@ class SingularValue:
         if r > 0.0:
             return other + self
         w = cmath.exp(1j * self.phase) + math.exp(r) * cmath.exp(1j * other.phase)
-        if abs(w) < 4e-16 * (1.0 + math.exp(r)):
+        if abs(w) < _CANCEL_FLOOR * (1.0 + math.exp(r)):
             raise ArithmeticError("leading coefficients cancel; next order unknown")
         return SingularValue(
             self.order,

@@ -567,6 +567,9 @@ def _grid_stage(
     return log10, np.where(evaluated, log10 < log10_cap, decided)
 
 
+# the bisection's cap on the steps of one crossing
+_MAX_STEPS = 200
+
 # the depth of the tree of bisection midpoints that a kernel call evaluates per
 # open crossing, 2**_LOOKAHEAD - 1 energies rooted _LOOKAHEAD steps before the
 # end of the path toward its prediction (at its bracket without one), so that a
@@ -643,7 +646,7 @@ def _bisect_crossing(
 
     Each crossing is (e_fail, its log10, e_pass, its log10, a predicted
     crossing energy or None).  Each stops on its own once its bracket is
-    within 1e-10 relative of its midpoint or after 200 steps, and each step
+    within 1e-10 relative of its midpoint or after _MAX_STEPS steps, and each step
     reads the kernel at the midpoint ``0.5 * (e_fail + e_pass)``, so every
     refined energy is the one a crossing bisected alone reaches.
 
@@ -672,7 +675,7 @@ def _bisect_crossing(
     state = [[*crossing, 0] for crossing in crossings]
 
     def next_mid(s):
-        return _midpoint(s[0], s[2]) if s[5] < 200 else None
+        return _midpoint(s[0], s[2]) if s[5] < _MAX_STEPS else None
 
     refused = {}  # the last call's refusals, by energy
     while unresolved := [s for s in state if next_mid(s) is not None]:
@@ -683,7 +686,7 @@ def _bisect_crossing(
         for s in unresolved:
             e_fail, e_pass, c = s[0], s[2], s[4]
             path = [(e_fail, e_pass)]  # the brackets that the steps toward c reach
-            while (c is not None and len(path) + s[5] <= 200
+            while (c is not None and len(path) + s[5] <= _MAX_STEPS
                    and (mid := _midpoint(e_fail, e_pass)) is not None):
                 # c on the failing side of the midpoint: it passes, unless the prediction misses
                 if (c < mid) == (e_fail < mid):

@@ -56,6 +56,8 @@ def convert_energy(
 ) -> float:
     """Convert an energy between units (pure arithmetic)."""
     _check_finite("energy", value)
+    _check_member("from_units", from_units, EnergyUnit)
+    _check_member("to_units", to_units, EnergyUnit)
     return value / _EV_FACTOR[from_units] * _EV_FACTOR[to_units]
 
 
@@ -66,6 +68,8 @@ def convert_length(
 ) -> float:
     """Convert a length between units."""
     _check_finite("length", value)
+    _check_member("from_units", from_units, LengthUnit)
+    _check_member("to_units", to_units, LengthUnit)
     return value / _NM_FACTOR[from_units] * _NM_FACTOR[to_units]
 
 

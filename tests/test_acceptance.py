@@ -121,7 +121,7 @@ def test_criterion_3_connection_identity():
             if min(abs(x - round(x)) for x in (2 * a2, 2 * a3, a3 - a2, a3 + a2)) < 5e-3:
                 continue
             count += 1
-            ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0)
+            ch = ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0, gap=a3 - a2)
             gf = g_factors(ch)
             lhs = gf.g4 * gf.g1 + SingularValue.from_complex(a2 / a3)
             worst = max(worst, lhs.relative_difference(gf.g2 * gf.g3))

@@ -40,7 +40,7 @@ def random_channel(rng, margin=5e-3):
             a2, a3 = a3, a2 + 0.05
         dists = [abs(x - round(x)) for x in (2 * a2, 2 * a3, a3 - a2, a3 + a2)]
         if min(dists) > margin:
-            return ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0)
+            return ChannelParams(energy=1.0, k1=a2, k2=a3, a2=a2, a3=a3, mass=1.0, gap=a3 - a2)
 
 
 class TestChannelParams:
@@ -85,8 +85,10 @@ class TestChannelParams:
         herm = _hermitian_channel(0.7, 1.3, 2.0, energy)
         assert herm.gap.real == 0.0 and herm.gap.imag == pytest.approx(-want_h, rel=1e-15)
 
-    def test_gap_defaults_to_difference(self):
-        assert ChannelParams(energy=1.0, k1=0.5, k2=1.0, a2=0.5, a3=1.25, mass=1.0).gap == 0.75
+    def test_gap_is_required(self):
+        # the constructors form the gap from v0; a3 - a2 would cancel
+        with pytest.raises(TypeError, match="gap"):
+            ChannelParams(energy=1.0, k1=0.5, k2=1.0, a2=0.5, a3=1.25, mass=1.0)
 
     def test_rejects_bad_energy(self):
         with pytest.raises(ValueError):
@@ -108,13 +110,13 @@ class TestChannelParams:
 class TestGFactors:
     def test_zero_when_exponents_coincide(self):
         # equal a2 = a3 puts a pole in the g1 denominator only
-        ch = ChannelParams(energy=1.0, k1=0.7, k2=0.9, a2=0.7, a3=0.7, mass=1.0)
+        ch = ChannelParams(energy=1.0, k1=0.7, k2=0.9, a2=0.7, a3=0.7, mass=1.0, gap=0.7 - 0.7)
         gf = g_factors(ch)
         assert gf.g1.is_zero
 
     def test_frozen_g2_value(self):
         # Gamma(2)Gamma(2)/(Gamma(1.5)Gamma(2.5)) = 0.8488263631567751 (mpmath)
-        ch = ChannelParams(energy=1.0, k1=0.5, k2=1.0, a2=0.5, a3=1.0, mass=1.0)
+        ch = ChannelParams(energy=1.0, k1=0.5, k2=1.0, a2=0.5, a3=1.0, mass=1.0, gap=1.0 - 0.5)
         gf = g_factors(ch)
         assert gf.g2.to_complex().real == pytest.approx(0.8488263631567751, rel=1e-12)
 
@@ -147,7 +149,8 @@ class TestGFactors:
         for _ in range(50):
             b2 = rng.uniform(0.1, 6.0)
             b3 = b2 + rng.uniform(0.05, 5.0)
-            ch = ChannelParams(energy=1.0, k1=b2, k2=b3, a2=1j * b2, a3=1j * b3, mass=1.0)
+            ch = ChannelParams(energy=1.0, k1=b2, k2=b3, a2=1j * b2, a3=1j * b3, mass=1.0,
+                               gap=1j * b3 - 1j * b2)
             gf = g_factors(ch)
             assert gf.g1.conjugate().relative_difference(gf.g4) < 1e-10
             assert gf.g2.conjugate().relative_difference(gf.g3) < 1e-10
@@ -279,7 +282,8 @@ class TestRealRoute:
     def test_g_factors_against_mpmath(self, sign):
         a2, a3 = self.draws(41)
         with np.errstate(all="ignore"):
-            order, lg, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
+            order, lg, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0,
+                                                    sign * a3 - sign * a2))
         assert lg.dtype == complex and (order == 0).all()
         worst = 0.0
         with mp.workdps(40):
@@ -296,8 +300,10 @@ class TestRealRoute:
     def test_complex_route_agrees(self, sign):
         a2, a3 = self.draws(43)
         with np.errstate(all="ignore"):
-            _, real, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0))
-            _, cplx, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2 + 0j, sign * a3 + 0j, 1.0))
+            _, real, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2, sign * a3, 1.0,
+                                                  sign * a3 - sign * a2))
+            _, cplx, _, _ = _g_logs(ChannelParams(a2, a2, a3, sign * a2 + 0j, sign * a3 + 0j, 1.0,
+                                                  (sign * a3 + 0j) - (sign * a2 + 0j)))
         assert np.abs(np.exp(real[:4] - cplx[:4]) - 1.0).max() <= 1e-13
 
     def test_root_k_is_half_math_log(self):
@@ -306,10 +312,11 @@ class TestRealRoute:
         k2 = k1 + rng.uniform(1e-6, 50.0, 2000)
         want = [0.5 * math.log(r) for r in (k1 / k2).tolist()]
         with np.errstate(all="ignore"):
-            _, lg, _, _ = _g_logs(ChannelParams(k1, k1, k2, k1, k2, 1.0))
+            _, lg, _, _ = _g_logs(ChannelParams(k1, k1, k2, k1, k2, 1.0, k2 - k1))
             assert lg[4].real.tolist() == want
             for j in range(20):  # and one energy at a time
-                ch = ChannelParams(k1[j], float(k1[j]), float(k2[j]), float(k1[j]), float(k2[j]), 1.0)
+                x1, x2 = float(k1[j]), float(k2[j])
+                ch = ChannelParams(k1[j], x1, x2, x1, x2, 1.0, x2 - x1)
                 assert _g_logs(ch)[1][4, 0].real == want[j]
 
 

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -233,6 +234,40 @@ class TestTable1AndVerify:
         assert all(r[-1] == "PASS" for r in rows)
         code2, text2 = run(tmp_path, "verify", "--seed", "7")
         assert code2 == 0
+
+    def test_verify_exits_2_on_a_failing_suite(self, tmp_path, monkeypatch):
+        # stand-ins as in test_verify_rows_follow_the_suite_table, the first
+        # one twice over its tolerance
+        stand_ins = [(name, lambda rng, tol=tol: rng.uniform() * tol, tol) for name, _, tol in cli.SUITES]
+        name, _, tol = stand_ins[0]
+        stand_ins[0] = (name, lambda rng: 2.0 * tol, tol)
+        monkeypatch.setattr(cli, "SUITES", tuple(stand_ins))
+        code, text = run(tmp_path, "verify")
+        assert code == 2
+        status = [line.split(",")[-1] for line in text.strip().split("\n")[1:]]
+        assert status == ["FAIL"] + ["PASS"] * (len(stand_ins) - 1)
+
+    def test_table1_exits_2_on_a_moved_point(self, tmp_path, monkeypatch):
+        # no range rows, so no scan runs
+        row, label, v0, rho, family, index, ref = cli._TABLE1_POINTS[0]
+        moved = ((row, label, v0, rho, family, index, 1.1 * ref), *cli._TABLE1_POINTS[1:])
+        monkeypatch.setattr(cli, "_TABLE1_POINTS", moved)
+        monkeypatch.setattr(cli, "_table1_ranges", lambda: [])
+        code, text = run(tmp_path, "table1")
+        assert code == 2
+        status = [line.split(",")[-1] for line in text.strip().split("\n")[1:]]
+        assert status == ["FAIL"] + ["PASS"] * (len(moved) - 1)
+
+    def test_table1_exits_2_on_a_moved_range(self, tmp_path, monkeypatch):
+        # cc_range_narrow alone, its published interval moved 1 eV up, past its
+        # window (81.60..81.75 eV), so no range found can overlap it
+        (label, spec, criterion, window, threshold, plo, phi, unit), *_ = cli._table1_ranges()
+        moved = (label, spec, criterion, window, threshold, plo + 1.0, phi + 1.0, unit)
+        monkeypatch.setattr(cli, "_TABLE1_POINTS", ())
+        monkeypatch.setattr(cli, "_table1_ranges", lambda: [moved])
+        code, text = run(tmp_path, "table1", "--grid", "128")
+        assert code == 2
+        assert [line.split(",")[-2:] for line in text.strip().split("\n")[1:]] == [["disjoint", "FAIL"]]
 
 
 class TestPotential:
@@ -1011,8 +1046,23 @@ def test_scan_csv_special_floats_equal_per_token_formatting(rows):
     names = ["energy_internal", "energy_ev", "log10_Rl", "log10_Rr", "log10_T",
              "log10_absdetS", "flags"]
     columns = [*values, flags]
-    assert (cli._csv(names, columns).splitlines(True)
+    assert ("".join(cli._csv(names, columns)).splitlines(True)
             == _per_token_csv(names, columns).splitlines(True))
+
+
+def test_dense_scan_holds_its_text_once(tmp_path):
+    # 20 000 rows are about 2 MB of CSV text; joining the blocks into one
+    # string and flushing through (4, n) temporaries held 5.4 MB at the peak
+    argv = ["scan", "--v0", "1.2", "--rho", "1.8", "--emin", "0.05", "--emax", "6",
+            "--points", "20000", "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 0  # the warm-up builds the parser and the kernel's tables
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 _VERIFY_STAND_INS = tuple((name, lambda rng, tol=tol: tol / 3.0, tol) for name, _, tol in cli.SUITES)

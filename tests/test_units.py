@@ -177,6 +177,25 @@ def test_int_arguments_refuse_all_but_an_int(entry, value):
         call(value)
 
 
+# (entry point, argument) that take a unit member: a call that puts the value
+# in that argument, the unit enum, and a value that is no member of it
+UNIT_ARGUMENTS = {
+    ("convert_energy", "from_units"): (lambda v: convert_energy(1.0, v), EnergyUnit, "ev"),
+    ("convert_energy", "to_units"): (lambda v: convert_energy(1.0, to_units=v), EnergyUnit, "ev"),
+    ("convert_length", "from_units"): (lambda v: convert_length(1.0, v), LengthUnit, "nm"),
+    ("convert_length", "to_units"): (lambda v: convert_length(1.0, to_units=v), LengthUnit, "nm"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNIT_ARGUMENTS), ids="-".join)
+def test_unit_arguments_refuse_all_but_a_member(entry):
+    # the converters raised KeyError for a unit's value string; each unit
+    # argument must read the enum rule of units
+    call, kind, value = UNIT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{entry[1]} must be a {kind.__name__}, got {value!r}$"):
+        call(value)
+
+
 def test_log10_coefficients_refuses_a_complex_entry():
     # np.asarray(..., dtype=float) raised TypeError on it
     with pytest.raises(ValueError, match=r"^energies entry must be an int or float, got \(2\.5\+0j\)$"):
